@@ -29,7 +29,10 @@ __all__ = [
 ]
 
 _SIMPLEX_XATOL = 1e-10   # relative, thanks to log parameterization
-_SIMPLEX_FATOL = 1e-16
+# relative to sum(w y^2), the objective of a zero model and so an upper
+# bound on the optimum: an absolute test would sit below the rounding of
+# a weighted residual sum of order the point count
+_SIMPLEX_FTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -94,10 +97,11 @@ def _t1_starts(c: DecayCurve, n: int = 5) -> np.ndarray:
     return np.geomspace(lo, 10.0 * c.tau_s[-1], n)
 
 
-def _run_simplex(objective, x0: np.ndarray):
+def _run_simplex(objective, x0: np.ndarray, c: DecayCurve):
+    fatol = _SIMPLEX_FTOL * float(np.sum(c.weights * c.signal ** 2))
     return optimize.minimize(
         objective, x0, method="Nelder-Mead",
-        options={"xatol": _SIMPLEX_XATOL, "fatol": _SIMPLEX_FATOL,
+        options={"xatol": _SIMPLEX_XATOL, "fatol": fatol,
                  "maxiter": 4000, "maxfev": 8000})
 
 
@@ -139,7 +143,7 @@ def fit_decay(c: DecayCurve, fixed_t1_ph_s: float | None = None,
         x0 = np.asarray(x0)
         if rng is not None:
             x0 = x0 + rng.normal(scale=1e-3, size=x0.shape)
-        results.append(_run_simplex(objective, x0))
+        results.append(_run_simplex(objective, x0, c))
 
     def build(best):
         t_ph = float(np.exp(best.x[2])) if free_ph else float(fixed_t1_ph_s)
@@ -179,7 +183,7 @@ def fit_beta(c: DecayCurve, seed: int | None = None) -> FitResult:
         x0 = np.array([np.log(a0), np.log(t_start), z0])
         if rng is not None:
             x0 = x0 + rng.normal(scale=1e-3, size=x0.shape)
-        results.append(_run_simplex(objective, x0))
+        results.append(_run_simplex(objective, x0, c))
 
     def build(best):
         model = DecayModel(t1_dd_s=float(np.exp(best.x[1])), t1_ph_s=np.inf,

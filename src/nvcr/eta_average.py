@@ -11,14 +11,22 @@ or does not contribute at all.
 All averages are reported normalized as A = eta_bar / (1/4 * sqrt(1/3)),
 the convention of the coupling table; ``eta_bar`` applies the prefactor.
 
-Quadrature: product Gauss-Legendre in cos(theta) x uniform trapezoid in
-phi over the sphere (and trapezoid in psi for RANDOM mode), evaluated on
-a resolution ladder (half, nominal, doubled, ...) until two successive
-rungs agree within tolerance.  Axially symmetric cases reduce to a 1-D
-integral of |quadratic| and are integrated piecewise-exactly by
-splitting at the kink.  All node sets are built in a triad derived from
-the pair geometry itself, so every average is invariant under a common
-rotation of the frames to rounding accuracy.
+Quadrature: in the zero-field basis the sphere average for a fixed pair
+of in-plane axes is a kernel K(c) of their cosine alone, with the
+azimuthal integral in closed form and the polar one split at its single
+kink (see _pair_kernel_batch), accurate to ~1e-13.  Only the in-plane
+axes are sampled: a uniform trapezoid in psi for RANDOM mode, a sphere
+of shared field directions for ALIGNED mode.  The psi-average converges
+algebraically, not spectrally, because K - K(0) ~ c^2 log|c| has a cusp
+at c = 0 (Trefethen & Weideman, SIAM Rev. 56, 2014).  Magnetic-basis
+cross-class averages use product Gauss-Legendre in cos(theta) x uniform
+trapezoid in phi.  Either way the average is evaluated on a resolution
+ladder (half, nominal, doubled, ...) until two successive rungs agree
+within tolerance; for zero-field-basis averages only n_psi matters.
+The axially symmetric magnetic case is half the kernel at c = 1.  All
+node sets are built in a triad derived from the pair geometry itself,
+so every average is invariant under a common rotation of the frames to
+rounding accuracy.
 """
 
 from __future__ import annotations
@@ -94,7 +102,11 @@ class EtaScenario:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Grid resolutions and the convergence target for angular averages."""
+    """Grid resolutions and the convergence target for angular averages.
+
+    n_theta and n_phi size the sphere grid of magnetic-basis averages;
+    n_psi sizes the in-plane axis samples of zero-field-basis averages.
+    """
 
     n_theta: int = 128
     n_phi: int = 128
@@ -124,52 +136,39 @@ class ConvergenceError(RuntimeError):
 
 DEFAULT_QUADRATURE = QuadratureSpec()
 
-_CHUNK_ELEMS = 1 << 23  # cap on the broadcast buffer, ~64 MB of float64
+_KERNEL_NODES = 32  # Gauss-Legendre nodes below the kink of the pair kernel
 
 
 def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _abs_quadratic_average(a: float, b: float, n: int = 48) -> float:
-    """(1/2) * integral_{-1}^{1} |a t^2 + b| dt, exact via kink splitting.
-
-    Gauss-Legendre is exact for polynomials, so integrating each smooth
-    piece separately gives machine-precision results.
-    """
-    x, w = _gl_nodes(n)
-
-    def seg(lo: float, hi: float) -> float:
-        t = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        return 0.5 * (hi - lo) * float(w @ np.abs(a * t * t + b))
-
-    pieces = [0.0, 1.0]
-    if a != 0.0 and 0.0 < -b / a < 1.0:
-        pieces.insert(1, float(np.sqrt(-b / a)))
-    total = sum(seg(lo, hi) for lo, hi in zip(pieces[:-1], pieces[1:]))
-    return total  # integrand even in t, so (1/2)*int_{-1}^{1} = int_0^1
-
-
-def _pair_kernel_batch(cosines: np.ndarray, n_theta: int, n_phi: int) -> np.ndarray:
-    """Sphere average of |3 (u.a)(u.b) - a.b| for a batch of axis cosines.
+def _pair_kernel_batch(cosines) -> np.ndarray:
+    """Sphere average K(c) of |3 (u.a)(u.b) - a.b| for a batch of axis cosines.
 
     By rotational invariance the average depends only on c = a.b.  With
     the polar axis along the common normal of a and b the integrand is
-    |(3/2)(1 - t^2)(c + cos 2 phi) - c|, which is evaluated on the
-    product grid for every requested c in vectorized chunks.
+    |A cos 2phi + B| with A = (3/2)(1 - t^2), B = (A - 1) c and t the
+    polar cosine, and its phi-average is exact: (2/pi)(B arcsin(B/A) +
+    sqrt(A^2 - B^2)) where |B| < A, and |B| elsewhere.  The single kink
+    |B| = A sits at t* = sqrt(1 - (2/3)|c|/(1 + |c|)).  Above it the
+    integrand is the quadratic |c| (3t^2 - 1)/2, integrated in closed
+    form; below it Gauss-Legendre runs in w with t = t* (1 - w^2), which
+    turns the (t* - t)^(3/2) endpoint into a smooth integrand.  K is even
+    in c, K(0) = 2/pi and K(+-1) = 4/(3 sqrt 3).
     """
-    t, w = _gl_nodes(n_theta)
-    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    s2 = 1.5 * (1.0 - t * t)                       # (3/2) sin^2(theta)
-    quad = (s2[:, None] * np.cos(2.0 * phi)[None, :]).ravel()
-    slope = np.repeat(s2, n_phi)                   # multiplies c
-    weight = np.repeat(w, n_phi) / (2.0 * n_phi)   # sums to 1 on the sphere
-    cosines = np.atleast_1d(np.asarray(cosines, dtype=float))
-    out = np.empty(cosines.size)
-    step = max(1, _CHUNK_ELEMS // weight.size)
-    for i in range(0, cosines.size, step):
-        c = cosines[i:i + step, None]
-        out[i:i + step] = np.abs((slope[None, :] - 1.0) * c + quad[None, :]) @ weight
+    x, w = _gl_nodes(_KERNEL_NODES)
+    s, ws = 0.5 * (x + 1.0), 0.5 * w               # nodes on [0, 1]
+    c = np.abs(np.atleast_1d(np.asarray(cosines, dtype=float)))
+    t_star = np.sqrt(1.0 - c / (1.5 * (1.0 + c)))
+    out = 0.5 * c * t_star * (1.0 - t_star * t_star)   # [t*, 1] in closed form
+    for sk, wk in zip(s, ws):  # node by node: memory stays O(len(c))
+        t = t_star * (1.0 - sk * sk)
+        a = 1.5 * (1.0 - t * t)
+        b = (a - 1.0) * c
+        r = np.clip(b / a, -1.0, 1.0)
+        g = (2.0 / np.pi) * (b * np.arcsin(r) + a * np.sqrt(1.0 - r * r))
+        out += (2.0 * wk * sk) * t_star * g        # dt = 2 t* w dw
     return out
 
 
@@ -215,8 +214,8 @@ def _magnetic_pair_average(z1: np.ndarray, z2: np.ndarray,
     """Sphere average of the magnetic-basis flip-flop magnitude."""
     czz = float(z1 @ z2)
     if abs(abs(czz) - 1.0) < 1e-12:
-        # axial symmetry: |M| = |1 - 3 (u.z)^2| / 2
-        return 0.5 * _abs_quadratic_average(-3.0, 1.0)
+        # axial symmetry: |M| = |3 (u.z)^2 - 1| / 2, half the kernel at c = 1
+        return 0.5 * float(_pair_kernel_batch(1.0)[0])
     triad = _relative_triad(z1, z2)
     u, w = _sphere_nodes_in_triad(n_theta, n_phi, triad)
     x_shared = triad[2]                  # normal to both axes
@@ -231,28 +230,26 @@ def _magnetic_pair_average(z1: np.ndarray, z2: np.ndarray,
 
 
 def _nonmagnetic_pair_average(z1: np.ndarray, z2: np.ndarray, x_mode: XMode,
-                              n_theta: int, n_phi: int, n_psi: int,
-                              x1=None, x2=None) -> float:
+                              n_psi: int, x1=None, x2=None) -> float:
     """Average of the zero-field-basis flip-flop magnitude (x channel).
 
     The in-plane axes are either frozen (explicit x1/x2, or derived from
     a shared field direction averaged over the sphere for distinct
     axes), or independently randomized.  For a pair of in-plane axes the
-    sphere average reduces to the kernel of _pair_kernel_batch at their
-    mutual cosine.
+    sphere average is the kernel of _pair_kernel_batch at their mutual
+    cosine, so only the in-plane axes are sampled, on n_psi nodes per
+    angle.
     """
     czz = float(np.clip(z1 @ z2, -1.0, 1.0))
     same_axis = abs(abs(czz) - 1.0) < 1e-12
     if x_mode is XMode.ALIGNED:
         if x1 is not None and x2 is not None:
-            c = float(np.clip(as_unit(x1) @ as_unit(x2), -1.0, 1.0))
-            if abs(abs(c) - 1.0) < 1e-12:
-                return _abs_quadratic_average(3.0, -1.0)
-            return float(_pair_kernel_batch(np.array([c]), n_theta, n_phi)[0])
+            c = np.clip(as_unit(x1) @ as_unit(x2), -1.0, 1.0)
+            return float(_pair_kernel_batch(c)[0])
         if same_axis:
             # shared transverse plane: a common field projects onto the
             # same in-plane axis for both spins
-            return _abs_quadratic_average(3.0, -1.0)
+            return float(_pair_kernel_batch(1.0)[0])
         # distinct axes: project a shared direction F, uniform over the
         # sphere, onto each transverse plane
         triad = _relative_triad(z1, z2)
@@ -267,7 +264,7 @@ def _nonmagnetic_pair_average(z1: np.ndarray, z2: np.ndarray, x_mode: XMode,
         p1 = in_plane(z1)
         p2 = in_plane(z2)
         c = np.clip(np.sum(p1 * p2, axis=1), -1.0, 1.0)
-        return float(_pair_kernel_batch(c, n_theta, n_phi) @ wf)
+        return float(_pair_kernel_batch(c) @ wf)
     # RANDOM mode: independent uniform azimuths psi_1, psi_2 of the two
     # in-plane axes; x1.x2 = cos(psi1)cos(psi2) + (z1.z2) sin(psi1)sin(psi2)
     psi = np.linspace(0.0, 2.0 * np.pi, n_psi, endpoint=False)
@@ -276,7 +273,7 @@ def _nonmagnetic_pair_average(z1: np.ndarray, z2: np.ndarray, x_mode: XMode,
         c = cp  # only the relative azimuth matters in a shared plane
     else:
         c = (cp[:, None] * cp[None, :] + czz * sp[:, None] * sp[None, :]).ravel()
-    return float(np.mean(_pair_kernel_batch(c, n_theta, n_phi)))
+    return float(np.mean(_pair_kernel_batch(c)))
 
 
 def scenario_frames(z_angle: ZAngle) -> tuple[NVClassFrame, NVClassFrame]:
@@ -309,14 +306,18 @@ def pair_average(frame1: NVClassFrame, frame2: NVClassFrame,
             return _magnetic_pair_average(frame1.z_hat, frame2.z_hat,
                                           spec.n_theta, spec.n_phi)
         return _nonmagnetic_pair_average(frame1.z_hat, frame2.z_hat, x_mode,
-                                         spec.n_theta, spec.n_phi, spec.n_psi,
-                                         **kwargs)
+                                         spec.n_psi, **kwargs)
+
+    def sampled(spec: QuadratureSpec) -> tuple:
+        if basis is BasisChoice.MAGNETIC:
+            return spec.n_theta, spec.n_phi
+        return (spec.n_psi,)
 
     half = q.scaled(0.5)
-    # at the resolution floor the half spec clamps back to q and would
-    # compare a rung against itself; step the ladder up instead
-    at_floor = (half.n_theta, half.n_phi, half.n_psi) == \
-        (q.n_theta, q.n_phi, q.n_psi)
+    # at the resolution floor of the sizes this average samples the half
+    # spec repeats q's rung and would compare it with itself; step the
+    # ladder up instead
+    at_floor = sampled(half) == sampled(q)
     prev = rung(half)
     for k in range(q.max_doublings + 1):
         factor = float(2 ** (k + 1)) if at_floor else float(2 ** k)
@@ -356,20 +357,41 @@ _MAGNETIC_COMPOSITION = {
 }
 
 
-def _composition_total(fs: FieldOrientationScenario, q: QuadratureSpec) -> float:
+def _memoized_average(q: QuadratureSpec):
+    """angular_average at ``q`` keyed by (basis, z_angle, x_mode).
+
+    The dict lives only as long as the returned function, so a table
+    evaluates each distinct average once per call and nothing is kept
+    between calls.
+    """
+    cache = {}
+
+    def average(basis: BasisChoice, z_angle: ZAngle,
+                x_mode: XMode = XMode.RANDOM) -> float:
+        key = (basis, z_angle, x_mode)
+        if key not in cache:
+            cache[key] = angular_average(EtaScenario(basis, z_angle, x_mode), q)
+        return cache[key]
+
+    return average
+
+
+def _composition_total(fs: FieldOrientationScenario, average) -> float:
     if fs is FieldOrientationScenario.ZERO_FIELD_ELECTRIC:
         # all four classes resonant in the zero-field basis; in-plane
         # axes set by uncorrelated local electric fields
-        same = angular_average(
-            EtaScenario(BasisChoice.NONMAGNETIC, ZAngle.SAME, XMode.RANDOM), q)
-        diff = angular_average(
-            EtaScenario(BasisChoice.NONMAGNETIC, ZAngle.CLOSE, XMode.RANDOM), q)
+        same = average(BasisChoice.NONMAGNETIC, ZAngle.SAME)
+        diff = average(BasisChoice.NONMAGNETIC, ZAngle.CLOSE)
         return same + 3.0 * diff
     total = 0.0
     for z_angle, count in _MAGNETIC_COMPOSITION[fs]:
-        total += count * angular_average(
-            EtaScenario(BasisChoice.MAGNETIC, z_angle), q)
+        total += count * average(BasisChoice.MAGNETIC, z_angle)
     return total
+
+
+def _multiplier(fs: FieldOrientationScenario, average) -> float:
+    base = average(BasisChoice.MAGNETIC, ZAngle.SAME)
+    return float((_composition_total(fs, average) / base) ** 2)
 
 
 def scenario_multiplier(fs: FieldOrientationScenario,
@@ -380,9 +402,7 @@ def scenario_multiplier(fs: FieldOrientationScenario,
     of a generic field direction where only same-class pairs are
     resonant.
     """
-    base = angular_average(EtaScenario(BasisChoice.MAGNETIC, ZAngle.SAME), q)
-    total = _composition_total(fs, q)
-    return float((total / base) ** 2)
+    return _multiplier(fs, _memoized_average(q))
 
 
 def eta_table(q: QuadratureSpec = DEFAULT_QUADRATURE) -> dict:
@@ -392,18 +412,18 @@ def eta_table(q: QuadratureSpec = DEFAULT_QUADRATURE) -> dict:
     axes, nonmagnetic with field-aligned axes.  Columns: same, close,
     far.
     """
+    average = _memoized_average(q)
     table = {}
     for z in ZAngle:
-        table[("magnetic", z.value)] = angular_average(
-            EtaScenario(BasisChoice.MAGNETIC, z), q)
+        table[("magnetic", z.value)] = average(BasisChoice.MAGNETIC, z)
     for mode in (XMode.RANDOM, XMode.ALIGNED):
         for z in ZAngle:
-            key = (f"nonmagnetic_{mode.value}", z.value)
-            table[key] = angular_average(
-                EtaScenario(BasisChoice.NONMAGNETIC, z, mode), q)
+            table[(f"nonmagnetic_{mode.value}", z.value)] = average(
+                BasisChoice.NONMAGNETIC, z, mode)
     return table
 
 
 def multiplier_table(q: QuadratureSpec = DEFAULT_QUADRATURE) -> dict:
     """Rate multiplier per field-orientation scenario."""
-    return {fs.name: scenario_multiplier(fs, q) for fs in FieldOrientationScenario}
+    average = _memoized_average(q)
+    return {fs.name: _multiplier(fs, average) for fs in FieldOrientationScenario}

@@ -60,8 +60,8 @@ def test_criterion_01_eta_table():
     table = eta_table()
     elapsed = time.perf_counter() - t0
 
-    # the two closed-form entries come out exact because the quadrature
-    # splits the |1 - 3 cos^2| kink
+    # the two same-axis entries are the pair kernel at c = 1 (halved in
+    # the magnetic basis), exact in phi and split at its kink in theta
     exact_same = 2.0 / (3.0 * np.sqrt(3.0))
     assert table[("magnetic", "same")] == pytest.approx(exact_same, abs=1e-10)
     assert table[("nonmagnetic_aligned", "same")] == pytest.approx(

@@ -14,7 +14,7 @@ from nvcr import (
     sensitivity,
     spectral_overlap,
 )
-from nvcr.analysis import _t1_starts
+from nvcr.analysis import _run_simplex, _t1_starts
 
 T1PH = 3.62e-3
 
@@ -67,6 +67,45 @@ def test_optimum_beats_every_start():
         rss = float(np.sum((decay_signal(curve.tau_s, start)
                             - curve.signal) ** 2))
         assert res.residual_rss <= rss + 1e-15
+
+
+def _bench_like_curve(t1_dd, noise, rng):
+    tau = np.geomspace(1e-5, 5e-3, 64)
+    clean = decay_signal(tau, DecayModel(t1_dd_s=t1_dd, t1_ph_s=T1PH))
+    return DecayCurve(tau, clean + rng.normal(scale=noise, size=tau.size),
+                      sigma=np.full(tau.size, noise))
+
+
+def test_weighted_noisy_fit_every_start_converges(monkeypatch):
+    # with a sigma column the residual sum is chi^2 ~ N, whose rounding
+    # lies far above any absolute stopping tolerance of order 1e-16
+    runs = []
+
+    def spy(*args):
+        runs.append(_run_simplex(*args))
+        return runs[-1]
+
+    monkeypatch.setattr("nvcr.analysis._run_simplex", spy)
+    rng = np.random.default_rng(11)
+    for t1_dd in (0.4e-3, 0.6e-3, 1.1e-3):
+        runs.clear()
+        res = fit_decay(_bench_like_curve(t1_dd, 0.01, rng),
+                        fixed_t1_ph_s=T1PH, seed=0)
+        assert res.converged
+        assert len(runs) == 5
+        assert all(r.success for r in runs), [r.nfev for r in runs]
+        assert res.model.t1_dd_s == pytest.approx(t1_dd, rel=0.12)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_noiseless_roundtrip_precision(weighted):
+    tau = np.geomspace(1e-5, 5e-3, 64)
+    model = DecayModel(t1_dd_s=0.7e-3, t1_ph_s=T1PH)
+    sigma = np.full(tau.size, 0.01) if weighted else None
+    curve = DecayCurve(tau, decay_signal(tau, model), sigma=sigma)
+    res = fit_decay(curve, fixed_t1_ph_s=T1PH)
+    assert res.converged
+    assert res.model.t1_dd_s == pytest.approx(0.7e-3, rel=1e-6)
 
 
 def test_beta_roundtrip_intermediate():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from nvcr import (
     BasisChoice,
@@ -18,7 +19,8 @@ from nvcr import (
     scenario_frames,
     scenario_multiplier,
 )
-from nvcr.eta_average import ETA_PREFACTOR
+from nvcr.eta_average import (ETA_PREFACTOR, _pair_kernel_batch, eta_table,
+                              multiplier_table)
 
 # properties that hold at any resolution run on a cheap grid with the
 # convergence ladder effectively off
@@ -107,6 +109,21 @@ def test_convergence_error_diagnostics():
     assert "resolution" in str(err.value)
 
 
+@pytest.mark.parametrize("scenario, spec", [
+    (EtaScenario(BasisChoice.NONMAGNETIC, ZAngle.CLOSE, XMode.RANDOM),
+     QuadratureSpec(n_theta=64, n_phi=64, n_psi=8, tolerance=1e-12,
+                    max_doublings=0)),
+    (EtaScenario(BasisChoice.MAGNETIC, ZAngle.CLOSE),
+     QuadratureSpec(n_theta=8, n_phi=8, n_psi=64, tolerance=1e-12,
+                    max_doublings=0)),
+])
+def test_ladder_never_compares_a_rung_with_itself(scenario, spec):
+    # the sizes this average samples sit at the floor, so the half rung
+    # equals the nominal one and the ladder must step up to compare
+    with pytest.raises(ConvergenceError):
+        angular_average(scenario, spec)
+
+
 def test_random_direction_multiplier_is_unity():
     assert scenario_multiplier(FieldOrientationScenario.RANDOM_DIRECTION,
                                LIGHT) == pytest.approx(1.0, abs=1e-12)
@@ -149,3 +166,70 @@ def test_quadrature_scaling():
     scaled = MEDIUM.scaled(2.0)
     assert (scaled.n_theta, scaled.n_phi, scaled.n_psi) == (128, 128, 64)
     assert scaled.tolerance == MEDIUM.tolerance
+
+
+def _kernel_reference(c: float) -> float:
+    """K(c) by nested adaptive quadrature of the raw integrand.
+
+    |A cos psi + B| with A = (3/2)(1 - t^2), B = (A - 1) c, averaged over
+    psi = 2 phi in [0, pi] and t in [0, 1]; each quad is told where its
+    integrand kinks, so both converge to rounding.
+    """
+    def over_psi(t):
+        a = 1.5 * (1.0 - t * t)
+        b = (a - 1.0) * c
+        kink = [np.arccos(-b / a)] if abs(b) < a else None
+        return integrate.quad(lambda psi: abs(a * np.cos(psi) + b),
+                              0.0, np.pi, points=kink, epsabs=1e-13,
+                              epsrel=1e-13, limit=200)[0] / np.pi
+
+    t_kink = np.sqrt(1.0 - (2.0 / 3.0) * abs(c) / (1.0 + abs(c)))
+    return integrate.quad(over_psi, 0.0, 1.0, points=[t_kink], epsabs=1e-13,
+                          epsrel=1e-13, limit=200)[0]
+
+
+def test_kernel_closed_values():
+    k = _pair_kernel_batch(np.array([0.0, 1.0, -1.0]))
+    assert k[0] == pytest.approx(2.0 / np.pi, abs=1e-14)
+    assert k[1] == pytest.approx(4.0 / (3.0 * np.sqrt(3.0)), abs=1e-14)
+    assert k[2] == pytest.approx(4.0 / (3.0 * np.sqrt(3.0)), abs=1e-14)
+
+
+def test_kernel_even_and_finite():
+    c = np.linspace(0.0, 1.0, 101)
+    np.testing.assert_array_equal(_pair_kernel_batch(-c), _pair_kernel_batch(c))
+    edge = _pair_kernel_batch(np.array([0.0, 1e-12, -1e-12, 1.0, -1.0]))
+    assert np.all(np.isfinite(edge))
+
+
+@pytest.mark.parametrize("c", [0.05, 1.0 / 3.0, 0.9])
+def test_kernel_matches_adaptive_reference(c):
+    assert _pair_kernel_batch(c)[0] == pytest.approx(_kernel_reference(c),
+                                                     abs=1e-9)
+
+
+def test_default_quadrature_error_of_nonmagnetic_entries():
+    # the default n_psi = 64 lies well inside the 5e-4 ladder tolerance
+    table = eta_table()
+    fine = QuadratureSpec(n_psi=512, tolerance=1.0, max_doublings=0)
+    for mode in (XMode.RANDOM, XMode.ALIGNED):
+        for z in ZAngle:
+            f1, f2 = scenario_frames(z)
+            ref = pair_average(f1, f2, BasisChoice.NONMAGNETIC, mode, fine)
+            key = (f"nonmagnetic_{mode.value}", z.value)
+            assert abs(table[key] - ref) < 2e-5, key
+
+
+def test_tables_evaluate_each_average_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return pair_average(*args, **kwargs)
+
+    monkeypatch.setattr("nvcr.eta_average.pair_average", counting)
+    multiplier_table()
+    assert len(calls) == 5   # magnetic same/close/far, nonmagnetic same/close
+    calls.clear()
+    eta_table()
+    assert len(calls) == 9
