@@ -1,6 +1,9 @@
 """Command-line surface: flags, exit codes, files, reproducibility."""
 
 import json
+import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,68 @@ UNIT_MENTIONS = {
     "overlap": "MHz",
     "sensitivity": "Tesla",
 }
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# golden file -> command line that writes it.  Each command runs in an
+# empty directory; a file that is an input of a later command is read
+# from GOLDEN_DIR, so a fit is checked against the committed curve.
+GOLDEN = {
+    "eigen_map.csv": ["eigen-map", "--n-b", "5", "--n-theta", "4",
+                      "--b-max-gauss", "150"],
+    "transverse_scan.csv": ["transverse-scan", "--n-b", "7",
+                            "--b-max-gauss", "150"],
+    "transverse_scan.json": ["transverse-scan", "--n-b", "5",
+                             "--format", "json"],
+    "eta_table.csv": ["eta-table"],
+    "multipliers.csv": ["multipliers"],
+    "transitions.csv": ["transitions", "--direction", "1,1,1",
+                        "--b-max-gauss", "20", "--n-b", "11"],
+    "degeneracy.csv": ["degeneracy", "--n-b", "31"],
+    "spectrum.csv": ["spectrum", "--b-gauss", "10", "--direction", "1,0,0",
+                     "--shape", "gaussian", "--f-min-ghz", "2.8",
+                     "--f-max-ghz", "2.94", "--n-freq", "41"],
+    "decay_curve.csv": ["decay-sim", "--t1dd-s", "0.6e-3", "--t1ph-s",
+                        "3.62e-3", "--log-spacing", "--n-tau", "32"],
+    "fit_t1.json": ["fit-t1", "--input", "decay_curve.csv",
+                    "--fix-t1ph", "3.62e-3", "--seed", "3"],
+    "fit_beta.json": ["fit-beta", "--input", "decay_curve.csv"],
+    "overlap.csv": ["overlap"],
+    "overlap_lorentzian.csv": ["overlap", "--shape1", "lorentzian",
+                               "--shape2", "lorentzian", "--width2-mhz", "2",
+                               "--center2-mhz", "1",
+                               "--output", "overlap_lorentzian.csv"],
+    "overlap_mixed.csv": ["overlap", "--shape2", "lorentzian",
+                          "--width1-mhz", "1.5", "--center1-mhz", "-0.5",
+                          "--output", "overlap_mixed.csv"],
+    "sensitivity.json": ["sensitivity", "--sigma-b-t", "2e-6",
+                         "--tau-lp-s", "1e-3"],
+    "sensitivity.csv": ["sensitivity", "--format", "csv"],
+}
+
+
+def _run_golden(name, work):
+    """Run the command of golden file ``name`` inside ``work``."""
+    argv = GOLDEN[name]
+    if "--input" in argv:
+        source = argv[argv.index("--input") + 1]
+        shutil.copy(GOLDEN_DIR / source, work / source)
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        assert main(argv) == 0, argv
+    finally:
+        os.chdir(cwd)
+    return work / name
+
+
+def write_golden():
+    """Regenerate every golden file from the current code."""
+    import tempfile
+    for name in GOLDEN:
+        with tempfile.TemporaryDirectory() as work:
+            shutil.copy(_run_golden(name, Path(work)), GOLDEN_DIR / name)
 
 
 def _read_csv(path):
@@ -268,3 +333,16 @@ def test_config_rejects_bad_syntax(tmp_path):
     assert main(["sensitivity", "--config", str(cfg)]) == 2
     cfg.write_text("d_ghz = -1.0\n")
     assert main(["sensitivity", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_golden_output(name, tmp_path, monkeypatch):
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    out = _run_golden(name, tmp_path)
+    assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
+
+
+if __name__ == "__main__":
+    os.environ.pop(OUTPUT_DIR_ENV, None)
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    write_golden()
