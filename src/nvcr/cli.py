@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .serialize import read_decay_csv, write_csv, write_json
 from .spin_model import eigenstate_map, transverse_field_scan
 from .version import TOOL_NAME, __version__
 
-__all__ = ["main", "run"]
+__all__ = ["main"]
 
 OUTPUT_DIR_ENV = "NVCR_OUTPUT_DIR"
 
@@ -129,34 +131,30 @@ def load_run_config(config_path: str | None, output_format: str | None = None,
                      else cfg_seed)
 
 
-def _positive(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not v > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return v
+def _number(cast=float, low: float | None = None, strict: bool = False):
+    """argparse type for a finite number, at least ``low`` if given
+    (above it when ``strict``)."""
+    kind = "an integer" if cast is int else "a number"
+
+    def parse(text: str):
+        try:
+            v = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {kind}: {text!r}")
+        if not math.isfinite(v):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+        if low is not None and (v < low or (strict and v == low)):
+            op = ">" if strict else ">="
+            raise argparse.ArgumentTypeError(f"must be {op} {low:g}, got {text}")
+        return v
+
+    return parse
 
 
-def _nonneg(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if v < 0.0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return v
-
-
-def _count(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if v < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {text}")
-    return v
+_real = _number()
+_positive = _number(low=0.0, strict=True)
+_nonneg = _number(low=0.0)
+_count = _number(int, low=2)
 
 
 def _vector3(text: str) -> np.ndarray:
@@ -164,10 +162,7 @@ def _vector3(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
             f"expected 'x,y,z' with three components, got {text!r}")
-    try:
-        v = np.array([float(p) for p in parts])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"non-numeric component in {text!r}")
+    v = np.array([_real(p) for p in parts])
     if np.linalg.norm(v) < 1e-12:
         raise argparse.ArgumentTypeError("direction must be nonzero")
     return v
@@ -182,51 +177,38 @@ def _header_params(args: argparse.Namespace, cfg: RunConfig) -> dict:
     return params
 
 
-def _out_path(args: argparse.Namespace, cfg: RunConfig,
-              default_name: str) -> Path:
-    if args.output is not None:
-        return Path(args.output)
-    return cfg.output_dir / default_name
+class _Columns(NamedTuple):
+    """A table result: named columns plus extra header comment lines."""
+
+    names: list[str]
+    columns: list
+    comments: list[str] | None = None
 
 
-def _fmt_or(args: argparse.Namespace, cfg: RunConfig, default: str) -> str:
-    if args.format is not None:
-        return args.format
-    if cfg.output_format is not None:
-        return cfg.output_format
-    return default
-
-
-def _emit_columns(args, cfg, subcommand: str, default_stem: str,
-                  names: list[str], columns, comments=None) -> Path:
+def _emit(args, cfg: RunConfig, result: dict | _Columns) -> Path:
+    """Write a runner's result: a dict is a record (JSON by default), a
+    ``_Columns`` a table (CSV by default)."""
     params = _header_params(args, cfg)
-    fmt = _fmt_or(args, cfg, "csv")
+    record = isinstance(result, dict)
+    fmt = args.format or cfg.output_format or ("json" if record else "csv")
+    path = Path(args.output) if args.output is not None else \
+        cfg.output_dir / f"{_SUBCOMMANDS[args.command].stem}.{fmt}"
     if fmt == "json":
-        payload = {"columns": {n: np.atleast_1d(np.asarray(c)).tolist()
-                               for n, c in zip(names, columns)}}
-        if comments:
-            payload["notes"] = list(comments)
-        return write_json(_out_path(args, cfg, default_stem + ".json"),
-                          payload, subcommand, params)
-    return write_csv(_out_path(args, cfg, default_stem + ".csv"),
-                     names, columns, subcommand, params,
-                     extra_comments=comments)
-
-
-def _emit_record(args, cfg, subcommand: str, default_stem: str,
-                 payload: dict) -> Path:
-    params = _header_params(args, cfg)
-    fmt = _fmt_or(args, cfg, "json")
-    if fmt == "csv":
-        keys = list(payload)
-        vals = [payload[k] if payload[k] is not None else "" for k in keys]
-        return write_csv(_out_path(args, cfg, default_stem + ".csv"),
-                         ["key", "value"],
-                         [np.array(keys, dtype=object),
-                          np.array([str(v) for v in vals], dtype=object)],
-                         subcommand, params)
-    return write_json(_out_path(args, cfg, default_stem + ".json"),
-                      payload, subcommand, params)
+        if not record:
+            payload = {"columns": {n: np.atleast_1d(np.asarray(c)).tolist()
+                                   for n, c in zip(result.names,
+                                                   result.columns)}}
+            if result.comments:
+                payload["notes"] = list(result.comments)
+            result = payload
+        return write_json(path, result, args.command, params)
+    if record:
+        values = ["" if v is None else v for v in result.values()]
+        result = _Columns(["key", "value"],
+                          [np.array(list(result), dtype=object),
+                           np.array(values, dtype=object)])
+    return write_csv(path, result.names, result.columns, args.command,
+                     params, extra_comments=result.comments)
 
 
 def _fit_payload(res: FitResult) -> dict:
@@ -237,63 +219,59 @@ def _fit_payload(res: FitResult) -> dict:
             "converged": res.converged, "iterations": res.iterations}
 
 
-# subcommand runners
+# subcommand runners: each returns a record dict or a _Columns table
 
 
-def _cmd_eigen_map(args, cfg: RunConfig) -> Path:
+def _cmd_eigen_map(args, cfg: RunConfig) -> _Columns:
     frame = class_frame(args.class_id)
     b = np.linspace(args.b_min_gauss, args.b_max_gauss, args.n_b)
     th = np.linspace(args.theta_min_rad, args.theta_max_rad, args.n_theta)
     o_p1, o_plus = eigenstate_map(frame, b, th, args.e_perp_mhz,
                                   cfg.constants)
-    cols = [np.repeat(b, th.size), np.tile(th, b.size),
-            o_p1.ravel(), o_plus.ravel()]
-    return _emit_columns(args, cfg, "eigen-map", "eigen_map",
-                         ["B_gauss", "theta_rad", "overlap_e_p1",
-                          "overlap_e_plus"], cols)
+    return _Columns(["B_gauss", "theta_rad", "overlap_e_p1",
+                     "overlap_e_plus"],
+                    [np.repeat(b, th.size), np.tile(th, b.size),
+                     o_p1.ravel(), o_plus.ravel()])
 
 
-def _cmd_transverse_scan(args, cfg: RunConfig) -> Path:
+def _cmd_transverse_scan(args, cfg: RunConfig) -> _Columns:
     frame = class_frame(args.class_id)
     b = np.linspace(args.b_min_gauss, args.b_max_gauss, args.n_b)
     energies, dnu, matching = transverse_field_scan(frame, b,
                                                     args.e_perp_mhz,
                                                     cfg.constants)
-    cols = [b, energies[:, 0], energies[:, 1], energies[:, 2], dnu, matching]
-    return _emit_columns(args, cfg, "transverse-scan", "transverse_scan",
-                         ["B_gauss", "e_g_GHz", "e_d_GHz", "e_e_GHz",
-                          "dnu_MHz", "overlap_e_plus"], cols)
+    return _Columns(["B_gauss", "e_g_GHz", "e_d_GHz", "e_e_GHz", "dnu_MHz",
+                     "overlap_e_plus"],
+                    [b, energies[:, 0], energies[:, 1], energies[:, 2], dnu,
+                     matching])
 
 
-def _cmd_eta_table(args, cfg: RunConfig) -> Path:
+def _cmd_eta_table(args, cfg: RunConfig) -> _Columns:
     table = eta_table(cfg.quadrature)
     families = ["magnetic", "nonmagnetic_random", "nonmagnetic_aligned"]
     cols = [np.array(families, dtype=object)]
     for axis in ("same", "close", "far"):
         cols.append(np.array([table[(fam, axis)] for fam in families]))
-    return _emit_columns(args, cfg, "eta-table", "eta_table",
-                         ["family", "same", "close", "far"], cols)
+    return _Columns(["family", "same", "close", "far"], cols)
 
 
-def _cmd_multipliers(args, cfg: RunConfig) -> Path:
+def _cmd_multipliers(args, cfg: RunConfig) -> _Columns:
     table = multiplier_table(cfg.quadrature)
     names = [_SCENARIO_DISPLAY.get(n, n) for n in _SCENARIO_ORDER]
     values = np.array([table[n] for n in _SCENARIO_ORDER])
-    return _emit_columns(args, cfg, "multipliers", "multipliers",
-                         ["scenario", "multiplier"],
-                         [np.array(names, dtype=object), values])
+    return _Columns(["scenario", "multiplier"],
+                    [np.array(names, dtype=object), values])
 
 
-def _cmd_transitions(args, cfg: RunConfig) -> Path:
+def _cmd_transitions(args, cfg: RunConfig) -> _Columns:
     b = np.linspace(args.b_min_gauss, args.b_max_gauss, args.n_b)
     sets = all_transitions(args.direction, b, args.e_perp_mhz, cfg.constants)
     amps, freqs = transitions_matrix(sets)
-    names = ["B_gauss"] + [f"nu{k}_GHz" for k in range(1, 9)]
-    cols = [amps] + [freqs[:, k] for k in range(8)]
-    return _emit_columns(args, cfg, "transitions", "transitions", names, cols)
+    return _Columns(["B_gauss"] + [f"nu{k}_GHz" for k in range(1, 9)],
+                    [amps] + [freqs[:, k] for k in range(8)])
 
 
-def _cmd_degeneracy(args, cfg: RunConfig) -> Path:
+def _cmd_degeneracy(args, cfg: RunConfig) -> _Columns:
     b = np.linspace(args.b_min_gauss, args.b_max_gauss, args.n_b)
     rep = degeneracy_lift(args.direction, b, args.cr_range_mhz,
                           args.e_perp_mhz, cfg.constants)
@@ -310,11 +288,10 @@ def _cmd_degeneracy(args, cfg: RunConfig) -> Path:
     sep = "absent" if rep.all_separated_b_gauss is None \
         else f"{rep.all_separated_b_gauss:.4f}"
     comments.append(f"all_separated_B_gauss: {sep}")
-    return _emit_columns(args, cfg, "degeneracy", "degeneracy", names, cols,
-                         comments=comments)
+    return _Columns(names, cols, comments)
 
 
-def _cmd_spectrum(args, cfg: RunConfig) -> Path:
+def _cmd_spectrum(args, cfg: RunConfig) -> _Columns:
     ts = all_transitions(args.direction, [args.b_gauss], args.e_perp_mhz,
                          cfg.constants)[0]
     profile = LineProfile(shape=LineShape(args.shape),
@@ -325,11 +302,10 @@ def _cmd_spectrum(args, cfg: RunConfig) -> Path:
     elif (args.f_min_ghz is None) != (args.f_max_ghz is None):
         raise UsageError("--f-min-ghz and --f-max-ghz go together")
     freq, pl = synth_spectrum(ts, profile, args.contrast, freq)
-    return _emit_columns(args, cfg, "spectrum", "spectrum",
-                         ["freq_GHz", "pl_norm"], [freq, pl])
+    return _Columns(["freq_GHz", "pl_norm"], [freq, pl])
 
 
-def _cmd_decay_sim(args, cfg: RunConfig) -> Path:
+def _cmd_decay_sim(args, cfg: RunConfig) -> _Columns:
     t1ph = np.inf if args.t1ph_s is None else args.t1ph_s
     model = DecayModel(t1_dd_s=args.t1dd_s, t1_ph_s=t1ph,
                        amplitude=args.amplitude, beta=args.beta)
@@ -338,61 +314,194 @@ def _cmd_decay_sim(args, cfg: RunConfig) -> Path:
     else:
         tau = np.linspace(args.tau_min_s, args.tau_max_s, args.n_tau)
     sig = decay_signal(tau, model, mode=args.mode)
-    return _emit_columns(args, cfg, "decay-sim", "decay_curve",
-                         ["tau_s", "signal"], [tau, sig])
+    return _Columns(["tau_s", "signal"], [tau, sig])
 
 
-def _cmd_fit_t1(args, cfg: RunConfig) -> Path:
+def _cmd_fit_t1(args, cfg: RunConfig) -> dict:
     curve = read_decay_csv(args.input)
-    res = fit_decay(curve, fixed_t1_ph_s=args.fix_t1ph_s, seed=cfg.seed)
-    return _emit_record(args, cfg, "fit-t1", "fit_t1", _fit_payload(res))
+    return _fit_payload(fit_decay(curve, fixed_t1_ph_s=args.fix_t1ph_s,
+                                  seed=cfg.seed))
 
 
-def _cmd_fit_beta(args, cfg: RunConfig) -> Path:
+def _cmd_fit_beta(args, cfg: RunConfig) -> dict:
     curve = read_decay_csv(args.input)
-    res = fit_beta(curve, seed=cfg.seed)
-    return _emit_record(args, cfg, "fit-beta", "fit_beta", _fit_payload(res))
+    return _fit_payload(fit_beta(curve, seed=cfg.seed))
 
 
-def _cmd_overlap(args, cfg: RunConfig) -> Path:
+def _cmd_overlap(args, cfg: RunConfig) -> _Columns:
     p1 = LineProfile(shape=LineShape(args.shape1), width_mhz=args.width1_mhz,
                      center_mhz=args.center1_mhz)
     p2 = LineProfile(shape=LineShape(args.shape2), width_mhz=args.width2_mhz,
                      center_mhz=args.center2_mhz)
     dnu = np.linspace(args.dnu_min_mhz, args.dnu_max_mhz, args.n_dnu)
-    s = spectral_overlap(p1, p2, dnu)
-    return _emit_columns(args, cfg, "overlap", "overlap",
-                         ["dnu_MHz", "overlap_per_MHz"], [dnu, s])
+    return _Columns(["dnu_MHz", "overlap_per_MHz"],
+                    [dnu, spectral_overlap(p1, p2, dnu)])
 
 
-def _cmd_sensitivity(args, cfg: RunConfig) -> Path:
+def _cmd_sensitivity(args, cfg: RunConfig) -> dict:
     eta = sensitivity(args.sigma_b_t, args.tau_lp_s)
-    payload = {"sigma_b_tesla": args.sigma_b_t, "tau_lp_s": args.tau_lp_s,
-               "sensitivity_t_per_sqrt_hz": eta}
-    return _emit_record(args, cfg, "sensitivity", "sensitivity", payload)
+    return {"sigma_b_tesla": args.sigma_b_t, "tau_lp_s": args.tau_lp_s,
+            "sensitivity_t_per_sqrt_hz": eta}
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--output", help="output file path (default: derived "
-                   "name in the output directory)")
-    p.add_argument("--config", help="config file of key = value lines")
-    p.add_argument("--format", choices=("csv", "json"),
-                   help="output format override")
-    p.add_argument("--seed", type=int, help="seed for multi-start fits")
+# the subcommand table
 
 
-def _add_field_scan(p: argparse.ArgumentParser, b_max: float, n_b: int):
-    p.add_argument("--direction", type=_vector3, default=None,
+def _flag(*names: str, **kwargs) -> tuple:
+    """One ``add_argument`` call: its flag names and keywords."""
+    return names, kwargs
+
+
+_COMMON = (
+    _flag("--output", help="output file path (default: derived name in the "
+          "output directory)"),
+    _flag("--config", help="config file of key = value lines"),
+    _flag("--format", choices=("csv", "json"), help="output format override"),
+    _flag("--seed", type=int, help="seed for multi-start fits"),
+)
+_CLASS_ID = _flag("--class-id", type=int, default=0, choices=range(4),
+                  help="orientation class index")
+_DIRECTION = _flag("--direction", type=_vector3,
                    help="crystal-frame field direction x,y,z "
                    "(default: 24 deg off [100])")
-    p.add_argument("--b-min-gauss", type=_nonneg, default=0.0,
-                   help="lowest field amplitude (Gauss)")
-    p.add_argument("--b-max-gauss", type=_positive, default=b_max,
-                   help="highest field amplitude (Gauss)")
-    p.add_argument("--n-b", type=_count, default=n_b,
-                   help="number of amplitude points")
-    p.add_argument("--e-perp-mhz", type=_nonneg, default=DEFAULT_E_PERP_MHZ,
-                   help="transverse electric splitting energy (MHz)")
+_E_PERP = _flag("--e-perp-mhz", type=_nonneg, default=DEFAULT_E_PERP_MHZ,
+                help="transverse electric splitting energy (MHz)")
+_INPUT = _flag("--input", required=True,
+               help="input CSV with header tau_s,signal[,sigma]")
+_SHAPES = ("gaussian", "lorentzian")
+
+
+def _ramp(b_max: float, n_b: int) -> tuple:
+    """Field-amplitude ramp from 0 to ``b_max`` in ``n_b`` points."""
+    return (
+        _flag("--b-min-gauss", type=_nonneg, default=0.0,
+              help="lowest field amplitude (Gauss)"),
+        _flag("--b-max-gauss", type=_positive, default=b_max,
+              help="highest field amplitude (Gauss)"),
+        _flag("--n-b", type=_count, default=n_b,
+              help="number of amplitude points"),
+    )
+
+
+def _profile(k: int) -> tuple:
+    """Shape, width and center of line profile ``k`` of an overlap."""
+    which = ("first", "second")[k - 1]
+    return (
+        _flag(f"--shape{k}", choices=_SHAPES, default="gaussian",
+              help=f"{which} profile shape"),
+        _flag(f"--width{k}-mhz", type=_positive, default=1.0,
+              help=f"{which} profile width (MHz)"),
+        _flag(f"--center{k}-mhz", type=_real, default=0.0,
+              help=f"{which} profile center (MHz)"),
+    )
+
+
+class _Subcommand(NamedTuple):
+    run: Callable       # (args, RunConfig) -> record dict or _Columns
+    stem: str           # default output file name, less the extension
+    help: str
+    flags: tuple = ()   # added after the common flags
+
+
+_SUBCOMMANDS = {
+    "eigen-map": _Subcommand(
+        _cmd_eigen_map, "eigen_map",
+        "upper-state character over field amplitude and polar angle",
+        (_CLASS_ID, *_ramp(200.0, 41),
+         _flag("--theta-min-rad", type=_nonneg, default=0.0,
+               help="smallest polar angle from the defect axis (rad)"),
+         _flag("--theta-max-rad", type=_positive, default=float(np.pi / 2),
+               help="largest polar angle from the defect axis (rad)"),
+         _flag("--n-theta", type=_count, default=31,
+               help="number of angle points"),
+         _E_PERP)),
+    "transverse-scan": _Subcommand(
+        _cmd_transverse_scan, "transverse_scan",
+        "energies, splitting and upper-state overlap vs transverse field",
+        (_CLASS_ID, *_ramp(200.0, 201), _E_PERP)),
+    "eta-table": _Subcommand(
+        _cmd_eta_table, "eta_table",
+        "3x3 table of angular averages (dimensionless)"),
+    "multipliers": _Subcommand(
+        _cmd_multipliers, "multipliers",
+        "relaxation-rate multiplier per field scenario (dimensionless)"),
+    "transitions": _Subcommand(
+        _cmd_transitions, "transitions",
+        "eight transition frequencies (GHz) vs field amplitude",
+        (_DIRECTION, *_ramp(30.0, 121), _E_PERP)),
+    "degeneracy": _Subcommand(
+        _cmd_degeneracy, "degeneracy",
+        "line-pair gaps (MHz) vs field and crossing fields (Gauss)",
+        (_DIRECTION, *_ramp(30.0, 121), _E_PERP,
+         _flag("--cr-range-mhz", type=_positive, default=DEFAULT_CR_RANGE_MHZ,
+               help="interaction range the gaps must clear (MHz)"))),
+    "spectrum": _Subcommand(
+        _cmd_spectrum, "spectrum",
+        "synthetic ODMR spectrum at one field amplitude",
+        (_flag("--b-gauss", type=_nonneg, default=0.0,
+               help="field amplitude (Gauss)"),
+         _DIRECTION, _E_PERP,
+         _flag("--linewidth-mhz", type=_positive, default=1.0,
+               help="line width parameter (MHz)"),
+         _flag("--shape", choices=_SHAPES, default="lorentzian",
+               help="line profile shape"),
+         _flag("--contrast", type=_positive, default=0.02,
+               help="fractional dip depth per line"),
+         _flag("--f-min-ghz", type=_positive,
+               help="lowest probe frequency (GHz)"),
+         _flag("--f-max-ghz", type=_positive,
+               help="highest probe frequency (GHz)"),
+         _flag("--n-freq", type=_count, default=2001,
+               help="number of frequency points"))),
+    "decay-sim": _Subcommand(
+        _cmd_decay_sim, "decay_curve",
+        "generate a synthetic decay curve CSV",
+        (_flag("--t1dd-s", type=_positive, default=0.6e-3,
+               help="dipolar decay timescale (seconds)"),
+         _flag("--t1ph-s", type=_positive,
+               help="phonon decay timescale (seconds; omit for none)"),
+         _flag("--amplitude", type=_positive, default=1.0,
+               help="signal amplitude at tau=0 (dimensionless)"),
+         _flag("--beta", type=_positive, default=0.5,
+               help="stretch exponent (stretched mode only)"),
+         _flag("--mode", choices=("two_channel", "stretched"),
+               default="two_channel", help="decay law"),
+         _flag("--tau-min-s", type=_positive, default=1e-5,
+               help="shortest wait time (seconds)"),
+         _flag("--tau-max-s", type=_positive, default=5e-3,
+               help="longest wait time (seconds)"),
+         _flag("--n-tau", type=_count, default=64,
+               help="number of wait times"),
+         _flag("--log-spacing", action="store_true",
+               help="log-spaced wait times instead of linear"))),
+    "fit-t1": _Subcommand(
+        _cmd_fit_t1, "fit_t1",
+        "fit the two-channel decay law to a curve CSV",
+        (_INPUT,
+         _flag("--fix-t1ph-s", "--fix-t1ph", type=_positive,
+               dest="fix_t1ph_s",
+               help="hold the phonon timescale fixed (seconds)"))),
+    "fit-beta": _Subcommand(
+        _cmd_fit_beta, "fit_beta",
+        "fit a stretched exponential with free exponent", (_INPUT,)),
+    "overlap": _Subcommand(
+        _cmd_overlap, "overlap",
+        "overlap of two line profiles vs detuning",
+        (*_profile(1), *_profile(2),
+         _flag("--dnu-min-mhz", type=_real, default=-20.0,
+               help="lowest detuning (MHz)"),
+         _flag("--dnu-max-mhz", type=_real, default=20.0,
+               help="highest detuning (MHz)"),
+         _flag("--n-dnu", type=_count, default=201,
+               help="number of detuning points"))),
+    "sensitivity": _Subcommand(
+        _cmd_sensitivity, "sensitivity",
+        "DC field sensitivity from readout noise",
+        (_flag("--sigma-b-t", type=_positive, default=1.5e-6,
+               help="field readout noise standard deviation (Tesla)"),
+         _flag("--tau-lp-s", type=_positive, default=3e-3,
+               help="low-pass time constant (seconds)"))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,169 +512,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"{TOOL_NAME} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eigen-map",
-                       help="upper-state character over field amplitude "
-                            "and polar angle")
-    _add_common(p)
-    p.add_argument("--class-id", type=int, default=0, choices=range(4),
-                   help="orientation class index")
-    p.add_argument("--b-min-gauss", type=_nonneg, default=0.0,
-                   help="lowest field amplitude (Gauss)")
-    p.add_argument("--b-max-gauss", type=_positive, default=200.0,
-                   help="highest field amplitude (Gauss)")
-    p.add_argument("--n-b", type=_count, default=41,
-                   help="number of amplitude points")
-    p.add_argument("--theta-min-rad", type=_nonneg, default=0.0,
-                   help="smallest polar angle from the defect axis (rad)")
-    p.add_argument("--theta-max-rad", type=_positive,
-                   default=float(np.pi / 2),
-                   help="largest polar angle from the defect axis (rad)")
-    p.add_argument("--n-theta", type=_count, default=31,
-                   help="number of angle points")
-    p.add_argument("--e-perp-mhz", type=_nonneg, default=DEFAULT_E_PERP_MHZ,
-                   help="transverse electric splitting energy (MHz)")
-    p.set_defaults(func=_cmd_eigen_map)
-
-    p = sub.add_parser("transverse-scan",
-                       help="energies, splitting and upper-state overlap "
-                            "vs transverse field")
-    _add_common(p)
-    p.add_argument("--class-id", type=int, default=0, choices=range(4),
-                   help="orientation class index")
-    p.add_argument("--b-min-gauss", type=_nonneg, default=0.0,
-                   help="lowest transverse amplitude (Gauss)")
-    p.add_argument("--b-max-gauss", type=_positive, default=200.0,
-                   help="highest transverse amplitude (Gauss)")
-    p.add_argument("--n-b", type=_count, default=201,
-                   help="number of amplitude points")
-    p.add_argument("--e-perp-mhz", type=_nonneg, default=DEFAULT_E_PERP_MHZ,
-                   help="transverse electric splitting energy (MHz)")
-    p.set_defaults(func=_cmd_transverse_scan)
-
-    p = sub.add_parser("eta-table",
-                       help="3x3 table of angular averages (dimensionless)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_eta_table)
-
-    p = sub.add_parser("multipliers",
-                       help="relaxation-rate multiplier per field scenario "
-                            "(dimensionless)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_multipliers)
-
-    p = sub.add_parser("transitions",
-                       help="eight transition frequencies (GHz) vs field "
-                            "amplitude")
-    _add_common(p)
-    _add_field_scan(p, b_max=30.0, n_b=121)
-    p.set_defaults(func=_cmd_transitions)
-
-    p = sub.add_parser("degeneracy",
-                       help="line-pair gaps (MHz) vs field and crossing "
-                            "fields (Gauss)")
-    _add_common(p)
-    _add_field_scan(p, b_max=30.0, n_b=121)
-    p.add_argument("--cr-range-mhz", type=_positive,
-                   default=DEFAULT_CR_RANGE_MHZ,
-                   help="interaction range the gaps must clear (MHz)")
-    p.set_defaults(func=_cmd_degeneracy)
-
-    p = sub.add_parser("spectrum",
-                       help="synthetic ODMR spectrum at one field amplitude")
-    _add_common(p)
-    p.add_argument("--b-gauss", type=_nonneg, default=0.0,
-                   help="field amplitude (Gauss)")
-    p.add_argument("--direction", type=_vector3, default=None,
-                   help="crystal-frame field direction x,y,z")
-    p.add_argument("--e-perp-mhz", type=_nonneg, default=DEFAULT_E_PERP_MHZ,
-                   help="transverse electric splitting energy (MHz)")
-    p.add_argument("--linewidth-mhz", type=_positive, default=1.0,
-                   help="line width parameter (MHz)")
-    p.add_argument("--shape", choices=("gaussian", "lorentzian"),
-                   default="lorentzian", help="line profile shape")
-    p.add_argument("--contrast", type=_positive, default=0.02,
-                   help="fractional dip depth per line")
-    p.add_argument("--f-min-ghz", type=_positive, default=None,
-                   help="lowest probe frequency (GHz)")
-    p.add_argument("--f-max-ghz", type=_positive, default=None,
-                   help="highest probe frequency (GHz)")
-    p.add_argument("--n-freq", type=_count, default=2001,
-                   help="number of frequency points")
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("decay-sim",
-                       help="generate a synthetic decay curve CSV")
-    _add_common(p)
-    p.add_argument("--t1dd-s", type=_positive, default=0.6e-3,
-                   help="dipolar decay timescale (seconds)")
-    p.add_argument("--t1ph-s", type=_positive, default=None,
-                   help="phonon decay timescale (seconds; omit for none)")
-    p.add_argument("--amplitude", type=_positive, default=1.0,
-                   help="signal amplitude at tau=0 (dimensionless)")
-    p.add_argument("--beta", type=_positive, default=0.5,
-                   help="stretch exponent (stretched mode only)")
-    p.add_argument("--mode", choices=("two_channel", "stretched"),
-                   default="two_channel", help="decay law")
-    p.add_argument("--tau-min-s", type=_positive, default=1e-5,
-                   help="shortest wait time (seconds)")
-    p.add_argument("--tau-max-s", type=_positive, default=5e-3,
-                   help="longest wait time (seconds)")
-    p.add_argument("--n-tau", type=_count, default=64,
-                   help="number of wait times")
-    p.add_argument("--log-spacing", action="store_true",
-                   help="log-spaced wait times instead of linear")
-    p.set_defaults(func=_cmd_decay_sim)
-
-    p = sub.add_parser("fit-t1",
-                       help="fit the two-channel decay law to a curve CSV")
-    _add_common(p)
-    p.add_argument("--input", required=True,
-                   help="input CSV with header tau_s,signal[,sigma]")
-    p.add_argument("--fix-t1ph-s", "--fix-t1ph", type=_positive,
-                   default=None, dest="fix_t1ph_s",
-                   help="hold the phonon timescale fixed (seconds)")
-    p.set_defaults(func=_cmd_fit_t1)
-
-    p = sub.add_parser("fit-beta",
-                       help="fit a stretched exponential with free exponent")
-    _add_common(p)
-    p.add_argument("--input", required=True,
-                   help="input CSV with header tau_s,signal[,sigma]")
-    p.set_defaults(func=_cmd_fit_beta)
-
-    p = sub.add_parser("overlap",
-                       help="overlap of two line profiles vs detuning")
-    _add_common(p)
-    p.add_argument("--shape1", choices=("gaussian", "lorentzian"),
-                   default="gaussian", help="first profile shape")
-    p.add_argument("--width1-mhz", type=_positive, default=1.0,
-                   help="first profile width (MHz)")
-    p.add_argument("--center1-mhz", type=float, default=0.0,
-                   help="first profile center (MHz)")
-    p.add_argument("--shape2", choices=("gaussian", "lorentzian"),
-                   default="gaussian", help="second profile shape")
-    p.add_argument("--width2-mhz", type=_positive, default=1.0,
-                   help="second profile width (MHz)")
-    p.add_argument("--center2-mhz", type=float, default=0.0,
-                   help="second profile center (MHz)")
-    p.add_argument("--dnu-min-mhz", type=float, default=-20.0,
-                   help="lowest detuning (MHz)")
-    p.add_argument("--dnu-max-mhz", type=float, default=20.0,
-                   help="highest detuning (MHz)")
-    p.add_argument("--n-dnu", type=_count, default=201,
-                   help="number of detuning points")
-    p.set_defaults(func=_cmd_overlap)
-
-    p = sub.add_parser("sensitivity",
-                       help="DC field sensitivity from readout noise")
-    _add_common(p)
-    p.add_argument("--sigma-b-t", type=_positive, default=1.5e-6,
-                   help="field readout noise standard deviation (Tesla)")
-    p.add_argument("--tau-lp-s", type=_positive, default=3e-3,
-                   help="low-pass time constant (seconds)")
-    p.set_defaults(func=_cmd_sensitivity)
-
+    for name, spec in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        for names, kwargs in _COMMON + spec.flags:
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(func=spec.run)
     return parser
 
 
@@ -574,7 +525,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_run_config(args.config, args.format, args.seed)
-        out = args.func(args, cfg)
+        out = _emit(args, cfg, args.func(args, cfg))
     except UsageError as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return 2
@@ -585,15 +536,6 @@ def main(argv=None) -> int:
         return 1
     print(out)
     return 0
-
-
-def run(subcommand: str, args: list[str] | None = None,
-        config: str | None = None) -> int:
-    """Programmatic entry point mirroring the command line."""
-    argv = [subcommand] + list(args or [])
-    if config is not None:
-        argv += ["--config", config]
-    return main(argv)
 
 
 if __name__ == "__main__":

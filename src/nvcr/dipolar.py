@@ -98,10 +98,6 @@ class DipolarCoefficients:
     a_yx: float
     a_zz: float
 
-    def as_dict(self) -> dict:
-        return {"xx": self.a_xx, "yy": self.a_yy, "xy": self.a_xy,
-                "yx": self.a_yx, "zz": self.a_zz}
-
 
 def _coefficient(g: PairGeometry, a: str, b: str) -> float:
     a1 = getattr(g.frame1, f"{a}_hat")
@@ -147,49 +143,44 @@ def build_two_spin_hamiltonian(g: PairGeometry, basis: BasisChoice,
     return h
 
 
-# basis-state index in the 9-dim product space; single-spin positions are
-# 0, 1, 2 in the documented ordering of each basis
-def _idx(i1: int, i2: int) -> int:
-    return 3 * i1 + i2
-
-
 def flip_flop_amplitude(g: PairGeometry, basis: BasisChoice,
                         channel: str = "x") -> float:
     """|<flip, 0| H/(J0/r^3) |0, flop>| for the one-quantum exchange.
 
     In the magnetic basis this is |<+1,0|H|0,+1>| (equal in magnitude to
-    the -1 channel).  In the nonmagnetic basis ``channel`` picks the
-    exchanged quantum: "x" or "y" per the module docstring, or "mean"
-    for the average of both magnitudes.
+    the -1 channel), |a_xx + a_yy + i(a_xy - a_yx)| / 2.  In the
+    nonmagnetic basis ``channel`` picks the exchanged quantum: "x"
+    (|a_xx|) or "y" (|a_yy|) per the module docstring, or "mean" for the
+    average of both magnitudes.  These are the elements of
+    ``build_two_spin_hamiltonian``, read off in closed form.
     """
-    h = build_two_spin_hamiltonian(g, basis)
+    c = dipolar_coefficients(g)
     if basis is BasisChoice.MAGNETIC:
-        # |+1,0><0,+1| block; ordering (|-1>,|0>,|+1>)
-        return float(abs(h[_idx(2, 1), _idx(1, 2)]))
-    # ordering (|->,|0>,|+>): x-type operators couple positions 0<->1,
-    # y-type couple 1<->2
-    amp_x = abs(h[_idx(0, 1), _idx(1, 0)])
-    amp_y = abs(h[_idx(2, 1), _idx(1, 2)])
+        return abs(complex(c.a_xx + c.a_yy, c.a_xy - c.a_yx)) / 2.0
+    amp_x, amp_y = abs(c.a_xx), abs(c.a_yy)
     if channel == "x":
-        return float(amp_x)
+        return amp_x
     if channel == "y":
-        return float(amp_y)
+        return amp_y
     if channel == "mean":
-        return float(0.5 * (amp_x + amp_y))
+        return 0.5 * (amp_x + amp_y)
     raise ValueError(f"unknown channel {channel!r}")
 
 
 def double_flip_amplitude(g: PairGeometry, basis: BasisChoice) -> float:
     """|<up, 0| H/(J0/r^3) |0, down>|: both spins gain or lose a quantum.
 
-    In the magnetic basis the two orderings of which spin goes up have
-    equal magnitude for every geometry.  In the nonmagnetic basis the
-    element reduces to a single cross coefficient (a_yx here), so for
-    cross-class pairs the orderings can differ; the (up on spin 1)
-    ordering is the one reported.
+    In the magnetic basis this is |a_xx - a_yy - i(a_xy + a_yx)| / 2 and
+    the two orderings of which spin goes up have equal magnitude for
+    every geometry.  In the nonmagnetic basis the element reduces to a
+    single cross coefficient, |a_yx|, so for cross-class pairs the
+    orderings can differ; the (up on spin 1) ordering is the one
+    reported.
     """
-    h = build_two_spin_hamiltonian(g, basis)
-    return float(abs(h[_idx(2, 1), _idx(1, 0)]))
+    c = dipolar_coefficients(g)
+    if basis is BasisChoice.MAGNETIC:
+        return abs(complex(c.a_xx - c.a_yy, -(c.a_xy + c.a_yx))) / 2.0
+    return abs(c.a_yx)
 
 
 def resonance_factor(omega_f_mhz: float, omega_nv_mhz: float,

@@ -9,6 +9,7 @@ be regenerated byte for byte.  Formatting is fixed-width %g with a
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,21 @@ def header_lines(subcommand: str, params: dict) -> list[str]:
     ]
 
 
+def _all_finite(value) -> bool:
+    """True unless ``value`` holds a NaN or infinite number anywhere."""
+    if isinstance(value, dict):
+        return all(_all_finite(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_all_finite(v) for v in value)
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind in "biufc":
+            return bool(np.all(np.isfinite(value)))
+        return value.dtype.kind != "O" or _all_finite(value.tolist())
+    if isinstance(value, (float, np.floating)):
+        return math.isfinite(value)
+    return True
+
+
 def write_csv(path, names: list[str], columns, subcommand: str,
               params: dict, fmt: str = FLOAT_FMT,
               extra_comments: list[str] | None = None) -> Path:
@@ -51,6 +67,7 @@ def write_csv(path, names: list[str], columns, subcommand: str,
 
     Columns may be numeric or strings; ``extra_comments`` lines are
     appended to the provenance block (without the leading ``#``).
+    A non-finite number raises ``ValueError`` before the file is opened.
     """
     cols = [np.atleast_1d(np.asarray(c)) for c in columns]
     if len(cols) != len(names):
@@ -58,6 +75,9 @@ def write_csv(path, names: list[str], columns, subcommand: str,
     n = cols[0].size
     if any(c.size != n for c in cols):
         raise ValueError("columns must share a length")
+    for name, c in zip(names, cols):
+        if not _all_finite(c):
+            raise ValueError(f"column {name!r} holds a non-finite value")
 
     def cell(c, i):
         return str(c[i]) if c.dtype.kind in "USO" else fmt % float(c[i])
@@ -75,7 +95,12 @@ def write_csv(path, names: list[str], columns, subcommand: str,
 
 
 def write_json(path, payload: dict, subcommand: str, params: dict) -> Path:
-    """Write a result object with an embedded provenance block."""
+    """Write a result object with an embedded provenance block.
+
+    A non-finite number raises ``ValueError`` before the file is opened.
+    """
+    if not _all_finite(payload):
+        raise ValueError("result holds a non-finite value")
     doc = dict(payload)
     doc["meta"] = {
         "tool": TOOL_NAME,

@@ -123,15 +123,23 @@ def test_version_flag(capsys):
     assert "nvcr" in capsys.readouterr().out
 
 
-def test_bad_flags_exit_2():
+def test_bad_flags_exit_2(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
     for argv in (["sensitivity", "--nope"],
                  ["fit-t1"],
                  ["frobnicate"],
                  ["transitions", "--b-max-gauss", "-5"],
-                 ["transitions", "--direction", "1,2"]):
+                 ["transitions", "--direction", "1,2"],
+                 ["transitions", "--direction", "1,nan,0"],
+                 ["overlap", "--center1-mhz", "nan"],
+                 ["spectrum", "--linewidth-mhz", "inf"],
+                 ["decay-sim", "--amplitude", "inf"],
+                 ["sensitivity", "--sigma-b-t", "inf"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+    assert not any(tmp_path.iterdir())
 
 
 def test_numeric_failure_exit_1_with_json(tmp_path, capsys):
@@ -140,6 +148,17 @@ def test_numeric_failure_exit_1_with_json(tmp_path, capsys):
     diag = json.loads(capsys.readouterr().out)
     assert diag["error"] == "FileNotFoundError"
     assert "message" in diag
+
+
+def test_non_finite_result_exit_1_without_file(tmp_path, capsys):
+    out = tmp_path / "sens.json"
+    # finite flags whose product overflows
+    with np.errstate(over="ignore"):
+        rc = main(["sensitivity", "--sigma-b-t", "1e300", "--tau-lp-s",
+                   "1e300", "--output", str(out)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "ValueError"
+    assert not out.exists()
 
 
 def test_sensitivity_record(tmp_path, capsys):

@@ -72,6 +72,27 @@ def test_swap_symmetry(u):
                       abs=1e-12)
 
 
+@given(u=unit_vectors, c1=st.integers(0, 3), c2=st.integers(0, 3))
+def test_amplitudes_match_two_spin_hamiltonian(u, c1, c2):
+    # product-space index 3 * i1 + i2, single-spin order (|-1>,|0>,|+1>)
+    # or (|->,|0>,|+>): flip-flop |+,0><0,+| = [7, 5] and, nonmagnetic
+    # channel x, |-,0><0,-| = [1, 3]; double flip |+,0><0,-| = [7, 3]
+    g = _pair(u, class_frame(c1), class_frame(c2))
+    for basis in BasisChoice:
+        h = build_two_spin_hamiltonian(g, basis)
+        assert flip_flop_amplitude(g, basis, "y") == \
+            pytest.approx(abs(h[7, 5]), abs=1e-14)
+        assert double_flip_amplitude(g, basis) == \
+            pytest.approx(abs(h[7, 3]), abs=1e-14)
+    h = build_two_spin_hamiltonian(g, BasisChoice.NONMAGNETIC)
+    amp_x = flip_flop_amplitude(g, BasisChoice.NONMAGNETIC, "x")
+    assert amp_x == pytest.approx(abs(h[1, 3]), abs=1e-14)
+    assert flip_flop_amplitude(g, BasisChoice.NONMAGNETIC, "mean") == \
+        pytest.approx(0.5 * (abs(h[1, 3]) + abs(h[7, 5])), abs=1e-14)
+    assert flip_flop_amplitude(g, BasisChoice.MAGNETIC, "x") == \
+        flip_flop_amplitude(g, BasisChoice.MAGNETIC, "y")
+
+
 def test_axial_flip_flop_element():
     h = build_two_spin_hamiltonian(_pair(FRAME0.z_hat), BasisChoice.MAGNETIC)
     # basis order (|-1>, |0>, |+1>) per spin: |+1,0> = 7, |0,+1> = 5

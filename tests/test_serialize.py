@@ -54,6 +54,21 @@ def test_write_csv_validation(tmp_path):
                   [np.ones(3), np.ones(4)], "demo", {})
 
 
+def test_writers_refuse_non_finite_values(tmp_path):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match="'signal'"):
+        write_csv(path, ["tau_s", "signal"],
+                  [np.ones(3), np.array([1.0, np.nan, 2.0])], "demo", {})
+    with pytest.raises(ValueError):
+        write_csv(path, ["key", "value"],
+                  [np.array(["x"], dtype=object),
+                   np.array([np.inf], dtype=object)], "demo", {})
+    for payload in ({"x": np.inf}, {"columns": {"y": [0.0, np.nan]}}):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "bad.json", payload, "demo", {})
+    assert not any(tmp_path.iterdir())
+
+
 def test_write_json_meta(tmp_path):
     path = tmp_path / "out.json"
     write_json(path, {"answer": 42.0}, "demo", {"seed": 7})
