@@ -25,8 +25,7 @@ from .analysis import (FitError, FitResult, LineProfile, LineShape, fit_beta,
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_CR_RANGE_MHZ,
                         DEFAULT_E_PERP_MHZ, PhysicalConstants)
 from .eta_average import (DEFAULT_QUADRATURE, ConvergenceError,
-                          FieldOrientationScenario, QuadratureSpec, eta_table,
-                          multiplier_table)
+                          QuadratureSpec, eta_table, multiplier_table)
 from .geometry import class_frame
 from .odmr import all_transitions, degeneracy_lift, synth_spectrum, \
     transitions_matrix
@@ -145,7 +144,8 @@ def _number(cast=float, low: float | None = None, strict: bool = False):
             raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         if low is not None and (v < low or (strict and v == low)):
             op = ">" if strict else ">="
-            raise argparse.ArgumentTypeError(f"must be {op} {low:g}, got {text}")
+            raise argparse.ArgumentTypeError(
+                f"must be {op} {low:g}, got {text}")
         return v
 
     return parse
