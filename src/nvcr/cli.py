@@ -4,7 +4,9 @@ Outputs are deterministic for a fixed configuration and seed.  Bad
 flags or config keys exit with status 2; numeric failures exit with
 status 1 and print a JSON diagnostic.  A config file of ``key = value``
 lines supplies defaults that flags override; the environment variable
-``NVCR_OUTPUT_DIR`` sets the default output directory only.
+``NVCR_OUTPUT_DIR`` sets the default output directory only.  Each
+subcommand is one row of ``_SUBCOMMANDS``: its runner, default output
+name, help line and flags.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ elements have equal magnitude and the channel argument is ignored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -156,7 +157,7 @@ def flip_flop_amplitude(g: PairGeometry, basis: BasisChoice,
     """
     c = dipolar_coefficients(g)
     if basis is BasisChoice.MAGNETIC:
-        return abs(complex(c.a_xx + c.a_yy, c.a_xy - c.a_yx)) / 2.0
+        return math.hypot(c.a_xx + c.a_yy, c.a_xy - c.a_yx) / 2.0
     amp_x, amp_y = abs(c.a_xx), abs(c.a_yy)
     if channel == "x":
         return amp_x
@@ -179,7 +180,7 @@ def double_flip_amplitude(g: PairGeometry, basis: BasisChoice) -> float:
     """
     c = dipolar_coefficients(g)
     if basis is BasisChoice.MAGNETIC:
-        return abs(complex(c.a_xx - c.a_yy, -(c.a_xy + c.a_yx))) / 2.0
+        return math.hypot(c.a_xx - c.a_yy, c.a_xy + c.a_yx) / 2.0
     return abs(c.a_yx)
 
 

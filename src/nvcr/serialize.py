@@ -52,9 +52,9 @@ def _all_finite(value) -> bool:
     if isinstance(value, (list, tuple)):
         return all(_all_finite(v) for v in value)
     if isinstance(value, np.ndarray):
-        if value.dtype.kind in "biufc":
-            return bool(np.all(np.isfinite(value)))
-        return value.dtype.kind != "O" or _all_finite(value.tolist())
+        if value.dtype.kind == "O":
+            return _all_finite(value.tolist())
+        return value.dtype.kind not in "fc" or bool(np.isfinite(value).all())
     if isinstance(value, (float, np.floating)):
         return math.isfinite(value)
     return True

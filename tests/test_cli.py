@@ -1,5 +1,6 @@
 """Command-line surface: flags, exit codes, files, reproducibility."""
 
+import argparse
 import json
 import os
 import shutil
@@ -84,12 +85,28 @@ def _run_golden(name, work):
     return work / name
 
 
+def _parser_surface() -> str:
+    """Every flag of every subcommand: names, dest, default, choices."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    lines = []
+    for name, parser in sub.choices.items():
+        lines.append(name)
+        for a in parser._actions:
+            choices = None if a.choices is None else list(a.choices)
+            lines.append(f"  {' '.join(a.option_strings)} dest={a.dest} "
+                         f"default={a.default!r} choices={choices} "
+                         f"required={a.required}")
+    return "\n".join(lines) + "\n"
+
+
 def write_golden():
     """Regenerate every golden file from the current code."""
     import tempfile
     for name in GOLDEN:
         with tempfile.TemporaryDirectory() as work:
             shutil.copy(_run_golden(name, Path(work)), GOLDEN_DIR / name)
+    (GOLDEN_DIR / "flags.txt").write_text(_parser_surface())
 
 
 def _read_csv(path):
@@ -352,6 +369,11 @@ def test_config_rejects_bad_syntax(tmp_path):
     assert main(["sensitivity", "--config", str(cfg)]) == 2
     cfg.write_text("d_ghz = -1.0\n")
     assert main(["sensitivity", "--config", str(cfg)]) == 2
+
+
+def test_golden_flags():
+    # defaults a golden command overrides are pinned here instead
+    assert _parser_surface() == (GOLDEN_DIR / "flags.txt").read_text()
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))
