@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +103,6 @@ def _parser_surface() -> str:
 
 def write_golden():
     """Regenerate every golden file from the current code."""
-    import tempfile
     for name in GOLDEN:
         with tempfile.TemporaryDirectory() as work:
             shutil.copy(_run_golden(name, Path(work)), GOLDEN_DIR / name)
