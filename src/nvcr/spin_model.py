@@ -64,14 +64,22 @@ def zero_field_states(phi_e_rad: float = 0.0) -> tuple[np.ndarray, np.ndarray, n
     return s0, sm, sp
 
 
+# diagonalize's overlaps |<bra|ket>|^2: label, eigenvector column, bra
+_S0, _SM, _SP = zero_field_states(0.0)
+_OVERLAP_KEYS = ("e_p1", "e_plus", "g_0", "d_minus")
+_OVERLAP_KETS = np.array([2, 2, 0, 1])
+_OVERLAP_BRAS = np.conj([[0.0, 0.0, 1.0], _SP, _S0, _SM])
+
+
 @dataclass(frozen=True)
 class FieldConfiguration:
-    """Applied fields seen by one NV center.
+    """Applied fields seen by one NV center, or by a stack of field points.
 
     Attributes
     ----------
     b_gauss : array-like
-        Magnetic field vector in the crystal frame (Gauss).
+        Magnetic field vector in the crystal frame (Gauss), or a stack
+        of them with shape (..., 3).
     e_perp_mhz : float
         Transverse electric energy d_perp*E_perp (MHz), >= 0.
     phi_e_rad : float
@@ -89,8 +97,8 @@ class FieldConfiguration:
 
     def __post_init__(self):
         b = np.asarray(self.b_gauss, dtype=float)
-        if b.shape != (3,) or not np.all(np.isfinite(b)):
-            raise ValueError("b_gauss must be a finite 3-vector")
+        if b.shape[-1:] != (3,) or not np.all(np.isfinite(b)):
+            raise ValueError("b_gauss must be finite 3-vectors")
         object.__setattr__(self, "b_gauss", b)
         if self.e_perp_mhz < 0.0:
             raise ValueError("e_perp_mhz must be >= 0")
@@ -101,10 +109,11 @@ class FieldConfiguration:
 class SpinEigensystem:
     """Ordered eigenstructure of the 3x3 ground-state Hamiltonian.
 
-    ``energies_ghz`` are ascending and labeled (g, d, e); ``states``
-    holds the eigenvectors as columns in the (|-1>, |0>, |+1>) basis.
-    ``overlaps`` maps diagnostic labels to squared moduli against the
-    phi_E = 0 reference states.
+    ``energies_ghz`` (..., 3) are ascending and labeled (g, d, e);
+    ``states`` (..., 3, 3) holds the eigenvectors as columns in the
+    (|-1>, |0>, |+1>) basis.  ``overlaps`` maps diagnostic labels to
+    squared moduli against the phi_E = 0 reference states: floats for
+    one Hamiltonian, arrays of the stack shape for a stack.
     """
 
     energies_ghz: np.ndarray
@@ -113,20 +122,20 @@ class SpinEigensystem:
 
     @property
     def g(self) -> np.ndarray:
-        return self.states[:, 0]
+        return self.states[..., :, 0]
 
     @property
     def d(self) -> np.ndarray:
-        return self.states[:, 1]
+        return self.states[..., :, 1]
 
     @property
     def e(self) -> np.ndarray:
-        return self.states[:, 2]
+        return self.states[..., :, 2]
 
 
 def build_hamiltonian(cls: NVClassFrame, f: FieldConfiguration,
                       c: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
-    """Assemble H/h in GHz for one NV center.
+    """Assemble H/h in GHz for one NV center, (..., 3, 3) for a field stack.
 
     The magnetic field is supplied in the crystal frame and projected
     onto the class triad internally; the electric term is specified
@@ -135,29 +144,29 @@ def build_hamiltonian(cls: NVClassFrame, f: FieldConfiguration,
     """
     cls.validate()
     c.validate()
-    b = np.asarray(f.b_gauss, dtype=float)
-    bx, by, bz = b @ cls.x_hat, b @ cls.y_hat, b @ cls.z_hat
+    # products summed along the last axis: the same bits in any stack shape
+    triad = np.array([cls.x_hat, cls.y_hat, cls.z_hat])
+    b = (f.b_gauss[..., None, :] * triad).sum(axis=-1)
+    bx, by, bz = (b[..., k, None, None] for k in range(3))
     gam = c.gamma_e_mhz_per_g * 1e-3  # GHz per Gauss
     h = c.d_ghz * _SZ2 + gam * (bx * _SX + by * _SY + bz * _SZ)
     eps = f.e_perp_mhz * 1e-3
     if eps != 0.0:
         ph = np.exp(1j * f.phi_e_rad)
-        h[2, 0] += eps * ph
-        h[0, 2] += eps * np.conj(ph)
+        h[..., 2, 0] += eps * ph
+        h[..., 0, 2] += eps * np.conj(ph)
     if f.e_par_mhz != 0.0:
         h = h + (f.e_par_mhz * 1e-3) * _SZ2
     return h
 
 
-def _tie_break_degenerate(energies: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Rotate degenerate eigenvector groups onto the reference states.
+def _tie_break_degenerate(energies: np.ndarray, vecs: np.ndarray) -> None:
+    """Rotate degenerate eigenvector groups onto the references, in place.
 
     Within each degenerate group the eigenbasis is arbitrary; it is
     re-mixed to maximize overlap with |0>, |->, |+> in that order so
     zero-field labels come out deterministic.
     """
-    refs = zero_field_states(0.0)
-    out = vecs.copy()
     i = 0
     while i < 3:
         j = i + 1
@@ -167,7 +176,7 @@ def _tie_break_degenerate(energies: np.ndarray, vecs: np.ndarray) -> np.ndarray:
             block = vecs[:, i:j]
             proj = block @ block.conj().T
             chosen: list[np.ndarray] = []
-            for ref in refs:
+            for ref in (_S0, _SM, _SP):
                 w = proj @ ref
                 for prev in chosen:
                     w = w - (prev.conj() @ w) * prev
@@ -177,36 +186,35 @@ def _tie_break_degenerate(energies: np.ndarray, vecs: np.ndarray) -> np.ndarray:
                 if len(chosen) == j - i:
                     break
             if len(chosen) == j - i:
-                out[:, i:j] = np.stack(chosen, axis=1)
+                vecs[:, i:j] = np.stack(chosen, axis=1)
         i = j
-    return out
 
 
 def diagonalize(h: np.ndarray) -> SpinEigensystem:
-    """Eigensystem of a Hermitian 3x3 Hamiltonian, energies ascending."""
+    """Eigensystem of a Hermitian 3x3 Hamiltonian, energies ascending;
+    a (..., 3, 3) stack goes through one ``eigh`` call."""
     h = np.asarray(h, dtype=complex)
-    scale = max(np.linalg.norm(h), 1.0)
-    if np.linalg.norm(h - h.conj().T) > 1e-10 * scale:
+    shape = h.shape[:-2]
+    h = h.reshape(-1, 3, 3)
+    scale = np.maximum(np.linalg.norm(h, axis=(1, 2)), 1.0)
+    if np.any(np.linalg.norm(h - h.conj().transpose(0, 2, 1), axis=(1, 2))
+              > 1e-10 * scale):
         raise ValueError("Hamiltonian is not Hermitian")
     energies, vecs = np.linalg.eigh(h)
-    vecs = _tie_break_degenerate(energies, vecs)
+    for i in np.flatnonzero(np.diff(energies, axis=1).min(axis=1) < _DEG_TOL):
+        _tie_break_degenerate(energies[i], vecs[i])
     # deterministic global phase: largest component real positive
-    for k in range(3):
-        idx = int(np.argmax(np.abs(vecs[:, k])))
-        phase = vecs[idx, k] / abs(vecs[idx, k])
-        vecs[:, k] = vecs[:, k] / phase
-    resid = np.linalg.norm(h @ vecs - vecs * energies[None, :], axis=0)
-    if np.any(resid > 1e-10 * scale):
+    big = vecs[np.arange(len(h))[:, None], np.abs(vecs).argmax(axis=1),
+               np.arange(3)]
+    vecs /= (big / np.abs(big))[:, None, :]
+    resid = np.linalg.norm(h @ vecs - vecs * energies[:, None, :], axis=1)
+    if np.any(resid > 1e-10 * scale[:, None]):
         raise ArithmeticError(f"eigen-residual too large: {resid.max():.3e}")
-    s0, sm, sp = zero_field_states(0.0)
-    p1 = np.array([0.0, 0.0, 1.0], dtype=complex)
-    overlaps = {
-        "e_p1": float(abs(vecs[:, 2].conj() @ p1) ** 2),
-        "e_plus": float(abs(vecs[:, 2].conj() @ sp) ** 2),
-        "g_0": float(abs(vecs[:, 0].conj() @ s0) ** 2),
-        "d_minus": float(abs(vecs[:, 1].conj() @ sm) ** 2),
-    }
-    return SpinEigensystem(energies, vecs, overlaps)
+    w = np.abs((_OVERLAP_BRAS @ vecs)[:, np.arange(4), _OVERLAP_KETS].T) ** 2
+    w = w.reshape((4,) + shape)
+    overlaps = dict(zip(_OVERLAP_KEYS, w if shape else w.tolist()))
+    return SpinEigensystem(energies.reshape(shape + (3,)),
+                           vecs.reshape(shape + (3, 3)), overlaps)
 
 
 def eigenstate_map(cls: NVClassFrame, b_amplitude_gauss, theta_rad,
@@ -229,16 +237,12 @@ def eigenstate_map(cls: NVClassFrame, b_amplitude_gauss, theta_rad,
         raise ValueError("grids must be non-empty")
     if np.any(b_amplitude_gauss < 0.0):
         raise ValueError("amplitudes must be >= 0")
-    o_p1 = np.empty((b_amplitude_gauss.size, theta_rad.size))
-    o_plus = np.empty_like(o_p1)
-    for i, b in enumerate(b_amplitude_gauss):
-        for j, th in enumerate(theta_rad):
-            b_vec = b * (np.cos(th) * cls.z_hat + np.sin(th) * cls.x_hat)
-            f = FieldConfiguration(b_gauss=b_vec, e_perp_mhz=e_perp_mhz)
-            es = diagonalize(build_hamiltonian(cls, f, c))
-            o_p1[i, j] = es.overlaps["e_p1"]
-            o_plus[i, j] = es.overlaps["e_plus"]
-    return o_p1, o_plus
+    tilt = (np.cos(theta_rad)[:, None] * cls.z_hat
+            + np.sin(theta_rad)[:, None] * cls.x_hat)
+    f = FieldConfiguration(b_gauss=b_amplitude_gauss[:, None, None] * tilt,
+                           e_perp_mhz=e_perp_mhz)
+    es = diagonalize(build_hamiltonian(cls, f, c))
+    return es.overlaps["e_p1"], es.overlaps["e_plus"]
 
 
 def transverse_field_scan(cls: NVClassFrame, b_perp_gauss, e_perp_mhz: float,
@@ -276,15 +280,9 @@ def transverse_field_scan(cls: NVClassFrame, b_perp_gauss, e_perp_mhz: float,
     # keep the electric field along the scan direction so the d/e
     # splitting adds up coherently at all amplitudes
     phi_e = float(np.arctan2(direction @ cls.y_hat, direction @ cls.x_hat))
-    energies = np.empty((b_perp_gauss.size, 3))
-    dnu = np.empty(b_perp_gauss.size)
-    matching = np.empty(b_perp_gauss.size)
-    _, _, plus_ref = zero_field_states(phi_e)
-    for i, b in enumerate(b_perp_gauss):
-        f = FieldConfiguration(b_gauss=b * direction, e_perp_mhz=e_perp_mhz,
-                               phi_e_rad=phi_e)
-        es = diagonalize(build_hamiltonian(cls, f, c))
-        energies[i] = es.energies_ghz
-        dnu[i] = (es.energies_ghz[2] - es.energies_ghz[1]) * 1e3
-        matching[i] = float(abs(es.e.conj() @ plus_ref) ** 2)
-    return energies, dnu, matching
+    f = FieldConfiguration(b_gauss=b_perp_gauss[:, None] * direction,
+                           e_perp_mhz=e_perp_mhz, phi_e_rad=phi_e)
+    es = diagonalize(build_hamiltonian(cls, f, c))
+    e = es.energies_ghz
+    plus_ref = zero_field_states(phi_e)[2]
+    return e, (e[:, 2] - e[:, 1]) * 1e3, np.abs(es.e.conj() @ plus_ref) ** 2

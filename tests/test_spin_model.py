@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nvcr import (
     CLASS_AXES,
@@ -111,6 +112,60 @@ def test_phi_e_symmetry(phi):
     assert es.energies_ghz == pytest.approx(base.energies_ghz, abs=1e-12)
     _, _, plus = zero_field_states(phi)
     assert abs(es.e.conj() @ plus) ** 2 == pytest.approx(1.0, abs=1e-10)
+
+
+def _assert_stack_matches_rows(frame, b, **fields):
+    """One solve of the field stack ``b`` (..., 3) equals a solve per row."""
+    f = FieldConfiguration(b_gauss=b, **fields)
+    es = diagonalize(build_hamiltonian(frame, f, C))
+    assert es.energies_ghz.shape == b.shape
+    assert es.e.shape == b.shape
+    for idx in np.ndindex(b.shape[:-1]):
+        row = FieldConfiguration(b_gauss=b[idx], **fields)
+        one = diagonalize(build_hamiltonian(frame, row, C))
+        assert np.array_equal(es.energies_ghz[idx], one.energies_ghz)
+        assert np.array_equal(es.states[idx], one.states)
+        for key, value in one.overlaps.items():
+            assert type(value) is float
+            assert abs(es.overlaps[key][idx] - value) <= 1e-15
+    return es
+
+
+def test_stack_mixes_degenerate_and_generic_rows():
+    frame = class_frame(0)
+    rng = np.random.default_rng(7)
+    b = np.vstack([np.zeros(3),              # |+-1> degenerate at e_perp = 0
+                   1e-3 * frame.x_hat,       # orthogonal: gap ~ (gamma B)^2/D
+                   40.0 * frame.y_hat,
+                   rng.uniform(-150.0, 150.0, size=(5, 3))])
+    es = _assert_stack_matches_rows(frame, b, e_perp_mhz=0.0)
+    gaps = np.diff(es.energies_ghz, axis=-1).min(axis=-1)
+    assert np.all(gaps[:2] < 1e-9) and np.all(gaps[2:] > 1e-6)
+    # the degenerate rows are tie-broken onto the zero-field references
+    assert es.overlaps["d_minus"][0] == pytest.approx(1.0, abs=1e-12)
+    assert es.overlaps["e_plus"][0] == pytest.approx(1.0, abs=1e-12)
+    # a field along x leaves |-> an exact eigenstate at D
+    assert es.overlaps["d_minus"][1] == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(b=arrays(float, st.tuples(st.integers(1, 3), st.integers(1, 4),
+                                 st.just(3)),
+                elements=st.one_of(st.just(0.0), field_components)),
+       e_perp=st.sampled_from([0.0, 4.0]),
+       phi=st.floats(0.0, 2.0 * np.pi, exclude_max=True),
+       class_id=st.integers(0, 3))
+def test_stacked_solve_equals_row_by_row(b, e_perp, phi, class_id):
+    _assert_stack_matches_rows(class_frame(class_id), b, e_perp_mhz=e_perp,
+                               phi_e_rad=phi)
+
+
+def test_field_stack_validation():
+    assert FieldConfiguration(b_gauss=np.ones((2, 5, 3))).b_gauss.shape == \
+        (2, 5, 3)
+    for bad in (np.ones((4, 2)), np.ones(()), [[1.0, 2.0, np.inf]]):
+        with pytest.raises(ValueError):
+            FieldConfiguration(b_gauss=bad)
 
 
 def test_diagonalize_rejects_non_hermitian():
