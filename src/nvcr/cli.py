@@ -108,8 +108,8 @@ def load_run_config(config_path: str | None, output_format: str | None = None,
             quad_over.update({k: float(values[k]) for k in _QUAD_FLOAT_KEYS
                               if k in values})
             if "seed" in values:
-                cfg_seed = int(values["seed"])
-        except ValueError as exc:
+                cfg_seed = _seed(values["seed"])
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"bad config value: {exc}") from exc
         if const_over:
             consts = replace(consts, **const_over)
@@ -157,6 +157,7 @@ _real = _number()
 _positive = _number(low=0.0, strict=True)
 _nonneg = _number(low=0.0)
 _count = _number(int, low=2)
+_seed = _number(int, low=0)
 
 
 def _vector3(text: str) -> np.ndarray:
@@ -298,12 +299,15 @@ def _cmd_spectrum(args, cfg: RunConfig) -> _Columns:
                          cfg.constants)[0]
     profile = LineProfile(shape=LineShape(args.shape),
                           width_mhz=args.linewidth_mhz)
-    freq = None
-    if args.f_min_ghz is not None and args.f_max_ghz is not None:
-        freq = np.linspace(args.f_min_ghz, args.f_max_ghz, args.n_freq)
-    elif (args.f_min_ghz is None) != (args.f_max_ghz is None):
+    if (args.f_min_ghz is None) != (args.f_max_ghz is None):
         raise UsageError("--f-min-ghz and --f-max-ghz go together")
-    freq, pl = synth_spectrum(ts, profile, args.contrast, freq)
+    f_min, f_max = args.f_min_ghz, args.f_max_ghz
+    if f_min is None:
+        # synth_spectrum's automatic range: the lines padded by 20 widths
+        pad = 20.0 * (args.linewidth_mhz * 1e-3)
+        f_min, f_max = ts.freqs_ghz.min() - pad, ts.freqs_ghz.max() + pad
+    freq, pl = synth_spectrum(ts, profile, args.contrast,
+                              np.linspace(f_min, f_max, args.n_freq))
     return _Columns(["freq_GHz", "pl_norm"], [freq, pl])
 
 
@@ -359,7 +363,7 @@ _COMMON = (
           "output directory)"),
     _flag("--config", help="config file of key = value lines"),
     _flag("--format", choices=("csv", "json"), help="output format override"),
-    _flag("--seed", type=int, help="seed for multi-start fits"),
+    _flag("--seed", type=_seed, help="seed for multi-start fits"),
 )
 _CLASS_ID = _flag("--class-id", type=int, default=0, choices=range(4),
                   help="orientation class index")
@@ -525,6 +529,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # each --X-min-Y flag of the table must lie below its --X-max-Y partner
+    for (low, *_), _ in _SUBCOMMANDS[args.command].flags:
+        if "-min-" in low:
+            high = low.replace("-min-", "-max-")
+            lo, hi = (getattr(args, flag[2:].replace("-", "_"))
+                      for flag in (low, high))
+            if None not in (lo, hi) and lo >= hi:
+                parser.error(f"{low} ({lo:g}) must be below {high} ({hi:g})")
     try:
         cfg = load_run_config(args.config, args.format, args.seed)
         out = _emit(args, cfg, args.func(args, cfg))

@@ -152,7 +152,18 @@ def test_bad_flags_exit_2(tmp_path, monkeypatch):
                  ["overlap", "--center1-mhz", "nan"],
                  ["spectrum", "--linewidth-mhz", "inf"],
                  ["decay-sim", "--amplitude", "inf"],
-                 ["sensitivity", "--sigma-b-t", "inf"]):
+                 ["sensitivity", "--sigma-b-t", "inf"],
+                 ["eigen-map", "--b-min-gauss", "50", "--b-max-gauss", "10"],
+                 ["transverse-scan", "--b-min-gauss", "9", "--b-max-gauss",
+                  "9"],
+                 ["transitions", "--b-min-gauss", "50", "--b-max-gauss", "10"],
+                 ["degeneracy", "--b-min-gauss", "50", "--b-max-gauss", "10"],
+                 ["eigen-map", "--theta-min-rad", "1", "--theta-max-rad",
+                  "0.5"],
+                 ["spectrum", "--f-min-ghz", "3", "--f-max-ghz", "2"],
+                 ["decay-sim", "--tau-min-s", "1e-2", "--tau-max-s", "1e-3"],
+                 ["overlap", "--dnu-min-mhz", "5", "--dnu-max-mhz", "-5"],
+                 ["fit-t1", "--input", "curve.csv", "--seed", "-1"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -314,6 +325,14 @@ def test_spectrum_csv(tmp_path):
     assert pl.min() < 0.95
 
 
+def test_spectrum_n_freq_without_range(tmp_path):
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--n-freq", "11", "--output", str(out)]) == 0
+    comments, _, rows = _read_csv(out)
+    assert len(rows) == 11
+    assert any("n_freq=11" in c for c in comments)
+
+
 def test_eigen_map_grid(tmp_path):
     out = tmp_path / "map.csv"
     assert main(["eigen-map", "--n-b", "3", "--n-theta", "3",
@@ -368,6 +387,8 @@ def test_config_rejects_bad_syntax(tmp_path):
     cfg.write_text("d_ghz = 3.0\nd_ghz = 2.9\n")
     assert main(["sensitivity", "--config", str(cfg)]) == 2
     cfg.write_text("d_ghz = -1.0\n")
+    assert main(["sensitivity", "--config", str(cfg)]) == 2
+    cfg.write_text("seed = -1\n")
     assert main(["sensitivity", "--config", str(cfg)]) == 2
 
 
