@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _DEG_TOL = 1e-9   # GHz; eigenvalues closer than this are tie-broken
+_BLOCK = 512      # matrices per eigh call in diagonalize: bounds temporaries
 
 
 def spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -65,10 +66,9 @@ def zero_field_states(phi_e_rad: float = 0.0) -> tuple[np.ndarray, np.ndarray, n
 
 
 # diagonalize's overlaps |<bra|ket>|^2: label, eigenvector column, bra
-_S0, _SM, _SP = zero_field_states(0.0)
-_OVERLAP_KEYS = ("e_p1", "e_plus", "g_0", "d_minus")
-_OVERLAP_KETS = np.array([2, 2, 0, 1])
-_OVERLAP_BRAS = np.conj([[0.0, 0.0, 1.0], _SP, _S0, _SM])
+_OVERLAP_KEYS = ("e_p1", "g_0", "d_minus", "e_plus")
+_OVERLAP_KETS = np.array([2, 0, 1, 2])
+_OVERLAP_BRAS = np.conj([[0.0, 0.0, 1.0], *zero_field_states(0.0)])
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,7 @@ class FieldConfiguration:
     Attributes
     ----------
     b_gauss : array-like
-        Magnetic field vector in the crystal frame (Gauss), or a stack
-        of them with shape (..., 3).
+        Crystal-frame magnetic field (Gauss): a 3-vector or a (..., 3) stack.
     e_perp_mhz : float
         Transverse electric energy d_perp*E_perp (MHz), >= 0.
     phi_e_rad : float
@@ -109,11 +108,10 @@ class FieldConfiguration:
 class SpinEigensystem:
     """Ordered eigenstructure of the 3x3 ground-state Hamiltonian.
 
-    ``energies_ghz`` (..., 3) are ascending and labeled (g, d, e);
-    ``states`` (..., 3, 3) holds the eigenvectors as columns in the
-    (|-1>, |0>, |+1>) basis.  ``overlaps`` maps diagnostic labels to
-    squared moduli against the phi_E = 0 reference states: floats for
-    one Hamiltonian, arrays of the stack shape for a stack.
+    ``energies_ghz`` (..., 3) ascend and are labeled (g, d, e); ``states``
+    (..., 3, 3) holds the eigenvectors as columns in the (|-1>, |0>, |+1>)
+    basis.  ``overlaps`` maps diagnostic labels to squared moduli against
+    the phi_E = 0 reference states: floats, or arrays of the stack shape.
     """
 
     energies_ghz: np.ndarray
@@ -145,8 +143,7 @@ def build_hamiltonian(cls: NVClassFrame, f: FieldConfiguration,
     cls.validate()
     c.validate()
     # products summed along the last axis: the same bits in any stack shape
-    triad = np.array([cls.x_hat, cls.y_hat, cls.z_hat])
-    b = (f.b_gauss[..., None, :] * triad).sum(axis=-1)
+    b = (f.b_gauss[..., None, :] * [cls.x_hat, cls.y_hat, cls.z_hat]).sum(-1)
     bx, by, bz = (b[..., k, None, None] for k in range(3))
     gam = c.gamma_e_mhz_per_g * 1e-3  # GHz per Gauss
     h = c.d_ghz * _SZ2 + gam * (bx * _SX + by * _SY + bz * _SZ)
@@ -176,7 +173,7 @@ def _tie_break_degenerate(energies: np.ndarray, vecs: np.ndarray) -> None:
             block = vecs[:, i:j]
             proj = block @ block.conj().T
             chosen: list[np.ndarray] = []
-            for ref in (_S0, _SM, _SP):
+            for ref in zero_field_states(0.0):
                 w = proj @ ref
                 for prev in chosen:
                     w = w - (prev.conj() @ w) * prev
@@ -191,27 +188,31 @@ def _tie_break_degenerate(energies: np.ndarray, vecs: np.ndarray) -> None:
 
 
 def diagonalize(h: np.ndarray) -> SpinEigensystem:
-    """Eigensystem of a Hermitian 3x3 Hamiltonian, energies ascending;
-    a (..., 3, 3) stack goes through one ``eigh`` call."""
+    """Eigensystems of a Hermitian (..., 3, 3) stack, energies ascending."""
     h = np.asarray(h, dtype=complex)
     shape = h.shape[:-2]
     h = h.reshape(-1, 3, 3)
-    scale = np.maximum(np.linalg.norm(h, axis=(1, 2)), 1.0)
-    if np.any(np.linalg.norm(h - h.conj().transpose(0, 2, 1), axis=(1, 2))
-              > 1e-10 * scale):
-        raise ValueError("Hamiltonian is not Hermitian")
-    energies, vecs = np.linalg.eigh(h)
-    for i in np.flatnonzero(np.diff(energies, axis=1).min(axis=1) < _DEG_TOL):
-        _tie_break_degenerate(energies[i], vecs[i])
-    # deterministic global phase: largest component real positive
-    big = vecs[np.arange(len(h))[:, None], np.abs(vecs).argmax(axis=1),
-               np.arange(3)]
-    vecs /= (big / np.abs(big))[:, None, :]
-    resid = np.linalg.norm(h @ vecs - vecs * energies[:, None, :], axis=1)
-    if np.any(resid > 1e-10 * scale[:, None]):
-        raise ArithmeticError(f"eigen-residual too large: {resid.max():.3e}")
-    w = np.abs((_OVERLAP_BRAS @ vecs)[:, np.arange(4), _OVERLAP_KETS].T) ** 2
-    w = w.reshape((4,) + shape)
+    energies, vecs = np.empty((len(h), 3)), np.empty_like(h)
+    w = np.empty((len(h), 4))
+    for k in range(0, len(h), _BLOCK):
+        s = slice(k, k + _BLOCK)
+        hk, e, v = h[s], energies[s], vecs[s]
+        scale = np.maximum(np.linalg.norm(hk, axis=(1, 2)), 1.0)
+        if np.any(np.linalg.norm(hk - hk.conj().transpose(0, 2, 1),
+                                 axis=(1, 2)) > 1e-10 * scale):
+            raise ValueError("Hamiltonian is not Hermitian")
+        e[:], v[:] = np.linalg.eigh(hk)
+        for i in np.flatnonzero((e[:, 1:] - e[:, :-1]).min(axis=1) < _DEG_TOL):
+            _tie_break_degenerate(e[i], v[i])
+        # deterministic global phase: largest component real positive
+        big = v[np.arange(len(hk))[:, None], np.abs(v).argmax(axis=1),
+                np.arange(3)]
+        v /= (big / np.abs(big))[:, None, :]
+        resid = np.linalg.norm(hk @ v - v * e[:, None, :], axis=1)
+        if np.any(resid > 1e-10 * scale[:, None]):
+            raise ArithmeticError(f"eigen-residual too large: {resid.max():.3e}")
+        w[s] = np.abs((_OVERLAP_BRAS @ v)[:, np.arange(4), _OVERLAP_KETS]) ** 2
+    w = w.T.reshape((4,) + shape)
     overlaps = dict(zip(_OVERLAP_KEYS, w if shape else w.tolist()))
     return SpinEigensystem(energies.reshape(shape + (3,)),
                            vecs.reshape(shape + (3, 3)), overlaps)
@@ -283,6 +284,6 @@ def transverse_field_scan(cls: NVClassFrame, b_perp_gauss, e_perp_mhz: float,
     f = FieldConfiguration(b_gauss=b_perp_gauss[:, None] * direction,
                            e_perp_mhz=e_perp_mhz, phi_e_rad=phi_e)
     es = diagonalize(build_hamiltonian(cls, f, c))
-    e = es.energies_ghz
-    plus_ref = zero_field_states(phi_e)[2]
-    return e, (e[:, 2] - e[:, 1]) * 1e3, np.abs(es.e.conj() @ plus_ref) ** 2
+    energies = es.energies_ghz
+    matching = np.abs(es.e.conj() @ zero_field_states(phi_e)[2]) ** 2
+    return energies, (energies[:, 2] - energies[:, 1]) * 1e3, matching

@@ -134,16 +134,18 @@ def _assert_stack_matches_rows(frame, b, **fields):
 def test_stack_mixes_degenerate_and_generic_rows():
     frame = class_frame(0)
     rng = np.random.default_rng(7)
-    b = np.vstack([np.zeros(3),              # |+-1> degenerate at e_perp = 0
-                   1e-3 * frame.x_hat,       # orthogonal: gap ~ (gamma B)^2/D
-                   40.0 * frame.y_hat,
-                   rng.uniform(-150.0, 150.0, size=(5, 3))])
+    degenerate = np.vstack([np.zeros(3),          # |+-1> at e_perp = 0
+                            1e-3 * frame.x_hat])  # gap ~ (gamma B)^2 / D
+    # enough generic rows that the stack spans three solver blocks
+    b = np.vstack([degenerate, 40.0 * frame.y_hat,
+                   rng.uniform(-150.0, 150.0, size=(1100, 3)), degenerate])
     es = _assert_stack_matches_rows(frame, b, e_perp_mhz=0.0)
     gaps = np.diff(es.energies_ghz, axis=-1).min(axis=-1)
-    assert np.all(gaps[:2] < 1e-9) and np.all(gaps[2:] > 1e-6)
+    assert np.all(gaps[[0, 1, -2, -1]] < 1e-9) and np.all(gaps[2:-2] > 1e-6)
     # the degenerate rows are tie-broken onto the zero-field references
-    assert es.overlaps["d_minus"][0] == pytest.approx(1.0, abs=1e-12)
-    assert es.overlaps["e_plus"][0] == pytest.approx(1.0, abs=1e-12)
+    for row in (0, -2):
+        assert es.overlaps["d_minus"][row] == pytest.approx(1.0, abs=1e-12)
+        assert es.overlaps["e_plus"][row] == pytest.approx(1.0, abs=1e-12)
     # a field along x leaves |-> an exact eigenstate at D
     assert es.overlaps["d_minus"][1] == pytest.approx(1.0, abs=1e-12)
 
