@@ -2,18 +2,20 @@
 
 Fits use a derivative-free simplex over log-parameterized timescales
 (positivity by construction) with several deterministic starting
-points; the best residual wins.  Spectral overlaps of analytic line
-pairs are closed-form convolutions; a tabulated profile is integrated
-numerically.
+points; the best residual wins.  The simplex is an in-package port of
+SciPy's Nelder-Mead, so the command path never imports SciPy.
+Spectral overlaps of analytic line pairs are closed-form convolutions
+(only a mixed Gaussian/Lorentzian pair loads ``scipy.special`` for the
+Voigt profile); a tabulated profile is integrated numerically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize, special
 
 from .relaxation import DecayModel, decay_signal
 
@@ -98,12 +100,120 @@ def _t1_starts(c: DecayCurve, n: int = 5) -> np.ndarray:
     return np.geomspace(lo, 10.0 * c.tau_s[-1], n)
 
 
-def _run_simplex(objective, x0: np.ndarray, c: DecayCurve):
+class _Simplex(NamedTuple):
+    """The end of one Nelder-Mead run: best vertex, its value, the
+    iteration and evaluation counts and whether the tolerances (not a
+    limit) stopped it."""
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+
+
+class _Exhausted(Exception):
+    """The evaluation budget ran out; ends the current step."""
+
+
+def _nelder_mead(func, x0, xatol: float, fatol: float, maxiter: int,
+                 maxfev: int) -> _Simplex:
+    """Minimize ``func`` from ``x0`` with the Nelder-Mead simplex.
+
+    A step-by-step port of the unbounded, non-adaptive
+    ``scipy.optimize.minimize(method="Nelder-Mead")``, so both return
+    the same x, fun, nit, nfev and success to the bit: the same initial
+    simplex (each coordinate in turn raised by 5 %, or set to 0.00025
+    when zero), the same reflection, expansion, contraction and shrink
+    expressions with rho = 1, chi = 2, psi = sigma = 1/2, the same
+    ``xatol``/``fatol`` test, an evaluation budget that may stop a step
+    midway, and the same re-sorting after every step.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    x0 = np.array(x0, dtype=float).ravel()
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = (1 + nonzdelt) * y[k] if y[k] != 0 else zdelt
+        sim[k + 1] = y
+
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _Exhausted
+        nfev += 1
+        return func(x)
+
+    def by_value(sim, fsim):
+        # SciPy sorts twice after the first evaluations; the default
+        # argsort promises no stability, so a second sort of tied
+        # values is kept rather than assumed to change nothing
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _Exhausted:
+        pass
+    sim, fsim = by_value(*by_value(sim, fsim))
+
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = f(xr)
+            shrink = False
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+            iterations += 1
+        except _Exhausted:
+            pass
+        sim, fsim = by_value(sim, fsim)
+
+    return _Simplex(x=sim[0], fun=np.min(fsim), nit=iterations, nfev=nfev,
+                    success=nfev < maxfev and iterations < maxiter)
+
+
+def _run_simplex(objective, x0: np.ndarray, c: DecayCurve) -> _Simplex:
     fatol = _SIMPLEX_FTOL * float(np.sum(c.weights * c.signal ** 2))
-    return optimize.minimize(
-        objective, x0, method="Nelder-Mead",
-        options={"xatol": _SIMPLEX_XATOL, "fatol": fatol,
-                 "maxiter": 4000, "maxfev": 8000})
+    return _nelder_mead(objective, x0, xatol=_SIMPLEX_XATOL, fatol=fatol,
+                        maxiter=4000, maxfev=8000)
 
 
 def _pick_best(results, build_result):
@@ -285,7 +395,9 @@ def spectral_overlap(p1: LineProfile, p2: LineProfile, delta_nu_mhz) -> np.ndarr
                               p1.width_mhz + p2.width_mhz)(x)
         else:
             g, lor = (p1, p2) if p1.shape is LineShape.GAUSSIAN else (p2, p1)
-            out = special.voigt_profile(x, g.width_mhz, lor.width_mhz)
+            # the one SciPy use on the command path, loaded only here
+            from scipy.special import voigt_profile
+            out = voigt_profile(x, g.width_mhz, lor.width_mhz)
     return out if np.ndim(delta_nu_mhz) else float(out[0])
 
 

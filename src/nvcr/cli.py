@@ -301,13 +301,10 @@ def _cmd_spectrum(args, cfg: RunConfig) -> _Columns:
                           width_mhz=args.linewidth_mhz)
     if (args.f_min_ghz is None) != (args.f_max_ghz is None):
         raise UsageError("--f-min-ghz and --f-max-ghz go together")
-    f_min, f_max = args.f_min_ghz, args.f_max_ghz
-    if f_min is None:
-        # synth_spectrum's automatic range: the lines padded by 20 widths
-        pad = 20.0 * (args.linewidth_mhz * 1e-3)
-        f_min, f_max = ts.freqs_ghz.min() - pad, ts.freqs_ghz.max() + pad
-    freq, pl = synth_spectrum(ts, profile, args.contrast,
-                              np.linspace(f_min, f_max, args.n_freq))
+    freq = None if args.f_min_ghz is None else \
+        np.linspace(args.f_min_ghz, args.f_max_ghz, args.n_freq)
+    freq, pl = synth_spectrum(ts, profile, args.contrast, freq,
+                              n_freq=args.n_freq)
     return _Columns(["freq_GHz", "pl_norm"], [freq, pl])
 
 

@@ -107,8 +107,6 @@ def _coefficient(g: PairGeometry, a: str, b: str) -> float:
 
 
 def dipolar_coefficients(g: PairGeometry) -> DipolarCoefficients:
-    g.frame1.validate()
-    g.frame2.validate()
     return DipolarCoefficients(
         a_xx=_coefficient(g, "x", "x"),
         a_yy=_coefficient(g, "y", "y"),

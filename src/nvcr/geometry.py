@@ -68,7 +68,9 @@ class NVClassFrame:
     """Local orthonormal triad of one NV center.
 
     ``z_hat`` is the NV axis; ``x_hat`` and ``y_hat`` span the
-    transverse plane with y_hat = z_hat x x_hat.
+    transverse plane with y_hat = z_hat x x_hat.  The axes are
+    read-only copies, checked once on construction, so users of a
+    frame need not check it again.
     """
 
     class_id: int
@@ -78,7 +80,9 @@ class NVClassFrame:
 
     def __post_init__(self):
         for name in ("x_hat", "y_hat", "z_hat"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            axis = np.array(getattr(self, name), dtype=float)
+            axis.setflags(write=False)
+            object.__setattr__(self, name, axis)
         self.validate()
 
     def validate(self) -> "NVClassFrame":

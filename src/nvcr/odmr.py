@@ -247,13 +247,16 @@ def degeneracy_lift(direction=None, b_amps_gauss=None,
 
 
 def synth_spectrum(t: TransitionSet, profile: LineProfile,
-                   contrast_per_line: float = 0.02, freq_ghz=None):
+                   contrast_per_line: float = 0.02, freq_ghz=None,
+                   n_freq: int = 2001):
     """Synthetic continuous-wave spectrum for one transition set.
 
     Returns (freq_ghz, pl_norm): photoluminescence normalized to one
     away from any line, each line digging a dip of depth
     ``contrast_per_line`` scaled by the profile (peak-normalized, so
-    coincident lines deepen the dip additively).
+    coincident lines deepen the dip additively).  Without ``freq_ghz``
+    the grid is ``n_freq`` points spanning the lines padded by 20
+    widths.
     """
     if not 0.0 < contrast_per_line < 1.0:
         raise ValueError("contrast must be in (0, 1)")
@@ -263,7 +266,7 @@ def synth_spectrum(t: TransitionSet, profile: LineProfile,
     width_ghz = profile.width_mhz * 1e-3
     if freq_ghz is None:
         pad = 20.0 * width_ghz
-        freq_ghz = np.linspace(lines[0] - pad, lines[-1] + pad, 2001)
+        freq_ghz = np.linspace(lines[0] - pad, lines[-1] + pad, n_freq)
     freq_ghz = np.asarray(freq_ghz, dtype=float)
     pl = np.ones_like(freq_ghz)
     for nu in lines:

@@ -140,7 +140,6 @@ def build_hamiltonian(cls: NVClassFrame, f: FieldConfiguration,
     directly as an energy so no susceptibility conversion is needed
     here.
     """
-    cls.validate()
     c.validate()
     # products summed along the last axis: the same bits in any stack shape
     b = (f.b_gauss[..., None, :] * [cls.x_hat, cls.y_hat, cls.z_hat]).sum(-1)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy import optimize
 
 from nvcr import (
     DecayCurve,
@@ -14,7 +16,7 @@ from nvcr import (
     sensitivity,
     spectral_overlap,
 )
-from nvcr.analysis import _run_simplex, _t1_starts
+from nvcr.analysis import _nelder_mead, _run_simplex, _t1_starts
 
 T1PH = 3.62e-3
 
@@ -95,6 +97,59 @@ def test_weighted_noisy_fit_every_start_converges(monkeypatch):
         assert len(runs) == 5
         assert all(r.success for r in runs), [r.nfev for r in runs]
         assert res.model.t1_dd_s == pytest.approx(t1_dd, rel=0.12)
+
+
+def _simplex_objective(kind, center):
+    def quadratic(x):
+        return float(np.sum((np.arange(1, x.size + 1) * (x - center)) ** 2))
+
+    def rosenbrock(x):
+        z = np.concatenate([x - center, [1.0]])
+        return float(np.sum(100.0 * (z[1:] - z[:-1] ** 2) ** 2
+                            + (1.0 - z[:-1]) ** 2))
+
+    def steps(x):
+        # plateaus: equal values on several vertices exercise the sort
+        return float(np.floor(4.0 * quadratic(x)) / 4.0)
+
+    return {"quadratic": quadratic, "rosenbrock": rosenbrock,
+            "steps": steps}[kind]
+
+
+_COORD = st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_subnormal=False))
+
+
+@st.composite
+def _simplex_problems(draw):
+    n = draw(st.integers(1, 4))
+    return (draw(st.sampled_from(["quadratic", "rosenbrock", "steps"])),
+            np.array(draw(st.lists(_COORD, min_size=n, max_size=n))),
+            np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n,
+                                   max_size=n))),
+            draw(st.sampled_from([1e-4, 1e-10])),
+            draw(st.sampled_from([1e-8, 1e-14])),
+            draw(st.sampled_from([3, 50, 4000])),
+            draw(st.one_of(st.integers(1, 40), st.just(8000))))
+
+
+@settings(max_examples=150)
+@given(_simplex_problems())
+@example(("rosenbrock", np.zeros(2), np.zeros(2), 1e-10, 1e-14, 4000, 5))
+@example(("quadratic", np.array([0.0, 1.0, 0.0]), np.ones(3), 1e-4, 1e-8,
+          4000, 37))
+@example(("steps", np.zeros(4), np.full(4, 0.5), 1e-10, 1e-14, 4000, 8000))
+def test_nelder_mead_matches_scipy_bitwise(problem):
+    kind, x0, center, xatol, fatol, maxiter, maxfev = problem
+    func = _simplex_objective(kind, center)
+    ref = optimize.minimize(func, x0, method="Nelder-Mead",
+                            options={"xatol": xatol, "fatol": fatol,
+                                     "maxiter": maxiter, "maxfev": maxfev})
+    got = _nelder_mead(func, x0, xatol=xatol, fatol=fatol, maxiter=maxiter,
+                       maxfev=maxfev)
+    assert got.x.tobytes() == ref.x.tobytes(), (got.x, ref.x)
+    assert np.float64(got.fun).tobytes() == np.float64(ref.fun).tobytes()
+    assert (got.nit, got.nfev, got.success) == \
+        (ref.nit, ref.nfev, ref.success)
 
 
 @pytest.mark.parametrize("weighted", [False, True])

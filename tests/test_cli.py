@@ -4,7 +4,10 @@ import argparse
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -402,6 +405,37 @@ def test_golden_output(name, tmp_path, monkeypatch):
     monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
     out = _run_golden(name, tmp_path)
     assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
+
+
+def test_only_a_mixed_overlap_loads_scipy(tmp_path, monkeypatch):
+    # a fresh interpreter, because this test session has SciPy loaded
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    script = textwrap.dedent("""
+        import sys
+        from nvcr.analysis import fit_beta, fit_decay
+        from nvcr.cli import main
+        from nvcr.serialize import read_decay_csv
+
+        def scipy_modules():
+            return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+        curve = read_decay_csv(sys.argv[1])
+        fit_decay(curve, fixed_t1_ph_s=3.62e-3, seed=3)
+        fit_beta(curve)
+        assert not scipy_modules(), scipy_modules()
+        assert main(sys.argv[2:]) == 0
+        assert "scipy.special" in sys.modules
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(GOLDEN_DIR / "decay_curve.csv"),
+         *GOLDEN["overlap_mixed.csv"]],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "overlap_mixed.csv").read_bytes() == \
+        (GOLDEN_DIR / "overlap_mixed.csv").read_bytes()
 
 
 if __name__ == "__main__":

@@ -86,6 +86,13 @@ def test_laplace_identity_examples():
             pytest.approx(polarization(t, big_t), abs=1e-6)
 
 
+def test_laplace_identity_to_quadrature_accuracy():
+    for big_t in (1.0, 1.7e-3):
+        for ratio in np.concatenate([[0.0], np.geomspace(1e-8, 1e4, 61)]):
+            assert abs(polarization_from_density(ratio * big_t, big_t)
+                       - np.exp(-np.sqrt(ratio))) <= 5e-13, ratio
+
+
 def test_density_mode():
     big_t = 2.0e-3
     mode = 1.0 / (6.0 * big_t)

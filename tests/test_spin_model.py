@@ -183,6 +183,18 @@ def test_frame_rejects_non_orthonormal():
                      np.array([0.0, 0.0, 1.0]))
 
 
+def test_frame_axes_are_read_only_copies():
+    x = np.array([1.0, 0.0, 0.0])
+    frame = NVClassFrame(0, x, np.array([0.0, 1.0, 0.0]),
+                         np.array([0.0, 0.0, 1.0]))
+    for axis in (frame.x_hat, frame.y_hat, frame.z_hat,
+                 class_frame(2, [1.0, 0.0, 0.0]).z_hat):
+        with pytest.raises(ValueError):
+            axis[0] = 2.0
+    x[0] = 2.0
+    assert frame.x_hat[0] == 1.0
+
+
 def test_eigenstate_map_limits():
     frame = class_frame(0)
     o_p1, o_plus = eigenstate_map(frame, [0.0, 100.0, 145.0, 150.0],
