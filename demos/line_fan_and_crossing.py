@@ -11,17 +11,17 @@ Run:  python3 demos/line_fan_and_crossing.py
 
 import numpy as np
 
-from nvcr import all_transitions, degeneracy_lift, transitions_matrix
+from nvcr import all_transitions, degeneracy_lift
 from nvcr.geometry import tilted_field_direction
 
 direction = tilted_field_direction()
 print("field direction (crystal frame):", np.round(direction, 4))
 
 amps = np.linspace(0.0, 30.0, 61)
-b, freqs = transitions_matrix(all_transitions(direction, amps))
+freqs = all_transitions(direction, amps)
 print("\n  B (G)   line frequencies (GHz)")
-for i in range(0, b.size, 12):
-    print("  %5.1f  " % b[i], " ".join("%.4f" % v for v in sorted(freqs[i])))
+for b, lines in zip(amps[::12], freqs[::12]):
+    print("  %5.1f  " % b, " ".join("%.4f" % v for v in sorted(lines)))
 
 rep = degeneracy_lift(direction, amps)
 print("\nneighbor gaps must clear %.2f MHz; per-pair crossing fields:"

@@ -23,8 +23,8 @@ from .eta_average import (DEFAULT_QUADRATURE, ConvergenceError, EtaScenario,
                           scenario_multiplier)
 from .geometry import (CLASS_AXES, NVClassFrame, PairGeometry, class_frame,
                        rotation_matrix, tilted_field_direction)
-from .odmr import (DegeneracyReport, TransitionSet, all_transitions,
-                   degeneracy_lift, synth_spectrum, transitions_matrix)
+from .odmr import (DegeneracyReport, all_transitions, degeneracy_lift,
+                   synth_spectrum)
 from .relaxation import (DecayModel, FluctuatorParams, characteristic_rate,
                          decay_signal, polarization,
                          polarization_from_density, rate_density)
@@ -61,6 +61,6 @@ __all__ = [
     "DecayCurve", "FitResult", "FitError", "LineShape", "LineProfile",
     "fit_decay", "fit_beta", "spectral_overlap", "sensitivity",
     # spectra
-    "TransitionSet", "DegeneracyReport", "all_transitions",
-    "transitions_matrix", "degeneracy_lift", "synth_spectrum",
+    "DegeneracyReport", "all_transitions", "degeneracy_lift",
+    "synth_spectrum",
 ]

@@ -29,8 +29,7 @@ from .constants import (DEFAULT_CONSTANTS, DEFAULT_CR_RANGE_MHZ,
 from .eta_average import (DEFAULT_QUADRATURE, ConvergenceError,
                           QuadratureSpec, eta_table, multiplier_table)
 from .geometry import class_frame
-from .odmr import all_transitions, degeneracy_lift, synth_spectrum, \
-    transitions_matrix
+from .odmr import all_transitions, degeneracy_lift, synth_spectrum
 from .relaxation import DecayModel, decay_signal
 from .serialize import read_decay_csv, write_csv, write_json
 from .spin_model import eigenstate_map, transverse_field_scan
@@ -112,7 +111,10 @@ def load_run_config(config_path: str | None, output_format: str | None = None,
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"bad config value: {exc}") from exc
         if const_over:
-            consts = replace(consts, **const_over)
+            try:
+                consts = replace(consts, **const_over)
+            except ValueError as exc:
+                raise UsageError(f"bad constants override: {exc}") from exc
         if quad_over:
             quad = replace(quad, **quad_over)
         if "output_dir" in values:
@@ -123,10 +125,6 @@ def load_run_config(config_path: str | None, output_format: str | None = None,
         fmt = output_format
     if fmt is not None and fmt not in ("csv", "json"):
         raise UsageError(f"format must be 'csv' or 'json', got {fmt!r}")
-    try:
-        consts.validate()
-    except ValueError as exc:
-        raise UsageError(f"bad constants override: {exc}") from exc
     return RunConfig(constants=consts, quadrature=quad, output_dir=out_dir,
                      output_format=fmt, seed=seed if seed is not None
                      else cfg_seed)
@@ -268,10 +266,9 @@ def _cmd_multipliers(args, cfg: RunConfig) -> _Columns:
 
 def _cmd_transitions(args, cfg: RunConfig) -> _Columns:
     b = np.linspace(args.b_min_gauss, args.b_max_gauss, args.n_b)
-    sets = all_transitions(args.direction, b, args.e_perp_mhz, cfg.constants)
-    amps, freqs = transitions_matrix(sets)
+    freqs = all_transitions(args.direction, b, args.e_perp_mhz, cfg.constants)
     return _Columns(["B_gauss"] + [f"nu{k}_GHz" for k in range(1, 9)],
-                    [amps] + [freqs[:, k] for k in range(8)])
+                    [b] + [freqs[:, k] for k in range(8)])
 
 
 def _cmd_degeneracy(args, cfg: RunConfig) -> _Columns:
@@ -295,15 +292,15 @@ def _cmd_degeneracy(args, cfg: RunConfig) -> _Columns:
 
 
 def _cmd_spectrum(args, cfg: RunConfig) -> _Columns:
-    ts = all_transitions(args.direction, [args.b_gauss], args.e_perp_mhz,
-                         cfg.constants)[0]
+    lines = all_transitions(args.direction, [args.b_gauss], args.e_perp_mhz,
+                            cfg.constants)[0]
     profile = LineProfile(shape=LineShape(args.shape),
                           width_mhz=args.linewidth_mhz)
     if (args.f_min_ghz is None) != (args.f_max_ghz is None):
         raise UsageError("--f-min-ghz and --f-max-ghz go together")
     freq = None if args.f_min_ghz is None else \
         np.linspace(args.f_min_ghz, args.f_max_ghz, args.n_freq)
-    freq, pl = synth_spectrum(ts, profile, args.contrast, freq,
+    freq, pl = synth_spectrum(lines, profile, args.contrast, freq,
                               n_freq=args.n_freq)
     return _Columns(["freq_GHz", "pl_norm"], [freq, pl])
 

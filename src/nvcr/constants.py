@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SQRT3 = np.sqrt(3.0)
-
 # Default transverse electric energy d_perp*E_perp (MHz), typical of the
 # local charge environment probed by the zero-field splitting feature.
 DEFAULT_E_PERP_MHZ = 4.0
@@ -42,6 +40,8 @@ class PhysicalConstants:
     j0_mhz_nm3 : float
         Characteristic dipole-dipole strength J0 (MHz nm^3): the
         coupling of two NV spins 1 nm apart.
+
+    Every value must be finite and positive; construction checks it.
     """
 
     d_ghz: float = 2.87
@@ -49,6 +49,9 @@ class PhysicalConstants:
     d_perp_hz_cm_per_v: float = 17.0
     d_par_hz_cm_per_v: float = 0.35
     j0_mhz_nm3: float = 52.0
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> "PhysicalConstants":
         for name in ("d_ghz", "gamma_e_mhz_per_g", "d_perp_hz_cm_per_v",

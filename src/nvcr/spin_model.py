@@ -37,7 +37,10 @@ __all__ = [
     "transverse_field_scan",
 ]
 
-_DEG_TOL = 1e-9   # GHz; eigenvalues closer than this are tie-broken
+# GHz; eigenvalues closer than this are tie-broken.  Re-mixing a group
+# that spans a gap g leaves an eigen-residual of up to g, so the
+# tolerance must not exceed diagonalize's residual bound, 1e-10 * max(|H|, 1).
+_DEG_TOL = 1e-10
 _BLOCK = 512      # matrices per eigh call in diagonalize: bounds temporaries
 
 
@@ -140,7 +143,6 @@ def build_hamiltonian(cls: NVClassFrame, f: FieldConfiguration,
     directly as an energy so no susceptibility conversion is needed
     here.
     """
-    c.validate()
     # products summed along the last axis: the same bits in any stack shape
     b = (f.b_gauss[..., None, :] * [cls.x_hat, cls.y_hat, cls.z_hat]).sum(-1)
     bx, by, bz = (b[..., k, None, None] for k in range(3))

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from nvcr.cli import OUTPUT_DIR_ENV, build_parser, main
 
@@ -190,6 +192,69 @@ def test_non_finite_result_exit_1_without_file(tmp_path, capsys):
     assert rc == 1
     assert json.loads(capsys.readouterr().out)["error"] == "ValueError"
     assert not out.exists()
+
+
+_B_GAUSS = st.one_of(st.floats(0.0, 0.05), st.floats(0.0, 300.0))
+_E_PERP_MHZ = st.one_of(st.just(0.0), st.floats(0.0, 50.0))
+# orthogonal to one or two class axes, along one, or anything
+_DIRECTIONS = st.one_of(
+    st.sampled_from(["1,-1,0", "0,1,-1", "1,0,-1", "1,1,0", "1,1,1",
+                     "1,0,0"]),
+    st.tuples(*[st.integers(-3, 3)] * 3).filter(any).map(
+        lambda v: ",".join(map(str, v))))
+
+
+@st.composite
+def _field_runs(draw):
+    """One field subcommand with flags drawn inside their ranges."""
+    cmd = draw(st.sampled_from(["transitions", "degeneracy", "spectrum",
+                                "eigen-map", "transverse-scan"]))
+    argv = [cmd, "--e-perp-mhz", repr(draw(_E_PERP_MHZ))]
+    if cmd == "spectrum":
+        return argv + ["--b-gauss", repr(draw(_B_GAUSS)),
+                       "--direction=" + draw(_DIRECTIONS)]
+    b_max = draw(st.one_of(st.floats(1e-4, 0.05), st.floats(0.05, 300.0)))
+    b_min = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.99))) * b_max
+    argv += ["--b-min-gauss", repr(b_min), "--b-max-gauss", repr(b_max)]
+    if cmd in ("transitions", "degeneracy"):
+        return argv + ["--n-b", str(draw(st.integers(8, 24))),
+                       "--direction=" + draw(_DIRECTIONS)]
+    argv += ["--class-id", str(draw(st.integers(0, 3)))]
+    if cmd == "eigen-map":
+        return argv + ["--n-b", str(draw(st.integers(2, 12))),
+                       "--n-theta", str(draw(st.integers(2, 8)))]
+    return argv + ["--n-b", str(draw(st.integers(2, 64)))]
+
+
+@settings(max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_field_runs())
+# a weak field orthogonal to a class axis splits that class's |+-1> pair
+# by ~1e-10 GHz: the first run wrote its lines out of energy order, the
+# other five exited 1 on the eigen-residual check
+@example(argv=["transitions", "--e-perp-mhz", "0", "--direction", "1,-1,0",
+               "--b-min-gauss", "0.01", "--b-max-gauss", "10", "--n-b", "11"])
+@example(argv=["spectrum", "--b-gauss", "0.0122382", "--direction",
+               "1,-1,0", "--e-perp-mhz", "0"])
+@example(argv=["transitions", "--direction", "1,-1,0", "--e-perp-mhz", "0",
+               "--b-max-gauss", "0.05", "--n-b", "41"])
+@example(argv=["degeneracy", "--direction", "1,-1,0", "--e-perp-mhz", "0",
+               "--b-max-gauss", "0.05", "--n-b", "41"])
+@example(argv=["transverse-scan", "--e-perp-mhz", "0", "--b-max-gauss",
+               "0.05", "--n-b", "201"])
+@example(argv=["eigen-map", "--e-perp-mhz", "0", "--b-max-gauss", "0.05",
+               "--n-b", "101", "--n-theta", "31"])
+def test_field_commands_exit_0_with_finite_files(argv, tmp_path):
+    out = tmp_path / "out.csv"
+    out.unlink(missing_ok=True)
+    assert main([*argv, "--output", str(out)]) == 0, argv
+    _, header, rows = _read_csv(out)
+    table = np.array(rows, dtype=float)
+    assert table.shape == (len(rows), len(header)) and len(rows) > 0
+    assert np.all(np.isfinite(table)), argv
+    if argv[0] == "transitions":
+        # columns nu1..nu8: each class's lower line, then its upper line
+        assert np.all(table[:, 1:9:2] <= table[:, 2:9:2]), argv
 
 
 def test_sensitivity_record(tmp_path, capsys):

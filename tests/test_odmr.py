@@ -7,14 +7,14 @@ from nvcr import (
     CLASS_AXES,
     LineProfile,
     LineShape,
-    TransitionSet,
     all_transitions,
+    class_frame,
     degeneracy_lift,
     synth_spectrum,
     tilted_field_direction,
-    transitions_matrix,
 )
 from nvcr.constants import DEFAULT_CONSTANTS
+from nvcr.spin_model import FieldConfiguration, build_hamiltonian
 
 D = DEFAULT_CONSTANTS.d_ghz
 GAMMA = DEFAULT_CONSTANTS.gamma_e_mhz_per_g
@@ -29,14 +29,14 @@ def _dip_indices(pl, depth=0.01):
 
 
 def test_b100_all_classes_identical():
-    for t in all_transitions([1.0, 0.0, 0.0], [0.0, 10.0, 20.0, 30.0]):
-        assert np.ptp(t.lower_ghz) < 1e-9
-        assert np.ptp(t.upper_ghz) < 1e-9
+    for f in all_transitions([1.0, 0.0, 0.0], [0.0, 10.0, 20.0, 30.0]):
+        assert np.ptp(f[0::2]) < 1e-9
+        assert np.ptp(f[1::2]) < 1e-9
 
 
 def test_b111_one_distinct_three_degenerate():
-    t = all_transitions(CLASS_AXES[0], [30.0])[0]
-    for block in (t.lower_ghz, t.upper_ghz):
+    f = all_transitions(CLASS_AXES[0], [30.0])[0]
+    for block in (f[0::2], f[1::2]):
         gaps = np.diff(np.sort(block))
         # two zero gaps (three coincident classes) and one real split
         assert np.sum(gaps < 1e-9) == 2
@@ -44,40 +44,89 @@ def test_b111_one_distinct_three_degenerate():
 
 
 def test_zero_field_two_lines():
-    t = all_transitions([1.0, 0.0, 0.0], [0.0], e_perp_mhz=4.0)[0]
-    assert t.lower_ghz == pytest.approx(np.full(4, D - 0.004), abs=1e-9)
-    assert t.upper_ghz == pytest.approx(np.full(4, D + 0.004), abs=1e-9)
+    f = all_transitions([1.0, 0.0, 0.0], [0.0], e_perp_mhz=4.0)[0]
+    assert f[0::2] == pytest.approx(np.full(4, D - 0.004), abs=1e-9)
+    assert f[1::2] == pytest.approx(np.full(4, D + 0.004), abs=1e-9)
 
 
 def test_frequency_window():
-    sets = all_transitions(tilted_field_direction(), [0.0, 100.0, 200.0])
-    _, freqs = transitions_matrix(sets)
+    freqs = all_transitions(tilted_field_direction(), [0.0, 100.0, 200.0])
     assert freqs.shape == (3, 8)
     assert np.all((freqs >= 2.0) & (freqs <= 4.0))
 
 
 def test_secular_match_aligned_class():
     for k in range(4):
-        t = all_transitions(CLASS_AXES[k], [10.0])[0]
+        f = all_transitions(CLASS_AXES[k], [10.0])[0]
         secular_lower = D - GAMMA * 10.0 * 1e-3
         secular_upper = D + GAMMA * 10.0 * 1e-3
-        assert abs(t.lower_ghz[k] - secular_lower) / secular_lower < 1e-3
-        assert abs(t.upper_ghz[k] - secular_upper) / secular_upper < 1e-3
+        assert abs(f[2 * k] - secular_lower) / secular_lower < 1e-3
+        assert abs(f[2 * k + 1] - secular_upper) / secular_upper < 1e-3
 
 
 def test_branch_continuity():
-    sets = all_transitions()   # default tilted direction, 121-point ramp
-    _, freqs = transitions_matrix(sets)
+    freqs = all_transitions()   # default tilted direction, 121-point ramp
     # one 0.25 G step moves a line by at most ~0.7 MHz; a branch swap
     # would show up as a far larger jump
     assert np.max(np.abs(np.diff(freqs, axis=0))) < 2e-3
 
 
+
+@pytest.mark.parametrize("direction, amps, e_perp", [
+    ([1.0, -1.0, 0.0], np.linspace(0.01, 10.0, 11), 0.0),   # B _|_ two axes
+    (None, np.linspace(0.0, 30.0, 13), 4.0),
+    ([0.3, 0.5, -0.2], np.linspace(0.0, 200.0, 9), 1.0),
+])
+def test_lines_follow_energy_order(direction, amps, e_perp):
+    freqs = all_transitions(direction, amps, e_perp_mhz=e_perp)
+    assert freqs.shape == (amps.size, 8)
+    assert np.all(freqs[:, 0::2] <= freqs[:, 1::2])
+    u = tilted_field_direction() if direction is None else \
+        np.asarray(direction) / np.linalg.norm(direction)
+    f = FieldConfiguration(b_gauss=amps[:, None] * u, e_perp_mhz=e_perp)
+    for k in range(4):
+        # the scan's frame: x follows the field, phi_E = 0 along it
+        frame = class_frame(k, b_field=amps.max() * u)
+        e = np.linalg.eigvalsh(build_hamiltonian(frame, f))
+        assert freqs[:, 2 * k:2 * k + 2] == pytest.approx(
+            e[:, 1:] - e[:, :1], abs=1e-12)
+
+
+def test_crossing_does_not_depend_on_ramp_start():
+    # e_perp = 0 and a field orthogonal to two class axes: the excited
+    # levels of those classes start near-degenerate
+    found = []
+    for start in (0.005, 0.01, 0.02):
+        rep = degeneracy_lift([1.0, -1.0, 0.0], np.linspace(start, 30.0, 121),
+                              e_perp_mhz=0.0)
+        found.append(dict(zip(rep.pair_labels,
+                              rep.pair_crossings_b_gauss))["lower_13"])
+    assert max(found) - min(found) <= 1e-3
+
+
+def test_solver_calls_per_scan_and_refinement(monkeypatch):
+    import nvcr.odmr
+    calls = []
+    solve = nvcr.odmr.diagonalize
+
+    def counted(h):
+        calls.append(1)
+        return solve(h)
+
+    monkeypatch.setattr(nvcr.odmr, "diagonalize", counted)
+    all_transitions(None, [0.0, 1.0, 2.0])
+    assert len(calls) == 12     # one per class and field point
+    calls.clear()
+    degeneracy_lift()
+    # 484 for the scan, then each bisection step solves the four
+    # classes once: 6 pairs and the envelope, 8 steps each
+    assert len(calls) <= 708
+
 def test_class_permutation_invariance():
     d = tilted_field_direction()
     swapped = d[[0, 2, 1]]
-    f1 = np.sort(all_transitions(d, [17.0])[0].freqs_ghz)
-    f2 = np.sort(all_transitions(swapped, [17.0])[0].freqs_ghz)
+    f1 = np.sort(all_transitions(d, [17.0])[0])
+    f2 = np.sort(all_transitions(swapped, [17.0])[0])
     assert f1 == pytest.approx(f2, abs=1e-12)
 
 
@@ -118,9 +167,9 @@ def test_degeneracy_small_range_limit():
 
 
 def test_spectrum_zero_field_two_dips():
-    t = all_transitions([1.0, 0.0, 0.0], [0.0], e_perp_mhz=4.0)[0]
+    f = all_transitions([1.0, 0.0, 0.0], [0.0], e_perp_mhz=4.0)[0]
     profile = LineProfile(LineShape.GAUSSIAN, width_mhz=0.5)
-    freq, pl = synth_spectrum(t, profile)
+    freq, pl = synth_spectrum(f, profile)
     dips = _dip_indices(pl)
     assert len(dips) == 2
     assert freq[dips] == pytest.approx([D - 0.004, D + 0.004], abs=1e-3)
@@ -129,22 +178,22 @@ def test_spectrum_zero_field_two_dips():
 
 
 def test_spectrum_b100_two_dips():
-    t = all_transitions([1.0, 0.0, 0.0], [20.0])[0]
-    freq, pl = synth_spectrum(t, LineProfile(LineShape.LORENTZIAN,
+    f = all_transitions([1.0, 0.0, 0.0], [20.0])[0]
+    freq, pl = synth_spectrum(f, LineProfile(LineShape.LORENTZIAN,
                                              width_mhz=1.0))
     assert len(_dip_indices(pl)) == 2
 
 
 def test_spectrum_b111_four_dips():
-    t = all_transitions(CLASS_AXES[0], [30.0])[0]
-    _, pl = synth_spectrum(t, LineProfile(LineShape.GAUSSIAN, width_mhz=0.5))
+    f = all_transitions(CLASS_AXES[0], [30.0])[0]
+    _, pl = synth_spectrum(f, LineProfile(LineShape.GAUSSIAN, width_mhz=0.5))
     assert len(_dip_indices(pl)) == 4
 
 
 def test_spectrum_explicit_grid_and_validation():
-    t = all_transitions([1.0, 0.0, 0.0], [0.0])[0]
+    f = all_transitions([1.0, 0.0, 0.0], [0.0])[0]
     grid = np.linspace(2.80, 2.94, 1001)
-    freq, pl = synth_spectrum(t, LineProfile(LineShape.GAUSSIAN,
+    freq, pl = synth_spectrum(f, LineProfile(LineShape.GAUSSIAN,
                                              width_mhz=1.0), freq_ghz=grid)
     assert freq == pytest.approx(grid, abs=0.0)
     assert pl.shape == grid.shape
@@ -152,13 +201,14 @@ def test_spectrum_explicit_grid_and_validation():
                         table_nu_mhz=np.linspace(-5.0, 5.0, 11),
                         table_values=np.ones(11))
     with pytest.raises(ValueError):
-        synth_spectrum(t, table)
+        synth_spectrum(f, table)
     with pytest.raises(ValueError):
-        synth_spectrum(t, LineProfile(LineShape.GAUSSIAN, width_mhz=1.0),
+        synth_spectrum(f, LineProfile(LineShape.GAUSSIAN, width_mhz=1.0),
                        contrast_per_line=1.5)
 
 
-def test_transition_set_validation():
+
+@pytest.mark.parametrize("lines", [[], [2.87, np.nan], [[2.86, 2.88]]])
+def test_spectrum_refuses_bad_lines(lines):
     with pytest.raises(ValueError):
-        TransitionSet(b_gauss=0.0, direction=np.array([1.0, 0.0, 0.0]),
-                      e_perp_mhz=4.0, freqs_ghz=np.ones(7))
+        synth_spectrum(lines, LineProfile(LineShape.GAUSSIAN, width_mhz=1.0))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nvcr import (
@@ -17,7 +17,7 @@ from nvcr import (
     transverse_field_scan,
     zero_field_states,
 )
-from nvcr.constants import DEFAULT_CONSTANTS
+from nvcr.constants import DEFAULT_CONSTANTS, PhysicalConstants
 
 C = DEFAULT_CONSTANTS
 D = C.d_ghz
@@ -94,6 +94,31 @@ def test_eigen_residuals(f):
     assert all(0.0 <= es.overlaps[k] <= 1.0 + 1e-12 for k in es.overlaps)
 
 
+
+@settings(max_examples=40)
+@given(class_id=st.integers(0, 3),
+       phi=st.floats(0.0, 2.0 * np.pi, exclude_max=True),
+       tilt=st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3)),
+       amps=st.lists(st.floats(1e-3, 0.1), min_size=1, max_size=32),
+       e_perp=st.one_of(st.just(0.0), st.floats(0.0, 1e-6)))
+@example(class_id=0, phi=-np.pi / 6, tilt=0.0, amps=[0.0122382], e_perp=0.0)
+def test_near_degenerate_transverse_fields_solve(class_id, phi, tilt, amps,
+                                                 e_perp):
+    # a weak field almost orthogonal to the axis splits |+-1> by
+    # ~(gamma_e B)^2 / D, around 1e-10 GHz: tie-breaking such a pair
+    # must not push its eigen-residual over diagonalize's bound
+    frame = class_frame(class_id)
+    u = (np.cos(tilt) * (np.cos(phi) * frame.x_hat + np.sin(phi) * frame.y_hat)
+         + np.sin(tilt) * frame.z_hat)
+    f = FieldConfiguration(b_gauss=np.multiply.outer(amps, u),
+                           e_perp_mhz=e_perp)
+    h = build_hamiltonian(frame, f, C)
+    es = diagonalize(h)
+    assert np.all(np.diff(es.energies_ghz, axis=-1) >= 0.0)
+    v = es.states
+    eye = np.conj(np.swapaxes(v, -1, -2)) @ v
+    assert np.abs(eye - np.eye(3)).max() < 1e-10
+
 def test_rotational_consistency():
     b = np.array([23.0, -4.0, 11.0])
     for i, j in ((0, 1), (2, 3), (1, 2)):
@@ -169,6 +194,15 @@ def test_field_stack_validation():
         with pytest.raises(ValueError):
             FieldConfiguration(b_gauss=bad)
 
+
+
+@pytest.mark.parametrize("name", ["d_ghz", "gamma_e_mhz_per_g",
+                                  "d_perp_hz_cm_per_v", "d_par_hz_cm_per_v",
+                                  "j0_mhz_nm3"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_constants_checked_on_construction(name, bad):
+    with pytest.raises(ValueError, match=name):
+        PhysicalConstants(**{name: bad})
 
 def test_diagonalize_rejects_non_hermitian():
     h = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
