@@ -11,6 +11,7 @@ Voigt profile); a tabulated profile is integrated numerically.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -98,6 +99,18 @@ def _t1_starts(c: DecayCurve, n: int = 5) -> np.ndarray:
     # log-spaced from well inside the sampled window to well beyond it
     lo = max(c.tau_s[1], c.tau_s[-1] * 1e-3)
     return np.geomspace(lo, 10.0 * c.tau_s[-1], n)
+
+
+def _jittered(starts, seed: int | None):
+    """Yield each start as an array; with a seed, every coordinate is
+    shifted by a ``random.Random(seed).gauss(0, 1e-3)`` draw, so equal
+    inputs and seeds give equal bits."""
+    rng = None if seed is None else random.Random(seed)
+    for x0 in starts:
+        x0 = np.asarray(x0, dtype=float)
+        if rng is not None:
+            x0 = x0 + [rng.gauss(0.0, 1e-3) for _ in range(x0.size)]
+        yield x0
 
 
 class _Simplex(NamedTuple):
@@ -245,16 +258,11 @@ def fit_decay(c: DecayCurve, fixed_t1_ph_s: float | None = None,
         model = a * np.exp(-np.sqrt(c.tau_s / t_dd) - c.tau_s / t_ph)
         return float(np.sum(w * (c.signal - model) ** 2))
 
-    rng = np.random.default_rng(seed) if seed is not None else None
-    results = []
-    for t_start in _t1_starts(c):
-        x0 = [np.log(a0), np.log(t_start)]
-        if free_ph:
-            x0.append(np.log(10.0 * c.tau_s[-1]))
-        x0 = np.asarray(x0)
-        if rng is not None:
-            x0 = x0 + rng.normal(scale=1e-3, size=x0.shape)
-        results.append(_run_simplex(objective, x0, c))
+    starts = [[np.log(a0), np.log(t_start)]
+              + ([np.log(10.0 * c.tau_s[-1])] if free_ph else [])
+              for t_start in _t1_starts(c)]
+    results = [_run_simplex(objective, x0, c)
+               for x0 in _jittered(starts, seed)]
 
     def build(best):
         t_ph = float(np.exp(best.x[2])) if free_ph else float(fixed_t1_ph_s)
@@ -286,15 +294,11 @@ def fit_beta(c: DecayCurve, seed: int | None = None) -> FitResult:
         model = a * np.exp(-((c.tau_s / t1) ** beta))
         return float(np.sum(w * (c.signal - model) ** 2))
 
-    rng = np.random.default_rng(seed) if seed is not None else None
     beta_starts = [0.4, 0.6, 0.8, 1.0, 1.2]
-    results = []
-    for t_start, b_start in zip(_t1_starts(c), beta_starts):
-        z0 = -np.log(1.5 / b_start - 1.0)
-        x0 = np.array([np.log(a0), np.log(t_start), z0])
-        if rng is not None:
-            x0 = x0 + rng.normal(scale=1e-3, size=x0.shape)
-        results.append(_run_simplex(objective, x0, c))
+    starts = [[np.log(a0), np.log(t_start), -np.log(1.5 / b_start - 1.0)]
+              for t_start, b_start in zip(_t1_starts(c), beta_starts)]
+    results = [_run_simplex(objective, x0, c)
+               for x0 in _jittered(starts, seed)]
 
     def build(best):
         model = DecayModel(t1_dd_s=float(np.exp(best.x[1])), t1_ph_s=np.inf,

@@ -473,29 +473,41 @@ def test_golden_output(name, tmp_path, monkeypatch):
 
 
 def test_only_a_mixed_overlap_loads_scipy(tmp_path, monkeypatch):
-    # a fresh interpreter, because this test session has SciPy loaded
+    # a fresh interpreter, because this test session has SciPy and
+    # numpy.random loaded; no command path may load numpy.random
     monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    shutil.copy(GOLDEN_DIR / "decay_curve.csv", tmp_path)
+    commands = [GOLDEN[name] for name in (
+        "fit_t1.json", "decay_curve.csv", "overlap.csv", "degeneracy.csv",
+        "spectrum.csv", "sensitivity.json")]
+    commands += [["fit-beta", "--input", "decay_curve.csv", "--seed", "3"],
+                 GOLDEN["overlap_mixed.csv"]]
     script = textwrap.dedent("""
+        import json
         import sys
         from nvcr.analysis import fit_beta, fit_decay
         from nvcr.cli import main
         from nvcr.serialize import read_decay_csv
 
-        def scipy_modules():
-            return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        def unwanted():
+            return [m for m in sys.modules if m.split(".")[0] == "scipy"
+                    or m.startswith("numpy.random")]
 
-        curve = read_decay_csv(sys.argv[1])
+        curve = read_decay_csv("decay_curve.csv")
         fit_decay(curve, fixed_t1_ph_s=3.62e-3, seed=3)
         fit_beta(curve)
-        assert not scipy_modules(), scipy_modules()
-        assert main(sys.argv[2:]) == 0
+        assert not unwanted(), unwanted()
+        *commands, mixed = json.loads(sys.argv[1])
+        for argv in commands:
+            assert main(argv) == 0, argv
+            assert not unwanted(), (argv, unwanted())
+        assert main(mixed) == 0
         assert "scipy.special" in sys.modules
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", script, str(GOLDEN_DIR / "decay_curve.csv"),
-         *GOLDEN["overlap_mixed.csv"]],
+        [sys.executable, "-c", script, json.dumps(commands)],
         cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
