@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -520,9 +521,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_vectors(argv) -> list[str]:
+    """Fold ``--direction -1,0,0`` into ``--direction=-1,0,0``: argparse
+    reads a value that starts with '-' and is no plain number as a flag."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--direction" and re.match(r"-[\d.]", token):
+            out[-1] = f"--direction={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_vectors(
+        sys.argv[1:] if argv is None else argv))
     # each --X-min-Y flag of the table must lie below its --X-max-Y partner
     for (low, *_), _ in _SUBCOMMANDS[args.command].flags:
         if "-min-" in low:

@@ -145,6 +145,18 @@ def test_version_flag(capsys):
     assert "nvcr" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, vector", [
+    (["transitions", "--n-b", "5"], "-1,0,0"),
+    (["spectrum", "--b-gauss", "3", "--n-freq", "9"], "-.5,1,0.25"),
+    (["degeneracy", "--n-b", "9"], "-1,-1,1"),
+])
+def test_direction_takes_a_leading_minus(argv, vector, tmp_path):
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert main(argv + ["--direction", vector, "--output", str(spaced)]) == 0
+    assert main(argv + [f"--direction={vector}", "--output", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
 def test_bad_flags_exit_2(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
