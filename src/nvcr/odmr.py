@@ -86,9 +86,11 @@ def _scan(direction: np.ndarray, amps: np.ndarray, e_perp_mhz: float,
     give the same bits.
     """
     frames = _frames(direction, amps)
-    lines = [_lines(frames, direction, amps[i:i + 1], e_perp_mhz, constants)
-             for i in range(amps.size)]
-    return frames, np.concatenate(lines) if lines else np.empty((0, 8))
+    lines = np.empty((amps.size, 8))
+    for i in range(amps.size):
+        lines[i] = _lines(frames, direction, amps[i:i + 1], e_perp_mhz,
+                          constants)[0]
+    return frames, lines
 
 
 def all_transitions(direction=None, b_amps_gauss=None,
