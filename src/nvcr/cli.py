@@ -21,6 +21,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+# before numpy loads: the CLI's linear algebra is 3x3 stacks, and idle
+# OpenBLAS pool workers spin on the CPU
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .analysis import (FitError, FitResult, LineProfile, LineShape, fit_beta,
@@ -131,32 +135,36 @@ def load_run_config(config_path: str | None, output_format: str | None = None,
                      else cfg_seed)
 
 
-def _number(cast=float, low: float | None = None, strict: bool = False):
+@dataclass(frozen=True)
+class _Number:
     """argparse type for a finite number, at least ``low`` if given
     (above it when ``strict``)."""
-    kind = "an integer" if cast is int else "a number"
 
-    def parse(text: str):
+    cast: type = float
+    low: float | None = None
+    strict: bool = False
+
+    def __call__(self, text: str):
+        kind = "an integer" if self.cast is int else "a number"
         try:
-            v = cast(text)
+            v = self.cast(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not {kind}: {text!r}")
         if not math.isfinite(v):
             raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-        if low is not None and (v < low or (strict and v == low)):
-            op = ">" if strict else ">="
+        low = self.low
+        if low is not None and (v < low or (self.strict and v == low)):
+            op = ">" if self.strict else ">="
             raise argparse.ArgumentTypeError(
                 f"must be {op} {low:g}, got {text}")
         return v
 
-    return parse
 
-
-_real = _number()
-_positive = _number(low=0.0, strict=True)
-_nonneg = _number(low=0.0)
-_count = _number(int, low=2)
-_seed = _number(int, low=0)
+_real = _Number()
+_positive = _Number(low=0.0, strict=True)
+_nonneg = _Number(low=0.0)
+_count = _Number(int, low=2)
+_seed = _Number(int, low=0)
 
 
 def _vector3(text: str) -> np.ndarray:
@@ -372,14 +380,15 @@ _INPUT = _flag("--input", required=True,
 _SHAPES = ("gaussian", "lorentzian")
 
 
-def _ramp(b_max: float, n_b: int) -> tuple:
-    """Field-amplitude ramp from 0 to ``b_max`` in ``n_b`` points."""
+def _ramp(b_max: float, n_b: int, n_min: int = 2) -> tuple:
+    """Field-amplitude ramp from 0 to ``b_max`` in ``n_b`` points, at
+    least ``n_min`` of them."""
     return (
         _flag("--b-min-gauss", type=_nonneg, default=0.0,
               help="lowest field amplitude (Gauss)"),
         _flag("--b-max-gauss", type=_positive, default=b_max,
               help="highest field amplitude (Gauss)"),
-        _flag("--n-b", type=_count, default=n_b,
+        _flag("--n-b", type=_Number(int, low=n_min), default=n_b,
               help="number of amplitude points"),
     )
 
@@ -433,7 +442,7 @@ _SUBCOMMANDS = {
     "degeneracy": _Subcommand(
         _cmd_degeneracy, "degeneracy",
         "line-pair gaps (MHz) vs field and crossing fields (Gauss)",
-        (_DIRECTION, *_ramp(30.0, 121), _E_PERP,
+        (_DIRECTION, *_ramp(30.0, 121, n_min=8), _E_PERP,
          _flag("--cr-range-mhz", type=_positive, default=DEFAULT_CR_RANGE_MHZ,
                help="interaction range the gaps must clear (MHz)"))),
     "spectrum": _Subcommand(

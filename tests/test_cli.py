@@ -15,7 +15,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from nvcr.cli import OUTPUT_DIR_ENV, build_parser, main
+from nvcr.cli import (_COMMON, _SUBCOMMANDS, OUTPUT_DIR_ENV, _Number,
+                      build_parser, main)
 
 SUBCOMMANDS = (
     "eigen-map", "transverse-scan", "eta-table", "multipliers",
@@ -164,6 +165,7 @@ def test_bad_flags_exit_2(tmp_path, monkeypatch):
                  ["fit-t1"],
                  ["frobnicate"],
                  ["transitions", "--b-max-gauss", "-5"],
+                 ["degeneracy", "--n-b", "3"],
                  ["transitions", "--direction", "1,2"],
                  ["transitions", "--direction", "1,nan,0"],
                  ["overlap", "--center1-mhz", "nan"],
@@ -204,6 +206,66 @@ def test_non_finite_result_exit_1_without_file(tmp_path, capsys):
     assert rc == 1
     assert json.loads(capsys.readouterr().out)["error"] == "ValueError"
     assert not out.exists()
+
+
+def _flag_kwargs(command):
+    return {names[0]: kw for names, kw in _COMMON + _SUBCOMMANDS[command].flags}
+
+
+def _floor(kw):
+    """The ``_Number`` type or integer choices that bound a flag, if any."""
+    kind = kw.get("type")
+    if isinstance(kind, _Number) and kind.low is not None:
+        return kind
+    return kw.get("choices") if isinstance(kw.get("choices"), range) else None
+
+
+# every (subcommand, flag) with a floor, an integer choice or a max partner
+_BOUNDED = [(command, flag) for command in _SUBCOMMANDS
+            for flag, kw in _flag_kwargs(command).items()
+            if _floor(kw) is not None or "-min-" in flag]
+
+
+@st.composite
+def _out_of_range(draw, command, flag):
+    """``--flag=value`` arguments of ``command`` with ``flag`` out of
+    range: at or below a positive or count floor, outside an integer
+    choice, or, for a --X-min-Y, at or above its --X-max-Y."""
+    flags = _flag_kwargs(command)
+    argv = [f"{name}=curve.csv" for name, kw in flags.items()
+            if kw.get("required")]
+    kind = _floor(flags[flag])
+    if "-min-" in flag and (kind is None or draw(st.booleans())):
+        top = draw(st.floats(1e-3, 1e3))
+        bottom = top * draw(st.floats(1.0, 10.0))
+        return argv + [f"{flag}={bottom!r}",
+                       f"{flag.replace('-min-', '-max-')}={top!r}"]
+    if isinstance(kind, range):
+        value = draw(st.one_of(st.integers(max_value=kind.start - 1),
+                               st.integers(min_value=kind.stop)))
+    elif kind.cast is int:
+        value = draw(st.integers(max_value=int(kind.low) - (not kind.strict)))
+    else:
+        value = draw(st.floats(max_value=kind.low, exclude_max=not kind.strict,
+                               allow_nan=False, allow_infinity=False))
+    return argv + [f"{flag}={value!r}"]
+
+
+@pytest.mark.parametrize("command, flag", _BOUNDED)
+@settings(max_examples=8,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_out_of_range_flags_exit_2_without_file(command, flag, data,
+                                                tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    argv = [command, *data.draw(_out_of_range(command, flag))]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2, argv
+    assert flag in capsys.readouterr().err, argv
+    assert not any(tmp_path.iterdir())
 
 
 _B_GAUSS = st.one_of(st.floats(0.0, 0.05), st.floats(0.0, 300.0))
@@ -484,6 +546,60 @@ def test_golden_output(name, tmp_path, monkeypatch):
     assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
 
 
+def _fresh_python(script, *args, cwd=None, env=None):
+    """Run ``script`` in a fresh interpreter that imports nvcr from src."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), *args], cwd=cwd,
+        env=env, capture_output=True, text=True)
+
+
+def test_import_nvcr_is_lazy():
+    done = _fresh_python("""
+        import sys
+        import nvcr
+
+        assert "numpy" not in sys.modules
+        assert [m for m in sys.modules if m.startswith("nvcr.")] == \\
+            ["nvcr.version"]
+        assert set(nvcr.__all__) <= set(dir(nvcr))
+        for name in nvcr.__all__:
+            getattr(nvcr, name)
+        names = {}
+        exec("from nvcr import *", names)
+        assert set(names) - {"__builtins__"} == set(nvcr.__all__)
+        assert not hasattr(nvcr, "no_such_name")
+        import nvcr.serialize
+        assert nvcr.serialize.write_csv and nvcr.odmr.degeneracy_lift is \\
+            nvcr.degeneracy_lift
+    """)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("4", "4")])
+def test_cli_runs_blas_on_one_thread_unless_set(preset, expected):
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    done = _fresh_python("""
+        import os
+        import nvcr.cli
+
+        tasks = "/proc/self/task"
+        threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else 1
+        print(os.environ["OPENBLAS_NUM_THREADS"], threads)
+    """, env=env)
+    assert done.returncode == 0, done.stderr
+    value, threads = done.stdout.split()
+    assert value == expected
+    if expected == "1":
+        assert threads == "1"      # numpy loaded, no BLAS worker started
+
+
 def test_only_a_mixed_overlap_loads_scipy(tmp_path, monkeypatch):
     # a fresh interpreter, because this test session has SciPy and
     # numpy.random loaded; no command path may load numpy.random
@@ -494,7 +610,7 @@ def test_only_a_mixed_overlap_loads_scipy(tmp_path, monkeypatch):
         "spectrum.csv", "sensitivity.json")]
     commands += [["fit-beta", "--input", "decay_curve.csv", "--seed", "3"],
                  GOLDEN["overlap_mixed.csv"]]
-    script = textwrap.dedent("""
+    script = """
         import json
         import sys
         from nvcr.analysis import fit_beta, fit_decay
@@ -515,13 +631,8 @@ def test_only_a_mixed_overlap_loads_scipy(tmp_path, monkeypatch):
             assert not unwanted(), (argv, unwanted())
         assert main(mixed) == 0
         assert "scipy.special" in sys.modules
-    """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(commands)],
-        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True)
+    """
+    done = _fresh_python(script, json.dumps(commands), cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "overlap_mixed.csv").read_bytes() == \
         (GOLDEN_DIR / "overlap_mixed.csv").read_bytes()
