@@ -11,6 +11,7 @@ and renders simple synthetic spectra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -123,9 +124,11 @@ class DegeneracyReport:
     Each pair gets the field where its gap first reaches
     ``cr_range_mhz`` (None when it never does).  Pairs whose gap is
     identically zero come from classes the direction cannot tell apart;
-    they are listed in ``degenerate_pairs`` and excluded from the
-    envelope.  ``all_separated_b_gauss`` is where the smallest
-    resolvable gap clears the range.
+    they are listed in ``degenerate_pairs``.  ``envelope_mhz`` is the
+    smallest gap of every same-branch class pair (six per branch) that
+    is not identically zero, and ``all_separated_b_gauss`` is where it
+    first clears the range: the lines of a branch can reorder along the
+    ramp, so pairs that are neighbors at its top do not cover it.
     """
 
     b_gauss: np.ndarray
@@ -138,16 +141,25 @@ class DegeneracyReport:
     cr_range_mhz: float
 
 
+def _pair(branch: int, a: int, b: int) -> tuple[str, int, int]:
+    """Classes ``a`` and ``b`` of a branch (0 lower, 1 upper): (label,
+    column, column) into the (n, 8) scan."""
+    label = f"{('lower', 'upper')[branch]}_{min(a, b) + 1}{max(a, b) + 1}"
+    return label, 2 * a + branch, 2 * b + branch
+
+
+# every same-branch class pair
+_CLASS_PAIRS = [_pair(branch, a, b) for branch in (0, 1)
+                for a, b in combinations(range(len(CLASS_AXES)), 2)]
+
+
 def _branch_pairs(freqs: np.ndarray) -> list[tuple[str, int, int]]:
     """Adjacent class pairs within each branch, ordered by frequency at
-    the top of the ramp (where the fan is widest): (label, column,
-    column) into the (n, 8) scan."""
+    the top of the ramp (where the fan is widest)."""
     pairs = []
-    for name, branch in (("lower", 0), ("upper", 1)):
+    for branch in (0, 1):
         order = np.argsort(freqs[-1, branch::2], kind="stable")
-        for a, b in zip(order[:-1], order[1:]):
-            label = f"{name}_{min(a, b) + 1}{max(a, b) + 1}"
-            pairs.append((label, 2 * a + branch, 2 * b + branch))
+        pairs += [_pair(branch, a, b) for a, b in zip(order[:-1], order[1:])]
     return pairs
 
 
@@ -205,13 +217,15 @@ def degeneracy_lift(direction=None, b_amps_gauss=None,
         return 0.5 * (lo + hi)
 
     resolved = np.max(dnu, axis=0) >= _DEGENERATE_MHZ
-    kept = [p for p, ok in zip(pairs, resolved) if ok]
+    gaps = _gaps_mhz(freqs, _CLASS_PAIRS)
+    distinct = np.max(gaps, axis=0) >= _DEGENERATE_MHZ
+    kept = [p for p, ok in zip(_CLASS_PAIRS, distinct) if ok]
     return DegeneracyReport(
         b_gauss=amps, pair_labels=[p[0] for p in pairs], dnu_mhz=dnu,
         pair_crossings_b_gauss=[crossing([p]) if ok else None
                                 for p, ok in zip(pairs, resolved)],
         degenerate_pairs=[p[0] for p, ok in zip(pairs, resolved) if not ok],
-        envelope_mhz=np.min(dnu[:, resolved], axis=1) if kept else None,
+        envelope_mhz=np.min(gaps[:, distinct], axis=1) if kept else None,
         all_separated_b_gauss=crossing(kept) if kept else None,
         cr_range_mhz=cr_range_mhz)
 

@@ -1,5 +1,7 @@
 """Transition fans, class degeneracy analysis, synthetic spectra."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,13 @@ def test_solver_calls_per_scan_and_refinement(monkeypatch):
     assert sorted(rounds[36:]) == sorted(3 * [0, 1, 2, 3])
 
 
+def _distinct_columns(lines):
+    """Column pairs of every same-branch class pair whose gap is not
+    identically zero along the scan ``lines``."""
+    return [(a, b) for a, b in combinations(range(8), 2) if a % 2 == b % 2
+            and np.max(np.abs(lines[:, a] - lines[:, b])) * 1e3 >= 1e-9]
+
+
 def _reference_crossing(direction, amps, e_perp, columns, cr_range):
     """First field where the smallest gap of the column pairs reaches
     ``cr_range``, bisected to 1e-9 G with single-point scans."""
@@ -166,18 +175,37 @@ def _reference_crossing(direction, amps, e_perp, columns, cr_range):
 def test_crossings_match_a_fine_bisection(direction, e_perp):
     amps = np.linspace(0.0, 30.0, 121)
     rep = degeneracy_lift(direction, amps, e_perp_mhz=e_perp)
-    kept = []
     for label, found in zip(rep.pair_labels, rep.pair_crossings_b_gauss):
         if label in rep.degenerate_pairs:
             continue
         branch = 0 if label.startswith("lower") else 1
         cols = (2 * (int(label[-2]) - 1) + branch,
                 2 * (int(label[-1]) - 1) + branch)
-        kept.append(cols)
         assert found == pytest.approx(_reference_crossing(
             direction, amps, e_perp, [cols], rep.cr_range_mhz), abs=1e-5)
+    kept = _distinct_columns(all_transitions(direction, amps, e_perp))
     assert rep.all_separated_b_gauss == pytest.approx(_reference_crossing(
         direction, amps, e_perp, kept, rep.cr_range_mhz), abs=1e-5)
+
+
+@pytest.mark.parametrize("b_max, n_b", [(300.0, 1201), (2000.0, 401)])
+def test_envelope_takes_every_same_branch_pair(b_max, n_b):
+    # lines of a branch reorder along the longer ramp: the pairs that are
+    # neighbors at its top clear 8.04 MHz by 50 G, but another pair stays
+    # closer until ~57.5 G
+    direction, amps = [1.0, 0.2, 0.05], np.linspace(0.0, b_max, n_b)
+    rep = degeneracy_lift(direction, amps)
+    lines = all_transitions(direction, amps)
+    kept = _distinct_columns(lines)
+    assert len(kept) == 12
+    envelope = np.min([np.abs(lines[:, a] - lines[:, b]) * 1e3
+                       for a, b in kept], axis=0)
+    assert np.array_equal(rep.envelope_mhz, envelope)
+    k = int(np.argmax(envelope >= rep.cr_range_mhz))
+    assert amps[k - 1] <= rep.all_separated_b_gauss <= amps[k]
+    assert rep.all_separated_b_gauss == pytest.approx(_reference_crossing(
+        direction, amps, DEFAULT_E_PERP_MHZ, kept, rep.cr_range_mhz),
+        abs=1e-5)
 
 
 def test_class_permutation_invariance():
