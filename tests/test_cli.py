@@ -209,7 +209,8 @@ def test_non_finite_result_exit_1_without_file(tmp_path, capsys):
 
 
 def _flag_kwargs(command):
-    return {names[0]: kw for names, kw in _COMMON + _SUBCOMMANDS[command].flags}
+    flags = _COMMON + _SUBCOMMANDS[command].flags
+    return {names[0]: kw for names, kw in flags}
 
 
 def _floor(kw):
@@ -229,8 +230,8 @@ _BOUNDED = [(command, flag) for command in _SUBCOMMANDS
 @st.composite
 def _out_of_range(draw, command, flag):
     """``--flag=value`` arguments of ``command`` with ``flag`` out of
-    range: at or below a positive or count floor, outside an integer
-    choice, or, for a --X-min-Y, at or above its --X-max-Y."""
+    range: below its floor (at it for a positive flag), outside its
+    integer choices, or, for a --X-min-Y, at or above its --X-max-Y."""
     flags = _flag_kwargs(command)
     argv = [f"{name}=curve.csv" for name, kw in flags.items()
             if kw.get("required")]
@@ -572,9 +573,10 @@ def test_import_nvcr_is_lazy():
         exec("from nvcr import *", names)
         assert set(names) - {"__builtins__"} == set(nvcr.__all__)
         assert not hasattr(nvcr, "no_such_name")
+        import nvcr.odmr
         import nvcr.serialize
-        assert nvcr.serialize.write_csv and nvcr.odmr.degeneracy_lift is \\
-            nvcr.degeneracy_lift
+        assert nvcr.odmr.degeneracy_lift is nvcr.degeneracy_lift
+        assert callable(nvcr.serialize.write_csv)
     """)
     assert done.returncode == 0, done.stderr
 
