@@ -41,7 +41,8 @@ __all__ = [
 # that spans a gap g leaves an eigen-residual of up to g, so the
 # tolerance must not exceed diagonalize's residual bound, 1e-10 * max(|H|, 1).
 _DEG_TOL = 1e-10
-_BLOCK = 512      # matrices per eigh call in diagonalize: bounds temporaries
+_BLOCK = 512      # matrices per solve in diagonalize and _solve_fields:
+                  # bounds temporaries
 
 
 def spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -219,6 +220,23 @@ def diagonalize(h: np.ndarray) -> SpinEigensystem:
                            vecs.reshape(shape + (3, 3)), overlaps)
 
 
+def _solve_fields(cls: NVClassFrame, b_gauss: np.ndarray,
+                  c: PhysicalConstants, **electric):
+    """Yield (slice, SpinEigensystem) for each block of ``_BLOCK`` points
+    of an (n, 3) crystal-frame field stack.
+
+    Only one block's Hamiltonians and eigenvectors are alive at a time;
+    ``electric`` holds the other FieldConfiguration fields.  Each matrix
+    is built and solved on its own, so the bits do not depend on the
+    blocking.  An empty stack still makes one (empty) block, so the
+    electric fields are checked.
+    """
+    for k in range(0, max(len(b_gauss), 1), _BLOCK):
+        s = slice(k, k + _BLOCK)
+        f = FieldConfiguration(b_gauss=b_gauss[s], **electric)
+        yield s, diagonalize(build_hamiltonian(cls, f, c))
+
+
 def eigenstate_map(cls: NVClassFrame, b_amplitude_gauss, theta_rad,
                    e_perp_mhz: float,
                    c: PhysicalConstants = DEFAULT_CONSTANTS):
@@ -241,10 +259,12 @@ def eigenstate_map(cls: NVClassFrame, b_amplitude_gauss, theta_rad,
         raise ValueError("amplitudes must be >= 0")
     tilt = (np.cos(theta_rad)[:, None] * cls.z_hat
             + np.sin(theta_rad)[:, None] * cls.x_hat)
-    f = FieldConfiguration(b_gauss=b_amplitude_gauss[:, None, None] * tilt,
-                           e_perp_mhz=e_perp_mhz)
-    es = diagonalize(build_hamiltonian(cls, f, c))
-    return es.overlaps["e_p1"], es.overlaps["e_plus"]
+    b = (b_amplitude_gauss[:, None, None] * tilt).reshape(-1, 3)
+    o_p1, o_plus = np.empty(len(b)), np.empty(len(b))
+    for s, es in _solve_fields(cls, b, c, e_perp_mhz=e_perp_mhz):
+        o_p1[s], o_plus[s] = es.overlaps["e_p1"], es.overlaps["e_plus"]
+    shape = (b_amplitude_gauss.size, theta_rad.size)
+    return o_p1.reshape(shape), o_plus.reshape(shape)
 
 
 def transverse_field_scan(cls: NVClassFrame, b_perp_gauss, e_perp_mhz: float,
@@ -282,9 +302,13 @@ def transverse_field_scan(cls: NVClassFrame, b_perp_gauss, e_perp_mhz: float,
     # keep the electric field along the scan direction so the d/e
     # splitting adds up coherently at all amplitudes
     phi_e = float(np.arctan2(direction @ cls.y_hat, direction @ cls.x_hat))
-    f = FieldConfiguration(b_gauss=b_perp_gauss[:, None] * direction,
-                           e_perp_mhz=e_perp_mhz, phi_e_rad=phi_e)
-    es = diagonalize(build_hamiltonian(cls, f, c))
-    energies = es.energies_ghz
-    matching = np.abs(es.e.conj() @ zero_field_states(phi_e)[2]) ** 2
+    ref = zero_field_states(phi_e)[2]
+    b = b_perp_gauss[:, None] * direction
+    energies, matching = np.empty((len(b), 3)), np.empty(len(b))
+    for s, es in _solve_fields(cls, b, c, e_perp_mhz=e_perp_mhz,
+                               phi_e_rad=phi_e):
+        energies[s] = es.energies_ghz
+        # a row sum, not a matrix-vector product, whose BLAS kernel
+        # rounds differently with the number of rows
+        matching[s] = np.abs((es.e.conj() * ref).sum(-1)) ** 2
     return energies, (energies[:, 2] - energies[:, 1]) * 1e3, matching

@@ -1,5 +1,7 @@
 """Single-center Hamiltonian: construction, eigenstructure, scans."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -276,3 +278,63 @@ def test_transverse_scan_rejects_non_orthogonal():
     with pytest.raises(ValueError):
         transverse_field_scan(frame, [10.0], e_perp_mhz=4.0,
                               direction=frame.z_hat)
+
+
+def test_empty_transverse_scan_still_checks_the_electric_field():
+    frame = class_frame(0)
+    energies, dnu, matching = transverse_field_scan(frame, [], 4.0)
+    assert energies.shape == (0, 3) and dnu.shape == matching.shape == (0,)
+    with pytest.raises(ValueError):
+        transverse_field_scan(frame, [], e_perp_mhz=-1.0)
+
+
+def _assert_same_bits(whole, rows):
+    for k, out in enumerate(whole):
+        assert out.tobytes() == np.concatenate([r[k] for r in rows]).tobytes()
+
+
+def test_grid_scans_equal_row_by_row_solves():
+    # 37 x 31 = 1147 field points: three solver blocks, the last partial
+    frame = class_frame(1)
+    b = np.linspace(0.0, 180.0, 37)
+    theta = np.linspace(0.0, np.pi / 2, 31)
+    _assert_same_bits(eigenstate_map(frame, b, theta, 4.0),
+                      [eigenstate_map(frame, b[i:i + 1], theta, 4.0)
+                       for i in range(b.size)])
+    b = np.linspace(0.0, 180.0, 1147)
+    _assert_same_bits(transverse_field_scan(frame, b, 4.0),
+                      [transverse_field_scan(frame, b[i:i + 1], 4.0)
+                       for i in range(b.size)])
+
+
+def _traced_peak(fn, *args):
+    """Peak traced heap (bytes) of ``fn(*args)`` and its result."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+_SCANS = {
+    "eigen-map": lambda frame, n: eigenstate_map(
+        frame, np.linspace(0.0, 150.0, n // 64),
+        np.linspace(0.0, np.pi / 2, 64), 4.0),
+    "transverse-scan": lambda frame, n: transverse_field_scan(
+        frame, np.linspace(0.0, 150.0, n), 4.0),
+}
+
+
+@pytest.mark.parametrize("scan", sorted(_SCANS))
+def test_grid_scan_memory_grows_only_by_fields_and_results(scan):
+    # past one solver block, a 4x grid may add to the peak only its
+    # (n, 3) field stack and the returned arrays; the Hamiltonians and
+    # eigenvectors stay one block in size
+    frame = class_frame(0)
+    run = _SCANS[scan]
+    run(frame, 1024)                      # warm up lazy imports and caches
+    small, _ = _traced_peak(run, frame, 1024)
+    large, out = _traced_peak(run, frame, 4096)
+    per_point = 3 * 8 + sum(a.nbytes for a in out) / 4096
+    assert large - small <= 3 * 1024 * per_point + 64 * 1024
