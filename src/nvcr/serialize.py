@@ -26,6 +26,9 @@ __all__ = [
 ]
 
 FLOAT_FMT = "%.10g"
+# rows formatted per write in write_csv; bounds the Python objects alive
+# at once (about 50 KB for four float columns)
+_CSV_CHUNK = 128
 
 
 def format_value(v) -> str:
@@ -79,9 +82,7 @@ def write_csv(path, names: list[str], columns, subcommand: str,
         if not _all_finite(c):
             raise ValueError(f"column {name!r} holds a non-finite value")
 
-    def cell(c, i):
-        return str(c[i]) if c.dtype.kind in "USO" else fmt % float(c[i])
-
+    row = ",".join("%s" if c.dtype.kind in "USO" else fmt for c in cols) + "\n"
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in header_lines(subcommand, params):
@@ -89,8 +90,11 @@ def write_csv(path, names: list[str], columns, subcommand: str,
         for line in extra_comments or ():
             fh.write(f"# {line}\n")
         fh.write(",".join(names) + "\n")
-        for i in range(n):
-            fh.write(",".join(cell(c, i) for c in cols) + "\n")
+        # a bounded chunk of rows at a time: the text of the whole table
+        # is never held in memory
+        for k in range(0, n, _CSV_CHUNK):
+            chunk = zip(*(c[k:k + _CSV_CHUNK].tolist() for c in cols))
+            fh.write("".join(row % cells for cells in chunk))
     return path
 
 

@@ -45,6 +45,21 @@ def test_write_csv_roundtrip(tmp_path):
     assert text[6] == "q,0.6666666667"
 
 
+def test_write_csv_matches_cell_by_cell_formatting(tmp_path):
+    # 1100 rows: several write chunks, the last one partial
+    rng = np.random.default_rng(3)
+    cols = [rng.normal(size=1100) * 10.0 ** rng.integers(-12, 12, 1100),
+            np.arange(1100), np.array([f"r{i}" for i in range(1100)]),
+            np.array([np.float64(0.1), "", 3] * 366 + [True, 2.5],
+                     dtype=object)]
+    path = write_csv(tmp_path / "out.csv", ["x", "i", "s", "o"], cols,
+                     "demo", {})
+    rows = "".join(",".join(str(c[i]) if c.dtype.kind in "USO"
+                            else "%.10g" % float(c[i]) for c in cols) + "\n"
+                   for i in range(1100))
+    assert path.read_text().endswith("\nx,i,s,o\n" + rows)
+
+
 def test_write_csv_validation(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "bad.csv", ["a"], [np.ones(3), np.ones(3)],
