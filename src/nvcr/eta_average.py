@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -139,8 +140,14 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 _KERNEL_NODES = 32  # Gauss-Legendre nodes below the kink of the pair kernel
 
 
+@cache
 def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights on [-1, 1], made once per ``n``
+    and shared, so read-only."""
+    nodes = np.polynomial.legendre.leggauss(n)
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
 
 
 def _pair_kernel_batch(cosines) -> np.ndarray:

@@ -19,8 +19,8 @@ from nvcr import (
     scenario_frames,
     scenario_multiplier,
 )
-from nvcr.eta_average import (ETA_PREFACTOR, _pair_kernel_batch, eta_table,
-                              multiplier_table)
+from nvcr.eta_average import (ETA_PREFACTOR, _gl_nodes, _pair_kernel_batch,
+                              eta_table, multiplier_table)
 
 # properties that hold at any resolution run on a cheap grid with the
 # convergence ladder effectively off
@@ -186,6 +186,15 @@ def _kernel_reference(c: float) -> float:
     t_kink = np.sqrt(1.0 - (2.0 / 3.0) * abs(c) / (1.0 + abs(c)))
     return integrate.quad(over_psi, 0.0, 1.0, points=[t_kink], epsabs=1e-13,
                           epsrel=1e-13, limit=200)[0]
+
+
+def test_gauss_legendre_nodes_are_made_once_and_read_only():
+    x, w = _gl_nodes(12)
+    assert _gl_nodes(12)[0] is x
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    ref = np.polynomial.legendre.leggauss(12)
+    assert x.tobytes() == ref[0].tobytes() and w.tobytes() == ref[1].tobytes()
 
 
 def test_kernel_closed_values():
