@@ -138,11 +138,14 @@ def load_run_config(config_path: str | None, output_format: str | None = None,
 @dataclass(frozen=True)
 class _Number:
     """argparse type for a finite number, at least ``low`` if given
-    (above it when ``strict``)."""
+    (above it when ``strict``) and at most ``high`` if given (below it
+    when ``high_strict``)."""
 
     cast: type = float
     low: float | None = None
     strict: bool = False
+    high: float | None = None
+    high_strict: bool = False
 
     def __call__(self, text: str):
         kind = "an integer" if self.cast is int else "a number"
@@ -152,11 +155,15 @@ class _Number:
             raise argparse.ArgumentTypeError(f"not {kind}: {text!r}")
         if not math.isfinite(v):
             raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-        low = self.low
+        low, high = self.low, self.high
         if low is not None and (v < low or (self.strict and v == low)):
             op = ">" if self.strict else ">="
             raise argparse.ArgumentTypeError(
                 f"must be {op} {low:g}, got {text}")
+        if high is not None and (v > high or (self.high_strict and v == high)):
+            op = "<" if self.high_strict else "<="
+            raise argparse.ArgumentTypeError(
+                f"must be {op} {high:g}, got {text}")
         return v
 
 
@@ -455,7 +462,8 @@ _SUBCOMMANDS = {
                help="line width parameter (MHz)"),
          _flag("--shape", choices=_SHAPES, default="lorentzian",
                help="line profile shape"),
-         _flag("--contrast", type=_positive, default=0.02,
+         _flag("--contrast", type=_Number(low=0.0, strict=True, high=1.0,
+                                          high_strict=True), default=0.02,
                help="fractional dip depth per line"),
          _flag("--f-min-ghz", type=_positive,
                help="lowest probe frequency (GHz)"),
@@ -472,7 +480,8 @@ _SUBCOMMANDS = {
                help="phonon decay timescale (seconds; omit for none)"),
          _flag("--amplitude", type=_positive, default=1.0,
                help="signal amplitude at tau=0 (dimensionless)"),
-         _flag("--beta", type=_positive, default=0.5,
+         _flag("--beta", type=_Number(low=0.0, strict=True, high=1.5),
+               default=0.5,
                help="stretch exponent (stretched mode only)"),
          _flag("--mode", choices=("two_channel", "stretched"),
                default="two_channel", help="decay law"),

@@ -171,6 +171,8 @@ def test_bad_flags_exit_2(tmp_path, monkeypatch):
                  ["overlap", "--center1-mhz", "nan"],
                  ["spectrum", "--linewidth-mhz", "inf"],
                  ["decay-sim", "--amplitude", "inf"],
+                 ["spectrum", "--contrast", "1"],
+                 ["decay-sim", "--beta", "1.6"],
                  ["sensitivity", "--sigma-b-t", "inf"],
                  ["eigen-map", "--b-min-gauss", "50", "--b-max-gauss", "10"],
                  ["transverse-scan", "--b-min-gauss", "9", "--b-max-gauss",
@@ -230,8 +232,9 @@ _BOUNDED = [(command, flag) for command in _SUBCOMMANDS
 @st.composite
 def _out_of_range(draw, command, flag):
     """``--flag=value`` arguments of ``command`` with ``flag`` out of
-    range: below its floor (at it for a positive flag), outside its
-    integer choices, or, for a --X-min-Y, at or above its --X-max-Y."""
+    range: below its floor (at it for a positive flag), above its
+    ceiling (at it for an open one), outside its integer choices, or,
+    for a --X-min-Y, at or above its --X-max-Y."""
     flags = _flag_kwargs(command)
     argv = [f"{name}=curve.csv" for name, kw in flags.items()
             if kw.get("required")]
@@ -244,6 +247,10 @@ def _out_of_range(draw, command, flag):
     if isinstance(kind, range):
         value = draw(st.one_of(st.integers(max_value=kind.start - 1),
                                st.integers(min_value=kind.stop)))
+    elif kind.high is not None and draw(st.booleans()):
+        value = draw(st.floats(min_value=kind.high,
+                               exclude_min=not kind.high_strict,
+                               allow_nan=False, allow_infinity=False))
     elif kind.cast is int:
         value = draw(st.integers(max_value=int(kind.low) - (not kind.strict)))
     else:
