@@ -138,13 +138,41 @@ class ConvergenceError(RuntimeError):
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 _KERNEL_NODES = 32  # Gauss-Legendre nodes below the kink of the pair kernel
+_NEWTON_STEPS = 10  # cap on the Newton iterations of _gl_nodes
+_BLOCK = 2048       # sphere nodes per block of whole theta rows
+
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
 
 
 @cache
 def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], made once per ``n``
-    and shared, so read-only."""
-    nodes = np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], made once
+    per ``n`` and shared, so read-only.
+
+    Newton's method on the recurrence from x_k = cos(pi (k - 1/4) /
+    (n + 1/2)), weights 2 / ((1 - x^2) P_n'(x)^2), then symmetrized
+    (Hale & Townsend, SIAM J. Sci. Comput. 35, A652, 2013).
+    """
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(_NEWTON_STEPS):
+        p, dp = _legendre(n, x)
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(dx)) <= 1e-15:
+            break
+    else:
+        raise ConvergenceError(
+            f"Gauss-Legendre nodes for n={n} did not settle in "
+            f"{_NEWTON_STEPS} Newton steps")
+    _, dp = _legendre(n, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    nodes = (0.5 * (x - x[::-1]), 0.5 * (w + w[::-1]))
     for a in nodes:
         a.flags.writeable = False
     return nodes
@@ -201,19 +229,24 @@ def _relative_triad(z1: np.ndarray, z2: np.ndarray):
     return e1, e2, e3
 
 
-def _sphere_nodes_in_triad(n_theta: int, n_phi: int, triad):
+def _sphere_node_blocks(n_theta: int, n_phi: int, triad):
+    """Yield (u, weight) of the product sphere grid in blocks of whole
+    theta rows, about ``_BLOCK`` nodes each (one row when n_phi alone
+    exceeds it), so no full grid is ever held."""
     e1, e2, e3 = triad
     t, w = _gl_nodes(n_theta)
     phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    ct = np.repeat(t, n_phi)
-    st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
-    cp = np.tile(np.cos(phi), n_theta)
-    sp = np.tile(np.sin(phi), n_theta)
-    # polar axis e3 so u covers the sphere relative to the pair plane
-    u = (st * cp)[:, None] * e1[None, :] + (st * sp)[:, None] * e2[None, :] \
-        + ct[:, None] * e3[None, :]
-    weight = np.repeat(w, n_phi) / (2.0 * n_phi)
-    return u, weight
+    cp, sp = np.cos(phi), np.sin(phi)
+    rows = max(1, _BLOCK // n_phi)
+    for k in range(0, n_theta, rows):
+        tk = t[k:k + rows]
+        ct = np.repeat(tk, n_phi)
+        st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
+        # polar axis e3 so u covers the sphere relative to the pair plane
+        u = (st * np.tile(cp, len(tk)))[:, None] * e1[None, :] \
+            + (st * np.tile(sp, len(tk)))[:, None] * e2[None, :] \
+            + ct[:, None] * e3[None, :]
+        yield u, np.repeat(w[k:k + rows], n_phi) / (2.0 * n_phi)
 
 
 def _magnetic_pair_average(z1: np.ndarray, z2: np.ndarray,
@@ -224,16 +257,17 @@ def _magnetic_pair_average(z1: np.ndarray, z2: np.ndarray,
         # axial symmetry: |M| = |3 (u.z)^2 - 1| / 2, half the kernel at c = 1
         return 0.5 * float(_pair_kernel_batch(1.0)[0])
     triad = _relative_triad(z1, z2)
-    u, w = _sphere_nodes_in_triad(n_theta, n_phi, triad)
     x_shared = triad[2]                  # normal to both axes
     y1 = np.cross(z1, x_shared)
     y2 = np.cross(z2, x_shared)
-    # c_i = x_i + i y_i; the flip-flop element is (3 p1 p2 - s12)/2
-    p1 = (u @ x_shared) - 1j * (u @ y1)
-    p2 = (u @ x_shared) + 1j * (u @ y2)
     s12 = (1.0 + y1 @ y2) + 1j * (x_shared @ y2 - y1 @ x_shared)
-    m = 0.5 * np.abs(3.0 * p1 * p2 - s12)
-    return float(m @ w)
+    total = 0.0
+    for u, w in _sphere_node_blocks(n_theta, n_phi, triad):
+        # c_i = x_i + i y_i; the flip-flop element is (3 p1 p2 - s12)/2
+        p1 = (u @ x_shared) - 1j * (u @ y1)
+        p2 = (u @ x_shared) + 1j * (u @ y2)
+        total += float(0.5 * np.abs(3.0 * p1 * p2 - s12) @ w)
+    return total
 
 
 def _nonmagnetic_pair_average(z1: np.ndarray, z2: np.ndarray, x_mode: XMode,
@@ -259,19 +293,18 @@ def _nonmagnetic_pair_average(z1: np.ndarray, z2: np.ndarray, x_mode: XMode,
             return float(_pair_kernel_batch(1.0)[0])
         # distinct axes: project a shared direction F, uniform over the
         # sphere, onto each transverse plane
-        triad = _relative_triad(z1, z2)
-        f, wf = _sphere_nodes_in_triad(n_psi, n_psi, triad)
-
-        def in_plane(zhat):
+        def in_plane(f, zhat):
             p = f - np.outer(f @ zhat, zhat)
             n = np.linalg.norm(p, axis=1)
             n[n < 1e-12] = 1.0  # measure-zero poles; numerator is ~0 there
             return p / n[:, None]
 
-        p1 = in_plane(z1)
-        p2 = in_plane(z2)
-        c = np.clip(np.sum(p1 * p2, axis=1), -1.0, 1.0)
-        return float(_pair_kernel_batch(c) @ wf)
+        total = 0.0
+        for f, wf in _sphere_node_blocks(n_psi, n_psi,
+                                         _relative_triad(z1, z2)):
+            c = np.sum(in_plane(f, z1) * in_plane(f, z2), axis=1)
+            total += float(_pair_kernel_batch(np.clip(c, -1.0, 1.0)) @ wf)
+        return total
     # RANDOM mode: independent uniform azimuths psi_1, psi_2 of the two
     # in-plane axes; x1.x2 = cos(psi1)cos(psi2) + (z1.z2) sin(psi1)sin(psi2)
     psi = np.linspace(0.0, 2.0 * np.pi, n_psi, endpoint=False)

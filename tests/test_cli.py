@@ -609,6 +609,21 @@ def test_cli_runs_blas_on_one_thread_unless_set(preset, expected):
         assert threads == "1"      # numpy loaded, no BLAS worker started
 
 
+def test_tables_load_no_numpy_polynomial(tmp_path):
+    # Gauss-Legendre nodes come from a Newton iteration, not from
+    # numpy.polynomial's companion-matrix eigenvalues
+    env = {k: v for k, v in os.environ.items() if k != OUTPUT_DIR_ENV}
+    done = _fresh_python("""
+        import sys
+        from nvcr.cli import main
+
+        for argv in (["eta-table"], ["multipliers"]):
+            assert main(argv) == 0, argv
+            assert "numpy.polynomial" not in sys.modules, argv
+    """, cwd=tmp_path, env=env)
+    assert done.returncode == 0, done.stderr
+
+
 def test_only_a_mixed_overlap_loads_scipy(tmp_path, monkeypatch):
     # a fresh interpreter, because this test session has SciPy and
     # numpy.random loaded; no command path may load numpy.random

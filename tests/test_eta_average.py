@@ -1,5 +1,7 @@
 """Solid-angle averages and scenario rate multipliers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -19,8 +21,12 @@ from nvcr import (
     scenario_frames,
     scenario_multiplier,
 )
-from nvcr.eta_average import (ETA_PREFACTOR, _gl_nodes, _pair_kernel_batch,
-                              eta_table, multiplier_table)
+from nvcr import eta_average
+from nvcr.eta_average import (_BLOCK, ETA_PREFACTOR, _gl_nodes,
+                              _magnetic_pair_average,
+                              _nonmagnetic_pair_average, _pair_kernel_batch,
+                              _relative_triad, _sphere_node_blocks, eta_table,
+                              multiplier_table)
 
 # properties that hold at any resolution run on a cheap grid with the
 # convergence ladder effectively off
@@ -188,13 +194,114 @@ def _kernel_reference(c: float) -> float:
                           epsrel=1e-13, limit=200)[0]
 
 
+# the six positive nodes and their weights of the 12-point rule, from a
+# 40-digit Newton iteration in mpmath
+_GL12 = [
+    ("0.1252334085114689154724", "0.2491470458134027850006"),
+    ("0.3678314989981801937527", "0.2334925365383548087608"),
+    ("0.5873179542866174472967", "0.2031674267230659217491"),
+    ("0.7699026741943046870369", "0.1600783285433462263347"),
+    ("0.9041172563704748566785", "0.1069393259953184309603"),
+    ("0.9815606342467192506905", "0.04717533638651182719462"),
+]
+
+
 def test_gauss_legendre_nodes_are_made_once_and_read_only():
     x, w = _gl_nodes(12)
     assert _gl_nodes(12)[0] is x
     with pytest.raises(ValueError):
         w[0] = 0.0
-    ref = np.polynomial.legendre.leggauss(12)
-    assert x.tobytes() == ref[0].tobytes() and w.tobytes() == ref[1].tobytes()
+    ref_x = np.array([float(a) for a, _ in _GL12])
+    ref_w = np.array([float(b) for _, b in _GL12])
+    ref_x = np.concatenate([-ref_x[::-1], ref_x])
+    ref_w = np.concatenate([ref_w[::-1], ref_w])
+    np.testing.assert_allclose(x, ref_x, rtol=0.0, atol=2e-16)
+    np.testing.assert_allclose(w, ref_w, rtol=2e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [8, 32, 128])
+def test_gauss_legendre_rule_is_exact_to_degree_2n_minus_1(n):
+    x, w = _gl_nodes(n)
+    for k in range(2 * n):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(w @ x ** k - exact) <= 1e-14, k
+
+
+def test_gauss_legendre_newton_that_does_not_settle_raises(monkeypatch):
+    monkeypatch.setattr(eta_average, "_NEWTON_STEPS", 1)
+    with pytest.raises(ConvergenceError, match="Newton"):
+        _gl_nodes.__wrapped__(40)
+
+
+def _one_block(n_theta, n_phi, triad):
+    """The whole product grid of _sphere_node_blocks as a single block."""
+    e1, e2, e3 = triad
+    t, w = _gl_nodes(n_theta)
+    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    ct = np.repeat(t, n_phi)
+    st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
+    u = np.outer(st * np.tile(np.cos(phi), n_theta), e1) \
+        + np.outer(st * np.tile(np.sin(phi), n_theta), e2) + np.outer(ct, e3)
+    yield u, np.repeat(w, n_phi) / (2.0 * n_phi)
+
+
+def _blocked_and_whole(monkeypatch, average, n_theta, n_phi, triad):
+    """``average()`` on the row blocks and on one block; the blocks must
+    split the grid (more than one of them) and rebuild it exactly."""
+    blocks = list(_sphere_node_blocks(n_theta, n_phi, triad))
+    assert len(blocks) > 1
+    assert all(len(w) <= max(_BLOCK, n_phi) for _, w in blocks)
+    (u, w), = _one_block(n_theta, n_phi, triad)
+    np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), u)
+    np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), w)
+    blocked = average()
+    monkeypatch.setattr(eta_average, "_sphere_node_blocks", _one_block)
+    return blocked, average()
+
+
+# odd sizes; a partial last block; n_phi above the block size (one row a block)
+@pytest.mark.parametrize("n_theta, n_phi", [(75, 37), (33, 63), (9, 2051)])
+def test_blocked_magnetic_average_equals_one_block(monkeypatch, n_theta,
+                                                   n_phi):
+    f1, f2 = scenario_frames(ZAngle.FAR)
+    blocked, whole = _blocked_and_whole(
+        monkeypatch, lambda: _magnetic_pair_average(
+            f1.z_hat, f2.z_hat, n_theta, n_phi),
+        n_theta, n_phi, _relative_triad(f1.z_hat, f2.z_hat))
+    assert abs(blocked - whole) <= 1e-14
+
+
+@pytest.mark.parametrize("n_psi", [63, 75])
+def test_blocked_aligned_average_equals_one_block(monkeypatch, n_psi):
+    f1, f2 = scenario_frames(ZAngle.CLOSE)
+    blocked, whole = _blocked_and_whole(
+        monkeypatch, lambda: _nonmagnetic_pair_average(
+            f1.z_hat, f2.z_hat, XMode.ALIGNED, n_psi),
+        n_psi, n_psi, _relative_triad(f1.z_hat, f2.z_hat))
+    assert abs(blocked - whole) <= 1e-14
+
+
+def _traced_peak(fn, *args):
+    """Peak traced heap (bytes) of ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_magnetic_average_memory_stays_one_block():
+    # 64x more sphere nodes may not grow the heap peak: the grid is held
+    # one block of whole rows at a time
+    f1, f2 = scenario_frames(ZAngle.CLOSE)
+
+    def run(n):
+        return _magnetic_pair_average(f1.z_hat, f2.z_hat, n, n)
+
+    for n in (64, 512):                   # warm up the cached nodes
+        run(n)
+    assert _traced_peak(run, 512) - _traced_peak(run, 64) <= 64 * 1024
 
 
 def test_kernel_closed_values():
