@@ -402,12 +402,16 @@ def _memoized_average(q: QuadratureSpec):
 
     The dict lives only as long as the returned function, so a table
     evaluates each distinct average once per call and nothing is kept
-    between calls.
+    between calls.  A zero-field-basis FAR request reuses CLOSE: K is
+    even and z2 -> -z2 leaves both in-plane axis sets unchanged, so the
+    two are one integral.
     """
     cache = {}
 
     def average(basis: BasisChoice, z_angle: ZAngle,
                 x_mode: XMode = XMode.RANDOM) -> float:
+        if basis is BasisChoice.NONMAGNETIC and z_angle is ZAngle.FAR:
+            z_angle = ZAngle.CLOSE
         key = (basis, z_angle, x_mode)
         if key not in cache:
             cache[key] = angular_average(EtaScenario(basis, z_angle, x_mode), q)

@@ -348,4 +348,4 @@ def test_tables_evaluate_each_average_once(monkeypatch):
     assert len(calls) == 5   # magnetic same/close/far, nonmagnetic same/close
     calls.clear()
     eta_table()
-    assert len(calls) == 9
+    assert len(calls) == 7   # zero-field-basis far reuses close
