@@ -121,7 +121,10 @@ def load_run_config(config_path: str | None, output_format: str | None = None,
             except ValueError as exc:
                 raise UsageError(f"bad constants override: {exc}") from exc
         if quad_over:
-            quad = replace(quad, **quad_over)
+            try:
+                quad = replace(quad, **quad_over)
+            except ValueError as exc:
+                raise UsageError(f"bad quadrature override: {exc}") from exc
         if "output_dir" in values:
             out_dir = Path(values["output_dir"])
         if "format" in values:

@@ -119,8 +119,10 @@ class QuadratureSpec:
         for name in ("n_theta", "n_phi", "n_psi"):
             if getattr(self, name) < 8:
                 raise ValueError(f"{name} must be >= 8")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not (np.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ValueError("tolerance must be positive and finite")
+        if self.max_doublings < 0:
+            raise ValueError("max_doublings must be >= 0")
 
     def scaled(self, factor: float) -> "QuadratureSpec":
         return replace(
@@ -362,12 +364,13 @@ def pair_average(frame1: NVClassFrame, frame2: NVClassFrame,
     for k in range(q.max_doublings + 1):
         factor = float(2 ** (k + 1)) if at_floor else float(2 ** k)
         cur = rung(q.scaled(factor))
-        if abs(cur - prev) < q.tolerance:
+        change = abs(cur - prev)
+        if change < q.tolerance:
             return cur
         prev = cur
     raise ConvergenceError(
         f"angular average did not settle within tolerance {q.tolerance:g}; "
-        f"last change {abs(cur - prev):.3e} at {2 ** q.max_doublings}x resolution")
+        f"last change {change:.3e} at {factor:g}x resolution")
 
 
 def angular_average(s: EtaScenario, q: QuadratureSpec = DEFAULT_QUADRATURE) -> float:

@@ -542,6 +542,72 @@ def test_config_rejects_bad_syntax(tmp_path):
     assert main(["sensitivity", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("line", ["max_doublings = -1", "tolerance = nan",
+                                  "tolerance = inf", "n_theta = 4"])
+def test_config_rejects_bad_quadrature(line, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "eta.csv"
+    assert main(["eta-table", "--config", str(cfg), "--output", str(out)]) \
+        == 2, line
+    assert "bad quadrature override" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_QUAD_IN_RANGE = {
+    "n_theta": st.integers(8, 40), "n_phi": st.integers(8, 40),
+    "n_psi": st.integers(8, 40), "max_doublings": st.integers(0, 3),
+    "tolerance": st.floats(1e-12, 1.0),
+}
+_QUAD_OUT_OF_RANGE = {
+    k: st.one_of(low, st.sampled_from(["nan", "inf", "-inf"]))
+    for k, low in [("n_theta", st.integers(max_value=7)),
+                   ("n_phi", st.integers(max_value=7)),
+                   ("n_psi", st.integers(max_value=7)),
+                   ("max_doublings", st.integers(max_value=-1)),
+                   ("tolerance", st.floats(max_value=0.0, allow_nan=False))]
+}
+
+
+@st.composite
+def _quadrature_lines(draw):
+    """Config lines for some quadrature keys, and whether one of them is
+    out of range or non-finite."""
+    keys = draw(st.lists(st.sampled_from(sorted(_QUAD_IN_RANGE)),
+                         min_size=1, unique=True))
+    values = {k: draw(_QUAD_IN_RANGE[k]) for k in keys}
+    bad = draw(st.booleans())
+    if bad:
+        key = draw(st.sampled_from(keys))
+        values[key] = draw(_QUAD_OUT_OF_RANGE[key])
+    return [f"{k} = {v}" for k, v in values.items()], bad
+
+
+@settings(max_examples=25,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=_quadrature_lines())
+def test_quadrature_config_lines_follow_the_exit_contract(drawn, tmp_path,
+                                                          capsys):
+    lines, bad = drawn
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "eta.csv"
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    rc = main(["eta-table", "--config", str(cfg), "--output", str(out)])
+    if bad:
+        assert rc == 2 and not out.exists(), lines
+    elif rc == 1:
+        diag = json.loads(capsys.readouterr().out)
+        assert diag["error"] == "ConvergenceError", lines
+        assert not out.exists(), lines
+    else:
+        assert rc == 0, lines
+        _, _, rows = _read_csv(out)
+        assert np.all(np.isfinite(np.array([r[1:] for r in rows],
+                                           dtype=float))), lines
+
+
 def test_golden_flags():
     # defaults a golden command overrides are pinned here instead
     assert _parser_surface() == (GOLDEN_DIR / "flags.txt").read_text()

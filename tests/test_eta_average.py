@@ -112,7 +112,11 @@ def test_convergence_error_diagnostics():
         angular_average(EtaScenario(BasisChoice.MAGNETIC, ZAngle.CLOSE),
                         impossible)
     assert "tolerance" in str(err.value)
-    assert "resolution" in str(err.value)
+    # at the resolution floor the ladder's last rung is the doubled one,
+    # and the change reported is that rung's, not zero
+    assert "at 2x resolution" in str(err.value)
+    change = float(str(err.value).split("last change ")[1].split()[0])
+    assert change >= impossible.tolerance
 
 
 @pytest.mark.parametrize("scenario, spec", [
@@ -166,6 +170,11 @@ def test_quadrature_spec_validation():
         QuadratureSpec(n_theta=4, n_phi=16, n_psi=16, tolerance=1e-3)
     with pytest.raises(ValueError):
         QuadratureSpec(n_theta=16, n_phi=16, n_psi=16, tolerance=0.0)
+    for tolerance in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureSpec(tolerance=tolerance)
+    with pytest.raises(ValueError, match="max_doublings"):
+        QuadratureSpec(max_doublings=-1)
 
 
 def test_quadrature_scaling():
