@@ -26,7 +26,11 @@ within tolerance; for zero-field-basis averages only n_psi matters.
 The axially symmetric magnetic case is half the kernel at c = 1.  All
 node sets are built in a triad derived from the pair geometry itself,
 so every average is invariant under a common rotation of the frames to
-rounding accuracy.
+rounding accuracy.  Sphere grids (magnetic averages, ALIGNED field
+directions) are generated and summed in blocks of whole theta rows of
+about _BLOCK nodes, so no full grid is held.  Gauss-Legendre nodes come
+from Newton's method on the Legendre recurrence, with no eigenvalue
+solve.
 """
 
 from __future__ import annotations
