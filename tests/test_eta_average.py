@@ -220,12 +220,11 @@ def test_gauss_legendre_nodes_are_made_once_and_read_only():
     assert _gl_nodes(12)[0] is x
     with pytest.raises(ValueError):
         w[0] = 0.0
-    ref_x = np.array([float(a) for a, _ in _GL12])
-    ref_w = np.array([float(b) for _, b in _GL12])
-    ref_x = np.concatenate([-ref_x[::-1], ref_x])
-    ref_w = np.concatenate([ref_w[::-1], ref_w])
-    np.testing.assert_allclose(x, ref_x, rtol=0.0, atol=2e-16)
-    np.testing.assert_allclose(w, ref_w, rtol=2e-15, atol=0.0)
+    half = np.array([[float(v) for v in row] for row in _GL12])
+    np.testing.assert_allclose(x, np.r_[-half[::-1, 0], half[:, 0]],
+                               rtol=0.0, atol=2e-16)
+    np.testing.assert_allclose(w, np.r_[half[::-1, 1], half[:, 1]],
+                               rtol=2e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("n", [8, 32, 128])
