@@ -4,9 +4,9 @@ Fits use a derivative-free simplex over log-parameterized timescales
 (positivity by construction) with several deterministic starting
 points; the best residual wins.  The simplex is an in-package port of
 SciPy's Nelder-Mead, so the command path never imports SciPy.
-Spectral overlaps of analytic line pairs are closed-form convolutions
-(only a mixed Gaussian/Lorentzian pair loads ``scipy.special`` for the
-Voigt profile); a tabulated profile is integrated numerically.
+Spectral overlaps of Gaussian and Lorentzian lines are closed-form
+convolutions (only a mixed pair loads ``scipy.special`` for the Voigt
+profile).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .relaxation import DecayModel, decay_signal
+from .relaxation import DecayModel
 
 __all__ = [
     "DecayCurve",
@@ -74,7 +74,6 @@ class DecayCurve:
 @dataclass(frozen=True)
 class FitResult:
     model: DecayModel
-    mode: str
     residual_rss: float
     converged: bool
     iterations: int
@@ -268,8 +267,7 @@ def fit_decay(c: DecayCurve, fixed_t1_ph_s: float | None = None,
         t_ph = float(np.exp(best.x[2])) if free_ph else float(fixed_t1_ph_s)
         model = DecayModel(t1_dd_s=float(np.exp(best.x[1])), t1_ph_s=t_ph,
                            amplitude=float(np.exp(best.x[0])), beta=0.5)
-        return FitResult(model=model, mode="two_channel",
-                         residual_rss=float(best.fun),
+        return FitResult(model=model, residual_rss=float(best.fun),
                          converged=bool(best.success),
                          iterations=int(best.nit))
 
@@ -304,8 +302,7 @@ def fit_beta(c: DecayCurve, seed: int | None = None) -> FitResult:
         model = DecayModel(t1_dd_s=float(np.exp(best.x[1])), t1_ph_s=np.inf,
                            amplitude=float(np.exp(best.x[0])),
                            beta=float(beta_of(best.x[2])))
-        return FitResult(model=model, mode="stretched",
-                         residual_rss=float(best.fun),
+        return FitResult(model=model, residual_rss=float(best.fun),
                          converged=bool(best.success),
                          iterations=int(best.nit))
 
@@ -315,52 +312,30 @@ def fit_beta(c: DecayCurve, seed: int | None = None) -> FitResult:
 class LineShape(Enum):
     GAUSSIAN = "gaussian"
     LORENTZIAN = "lorentzian"
-    TABULATED = "tabulated"
 
 
 @dataclass(frozen=True)
 class LineProfile:
-    """One spectral line: Gaussian (width = standard deviation),
-    Lorentzian (width = half width at half maximum), or tabulated
-    samples on a frequency grid."""
+    """One spectral line: Gaussian (width = standard deviation) or
+    Lorentzian (width = half width at half maximum)."""
 
     shape: LineShape
     width_mhz: float = 1.0
     center_mhz: float = 0.0
-    table_nu_mhz: np.ndarray | None = None
-    table_values: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.shape is LineShape.TABULATED:
-            if self.table_nu_mhz is None or self.table_values is None:
-                raise ValueError("tabulated profile needs a grid and values")
-            nu = np.asarray(self.table_nu_mhz, dtype=float)
-            val = np.asarray(self.table_values, dtype=float)
-            if np.any(np.diff(nu) <= 0.0) or val.shape != nu.shape:
-                raise ValueError("tabulated grid must be increasing and matched")
-            if np.any(val < 0.0) or not np.all(np.isfinite(val)):
-                raise ValueError("tabulated values must be finite and >= 0")
-            area = float(np.trapezoid(val, nu))
-            if area <= 0.0:
-                raise ValueError("tabulated profile is not normalizable")
-            object.__setattr__(self, "table_nu_mhz", nu)
-            object.__setattr__(self, "table_values", val / area)
-        elif self.width_mhz <= 0.0:
+        if self.width_mhz <= 0.0:
             raise ValueError("width must be positive")
 
     def __call__(self, nu_mhz):
         """Unit-area density evaluated at nu (MHz)."""
-        nu = np.asarray(nu_mhz, dtype=float)
-        x = nu - self.center_mhz
+        x = np.asarray(nu_mhz, dtype=float) - self.center_mhz
         if self.shape is LineShape.GAUSSIAN:
             s = self.width_mhz
             out = np.exp(-0.5 * (x / s) ** 2) / (s * np.sqrt(2.0 * np.pi))
-        elif self.shape is LineShape.LORENTZIAN:
+        else:
             g = self.width_mhz
             out = (g / np.pi) / (x * x + g * g)
-        else:
-            out = np.interp(nu, self.table_nu_mhz, self.table_values,
-                            left=0.0, right=0.0)
         return out if out.ndim else float(out)
 
 
@@ -368,40 +343,25 @@ def spectral_overlap(p1: LineProfile, p2: LineProfile, delta_nu_mhz) -> np.ndarr
     """Overlap S(dnu) = integral of p1(nu) p2(nu - dnu) over nu.
 
     Shifting p2 by dnu moves its center to center2 + dnu relative to
-    p1.  Analytic pairs take the closed form of the convolution at
+    p1.  The overlap is the closed form of the convolution at
     x = dnu + center2 - center1: a Gaussian of sigma = hypot(sigma1,
     sigma2), a Lorentzian of gamma = gamma1 + gamma2, or for a mixed
-    pair the Voigt profile.  Any tabulated profile switches to
-    trapezoid integration on a merged grid.
+    pair the Voigt profile.
     """
     delta = np.atleast_1d(np.asarray(delta_nu_mhz, dtype=float))
     shapes = {p1.shape, p2.shape}
-    if LineShape.TABULATED in shapes:
-        grids = []
-        for p in (p1, p2):
-            if p.shape is LineShape.TABULATED:
-                grids.append(p.table_nu_mhz)
-            else:
-                w = p.width_mhz
-                grids.append(np.linspace(p.center_mhz - 30 * w,
-                                         p.center_mhz + 30 * w, 4001))
-        out = np.empty(delta.size)
-        for i, d in enumerate(delta):
-            nu = np.union1d(grids[0], grids[1] + d)
-            out[i] = float(np.trapezoid(p1(nu) * p2(nu - d), nu))
+    x = delta + p2.center_mhz - p1.center_mhz
+    if shapes == {LineShape.GAUSSIAN}:
+        out = LineProfile(LineShape.GAUSSIAN,
+                          float(np.hypot(p1.width_mhz, p2.width_mhz)))(x)
+    elif shapes == {LineShape.LORENTZIAN}:
+        out = LineProfile(LineShape.LORENTZIAN,
+                          p1.width_mhz + p2.width_mhz)(x)
     else:
-        x = delta + p2.center_mhz - p1.center_mhz
-        if shapes == {LineShape.GAUSSIAN}:
-            out = LineProfile(LineShape.GAUSSIAN,
-                              float(np.hypot(p1.width_mhz, p2.width_mhz)))(x)
-        elif shapes == {LineShape.LORENTZIAN}:
-            out = LineProfile(LineShape.LORENTZIAN,
-                              p1.width_mhz + p2.width_mhz)(x)
-        else:
-            g, lor = (p1, p2) if p1.shape is LineShape.GAUSSIAN else (p2, p1)
-            # the one SciPy use on the command path, loaded only here
-            from scipy.special import voigt_profile
-            out = voigt_profile(x, g.width_mhz, lor.width_mhz)
+        g, lor = (p1, p2) if p1.shape is LineShape.GAUSSIAN else (p2, p1)
+        # the one SciPy use on the command path, loaded only here
+        from scipy.special import voigt_profile
+        out = voigt_profile(x, g.width_mhz, lor.width_mhz)
     return out if np.ndim(delta_nu_mhz) else float(out[0])
 
 

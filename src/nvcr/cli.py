@@ -17,7 +17,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -44,10 +44,9 @@ __all__ = ["main"]
 
 OUTPUT_DIR_ENV = "NVCR_OUTPUT_DIR"
 
-_CONSTANT_KEYS = ("d_ghz", "gamma_e_mhz_per_g", "d_perp_hz_cm_per_v",
-                  "d_par_hz_cm_per_v", "j0_mhz_nm3")
-_QUAD_INT_KEYS = ("n_theta", "n_phi", "n_psi", "max_doublings")
-_QUAD_FLOAT_KEYS = ("tolerance",)
+# config keys: each field of the two dataclasses, parsed as its default's type
+_CONSTANT_KEYS = tuple(f.name for f in fields(PhysicalConstants))
+_QUAD_CASTS = {f.name: type(f.default) for f in fields(QuadratureSpec)}
 
 _SCENARIO_ORDER = ("RANDOM_DIRECTION", "PLANE_100", "PLANE_110",
                    "AXIS_111", "AXIS_100", "ZERO_FIELD_ELECTRIC")
@@ -99,18 +98,16 @@ def load_run_config(config_path: str | None, output_format: str | None = None,
     cfg_seed = None
     if config_path is not None:
         values = _parse_config_file(config_path)
-        known = set(_CONSTANT_KEYS) | set(_QUAD_INT_KEYS) | \
-            set(_QUAD_FLOAT_KEYS) | {"output_dir", "format", "seed"}
+        known = {*_CONSTANT_KEYS, *_QUAD_CASTS, "output_dir", "format",
+                 "seed"}
         unknown = sorted(set(values) - known)
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
         try:
             const_over = {k: float(values[k]) for k in _CONSTANT_KEYS
                           if k in values}
-            quad_over: dict = {k: int(values[k]) for k in _QUAD_INT_KEYS
-                               if k in values}
-            quad_over.update({k: float(values[k]) for k in _QUAD_FLOAT_KEYS
-                              if k in values})
+            quad_over = {k: cast(values[k]) for k, cast in _QUAD_CASTS.items()
+                         if k in values}
             if "seed" in values:
                 cfg_seed = _seed(values["seed"])
         except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -542,13 +539,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_negative_vectors(argv) -> list[str]:
-    """Fold ``--direction -1,0,0`` into ``--direction=-1,0,0``: argparse
-    reads a value that starts with '-' and is no plain number as a flag."""
+def _join_negative_values(argv) -> list[str]:
+    """Fold ``--direction -1,0,0`` into ``--direction=-1,0,0`` and
+    ``--center1-mhz -1e-05`` into ``--center1-mhz=-1e-05``: argparse
+    reads a value that starts with '-' and is no plain decimal as a flag."""
     out: list[str] = []
     for token in argv:
-        if out and out[-1] == "--direction" and re.match(r"-[\d.]", token):
-            out[-1] = f"--direction={token}"
+        if out and re.fullmatch(r"--[\w-]+", out[-1]) and \
+                re.match(r"-[\d.]", token):
+            out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
     return out
@@ -556,7 +555,7 @@ def _join_negative_vectors(argv) -> list[str]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_negative_vectors(
+    args = parser.parse_args(_join_negative_values(
         sys.argv[1:] if argv is None else argv))
     # each --X-min-Y flag of the table must lie below its --X-max-Y partner
     for (low, *_), _ in _SUBCOMMANDS[args.command].flags:

@@ -8,7 +8,7 @@ seconds.  Every public output restates its units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,12 +31,6 @@ class PhysicalConstants:
         Zero-field splitting D between ``|0>`` and ``|+-1>`` (GHz).
     gamma_e_mhz_per_g : float
         Electron gyromagnetic ratio (MHz per Gauss).
-    d_perp_hz_cm_per_v : float
-        Transverse electric susceptibility (Hz cm/V).
-    d_par_hz_cm_per_v : float
-        Longitudinal electric susceptibility (Hz cm/V).  The
-        longitudinal term is carried by the model but defaults to zero
-        field, so it normally does not contribute.
     j0_mhz_nm3 : float
         Characteristic dipole-dipole strength J0 (MHz nm^3): the
         coupling of two NV spins 1 nm apart.
@@ -46,20 +40,14 @@ class PhysicalConstants:
 
     d_ghz: float = 2.87
     gamma_e_mhz_per_g: float = 2.8
-    d_perp_hz_cm_per_v: float = 17.0
-    d_par_hz_cm_per_v: float = 0.35
     j0_mhz_nm3: float = 52.0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> "PhysicalConstants":
-        for name in ("d_ghz", "gamma_e_mhz_per_g", "d_perp_hz_cm_per_v",
-                     "d_par_hz_cm_per_v", "j0_mhz_nm3"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not np.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be strictly positive, got {value}")
-        return self
+                raise ValueError(f"{f.name} must be strictly positive, "
+                                 f"got {value}")
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()

@@ -149,20 +149,16 @@ def flip_flop_amplitude(g: PairGeometry, basis: BasisChoice,
     In the magnetic basis this is |<+1,0|H|0,+1>| (equal in magnitude to
     the -1 channel), |a_xx + a_yy + i(a_xy - a_yx)| / 2.  In the
     nonmagnetic basis ``channel`` picks the exchanged quantum: "x"
-    (|a_xx|) or "y" (|a_yy|) per the module docstring, or "mean" for the
-    average of both magnitudes.  These are the elements of
-    ``build_two_spin_hamiltonian``, read off in closed form.
+    (|a_xx|) or "y" (|a_yy|) per the module docstring.  These are the
+    elements of ``build_two_spin_hamiltonian``, read off in closed form.
     """
     c = dipolar_coefficients(g)
     if basis is BasisChoice.MAGNETIC:
         return math.hypot(c.a_xx + c.a_yy, c.a_xy - c.a_yx) / 2.0
-    amp_x, amp_y = abs(c.a_xx), abs(c.a_yy)
     if channel == "x":
-        return amp_x
+        return abs(c.a_xx)
     if channel == "y":
-        return amp_y
-    if channel == "mean":
-        return 0.5 * (amp_x + amp_y)
+        return abs(c.a_yy)
     raise ValueError(f"unknown channel {channel!r}")
 
 

@@ -98,11 +98,6 @@ class EtaScenario:
     basis: BasisChoice
     z_angle: ZAngle
     x_mode: XMode = XMode.RANDOM
-    weight: float = 0.25
-
-    def __post_init__(self):
-        if not 0.0 < self.weight <= 1.0:
-            raise ValueError("weight must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -277,22 +272,18 @@ def _magnetic_pair_average(z1: np.ndarray, z2: np.ndarray,
 
 
 def _nonmagnetic_pair_average(z1: np.ndarray, z2: np.ndarray, x_mode: XMode,
-                              n_psi: int, x1=None, x2=None) -> float:
+                              n_psi: int) -> float:
     """Average of the zero-field-basis flip-flop magnitude (x channel).
 
-    The in-plane axes are either frozen (explicit x1/x2, or derived from
-    a shared field direction averaged over the sphere for distinct
-    axes), or independently randomized.  For a pair of in-plane axes the
-    sphere average is the kernel of _pair_kernel_batch at their mutual
-    cosine, so only the in-plane axes are sampled, on n_psi nodes per
-    angle.
+    The in-plane axes are either derived from a shared field direction
+    averaged over the sphere (ALIGNED), or independently randomized
+    (RANDOM).  For a pair of in-plane axes the sphere average is the
+    kernel of _pair_kernel_batch at their mutual cosine, so only the
+    in-plane axes are sampled, on n_psi nodes per angle.
     """
     czz = float(np.clip(z1 @ z2, -1.0, 1.0))
     same_axis = abs(abs(czz) - 1.0) < 1e-12
     if x_mode is XMode.ALIGNED:
-        if x1 is not None and x2 is not None:
-            c = np.clip(as_unit(x1) @ as_unit(x2), -1.0, 1.0)
-            return float(_pair_kernel_batch(c)[0])
         if same_axis:
             # shared transverse plane: a common field projects onto the
             # same in-plane axis for both spins
@@ -336,23 +327,20 @@ def scenario_frames(z_angle: ZAngle) -> tuple[NVClassFrame, NVClassFrame]:
 
 def pair_average(frame1: NVClassFrame, frame2: NVClassFrame,
                  basis: BasisChoice, x_mode: XMode,
-                 q: QuadratureSpec = DEFAULT_QUADRATURE,
-                 use_frame_x: bool = False) -> float:
+                 q: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Converged angular average for an explicit frame pair.
 
-    ``use_frame_x`` freezes the in-plane axes to the frames' x axes in
-    ALIGNED mode instead of averaging over a shared field direction.
+    Only the frames' NV axes enter; in the zero-field basis ``x_mode``
+    sets the in-plane axes (a shared field direction averaged over the
+    sphere, or independent uniform azimuths).
     """
-    kwargs = {}
-    if use_frame_x and x_mode is XMode.ALIGNED:
-        kwargs = {"x1": frame1.x_hat, "x2": frame2.x_hat}
 
     def rung(spec: QuadratureSpec) -> float:
         if basis is BasisChoice.MAGNETIC:
             return _magnetic_pair_average(frame1.z_hat, frame2.z_hat,
                                           spec.n_theta, spec.n_phi)
         return _nonmagnetic_pair_average(frame1.z_hat, frame2.z_hat, x_mode,
-                                         spec.n_psi, **kwargs)
+                                         spec.n_psi)
 
     def sampled(spec: QuadratureSpec) -> tuple:
         if basis is BasisChoice.MAGNETIC:
@@ -389,7 +377,7 @@ def angular_average(s: EtaScenario, q: QuadratureSpec = DEFAULT_QUADRATURE) -> f
 
 def eta_bar(s: EtaScenario, q: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Average coupling including the population and bandwidth prefactor."""
-    return s.weight * np.sqrt(1.0 / 3.0) * angular_average(s, q)
+    return ETA_PREFACTOR * angular_average(s, q)
 
 
 # resonant class-pair composition per applied-field configuration: each

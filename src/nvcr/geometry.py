@@ -9,7 +9,7 @@ reference for the in-plane electric field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,16 +83,12 @@ class NVClassFrame:
             axis = np.array(getattr(self, name), dtype=float)
             axis.setflags(write=False)
             object.__setattr__(self, name, axis)
-        self.validate()
-
-    def validate(self) -> "NVClassFrame":
         triad = np.stack([self.x_hat, self.y_hat, self.z_hat])
         gram = triad @ triad.T
         if not np.allclose(gram, np.eye(3), atol=1e-10):
             raise ValueError("frame axes are not orthonormal")
         if np.dot(np.cross(self.x_hat, self.y_hat), self.z_hat) < 0.0:
             raise ValueError("frame is not right-handed")
-        return self
 
     def rotated(self, rot: np.ndarray) -> "NVClassFrame":
         return NVClassFrame(self.class_id, rot @ self.x_hat, rot @ self.y_hat, rot @ self.z_hat)
@@ -124,30 +120,26 @@ class PairGeometry:
     """Geometry of one spin pair: inter-spin direction plus both frames.
 
     Matrix elements downstream are expressed in units of J0/r^3, so the
-    separation ``r_nm`` is optional and only used when absolute
-    couplings are requested.
+    separation itself does not enter.
     """
 
     u_hat: np.ndarray
     frame1: NVClassFrame
     frame2: NVClassFrame
-    r_nm: float | None = None
 
     def __post_init__(self):
         u = np.asarray(self.u_hat, dtype=float)
         if abs(np.linalg.norm(u) - 1.0) > 1e-9:
             raise ValueError("u_hat must be a unit vector")
         object.__setattr__(self, "u_hat", u)
-        if self.r_nm is not None and self.r_nm <= 0.0:
-            raise ValueError("r_nm must be positive when provided")
 
     def swapped(self) -> "PairGeometry":
         """Exchange the two spins (and flip the inter-spin direction)."""
-        return PairGeometry(-self.u_hat, self.frame2, self.frame1, self.r_nm)
+        return PairGeometry(-self.u_hat, self.frame2, self.frame1)
 
     def rotated(self, rot: np.ndarray) -> "PairGeometry":
         return PairGeometry(rot @ self.u_hat, self.frame1.rotated(rot),
-                            self.frame2.rotated(rot), self.r_nm)
+                            self.frame2.rotated(rot))
 
 
 def rotation_matrix(axis, angle_rad: float) -> np.ndarray:

@@ -249,8 +249,6 @@ def synth_spectrum(lines_ghz, profile: LineProfile,
                          "finite frequencies")
     if not 0.0 < contrast_per_line < 1.0:
         raise ValueError("contrast must be in (0, 1)")
-    if profile.shape is LineShape.TABULATED:
-        raise ValueError("synthetic spectra need an analytic profile")
     width_ghz = profile.width_mhz * 1e-3
     if freq_ghz is None:
         pad = 20.0 * width_ghz

@@ -15,7 +15,7 @@ P(t) = exp(-sqrt(t/T)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,6 +52,8 @@ class FluctuatorParams:
         Dimensionless orientation-averaged coupling factor.
     j0_mhz_nm3 : float
         Dipole-dipole strength (MHz nm^3).
+
+    Every value must be finite and positive; construction checks it.
     """
 
     n_f_per_nm3: float
@@ -59,11 +61,12 @@ class FluctuatorParams:
     eta_bar: float
     j0_mhz_nm3: float = DEFAULT_CONSTANTS.j0_mhz_nm3
 
-    def validate(self) -> "FluctuatorParams":
-        for name in ("n_f_per_nm3", "gamma_f_per_s", "eta_bar", "j0_mhz_nm3"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-        return self
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not np.isfinite(value) or value <= 0.0:
+                raise ValueError(f"{f.name} must be finite and positive, "
+                                 f"got {value}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,6 @@ def characteristic_rate(p: FluctuatorParams) -> float:
     1/T = (4 pi n_f J0 eta_bar / 3)^2 * pi / gamma_f, with J0 converted
     from MHz nm^3 to s^-1 nm^3 explicitly; the density cancels the nm^3.
     """
-    p.validate()
     coupling_per_s = (4.0 * np.pi / 3.0) * p.n_f_per_nm3 \
         * (p.j0_mhz_nm3 * 1e6) * p.eta_bar
     return float(coupling_per_s**2 * np.pi / p.gamma_f_per_s)

@@ -3,7 +3,6 @@
 The spin-1 ground state is modeled as
 
     H/h = D Sz^2 + gamma_e (B . S) + eps_perp (transverse electric term)
-          [+ eps_par Sz^2]
 
 with all operators written in the |m_s> basis ordered (|-1>, |0>, |+1>)
 and energies in GHz.  ``eps_perp`` is the transverse electric energy
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
-from .geometry import NVClassFrame, as_unit, class_frame
+from .geometry import NVClassFrame, as_unit
 
 __all__ = [
     "FieldConfiguration",
@@ -69,10 +68,8 @@ def zero_field_states(phi_e_rad: float = 0.0) -> tuple[np.ndarray, np.ndarray, n
     return s0, sm, sp
 
 
-# diagonalize's overlaps |<bra|ket>|^2: label, eigenvector column, bra
-_OVERLAP_KEYS = ("e_p1", "g_0", "d_minus", "e_plus")
-_OVERLAP_KETS = np.array([2, 0, 1, 2])
-_OVERLAP_BRAS = np.conj([[0.0, 0.0, 1.0], *zero_field_states(0.0)])
+# eigenstate_map's bras <+1| and <+| (phi_E = 0)
+_MAP_BRAS = np.conj([[0.0, 0.0, 1.0], zero_field_states(0.0)[2]])
 
 
 @dataclass(frozen=True)
@@ -88,15 +85,11 @@ class FieldConfiguration:
     phi_e_rad : float
         Azimuth of the transverse electric field in the NV transverse
         plane, measured from the local x axis; folded into [0, 2*pi).
-    e_par_mhz : float
-        Longitudinal electric energy d_par*E_par (MHz); zero by default
-        and normally left so.
     """
 
     b_gauss: np.ndarray = field(default_factory=lambda: np.zeros(3))
     e_perp_mhz: float = 0.0
     phi_e_rad: float = 0.0
-    e_par_mhz: float = 0.0
 
     def __post_init__(self):
         b = np.asarray(self.b_gauss, dtype=float)
@@ -114,13 +107,11 @@ class SpinEigensystem:
 
     ``energies_ghz`` (..., 3) ascend and are labeled (g, d, e); ``states``
     (..., 3, 3) holds the eigenvectors as columns in the (|-1>, |0>, |+1>)
-    basis.  ``overlaps`` maps diagnostic labels to squared moduli against
-    the phi_E = 0 reference states: floats, or arrays of the stack shape.
+    basis.
     """
 
     energies_ghz: np.ndarray
     states: np.ndarray
-    overlaps: dict
 
     @property
     def g(self) -> np.ndarray:
@@ -154,8 +145,6 @@ def build_hamiltonian(cls: NVClassFrame, f: FieldConfiguration,
         ph = np.exp(1j * f.phi_e_rad)
         h[..., 2, 0] += eps * ph
         h[..., 0, 2] += eps * np.conj(ph)
-    if f.e_par_mhz != 0.0:
-        h = h + (f.e_par_mhz * 1e-3) * _SZ2
     return h
 
 
@@ -195,7 +184,6 @@ def diagonalize(h: np.ndarray) -> SpinEigensystem:
     shape = h.shape[:-2]
     h = h.reshape(-1, 3, 3)
     energies, vecs = np.empty((len(h), 3)), np.empty_like(h)
-    w = np.empty((len(h), 4))
     for k in range(0, len(h), _BLOCK):
         s = slice(k, k + _BLOCK)
         hk, e, v = h[s], energies[s], vecs[s]
@@ -213,11 +201,8 @@ def diagonalize(h: np.ndarray) -> SpinEigensystem:
         resid = np.linalg.norm(hk @ v - v * e[:, None, :], axis=1)
         if np.any(resid > 1e-10 * scale[:, None]):
             raise ArithmeticError(f"eigen-residual too large: {resid.max():.3e}")
-        w[s] = np.abs((_OVERLAP_BRAS @ v)[:, np.arange(4), _OVERLAP_KETS]) ** 2
-    w = w.T.reshape((4,) + shape)
-    overlaps = dict(zip(_OVERLAP_KEYS, w if shape else w.tolist()))
     return SpinEigensystem(energies.reshape(shape + (3,)),
-                           vecs.reshape(shape + (3, 3)), overlaps)
+                           vecs.reshape(shape + (3, 3)))
 
 
 def _solve_fields(cls: NVClassFrame, b_gauss: np.ndarray,
@@ -262,7 +247,7 @@ def eigenstate_map(cls: NVClassFrame, b_amplitude_gauss, theta_rad,
     b = (b_amplitude_gauss[:, None, None] * tilt).reshape(-1, 3)
     o_p1, o_plus = np.empty(len(b)), np.empty(len(b))
     for s, es in _solve_fields(cls, b, c, e_perp_mhz=e_perp_mhz):
-        o_p1[s], o_plus[s] = es.overlaps["e_p1"], es.overlaps["e_plus"]
+        o_p1[s], o_plus[s] = np.abs(_MAP_BRAS @ es.states)[:, :, 2].T ** 2
     shape = (b_amplitude_gauss.size, theta_rad.size)
     return o_p1.reshape(shape), o_plus.reshape(shape)
 

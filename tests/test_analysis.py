@@ -212,29 +212,27 @@ def test_cr_width_consistency():
     assert s_half == pytest.approx(0.5 * s0, rel=0.01)
 
 
-def test_tabulated_profile_matches_analytic():
-    grid = np.linspace(-30.0, 30.0, 4001)
-    gauss = LineProfile(LineShape.GAUSSIAN, width_mhz=2.5)
-    table = LineProfile(LineShape.TABULATED, table_nu_mhz=grid,
-                        table_values=gauss(grid))
-    shifts = np.linspace(-8.0, 8.0, 17)
-    assert spectral_overlap(table, table, shifts) == \
-        pytest.approx(spectral_overlap(gauss, gauss, shifts), abs=1e-4)
+def test_closed_form_overlaps_match_numeric_convolution():
+    # trapezoid convolution on a uniform grid: spectrally accurate for
+    # these smooth lines, and +-5000 MHz leaves Lorentzian tails of
+    # order gamma^2 / L^3 ~ 1e-11 outside it
+    nu = np.linspace(-5000.0, 5000.0, 200001)
+    shifts = np.linspace(-8.0, 8.0, 9)
+    shapes = (LineShape.GAUSSIAN, LineShape.LORENTZIAN)
+    for shape1 in shapes:
+        for shape2 in shapes:
+            p1 = LineProfile(shape1, width_mhz=1.5, center_mhz=0.7)
+            p2 = LineProfile(shape2, width_mhz=0.8, center_mhz=-1.2)
+            numeric = [np.trapezoid(p1(nu) * p2(nu - d), nu) for d in shifts]
+            assert spectral_overlap(p1, p2, shifts) == \
+                pytest.approx(numeric, rel=1e-9), (shape1, shape2)
 
 
 def test_line_profile_validation():
-    with pytest.raises(ValueError):
-        LineProfile(LineShape.GAUSSIAN, width_mhz=0.0)
-    with pytest.raises(ValueError):
-        LineProfile(LineShape.TABULATED, table_nu_mhz=np.array([0.0, 1.0]),
-                    table_values=np.array([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        LineProfile(LineShape.TABULATED,
-                    table_nu_mhz=np.array([0.0, 1.0, 0.5]),
-                    table_values=np.ones(3))
-    with pytest.raises(ValueError):
-        LineProfile(LineShape.TABULATED, table_nu_mhz=np.array([0.0, 1.0]),
-                    table_values=np.zeros(2))
+    for shape in LineShape:
+        for width in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                LineProfile(shape, width_mhz=width)
 
 
 def test_sensitivity_values():

@@ -339,6 +339,80 @@ def test_field_commands_exit_0_with_finite_files(argv, tmp_path):
         assert np.all(table[:, 1:9:2] <= table[:, 2:9:2]), argv
 
 
+def _range(draw, low, high, flag):
+    """``--X-min-Y``/``--X-max-Y`` flags of a drawn range low <= a < b <= high."""
+    a, b = sorted(draw(st.lists(st.floats(low, high), min_size=2, max_size=2,
+                                unique=True)))
+    return [f"--{flag.replace('*', 'min')}={a!r}",
+            f"--{flag.replace('*', 'max')}={b!r}"]
+
+
+_POSITIVE = st.floats(1e-300, 1e300)
+
+
+@st.composite
+def _fieldless_runs(draw):
+    """One of the commands that take no field, with in-range flags: wide
+    positive values, so products and quotients may overflow."""
+    cmd = draw(st.sampled_from(["decay-sim", "overlap", "sensitivity",
+                                "spectrum"]))
+    if cmd == "decay-sim":
+        argv = [cmd, "--t1dd-s", repr(draw(_POSITIVE)),
+                "--amplitude", repr(draw(_POSITIVE)),
+                "--beta", repr(draw(st.floats(1e-6, 1.5))),
+                "--mode", draw(st.sampled_from(["two_channel", "stretched"])),
+                "--n-tau", str(draw(st.integers(2, 64))),
+                *_range(draw, 1e-300, 1e300, "tau-*-s")]
+        if draw(st.booleans()):
+            argv += ["--t1ph-s", repr(draw(_POSITIVE))]
+        return argv + (["--log-spacing"] if draw(st.booleans()) else [])
+    if cmd == "overlap":
+        argv = [cmd, "--n-dnu", str(draw(st.integers(2, 64))),
+                *_range(draw, -1e6, 1e6, "dnu-*-mhz")]
+        for k in (1, 2):
+            argv += [f"--shape{k}", draw(st.sampled_from(["gaussian",
+                                                          "lorentzian"])),
+                     f"--width{k}-mhz", repr(draw(st.floats(1e-6, 1e6))),
+                     f"--center{k}-mhz", repr(draw(st.floats(-1e6, 1e6)))]
+        return argv
+    if cmd == "sensitivity":
+        return [cmd, "--sigma-b-t", repr(draw(_POSITIVE)),
+                "--tau-lp-s", repr(draw(_POSITIVE))]
+    argv = [cmd, "--shape", draw(st.sampled_from(["gaussian", "lorentzian"])),
+            "--linewidth-mhz", repr(draw(st.floats(1e-6, 1e4))),
+            "--contrast", repr(draw(st.floats(1e-9, 0.5))),
+            "--n-freq", str(draw(st.integers(2, 256)))]
+    if draw(st.booleans()):
+        argv += _range(draw, 1e-6, 1e3, "f-*-ghz")
+    return argv
+
+
+@settings(max_examples=25,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_fieldless_runs())
+# argparse reads a spaced value like -1e-05 (no plain decimal) as a flag;
+# it exited 2 with "expected one argument" until the CLI folded it
+@example(argv=["overlap", "--center1-mhz", "-1e-05", "--dnu-min-mhz",
+               "-2e1", "--dnu-max-mhz", "-1e1"])
+def test_fieldless_commands_exit_0_finite_or_1_without_file(argv, tmp_path,
+                                                           capsys):
+    out = tmp_path / "out.csv"
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        rc = main([*argv, "--format", "csv", "--output", str(out)])
+    if rc == 1:
+        diag = json.loads(capsys.readouterr().out)
+        assert set(diag) == {"error", "message"}, argv
+        assert not out.exists(), argv
+        return
+    assert rc == 0, argv
+    _, header, rows = _read_csv(out)
+    values = [r[1:] for r in rows] if header == ["key", "value"] else rows
+    table = np.array(values, dtype=float)
+    assert table.size > 0 and np.all(np.isfinite(table)), argv
+
+
 def test_sensitivity_record(tmp_path, capsys):
     out = tmp_path / "sens.json"
     rc = main(["sensitivity", "--sigma-b-t", "1.5e-6", "--tau-lp-s", "3e-3",
@@ -524,10 +598,17 @@ def test_config_flag_precedence(tmp_path):
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
+    # the electric susceptibility keys are unknown: no formula reads them
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("frobnication = 7\n")
-    assert main(["sensitivity", "--config", str(cfg)]) == 2
-    assert "unknown config keys" in capsys.readouterr().err
+    out = tmp_path / "sens.json"
+    for key, value in [("frobnication", "7"), ("d_perp_hz_cm_per_v", "17"),
+                       ("d_par_hz_cm_per_v", "0.35")]:
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(["sensitivity", "--config", str(cfg), "--output",
+                     str(out)]) == 2, key
+        err = capsys.readouterr().err
+        assert "unknown config keys" in err and key in err, key
+        assert not out.exists(), key
 
 
 def test_config_rejects_bad_syntax(tmp_path):

@@ -87,8 +87,6 @@ def test_amplitudes_match_two_spin_hamiltonian(u, c1, c2):
     h = build_two_spin_hamiltonian(g, BasisChoice.NONMAGNETIC)
     amp_x = flip_flop_amplitude(g, BasisChoice.NONMAGNETIC, "x")
     assert amp_x == pytest.approx(abs(h[1, 3]), abs=1e-14)
-    assert flip_flop_amplitude(g, BasisChoice.NONMAGNETIC, "mean") == \
-        pytest.approx(0.5 * (abs(h[1, 3]) + abs(h[7, 5])), abs=1e-14)
     assert flip_flop_amplitude(g, BasisChoice.MAGNETIC, "x") == \
         flip_flop_amplitude(g, BasisChoice.MAGNETIC, "y")
 
@@ -173,5 +171,3 @@ def test_resonance_factor():
 def test_pair_geometry_validation():
     with pytest.raises(ValueError):
         PairGeometry(np.array([1.0, 1.0, 0.0]), FRAME0, FRAME0)
-    with pytest.raises(ValueError):
-        PairGeometry(FRAME0.z_hat, FRAME0, FRAME0, r_nm=-1.0)

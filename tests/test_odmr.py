@@ -283,11 +283,6 @@ def test_spectrum_explicit_grid_and_validation():
                                              width_mhz=1.0), freq_ghz=grid)
     assert freq == pytest.approx(grid, abs=0.0)
     assert pl.shape == grid.shape
-    table = LineProfile(LineShape.TABULATED,
-                        table_nu_mhz=np.linspace(-5.0, 5.0, 11),
-                        table_values=np.ones(11))
-    with pytest.raises(ValueError):
-        synth_spectrum(f, table)
     with pytest.raises(ValueError):
         synth_spectrum(f, LineProfile(LineShape.GAUSSIAN, width_mhz=1.0),
                        contrast_per_line=1.5)

@@ -65,6 +65,17 @@ def test_params_validation():
         characteristic_rate(FluctuatorParams(1e-6, -1.0, 0.1))
 
 
+@pytest.mark.parametrize("name", ["n_f_per_nm3", "gamma_f_per_s", "eta_bar",
+                                  "j0_mhz_nm3"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_params_checked_on_construction(name, bad):
+    # a NaN once gave a NaN rate and an infinite gamma_f a rate of 0.0
+    values = {"n_f_per_nm3": 1e-6, "gamma_f_per_s": 2e7, "eta_bar": 0.1,
+              name: bad}
+    with pytest.raises(ValueError, match=name):
+        FluctuatorParams(**values)
+
+
 def test_density_normalization():
     assert polarization_from_density(0.0, 3.1e-3) == \
         pytest.approx(1.0, abs=1e-6)

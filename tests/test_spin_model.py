@@ -1,6 +1,7 @@
 """Single-center Hamiltonian: construction, eigenstructure, scans."""
 
 import tracemalloc
+from dataclasses import fields as dataclass_fields
 
 import numpy as np
 import pytest
@@ -40,6 +41,15 @@ def _eigensystem(b_gauss, e_perp_mhz=0.0, phi_e_rad=0.0, class_id=0):
     return diagonalize(build_hamiltonian(frame, f, C))
 
 
+# the phi_E = 0 zero-field references |0>, |->, |+>
+REF_0, REF_MINUS, REF_PLUS = zero_field_states(0.0)
+
+
+def _weight(states, ref):
+    """|<ref|state>|^2 of each state vector (last axis)."""
+    return np.abs((states * ref.conj()).sum(-1)) ** 2
+
+
 def test_zero_field_eigenvalues():
     es = _eigensystem(np.zeros(3))
     assert es.energies_ghz == pytest.approx([0.0, D, D], abs=1e-12)
@@ -62,10 +72,10 @@ def test_axial_field_transitions():
 
 def test_pure_zfs_ground_state():
     es = _eigensystem(np.zeros(3))
-    assert es.overlaps["g_0"] == pytest.approx(1.0, abs=1e-12)
+    assert _weight(es.g, REF_0) == pytest.approx(1.0, abs=1e-12)
     # degenerate upper level is tie-broken to the zero-field reference pair
-    assert es.overlaps["d_minus"] == pytest.approx(1.0, abs=1e-12)
-    assert es.overlaps["e_plus"] == pytest.approx(1.0, abs=1e-12)
+    assert _weight(es.d, REF_MINUS) == pytest.approx(1.0, abs=1e-12)
+    assert _weight(es.e, REF_PLUS) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dark_state_vector():
@@ -93,7 +103,8 @@ def test_eigen_residuals(f):
         v = es.states[:, k]
         assert np.linalg.norm(h @ v - es.energies_ghz[k] * v) < 1e-10 * scale
     assert np.linalg.norm(es.states.conj().T @ es.states - np.eye(3)) < 1e-10
-    assert all(0.0 <= es.overlaps[k] <= 1.0 + 1e-12 for k in es.overlaps)
+    for ref in (REF_0, REF_MINUS, REF_PLUS):
+        assert np.all(_weight(es.states.T, ref) <= 1.0 + 1e-12)
 
 
 
@@ -152,9 +163,6 @@ def _assert_stack_matches_rows(frame, b, **fields):
         one = diagonalize(build_hamiltonian(frame, row, C))
         assert np.array_equal(es.energies_ghz[idx], one.energies_ghz)
         assert np.array_equal(es.states[idx], one.states)
-        for key, value in one.overlaps.items():
-            assert type(value) is float
-            assert abs(es.overlaps[key][idx] - value) <= 1e-15
     return es
 
 
@@ -171,10 +179,10 @@ def test_stack_mixes_degenerate_and_generic_rows():
     assert np.all(gaps[[0, 1, -2, -1]] < 1e-9) and np.all(gaps[2:-2] > 1e-6)
     # the degenerate rows are tie-broken onto the zero-field references
     for row in (0, -2):
-        assert es.overlaps["d_minus"][row] == pytest.approx(1.0, abs=1e-12)
-        assert es.overlaps["e_plus"][row] == pytest.approx(1.0, abs=1e-12)
+        assert _weight(es.d[row], REF_MINUS) == pytest.approx(1.0, abs=1e-12)
+        assert _weight(es.e[row], REF_PLUS) == pytest.approx(1.0, abs=1e-12)
     # a field along x leaves |-> an exact eigenstate at D
-    assert es.overlaps["d_minus"][1] == pytest.approx(1.0, abs=1e-12)
+    assert _weight(es.d[1], REF_MINUS) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -198,9 +206,8 @@ def test_field_stack_validation():
 
 
 
-@pytest.mark.parametrize("name", ["d_ghz", "gamma_e_mhz_per_g",
-                                  "d_perp_hz_cm_per_v", "d_par_hz_cm_per_v",
-                                  "j0_mhz_nm3"])
+@pytest.mark.parametrize("name", [f.name for f in
+                                  dataclass_fields(PhysicalConstants)])
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
 def test_constants_checked_on_construction(name, bad):
     with pytest.raises(ValueError, match=name):
