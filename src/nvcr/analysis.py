@@ -1,8 +1,9 @@
 """Decay-curve fitting, spectral overlaps and sensitivity estimates.
 
-Fits use a derivative-free simplex over log-parameterized timescales
-(positivity by construction) with several deterministic starting
-points; the best residual wins.  The simplex is an in-package port of
+Both fits run one driver: a derivative-free simplex over the decay
+laws of ``relaxation`` with log-parameterized timescales (positivity
+by construction) from several deterministic starting points; the best
+residual wins.  The simplex is an in-package port of
 SciPy's Nelder-Mead, so the command path never imports SciPy.
 Spectral overlaps of Gaussian and Lorentzian lines are closed-form
 convolutions (only a mixed pair loads ``scipy.special`` for the Voigt
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .relaxation import DecayModel
+from .relaxation import DecayModel, _decay_law
 
 __all__ = [
     "DecayCurve",
@@ -85,13 +86,6 @@ class FitError(RuntimeError):
     def __init__(self, message: str, best: FitResult):
         super().__init__(message)
         self.best = best
-
-
-def _check_decaying(c: DecayCurve):
-    span = float(np.ptp(c.signal))
-    scale = max(float(np.max(np.abs(c.signal))), 1e-300)
-    if span < 1e-12 * scale:
-        raise ValueError("signal shows no decay; nothing to fit")
 
 
 def _t1_starts(c: DecayCurve, n: int = 5) -> np.ndarray:
@@ -228,9 +222,34 @@ def _run_simplex(objective, x0: np.ndarray, c: DecayCurve) -> _Simplex:
                         maxiter=4000, maxfev=8000)
 
 
-def _pick_best(results, build_result):
+def _fit(c: DecayCurve, model_of, starts, seed: int | None,
+         mode: str) -> FitResult:
+    """Fit the decay law ``mode`` from each (jittered) start; the best
+    residual wins.
+
+    A simplex point is (log A, *rest): each of ``starts`` is a rest, and
+    log A starts at the log of the largest |signal|.  ``model_of`` maps
+    a point to the law's (T1_dd, T1_ph, A, beta); the objective passes
+    them to the law unchecked, and only the winner becomes a
+    ``DecayModel``.  Raises ``FitError``, carrying the winner, when no
+    start converged.
+    """
+    peak = float(np.max(np.abs(c.signal)))
+    if float(np.ptp(c.signal)) < 1e-12 * max(peak, 1e-300):
+        raise ValueError("signal shows no decay; nothing to fit")
+    log_a0 = np.log(max(peak, 1e-12))
+    w = c.weights
+
+    def objective(x):
+        model = _decay_law(c.tau_s, *model_of(x), mode)
+        return float(np.sum(w * (c.signal - model) ** 2))
+
+    results = [_run_simplex(objective, x0, c)
+               for x0 in _jittered([[log_a0, *x] for x in starts], seed)]
     best = min(results, key=lambda r: r.fun)
-    fit = build_result(best)
+    fit = FitResult(model=DecayModel(*map(float, model_of(best.x))),
+                    residual_rss=float(best.fun),
+                    converged=bool(best.success), iterations=int(best.nit))
     if not any(r.success for r in results):
         raise FitError("no simplex start converged", fit)
     return fit
@@ -246,32 +265,16 @@ def fit_decay(c: DecayCurve, fixed_t1_ph_s: float | None = None,
     jitters the starts; identical inputs and seed give identical
     results.
     """
-    _check_decaying(c)
-    w = c.weights
-    a0 = max(float(np.max(np.abs(c.signal))), 1e-12)
     free_ph = fixed_t1_ph_s is None
 
-    def objective(x):
-        a, t_dd = np.exp(x[0]), np.exp(x[1])
+    def model_of(x):
         t_ph = np.exp(x[2]) if free_ph else fixed_t1_ph_s
-        model = a * np.exp(-np.sqrt(c.tau_s / t_dd) - c.tau_s / t_ph)
-        return float(np.sum(w * (c.signal - model) ** 2))
+        return np.exp(x[1]), t_ph, np.exp(x[0]), 0.5
 
-    starts = [[np.log(a0), np.log(t_start)]
+    starts = [[np.log(t_start)]
               + ([np.log(10.0 * c.tau_s[-1])] if free_ph else [])
               for t_start in _t1_starts(c)]
-    results = [_run_simplex(objective, x0, c)
-               for x0 in _jittered(starts, seed)]
-
-    def build(best):
-        t_ph = float(np.exp(best.x[2])) if free_ph else float(fixed_t1_ph_s)
-        model = DecayModel(t1_dd_s=float(np.exp(best.x[1])), t1_ph_s=t_ph,
-                           amplitude=float(np.exp(best.x[0])), beta=0.5)
-        return FitResult(model=model, residual_rss=float(best.fun),
-                         converged=bool(best.success),
-                         iterations=int(best.nit))
-
-    return _pick_best(results, build)
+    return _fit(c, model_of, starts, seed, "two_channel")
 
 
 def fit_beta(c: DecayCurve, seed: int | None = None) -> FitResult:
@@ -280,33 +283,14 @@ def fit_beta(c: DecayCurve, seed: int | None = None) -> FitResult:
     beta is searched over (0, 1.5] through a logistic map so the
     simplex stays unconstrained.
     """
-    _check_decaying(c)
-    w = c.weights
-    a0 = max(float(np.max(np.abs(c.signal))), 1e-12)
-
-    def beta_of(z: float) -> float:
-        return 1.5 / (1.0 + np.exp(-z))
-
-    def objective(x):
-        a, t1, beta = np.exp(x[0]), np.exp(x[1]), beta_of(x[2])
-        model = a * np.exp(-((c.tau_s / t1) ** beta))
-        return float(np.sum(w * (c.signal - model) ** 2))
+    def model_of(x):
+        beta = 1.5 / (1.0 + np.exp(-x[2]))
+        return np.exp(x[1]), np.inf, np.exp(x[0]), beta
 
     beta_starts = [0.4, 0.6, 0.8, 1.0, 1.2]
-    starts = [[np.log(a0), np.log(t_start), -np.log(1.5 / b_start - 1.0)]
+    starts = [[np.log(t_start), -np.log(1.5 / b_start - 1.0)]
               for t_start, b_start in zip(_t1_starts(c), beta_starts)]
-    results = [_run_simplex(objective, x0, c)
-               for x0 in _jittered(starts, seed)]
-
-    def build(best):
-        model = DecayModel(t1_dd_s=float(np.exp(best.x[1])), t1_ph_s=np.inf,
-                           amplitude=float(np.exp(best.x[0])),
-                           beta=float(beta_of(best.x[2])))
-        return FitResult(model=model, residual_rss=float(best.fun),
-                         converged=bool(best.success),
-                         iterations=int(best.nit))
-
-    return _pick_best(results, build)
+    return _fit(c, model_of, starts, seed, "stretched")
 
 
 class LineShape(Enum):
@@ -324,8 +308,10 @@ class LineProfile:
     center_mhz: float = 0.0
 
     def __post_init__(self):
-        if self.width_mhz <= 0.0:
-            raise ValueError("width must be positive")
+        if not 0.0 < self.width_mhz < np.inf:
+            raise ValueError("width must be finite and positive")
+        if not np.isfinite(self.center_mhz):
+            raise ValueError("center must be finite")
 
     def __call__(self, nu_mhz):
         """Unit-area density evaluated at nu (MHz)."""
@@ -371,6 +357,6 @@ def sensitivity(sigma_b_tesla: float, tau_lp_s: float) -> float:
     ``sigma_b_tesla`` is the standard deviation of the field readout
     noise and ``tau_lp_s`` the low-pass (lock-in) time constant.
     """
-    if sigma_b_tesla <= 0.0 or tau_lp_s <= 0.0:
-        raise ValueError("sigma and tau must be positive")
+    if not (0.0 < sigma_b_tesla < np.inf and 0.0 < tau_lp_s < np.inf):
+        raise ValueError("sigma and tau must be finite and positive")
     return float(sigma_b_tesla * np.sqrt(tau_lp_s))

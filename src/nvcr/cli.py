@@ -207,7 +207,7 @@ def _emit(args, cfg: RunConfig, result: dict | _Columns) -> Path:
     ``_Columns`` a table (CSV by default)."""
     params = _header_params(args, cfg)
     record = isinstance(result, dict)
-    fmt = args.format or cfg.output_format or ("json" if record else "csv")
+    fmt = cfg.output_format or ("json" if record else "csv")
     path = Path(args.output) if args.output is not None else \
         cfg.output_dir / f"{_SUBCOMMANDS[args.command].stem}.{fmt}"
     if fmt == "json":

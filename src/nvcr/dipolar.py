@@ -33,11 +33,15 @@ channel "x" exchanges the quantum coupled by the x-type operators
 (amplitude a_xx) and channel "y" the one coupled by the y-type
 operators (amplitude a_yy).  In the magnetic basis both flip-flop
 elements have equal magnitude and the channel argument is ignored.
+
+The coefficients and amplitudes are floats for a single direction and
+arrays for a ``PairGeometry`` holding an (n, 3) stack of them, each row
+with the bits of its own single call; ``eta_average`` sums the magnetic
+flip-flop amplitude over its sphere nodes a block at a time this way.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -87,33 +91,40 @@ def nonmagnetic_change_of_basis() -> np.ndarray:
 
 
 _AXES = ("x", "y", "z")
+# the bilinears kept by the secular argument, in DipolarCoefficients order
+_RETAINED = (("x", "x"), ("y", "y"), ("x", "y"), ("y", "x"), ("z", "z"))
 
 
 @dataclass(frozen=True)
 class DipolarCoefficients:
     """Geometric weights a_ab = 3(u.a1)(u.b2) - a1.b2 of the retained terms."""
 
-    a_xx: float
-    a_yy: float
-    a_xy: float
-    a_yx: float
-    a_zz: float
+    a_xx: float | np.ndarray
+    a_yy: float | np.ndarray
+    a_xy: float | np.ndarray
+    a_yx: float | np.ndarray
+    a_zz: float | np.ndarray
 
 
-def _coefficient(g: PairGeometry, a: str, b: str) -> float:
-    a1 = getattr(g.frame1, f"{a}_hat")
-    b2 = getattr(g.frame2, f"{b}_hat")
-    return float(3.0 * (g.u_hat @ a1) * (g.u_hat @ b2) - a1 @ b2)
+def _value(x):
+    """A float for a single direction, the array for a stack."""
+    return x if np.ndim(x) else float(x)
+
+
+def _coefficients(g: PairGeometry, terms) -> list:
+    """a_ab for each (a, b) of ``terms``, one projection per axis."""
+    axes1, axes2 = ({a: getattr(f, f"{a}_hat") for a in _AXES}
+                    for f in (g.frame1, g.frame2))
+    # einsum, not matmul: BLAS rounds a row of a stack and the same row
+    # on its own differently, einsum gives both the same bits
+    u1, u2 = ({a: np.einsum("...j,j", g.u_hat, v) for a, v in axes.items()}
+              for axes in (axes1, axes2))
+    return [_value(3.0 * u1[a] * u2[b] - axes1[a] @ axes2[b])
+            for a, b in terms]
 
 
 def dipolar_coefficients(g: PairGeometry) -> DipolarCoefficients:
-    return DipolarCoefficients(
-        a_xx=_coefficient(g, "x", "x"),
-        a_yy=_coefficient(g, "y", "y"),
-        a_xy=_coefficient(g, "x", "y"),
-        a_yx=_coefficient(g, "y", "x"),
-        a_zz=_coefficient(g, "z", "z"),
-    )
+    return DipolarCoefficients(*_coefficients(g, _RETAINED))
 
 
 def _single_spin_ops(basis: BasisChoice):
@@ -129,40 +140,41 @@ def build_two_spin_hamiltonian(g: PairGeometry, basis: BasisChoice,
     With ``include_other`` false only the five bilinears retained by the
     secular argument (xx, yy, xy, yx, zz) enter; setting it true adds
     the transverse-longitudinal cross terms for sensitivity studies.
+    ``g`` must hold a single direction.
     """
+    if g.u_hat.ndim != 1:
+        raise ValueError("the pair Hamiltonian takes a single direction")
     ops = _single_spin_ops(basis)
     op = {"x": ops[0], "y": ops[1], "z": ops[2]}
-    if include_other:
-        terms = [(a, b) for a in _AXES for b in _AXES]
-    else:
-        terms = [("x", "x"), ("y", "y"), ("x", "y"), ("y", "x"), ("z", "z")]
+    terms = [(a, b) for a in _AXES for b in _AXES] if include_other \
+        else _RETAINED
     h = np.zeros((9, 9), dtype=complex)
-    for a, b in terms:
-        h -= _coefficient(g, a, b) * np.kron(op[a], op[b])
+    for (a, b), c in zip(terms, _coefficients(g, terms)):
+        h -= c * np.kron(op[a], op[b])
     return h
 
 
 def flip_flop_amplitude(g: PairGeometry, basis: BasisChoice,
-                        channel: str = "x") -> float:
+                        channel: str = "x") -> float | np.ndarray:
     """|<flip, 0| H/(J0/r^3) |0, flop>| for the one-quantum exchange.
 
     In the magnetic basis this is |<+1,0|H|0,+1>| (equal in magnitude to
     the -1 channel), |a_xx + a_yy + i(a_xy - a_yx)| / 2.  In the
     nonmagnetic basis ``channel`` picks the exchanged quantum: "x"
     (|a_xx|) or "y" (|a_yy|) per the module docstring.  These are the
-    elements of ``build_two_spin_hamiltonian``, read off in closed form.
+    elements of ``build_two_spin_hamiltonian``, read off in closed form:
+    a float for one direction, an array for an (n, 3) stack.
     """
     c = dipolar_coefficients(g)
     if basis is BasisChoice.MAGNETIC:
-        return math.hypot(c.a_xx + c.a_yy, c.a_xy - c.a_yx) / 2.0
-    if channel == "x":
-        return abs(c.a_xx)
-    if channel == "y":
-        return abs(c.a_yy)
-    raise ValueError(f"unknown channel {channel!r}")
+        return _value(np.hypot(c.a_xx + c.a_yy, c.a_xy - c.a_yx) / 2.0)
+    if channel not in ("x", "y"):
+        raise ValueError(f"unknown channel {channel!r}")
+    return _value(np.abs(c.a_xx if channel == "x" else c.a_yy))
 
 
-def double_flip_amplitude(g: PairGeometry, basis: BasisChoice) -> float:
+def double_flip_amplitude(g: PairGeometry,
+                          basis: BasisChoice) -> float | np.ndarray:
     """|<up, 0| H/(J0/r^3) |0, down>|: both spins gain or lose a quantum.
 
     In the magnetic basis this is |a_xx - a_yy - i(a_xy + a_yx)| / 2 and
@@ -170,12 +182,12 @@ def double_flip_amplitude(g: PairGeometry, basis: BasisChoice) -> float:
     every geometry.  In the nonmagnetic basis the element reduces to a
     single cross coefficient, |a_yx|, so for cross-class pairs the
     orderings can differ; the (up on spin 1) ordering is the one
-    reported.
+    reported.  A float for one direction, an array for a stack.
     """
     c = dipolar_coefficients(g)
     if basis is BasisChoice.MAGNETIC:
-        return math.hypot(c.a_xx - c.a_yy, c.a_xy + c.a_yx) / 2.0
-    return abs(c.a_yx)
+        return _value(np.hypot(c.a_xx - c.a_yy, c.a_xy + c.a_yx) / 2.0)
+    return _value(np.abs(c.a_yx))
 
 
 def resonance_factor(omega_f_mhz: float, omega_nv_mhz: float,

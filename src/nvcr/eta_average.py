@@ -19,18 +19,18 @@ axes are sampled: a uniform trapezoid in psi for RANDOM mode, a sphere
 of shared field directions for ALIGNED mode.  The psi-average converges
 algebraically, not spectrally, because K - K(0) ~ c^2 log|c| has a cusp
 at c = 0 (Trefethen & Weideman, SIAM Rev. 56, 2014).  Magnetic-basis
-cross-class averages use product Gauss-Legendre in cos(theta) x uniform
-trapezoid in phi.  Either way the average is evaluated on a resolution
-ladder (half, nominal, doubled, ...) until two successive rungs agree
-within tolerance; for zero-field-basis averages only n_psi matters.
-The axially symmetric magnetic case is half the kernel at c = 1.  All
-node sets are built in a triad derived from the pair geometry itself,
-so every average is invariant under a common rotation of the frames to
-rounding accuracy.  Sphere grids (magnetic averages, ALIGNED field
-directions) are generated and summed in blocks of whole theta rows of
-about _BLOCK nodes, so no full grid is held.  Gauss-Legendre nodes come
-from Newton's method on the Legendre recurrence, with no eigenvalue
-solve.
+cross-class averages sum dipolar.flip_flop_amplitude over product
+Gauss-Legendre in cos(theta) x uniform trapezoid in phi.  Either way
+the average is evaluated on a resolution ladder (half, nominal,
+doubled, ...) until two successive rungs agree within tolerance; for
+zero-field-basis averages only n_psi matters.  The axially symmetric
+magnetic case is half the kernel at c = 1.  All node sets are built in
+a triad derived from the pair geometry itself, so every average is
+invariant under a common rotation of the frames to rounding accuracy.
+Sphere grids (magnetic averages, ALIGNED field directions) are
+generated and summed in blocks of whole theta rows of about _BLOCK
+nodes, so no full grid is held.  Gauss-Legendre nodes come from
+Newton's method on the Legendre recurrence, with no eigenvalue solve.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from functools import cache
 
 import numpy as np
 
-from .dipolar import BasisChoice
-from .geometry import NVClassFrame, as_unit
+from .dipolar import BasisChoice, flip_flop_amplitude
+from .geometry import NVClassFrame, PairGeometry, as_unit
 
 __all__ = [
     "ZAngle",
@@ -258,16 +258,14 @@ def _magnetic_pair_average(z1: np.ndarray, z2: np.ndarray,
         # axial symmetry: |M| = |3 (u.z)^2 - 1| / 2, half the kernel at c = 1
         return 0.5 * float(_pair_kernel_batch(1.0)[0])
     triad = _relative_triad(z1, z2)
-    x_shared = triad[2]                  # normal to both axes
-    y1 = np.cross(z1, x_shared)
-    y2 = np.cross(z2, x_shared)
-    s12 = (1.0 + y1 @ y2) + 1j * (x_shared @ y2 - y1 @ x_shared)
+    # the magnitude is invariant under in-plane axis rotations, so both
+    # frames take the normal to both axes as their x axis
+    frame1, frame2 = (NVClassFrame(k, triad[2], np.cross(z, triad[2]), z)
+                      for k, z in ((0, z1), (1, z2)))
     total = 0.0
     for u, w in _sphere_node_blocks(n_theta, n_phi, triad):
-        # c_i = x_i + i y_i; the flip-flop element is (3 p1 p2 - s12)/2
-        p1 = (u @ x_shared) - 1j * (u @ y1)
-        p2 = (u @ x_shared) + 1j * (u @ y2)
-        total += float(0.5 * np.abs(3.0 * p1 * p2 - s12) @ w)
+        g = PairGeometry(u, frame1, frame2)
+        total += float(flip_flop_amplitude(g, BasisChoice.MAGNETIC) @ w)
     return total
 
 

@@ -30,13 +30,13 @@ N_CLASSES = 4
 _UNIT_TOL = 1e-12
 
 
-def as_unit(v, tol: float = 1e-9) -> np.ndarray:
-    """Return v normalized, rejecting near-zero vectors."""
+def as_unit(v) -> np.ndarray:
+    """Return v normalized, rejecting vectors shorter than 1e-9."""
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
     n = np.linalg.norm(v)
-    if not np.isfinite(n) or n < tol:
+    if not np.isfinite(n) or n < 1e-9:
         raise ValueError("cannot normalize a near-zero vector")
     return v / n
 
@@ -117,10 +117,11 @@ def class_frame(class_id: int, b_field=None) -> NVClassFrame:
 
 @dataclass(frozen=True)
 class PairGeometry:
-    """Geometry of one spin pair: inter-spin direction plus both frames.
+    """Geometry of a spin pair: inter-spin direction plus both frames.
 
-    Matrix elements downstream are expressed in units of J0/r^3, so the
-    separation itself does not enter.
+    ``u_hat`` is a unit 3-vector or an (n, 3) stack of them sharing the
+    frames.  Matrix elements downstream are expressed in units of
+    J0/r^3, so the separation itself does not enter.
     """
 
     u_hat: np.ndarray
@@ -129,8 +130,9 @@ class PairGeometry:
 
     def __post_init__(self):
         u = np.asarray(self.u_hat, dtype=float)
-        if abs(np.linalg.norm(u) - 1.0) > 1e-9:
-            raise ValueError("u_hat must be a unit vector")
+        if u.ndim not in (1, 2) or u.shape[-1] != 3 or \
+                np.any(np.abs(np.linalg.norm(u, axis=-1) - 1.0) > 1e-9):
+            raise ValueError("u_hat must be a unit 3-vector or a stack")
         object.__setattr__(self, "u_hat", u)
 
     def swapped(self) -> "PairGeometry":
@@ -138,7 +140,7 @@ class PairGeometry:
         return PairGeometry(-self.u_hat, self.frame2, self.frame1)
 
     def rotated(self, rot: np.ndarray) -> "PairGeometry":
-        return PairGeometry(rot @ self.u_hat, self.frame1.rotated(rot),
+        return PairGeometry(self.u_hat @ rot.T, self.frame1.rotated(rot),
                             self.frame2.rotated(rot))
 
 

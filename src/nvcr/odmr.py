@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .analysis import LineProfile, LineShape
+from .analysis import LineProfile
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_CR_RANGE_MHZ,
                         DEFAULT_E_PERP_MHZ, PhysicalConstants)
 from .geometry import CLASS_AXES, class_frame, tilted_field_direction
@@ -239,9 +239,9 @@ def synth_spectrum(lines_ghz, profile: LineProfile,
     row of :func:`all_transitions`.  Returns (freq_ghz, pl_norm):
     photoluminescence normalized to one away from any line, each line
     digging a dip of depth ``contrast_per_line`` scaled by the profile
-    (peak-normalized, so coincident lines deepen the dip additively).
-    Without ``freq_ghz`` the grid is ``n_freq`` points spanning the
-    lines padded by 20 widths.
+    (peak-normalized, so coincident lines deepen the dip additively;
+    ``profile.center_mhz`` is not used).  Without ``freq_ghz`` the grid
+    is ``n_freq`` points spanning the lines padded by 20 widths.
     """
     lines = np.asarray(lines_ghz, dtype=float)
     if lines.ndim != 1 or lines.size == 0 or not np.all(np.isfinite(lines)):
@@ -249,17 +249,13 @@ def synth_spectrum(lines_ghz, profile: LineProfile,
                          "finite frequencies")
     if not 0.0 < contrast_per_line < 1.0:
         raise ValueError("contrast must be in (0, 1)")
-    width_ghz = profile.width_mhz * 1e-3
     if freq_ghz is None:
-        pad = 20.0 * width_ghz
+        pad = 20.0 * (profile.width_mhz * 1e-3)
         freq_ghz = np.linspace(lines.min() - pad, lines.max() + pad, n_freq)
     freq_ghz = np.asarray(freq_ghz, dtype=float)
+    line = LineProfile(profile.shape, profile.width_mhz)
+    peak = line(0.0)
     pl = np.ones_like(freq_ghz)
     for nu in np.sort(lines):
-        x = freq_ghz - nu
-        if profile.shape is LineShape.GAUSSIAN:
-            dip = np.exp(-0.5 * (x / width_ghz) ** 2)
-        else:
-            dip = width_ghz**2 / (x * x + width_ghz**2)
-        pl -= contrast_per_line * dip
+        pl -= contrast_per_line * (line((freq_ghz - nu) * 1e3) / peak)
     return freq_ghz, pl

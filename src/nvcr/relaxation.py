@@ -76,7 +76,9 @@ class DecayModel:
     ``t1_dd_s`` is the dipolar (stretched) timescale, ``t1_ph_s`` the
     phonon-limited exponential one.  ``beta`` only enters the
     single-stretch form; it may run up to 1.5 so fitted values slightly
-    above a pure exponential remain representable.
+    above a pure exponential remain representable.  No field may be NaN;
+    an infinite timescale switches its channel off, an infinite
+    amplitude is refused.
     """
 
     t1_dd_s: float
@@ -85,10 +87,10 @@ class DecayModel:
     beta: float = 0.5
 
     def __post_init__(self):
-        if self.t1_dd_s <= 0.0 or self.t1_ph_s <= 0.0:
+        if not (self.t1_dd_s > 0.0 and self.t1_ph_s > 0.0):
             raise ValueError("timescales must be positive")
-        if self.amplitude <= 0.0:
-            raise ValueError("amplitude must be positive")
+        if not 0.0 < self.amplitude < np.inf:
+            raise ValueError("amplitude must be finite and positive")
         if not 0.0 < self.beta <= 1.5:
             raise ValueError("beta must lie in (0, 1.5]")
 
@@ -120,14 +122,9 @@ def rate_density(gamma_per_s, t_s: float):
 
 
 def polarization(t_s, big_t_s: float):
-    """Ensemble polarization P(t) = exp(-sqrt(t/T))."""
-    if big_t_s <= 0.0:
-        raise ValueError("T must be positive")
-    t = np.asarray(t_s, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("t must be >= 0")
-    out = np.exp(-np.sqrt(t / big_t_s))
-    return out if out.ndim else float(out)
+    """Ensemble polarization P(t) = exp(-sqrt(t/T)): the two-channel
+    decay with T1_dd = T, no phonon channel and unit amplitude."""
+    return decay_signal(t_s, DecayModel(t1_dd_s=big_t_s))
 
 
 def polarization_from_density(t_s: float, big_t_s: float) -> float:
@@ -152,6 +149,19 @@ def polarization_from_density(t_s: float, big_t_s: float) -> float:
                  * np.trapezoid(integrand, dx=_LAPLACE_STEP))
 
 
+def _decay_law(t, t1_dd_s, t1_ph_s, amplitude, beta, mode: str):
+    """The decay laws of ``decay_signal``, with no check of the
+    parameters: a fit objective passes trial values that a
+    ``DecayModel`` could refuse (an underflowed timescale, say)."""
+    if mode == "two_channel":
+        log_s = -np.sqrt(t / t1_dd_s) - t / t1_ph_s
+    elif mode == "stretched":
+        log_s = -((t / t1_dd_s) ** beta)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return amplitude * np.exp(log_s)
+
+
 def decay_signal(t_s, m: DecayModel, mode: str = "two_channel"):
     """Model decay signal at times ``t_s``.
 
@@ -163,11 +173,5 @@ def decay_signal(t_s, m: DecayModel, mode: str = "two_channel"):
     t = np.asarray(t_s, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("t must be >= 0")
-    if mode == "two_channel":
-        log_s = -np.sqrt(t / m.t1_dd_s) - t / m.t1_ph_s
-    elif mode == "stretched":
-        log_s = -((t / m.t1_dd_s) ** m.beta)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    out = m.amplitude * np.exp(log_s)
+    out = _decay_law(t, m.t1_dd_s, m.t1_ph_s, m.amplitude, m.beta, mode)
     return out if out.ndim else float(out)

@@ -64,8 +64,7 @@ def _all_finite(value) -> bool:
 
 
 def write_csv(path, names: list[str], columns, subcommand: str,
-              params: dict, fmt: str = FLOAT_FMT,
-              extra_comments: list[str] | None = None) -> Path:
+              params: dict, extra_comments: list[str] | None = None) -> Path:
     """Write named columns with provenance comments, LF endings.
 
     Columns may be numeric or strings; ``extra_comments`` lines are
@@ -82,7 +81,8 @@ def write_csv(path, names: list[str], columns, subcommand: str,
         if not _all_finite(c):
             raise ValueError(f"column {name!r} holds a non-finite value")
 
-    row = ",".join("%s" if c.dtype.kind in "USO" else fmt for c in cols) + "\n"
+    row = ",".join("%s" if c.dtype.kind in "USO" else FLOAT_FMT
+                   for c in cols) + "\n"
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in header_lines(subcommand, params):

@@ -235,6 +235,29 @@ def test_line_profile_validation():
                 LineProfile(shape, width_mhz=width)
 
 
+@pytest.mark.parametrize("values", [
+    {"width_mhz": np.nan},
+    {"width_mhz": np.inf},
+    {"center_mhz": np.nan},
+    {"center_mhz": np.inf},
+    {"center_mhz": -np.inf},
+], ids=["width_nan", "width_inf", "center_nan", "center_inf",
+        "center_minus_inf"])
+def test_line_profile_refuses_non_finite(values):
+    # a NaN width once gave a NaN overlap
+    for shape in LineShape:
+        with pytest.raises(ValueError):
+            LineProfile(shape, **values)
+
+
+@pytest.mark.parametrize("args", [
+    (np.nan, 1.0), (np.inf, 1.0), (1e-6, np.nan), (1e-6, np.inf),
+], ids=["sigma_nan", "sigma_inf", "tau_nan", "tau_inf"])
+def test_sensitivity_refuses_non_finite(args):
+    with pytest.raises(ValueError, match="finite"):
+        sensitivity(*args)
+
+
 def test_sensitivity_values():
     assert sensitivity(1.5e-6, 3e-3) == pytest.approx(82e-9, abs=1e-9)
     assert sensitivity(3.0e-6, 3e-3) == \

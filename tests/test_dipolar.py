@@ -171,3 +171,41 @@ def test_resonance_factor():
 def test_pair_geometry_validation():
     with pytest.raises(ValueError):
         PairGeometry(np.array([1.0, 1.0, 0.0]), FRAME0, FRAME0)
+
+
+def test_stacked_elements_equal_row_by_row():
+    # a stack of directions is a batch of single directions: every row
+    # of each element has the bits of the row's own call
+    rng = np.random.default_rng(7)
+    u = rng.normal(size=(37, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    elements = [
+        lambda g: dipolar_coefficients(g).a_xx,
+        lambda g: dipolar_coefficients(g).a_yy,
+        lambda g: dipolar_coefficients(g).a_xy,
+        lambda g: dipolar_coefficients(g).a_yx,
+        lambda g: dipolar_coefficients(g).a_zz,
+        lambda g: flip_flop_amplitude(g, BasisChoice.MAGNETIC),
+        lambda g: flip_flop_amplitude(g, BasisChoice.NONMAGNETIC, "x"),
+        lambda g: flip_flop_amplitude(g, BasisChoice.NONMAGNETIC, "y"),
+        lambda g: double_flip_amplitude(g, BasisChoice.MAGNETIC),
+        lambda g: double_flip_amplitude(g, BasisChoice.NONMAGNETIC),
+    ]
+    for frame2 in (FRAME0, FRAME2):
+        stack = PairGeometry(u, FRAME0, frame2)
+        for element in elements:
+            batch = element(stack)
+            assert batch.shape == (len(u),)
+            rows = [element(PairGeometry(row, FRAME0, frame2)) for row in u]
+            assert all(type(r) is float for r in rows)
+            assert np.array_equal(batch, rows)
+
+
+def test_pair_geometry_refuses_a_non_unit_row():
+    u = np.tile(FRAME0.z_hat, (5, 1))
+    PairGeometry(u, FRAME0, FRAME2)
+    u[3] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="unit"):
+        PairGeometry(u, FRAME0, FRAME2)
+    with pytest.raises(ValueError, match="unit"):
+        PairGeometry(u[None], FRAME0, FRAME2)

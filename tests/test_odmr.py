@@ -289,6 +289,16 @@ def test_spectrum_explicit_grid_and_validation():
 
 
 
+@pytest.mark.parametrize("shape", list(LineShape))
+def test_spectrum_dip_depth_is_the_contrast(shape):
+    # a dip is the line's profile over its peak: at the centre of an
+    # isolated line the depth is the contrast
+    grid = np.array([2.80, 2.87, 2.94])
+    _, pl = synth_spectrum([2.87], LineProfile(shape, width_mhz=0.5),
+                           contrast_per_line=0.03, freq_ghz=grid)
+    assert 1.0 - pl[1] == pytest.approx(0.03, abs=1e-15)
+
+
 @pytest.mark.parametrize("lines", [[], [2.87, np.nan], [[2.86, 2.88]]])
 def test_spectrum_refuses_bad_lines(lines):
     with pytest.raises(ValueError):

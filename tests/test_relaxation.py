@@ -122,6 +122,15 @@ def test_polarization_reference_points():
     assert np.all(np.diff(polarization(grid, big_t)) < 0.0)
 
 
+def test_polarization_is_the_two_channel_law():
+    tau = np.concatenate([[0.0], np.geomspace(1e-7, 5e-2, 200)])
+    for big_t in (1e-4, 4.2e-3, 0.3):
+        assert np.array_equal(polarization(tau, big_t),
+                              decay_signal(tau, DecayModel(big_t)))
+        assert polarization(2e-3, big_t) == \
+            decay_signal(2e-3, DecayModel(big_t))
+
+
 def test_decay_signal_limits():
     tau = np.linspace(0.0, 5e-3, 32)
     no_phonon = DecayModel(t1_dd_s=0.6e-3)   # t1_ph defaults to infinity
@@ -167,3 +176,28 @@ def test_decay_model_validation():
     with pytest.raises(ValueError):
         decay_signal(np.array([0.0, 1.0]), DecayModel(t1_dd_s=1.0),
                      mode="nope")
+
+
+@pytest.mark.parametrize("values", [
+    {"t1_dd_s": np.nan},
+    {"t1_ph_s": np.nan},
+    {"amplitude": np.nan},
+    {"beta": np.nan},
+    {"amplitude": np.inf},
+], ids=["t1_dd_nan", "t1_ph_nan", "amplitude_nan", "beta_nan",
+        "amplitude_inf"])
+def test_decay_model_refuses_non_finite(values):
+    # a NaN field or an infinite amplitude gives a NaN or infinite signal
+    with pytest.raises(ValueError):
+        DecayModel(**{"t1_dd_s": 1e-3, **values})
+
+
+def test_decay_model_takes_infinite_timescales():
+    # an infinite timescale switches its channel off
+    tau = np.linspace(0.0, 1e-2, 16)
+    no_phonon = DecayModel(t1_dd_s=1e-3, t1_ph_s=np.inf)
+    assert np.array_equal(decay_signal(tau, no_phonon),
+                          polarization(tau, 1e-3))
+    phonon_only = DecayModel(t1_dd_s=np.inf, t1_ph_s=2e-3)
+    assert decay_signal(tau, phonon_only) == \
+        pytest.approx(np.exp(-tau / 2e-3), rel=1e-15)
