@@ -88,10 +88,10 @@ class FitError(RuntimeError):
         self.best = best
 
 
-def _t1_starts(c: DecayCurve, n: int = 5) -> np.ndarray:
-    # log-spaced from well inside the sampled window to well beyond it
+def _t1_starts(c: DecayCurve) -> np.ndarray:
+    # five, log-spaced from well inside the sampled window to well beyond it
     lo = max(c.tau_s[1], c.tau_s[-1] * 1e-3)
-    return np.geomspace(lo, 10.0 * c.tau_s[-1], n)
+    return np.geomspace(lo, 10.0 * c.tau_s[-1], 5)
 
 
 def _jittered(starts, seed: int | None):

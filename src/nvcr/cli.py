@@ -33,7 +33,7 @@ from .constants import (DEFAULT_CONSTANTS, DEFAULT_CR_RANGE_MHZ,
                         DEFAULT_E_PERP_MHZ, PhysicalConstants)
 from .eta_average import (DEFAULT_QUADRATURE, ConvergenceError,
                           QuadratureSpec, eta_table, multiplier_table)
-from .geometry import class_frame
+from .geometry import as_unit, class_frame
 from .odmr import all_transitions, degeneracy_lift, synth_spectrum
 from .relaxation import DecayModel, decay_signal
 from .serialize import read_decay_csv, write_csv, write_json
@@ -175,13 +175,16 @@ _seed = _Number(int, low=0)
 
 
 def _vector3(text: str) -> np.ndarray:
+    """A direction ``x,y,z`` that ``as_unit`` accepts, kept as typed."""
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
             f"expected 'x,y,z' with three components, got {text!r}")
     v = np.array([_real(p) for p in parts])
-    if np.linalg.norm(v) < 1e-12:
-        raise argparse.ArgumentTypeError("direction must be nonzero")
+    try:
+        as_unit(v)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return v
 
 

@@ -8,7 +8,7 @@ secular-relevant part of the dipolar coupling is, in units of J0/r^3,
 
 where a, b run over each spin's local axes.  Terms mixing transverse
 and longitudinal operators on the same spin (S_x S_z type) average out
-for the processes of interest and are kept behind a flag.
+for the processes of interest and are dropped.
 
 Matrix elements can be taken in two single-spin eigenbases:
 
@@ -27,6 +27,11 @@ Matrix elements can be taken in two single-spin eigenbases:
   unitary conjugation of the magnetic-basis operators; only magnitudes
   of matrix elements feed the downstream averages, so the phase and
   label conventions do not affect any physical output.
+
+  The labels are not those of ``spin_model.zero_field_states``, whose
+  |+-> = (|+1> +- exp(-i phi_E)|-1>)/sqrt(2) are named by energy
+  branch.  At phi_E = 0 this module's |-> is spin_model's |+>, and this
+  module's |+> is spin_model's |-> times -i.
 
 The flip-flop channels in the nonmagnetic basis are named by operator:
 channel "x" exchanges the quantum coupled by the x-type operators
@@ -111,8 +116,8 @@ def _value(x):
     return x if np.ndim(x) else float(x)
 
 
-def _coefficients(g: PairGeometry, terms) -> list:
-    """a_ab for each (a, b) of ``terms``, one projection per axis."""
+def _coefficients(g: PairGeometry) -> list:
+    """a_ab for each retained (a, b), one projection per axis."""
     axes1, axes2 = ({a: getattr(f, f"{a}_hat") for a in _AXES}
                     for f in (g.frame1, g.frame2))
     # einsum, not matmul: BLAS rounds a row of a stack and the same row
@@ -120,11 +125,11 @@ def _coefficients(g: PairGeometry, terms) -> list:
     u1, u2 = ({a: np.einsum("...j,j", g.u_hat, v) for a, v in axes.items()}
               for axes in (axes1, axes2))
     return [_value(3.0 * u1[a] * u2[b] - axes1[a] @ axes2[b])
-            for a, b in terms]
+            for a, b in _RETAINED]
 
 
 def dipolar_coefficients(g: PairGeometry) -> DipolarCoefficients:
-    return DipolarCoefficients(*_coefficients(g, _RETAINED))
+    return DipolarCoefficients(*_coefficients(g))
 
 
 def _single_spin_ops(basis: BasisChoice):
@@ -133,23 +138,18 @@ def _single_spin_ops(basis: BasisChoice):
     return nonmagnetic_spin_matrices()
 
 
-def build_two_spin_hamiltonian(g: PairGeometry, basis: BasisChoice,
-                               include_other: bool = False) -> np.ndarray:
+def build_two_spin_hamiltonian(g: PairGeometry,
+                               basis: BasisChoice) -> np.ndarray:
     """9x9 pair Hamiltonian in units of J0/r^3.
 
-    With ``include_other`` false only the five bilinears retained by the
-    secular argument (xx, yy, xy, yx, zz) enter; setting it true adds
-    the transverse-longitudinal cross terms for sensitivity studies.
-    ``g`` must hold a single direction.
+    Only the five bilinears retained by the secular argument (xx, yy,
+    xy, yx, zz) enter.  ``g`` must hold a single direction.
     """
     if g.u_hat.ndim != 1:
         raise ValueError("the pair Hamiltonian takes a single direction")
-    ops = _single_spin_ops(basis)
-    op = {"x": ops[0], "y": ops[1], "z": ops[2]}
-    terms = [(a, b) for a in _AXES for b in _AXES] if include_other \
-        else _RETAINED
+    op = dict(zip(_AXES, _single_spin_ops(basis)))
     h = np.zeros((9, 9), dtype=complex)
-    for (a, b), c in zip(terms, _coefficients(g, terms)):
+    for (a, b), c in zip(_RETAINED, _coefficients(g)):
         h -= c * np.kron(op[a], op[b])
     return h
 

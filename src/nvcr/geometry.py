@@ -27,17 +27,18 @@ CLASS_AXES = np.array(
 
 N_CLASSES = 4
 
-_UNIT_TOL = 1e-12
-
 
 def as_unit(v) -> np.ndarray:
-    """Return v normalized, rejecting vectors shorter than 1e-9."""
+    """Return v normalized, rejecting lengths below 1e-9 or not finite
+    (a length overflows to inf from ~1e154 per component)."""
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    n = np.linalg.norm(v)
-    if not np.isfinite(n) or n < 1e-9:
-        raise ValueError("cannot normalize a near-zero vector")
+    with np.errstate(over="ignore"):    # an overflowed length is refused
+        n = np.linalg.norm(v)
+    if not 1e-9 <= n < np.inf:
+        raise ValueError(f"cannot normalize a vector of length {n:.3g}: "
+                         "it must be finite and at least 1e-9")
     return v / n
 
 
@@ -46,21 +47,18 @@ def orthonormal_complement(z_hat: np.ndarray, prefer=None) -> tuple[np.ndarray, 
 
     If ``prefer`` is given and has a nonzero projection on the plane
     orthogonal to z_hat, x_hat is taken along that projection;
-    otherwise a deterministic reference direction is used.
+    otherwise along [100], or along [010] when z_hat is along [100].
     """
     z_hat = as_unit(z_hat)
-    candidates = []
-    if prefer is not None:
-        candidates.append(np.asarray(prefer, dtype=float))
-    candidates.append(np.array([1.0, 0.0, 0.0]))
-    candidates.append(np.array([0.0, 1.0, 0.0]))
-    for cand in candidates:
+    candidates = [] if prefer is None else [np.asarray(prefer, dtype=float)]
+    for cand in candidates + [np.array([1.0, 0.0, 0.0]),
+                              np.array([0.0, 1.0, 0.0])]:
         perp = cand - (cand @ z_hat) * z_hat
         n = np.linalg.norm(perp)
         if n > 1e-8:
-            x_hat = perp / n
-            return x_hat, np.cross(z_hat, x_hat)
-    raise RuntimeError("unreachable: no transverse candidate survived")
+            break
+    x_hat = perp / n
+    return x_hat, np.cross(z_hat, x_hat)
 
 
 @dataclass(frozen=True)
@@ -139,10 +137,6 @@ class PairGeometry:
         """Exchange the two spins (and flip the inter-spin direction)."""
         return PairGeometry(-self.u_hat, self.frame2, self.frame1)
 
-    def rotated(self, rot: np.ndarray) -> "PairGeometry":
-        return PairGeometry(self.u_hat @ rot.T, self.frame1.rotated(rot),
-                            self.frame2.rotated(rot))
-
 
 def rotation_matrix(axis, angle_rad: float) -> np.ndarray:
     """Rodrigues rotation about ``axis`` by ``angle_rad``."""
@@ -155,14 +149,14 @@ def rotation_matrix(axis, angle_rad: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle_rad) * k + (1.0 - np.cos(angle_rad)) * (k @ k)
 
 
-def tilted_field_direction(tilt_deg: float = 24.0, azimuth_deg: float = 26.0) -> np.ndarray:
-    """Unit field direction tilted away from the [100] crystal axis.
+def tilted_field_direction() -> np.ndarray:
+    """Unit field direction tilted 24 deg away from the [100] crystal axis.
 
-    ``azimuth_deg`` measures the tilt plane from [010] toward [001] in
-    the plane normal to [100].  The default azimuth places the four
-    class projections so that the slowest-splitting pair of transition
-    lines separates by the cross-relaxation range near 15 G.
+    The tilt plane lies 26 deg from [010] toward [001] in the plane
+    normal to [100].  That azimuth places the four class projections so
+    that the slowest-splitting pair of transition lines separates by the
+    cross-relaxation range near 15 G.
     """
-    t = np.deg2rad(tilt_deg)
-    a = np.deg2rad(azimuth_deg)
+    t = np.deg2rad(24.0)
+    a = np.deg2rad(26.0)
     return np.array([np.cos(t), np.sin(t) * np.cos(a), np.sin(t) * np.sin(a)])

@@ -18,7 +18,8 @@ import numpy as np
 from .analysis import LineProfile
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_CR_RANGE_MHZ,
                         DEFAULT_E_PERP_MHZ, PhysicalConstants)
-from .geometry import CLASS_AXES, class_frame, tilted_field_direction
+from .geometry import (CLASS_AXES, as_unit, class_frame,
+                       tilted_field_direction)
 from .spin_model import FieldConfiguration, build_hamiltonian, diagonalize
 
 __all__ = [
@@ -36,11 +37,7 @@ _BRACKET_GAUSS = 1e-5    # refinement stops once the bracket is this narrow
 def _unit_direction(direction) -> np.ndarray:
     if direction is None:
         return tilted_field_direction()
-    direction = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(direction)
-    if norm < 1e-12:
-        raise ValueError("direction must be a nonzero vector")
-    return direction / norm
+    return as_unit(direction)
 
 
 def _ramp(b_amps_gauss) -> np.ndarray:

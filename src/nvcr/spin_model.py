@@ -38,10 +38,11 @@ __all__ = [
 
 # GHz; eigenvalues closer than this are tie-broken.  Re-mixing a group
 # that spans a gap g leaves an eigen-residual of up to g, so the
-# tolerance must not exceed diagonalize's residual bound, 1e-10 * max(|H|, 1).
+# tolerance must not exceed diagonalize's residual bound,
+# 1e-10 * max(|H_ij|, 1).
 _DEG_TOL = 1e-10
-_BLOCK = 512      # matrices per solve in diagonalize and _solve_fields:
-                  # bounds temporaries
+_BLOCK = 512      # field points per _solve_fields block, the one place that
+                  # blocks: bounds the temporaries of a large scan
 
 
 def spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -59,7 +60,9 @@ _SZ2 = _SZ @ _SZ
 def zero_field_states(phi_e_rad: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reference states (|0>, |->, |+>) as columns in the m_s basis.
 
-    |+-> = (|+1> +- exp(-i phi_E) |-1>)/sqrt(2).
+    |+-> = (|+1> +- exp(-i phi_E) |-1>)/sqrt(2), named by energy branch.
+    ``dipolar``'s zero-field basis names the same states by operator: at
+    phi_E = 0 its |-> is this |+>, and its |+> is this |-> times -i.
     """
     s0 = np.array([0.0, 1.0, 0.0], dtype=complex)
     ph = np.exp(-1j * phi_e_rad)
@@ -179,30 +182,31 @@ def _tie_break_degenerate(energies: np.ndarray, vecs: np.ndarray) -> None:
 
 
 def diagonalize(h: np.ndarray) -> SpinEigensystem:
-    """Eigensystems of a Hermitian (..., 3, 3) stack, energies ascending."""
+    """Eigensystems of a Hermitian (..., 3, 3) stack, energies ascending.
+
+    The checks divide each matrix by max(|H_ij|, 1), which cannot
+    overflow, so they hold at any finite scale.
+    """
     h = np.asarray(h, dtype=complex)
     shape = h.shape[:-2]
     h = h.reshape(-1, 3, 3)
-    energies, vecs = np.empty((len(h), 3)), np.empty_like(h)
-    for k in range(0, len(h), _BLOCK):
-        s = slice(k, k + _BLOCK)
-        hk, e, v = h[s], energies[s], vecs[s]
-        scale = np.maximum(np.linalg.norm(hk, axis=(1, 2)), 1.0)
-        if np.any(np.linalg.norm(hk - hk.conj().transpose(0, 2, 1),
-                                 axis=(1, 2)) > 1e-10 * scale):
-            raise ValueError("Hamiltonian is not Hermitian")
-        e[:], v[:] = np.linalg.eigh(hk)
-        for i in np.flatnonzero((e[:, 1:] - e[:, :-1]).min(axis=1) < _DEG_TOL):
-            _tie_break_degenerate(e[i], v[i])
-        # deterministic global phase: largest component real positive
-        big = v[np.arange(len(hk))[:, None], np.abs(v).argmax(axis=1),
-                np.arange(3)]
-        v /= (big / np.abs(big))[:, None, :]
-        resid = np.linalg.norm(hk @ v - v * e[:, None, :], axis=1)
-        if np.any(resid > 1e-10 * scale[:, None]):
-            raise ArithmeticError(f"eigen-residual too large: {resid.max():.3e}")
-    return SpinEigensystem(energies.reshape(shape + (3,)),
-                           vecs.reshape(shape + (3, 3)))
+    scale = np.maximum(np.abs(h).max(axis=(1, 2), initial=0.0),
+                       1.0)[:, None, None]
+    if np.any(np.linalg.norm((h - h.conj().transpose(0, 2, 1)) / scale,
+                             axis=(1, 2)) > 1e-10):
+        raise ValueError("Hamiltonian is not Hermitian")
+    e, v = np.linalg.eigh(h)
+    for i in np.flatnonzero((e[:, 1:] - e[:, :-1]).min(axis=1) < _DEG_TOL):
+        _tie_break_degenerate(e[i], v[i])
+    # deterministic global phase: largest component real positive
+    big = v[np.arange(len(h))[:, None], np.abs(v).argmax(axis=1),
+            np.arange(3)]
+    v /= (big / np.abs(big))[:, None, :]
+    resid = np.linalg.norm((h @ v - v * e[:, None, :]) / scale, axis=1)
+    if np.any(resid > 1e-10):
+        raise ArithmeticError(
+            f"relative eigen-residual too large: {resid.max():.3e}")
+    return SpinEigensystem(e.reshape(shape + (3,)), v.reshape(shape + (3, 3)))
 
 
 def _solve_fields(cls: NVClassFrame, b_gauss: np.ndarray,
@@ -253,17 +257,14 @@ def eigenstate_map(cls: NVClassFrame, b_amplitude_gauss, theta_rad,
 
 
 def transverse_field_scan(cls: NVClassFrame, b_perp_gauss, e_perp_mhz: float,
-                          c: PhysicalConstants = DEFAULT_CONSTANTS,
-                          direction=None):
-    """Eigenstructure versus a purely transverse magnetic field.
+                          c: PhysicalConstants = DEFAULT_CONSTANTS):
+    """Eigenstructure versus a purely transverse magnetic field along the
+    frame's x axis.
 
     Parameters
     ----------
     b_perp_gauss : array-like
         Transverse field amplitudes (Gauss).
-    direction : array-like, optional
-        Transverse direction in the crystal frame; defaults to the
-        frame's x axis.  Must be orthogonal to the NV axis.
 
     Returns
     -------
@@ -279,11 +280,7 @@ def transverse_field_scan(cls: NVClassFrame, b_perp_gauss, e_perp_mhz: float,
         matching = (1 + s/sqrt(s^2 + 4 (gamma_e B)^2))/2 with s = D + eps.
     """
     b_perp_gauss = np.atleast_1d(np.asarray(b_perp_gauss, dtype=float))
-    if direction is None:
-        direction = cls.x_hat
-    direction = as_unit(direction)
-    if abs(direction @ cls.z_hat) > 1e-9:
-        raise ValueError("scan direction must be orthogonal to the NV axis")
+    direction = as_unit(cls.x_hat)
     # keep the electric field along the scan direction so the d/e
     # splitting adds up coherently at all amplitudes
     phi_e = float(np.arctan2(direction @ cls.y_hat, direction @ cls.x_hat))

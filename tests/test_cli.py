@@ -158,6 +158,30 @@ def test_direction_takes_a_leading_minus(argv, vector, tmp_path):
     assert spaced.read_bytes() == joined.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["transitions", "degeneracy",
+                                     "spectrum"])
+@pytest.mark.parametrize("vector", ["1e200,0,0", "0,0,0", "1e-200,0,0"])
+def test_direction_without_a_finite_nonzero_length_exits_2(command, vector,
+                                                           tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--direction", vector, "--output", str(out)])
+    assert exc.value.code == 2
+    assert "cannot normalize a vector of length" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_direction_is_normalized_but_kept_in_the_header(tmp_path):
+    rows = {}
+    for vector in ("1,0,0", "0.001,0,0"):
+        out = tmp_path / f"{vector}.csv"
+        assert main(["transitions", "--n-b", "7", "--direction", vector,
+                     "--output", str(out)]) == 0
+        comments, _, rows[vector] = _read_csv(out)
+        assert f"direction=[{vector}]" in "\n".join(comments)
+    assert rows["1,0,0"] == rows["0.001,0,0"]
+
+
 def test_bad_flags_exit_2(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
@@ -687,6 +711,88 @@ def test_quadrature_config_lines_follow_the_exit_contract(drawn, tmp_path,
         _, _, rows = _read_csv(out)
         assert np.all(np.isfinite(np.array([r[1:] for r in rows],
                                            dtype=float))), lines
+
+
+_CONST_KEYS = ("d_ghz", "gamma_e_mhz_per_g", "j0_mhz_nm3")
+_GOOD_VALUES = {
+    **{k: _POSITIVE.map(repr) for k in _CONST_KEYS},
+    "format": st.sampled_from(["csv", "json"]),
+    "seed": st.integers(0, 2**64).map(str),
+    # resolved inside the run's scratch directory by the test
+    "output_dir": st.sampled_from(["<existing>", "<missing>"]),
+}
+_BAD_VALUES = {
+    **{k: st.one_of(st.floats(max_value=0.0).map(repr),
+                    st.sampled_from(["nan", "inf", "-inf", "1e400", "",
+                                     "abc", "1,5", "0x10"]))
+       for k in _CONST_KEYS},
+    "format": st.sampled_from(["CSV", "xml", "", "csv json", "jsonl"]),
+    "seed": st.one_of(st.integers(max_value=-1).map(str),
+                      st.sampled_from(["1.5", "abc", "", "1e3", "nan"])),
+}
+_KNOWN_KEYS = {*_GOOD_VALUES, "n_theta", "n_phi", "n_psi", "tolerance",
+               "max_doublings"}
+
+
+@st.composite
+def _config_files(draw):
+    """Config lines of the non-quadrature keys, at most one of them faulty
+    (a bad value, an unknown or duplicate key, or a line without '='),
+    the fault drawn (None when there is none) and the values set."""
+    keys = draw(st.lists(st.sampled_from(sorted(_GOOD_VALUES)), min_size=1,
+                         unique=True))
+    pairs = [(k, draw(_GOOD_VALUES[k])) for k in keys]
+    fault = draw(st.sampled_from([None, "value", "unknown", "duplicate",
+                                  "no_equals"]))
+    if fault == "value":
+        k = draw(st.sampled_from(sorted(_BAD_VALUES)))
+        pairs = [p for p in pairs if p[0] != k] + [(k, draw(_BAD_VALUES[k]))]
+    elif fault == "unknown":
+        pairs.append((draw(st.from_regex(r"\A[a-z][a-z0-9_]{0,15}\Z").filter(
+            lambda k: k not in _KNOWN_KEYS)), "1"))
+    elif fault == "duplicate":
+        pairs.append(draw(st.sampled_from(pairs)))
+    lines = [f"{k}{draw(st.sampled_from(['', ' ']))}="
+             f"{draw(st.sampled_from(['', ' ']))}{v}" for k, v in pairs]
+    if fault == "no_equals":
+        lines.append(draw(st.text("abcdefgxyz0123456789 .,-_", min_size=1)
+                          .filter(str.strip)))
+    lines += draw(st.lists(st.sampled_from(["", "   ", "# a comment"]),
+                           max_size=2))
+    return draw(st.permutations(lines)), fault, dict(pairs)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=_config_files())
+def test_config_lines_follow_the_exit_contract(drawn, monkeypatch, capsys):
+    lines, fault, values = drawn
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        text = "\n".join(lines).replace("<existing>", str(work)).replace(
+            "<missing>", str(work / "missing"))
+        (work / "run.cfg").write_text(text + "\n")
+        monkeypatch.chdir(work)
+        capsys.readouterr()
+        rc = main(["transitions", "--n-b", "3", "--config", "run.cfg"])
+        out, err = capsys.readouterr()
+        written = sorted(p.name for p in work.rglob("*") if p.is_file())
+        assert "Traceback" not in out + err, text
+        if fault is not None:
+            assert rc == 2 and written == ["run.cfg"], text
+        elif values.get("output_dir") == "<missing>":
+            assert rc == 1 and written == ["run.cfg"], text
+            assert json.loads(out)["error"] == "FileNotFoundError", text
+        else:
+            assert rc == 0, text
+            path = work / f"transitions.{values.get('format', 'csv')}"
+            assert written == sorted(["run.cfg", path.name]), text
+            if path.suffix == ".json":
+                cells = list(json.loads(path.read_text())["columns"].values())
+            else:
+                cells = _read_csv(path)[2]
+            assert np.all(np.isfinite(np.array(cells, dtype=float))), text
 
 
 def test_golden_flags():

@@ -14,6 +14,7 @@ from nvcr import (
     flip_flop_amplitude,
     nonmagnetic_change_of_basis,
     resonance_factor,
+    zero_field_states,
 )
 
 FRAME0 = class_frame(0)
@@ -134,10 +135,18 @@ def test_flip_flop_analytic_law():
 @given(u=unit_vectors)
 def test_hermiticity(u):
     for basis in BasisChoice:
-        for include_other in (False, True):
-            h = build_two_spin_hamiltonian(_pair(u, FRAME0, FRAME2), basis,
-                                           include_other=include_other)
-            assert np.linalg.norm(h - h.conj().T) < 1e-12
+        h = build_two_spin_hamiltonian(_pair(u, FRAME0, FRAME2), basis)
+        assert np.linalg.norm(h - h.conj().T) < 1e-12
+
+
+def test_zero_field_labelings_name_the_same_states():
+    # dipolar's (|->, |0>, |+>) are spin_model's (|+>, |0>, -i|->) at phi_E = 0
+    u = nonmagnetic_change_of_basis()
+    s0, sm, sp = zero_field_states(0.0)
+    for column, ref in zip(u.T, (sp, s0, sm)):
+        assert abs(ref.conj() @ column) == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(u[:, 0], sp) and np.array_equal(u[:, 1], s0)
+    assert np.allclose(u[:, 2], -1j * sm, rtol=0.0, atol=1e-16)
 
 
 @given(u=unit_vectors)
@@ -155,9 +164,6 @@ def test_retained_terms_only():
     u = (FRAME0.x_hat + FRAME0.z_hat) / np.sqrt(2.0)
     h = build_two_spin_hamiltonian(_pair(u), BasisChoice.MAGNETIC)
     assert h[5, 8] == pytest.approx(0.0, abs=1e-12)
-    h_full = build_two_spin_hamiltonian(_pair(u), BasisChoice.MAGNETIC,
-                                        include_other=True)
-    assert abs(h_full[5, 8]) > 1e-3
 
 
 def test_resonance_factor():

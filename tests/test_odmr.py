@@ -245,6 +245,19 @@ def test_degeneracy_b111_excludes_coincident_classes():
     assert 2.0 <= report.all_separated_b_gauss <= 8.0
 
 
+@pytest.mark.parametrize("direction, fault", [
+    ([1e200, 0.0, 0.0], "length inf"),   # the length overflows
+    ([0.0, 0.0, 0.0], "length 0"),
+    ([1e-200, 0.0, 0.0], "length 0"),
+    ([1e-10, 0.0, 0.0], "length 1e-10"),
+    ([np.nan, 0.0, 0.0], "length nan"),
+])
+def test_direction_outside_the_unit_rule_raises(direction, fault):
+    for run in (all_transitions, degeneracy_lift):
+        with pytest.raises(ValueError, match=fault):
+            run(direction=direction)
+
+
 def test_degeneracy_small_range_limit():
     report = degeneracy_lift(cr_range_mhz=1e-6)
     assert report.all_separated_b_gauss < 0.5

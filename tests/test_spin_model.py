@@ -171,7 +171,7 @@ def test_stack_mixes_degenerate_and_generic_rows():
     rng = np.random.default_rng(7)
     degenerate = np.vstack([np.zeros(3),          # |+-1> at e_perp = 0
                             1e-3 * frame.x_hat])  # gap ~ (gamma B)^2 / D
-    # enough generic rows that the stack spans three solver blocks
+    # more generic rows than a _solve_fields block, solved in one call
     b = np.vstack([degenerate, 40.0 * frame.y_hat,
                    rng.uniform(-150.0, 150.0, size=(1100, 3)), degenerate])
     es = _assert_stack_matches_rows(frame, b, e_perp_mhz=0.0)
@@ -218,6 +218,24 @@ def test_diagonalize_rejects_non_hermitian():
                  dtype=complex)
     with pytest.raises(ValueError):
         diagonalize(h)
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e200])
+def test_diagonalize_rejects_non_hermitian_at_large_scale(scale):
+    # at 1e200 the Frobenius norm overflows; the checks must not
+    h = np.zeros((3, 3), dtype=complex)
+    h[0, 1] = scale
+    with pytest.raises(ValueError):
+        diagonalize(h)
+
+
+def test_diagonalize_solves_hermitian_stacks_at_large_scale():
+    h = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.3]],
+                 dtype=complex)
+    es = diagonalize(np.stack([h, 1e200 * h]))
+    assert es.energies_ghz[0] == pytest.approx([-1.0, 0.3, 1.0], abs=1e-15)
+    assert es.energies_ghz[1] == pytest.approx([-1e200, 3e199, 1e200],
+                                               rel=1e-15)
 
 
 def test_frame_rejects_non_orthonormal():
@@ -278,13 +296,6 @@ def test_transverse_scan_splitting():
     assert dnu[grid.searchsorted(20.0)] > 8.0
     assert dnu[-1] == pytest.approx(70.0, abs=5.0)
     assert np.all(matching > 0.97)
-
-
-def test_transverse_scan_rejects_non_orthogonal():
-    frame = class_frame(0)
-    with pytest.raises(ValueError):
-        transverse_field_scan(frame, [10.0], e_perp_mhz=4.0,
-                              direction=frame.z_hat)
 
 
 def test_empty_transverse_scan_still_checks_the_electric_field():
