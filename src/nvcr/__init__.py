@@ -14,10 +14,10 @@ from importlib import import_module
 
 from .version import __version__
 
-# submodule -> the public names it defines, loaded on first access
+# submodule -> its ``__all__``, the public names loaded on first access
 _SUBMODULES = {
     "constants": ("PhysicalConstants", "DEFAULT_CONSTANTS",
-                  "DEFAULT_E_PERP_MHZ", "DEFAULT_CR_RANGE_MHZ"),
+                  "DEFAULT_E_PERP_MHZ", "DEFAULT_CR_RANGE_MHZ", "J0_MHZ_NM3"),
     "geometry": ("CLASS_AXES", "NVClassFrame", "PairGeometry", "class_frame",
                  "rotation_matrix", "tilted_field_direction"),
     # single-center model

@@ -1,7 +1,7 @@
 """Decay-curve fitting, spectral overlaps and sensitivity estimates.
 
 Both fits run one driver: a derivative-free simplex over the decay
-laws of ``relaxation`` with log-parameterized timescales (positivity
+law of ``relaxation`` with log-parameterized timescales (positivity
 by construction) from several deterministic starting points; the best
 residual wins.  The simplex is an in-package port of
 SciPy's Nelder-Mead, so the command path never imports SciPy.
@@ -53,16 +53,18 @@ class DecayCurve:
         sig = np.asarray(self.signal, dtype=float)
         if tau.ndim != 1 or tau.size < 8:
             raise ValueError("need at least 8 samples")
+        if not np.all((0.0 <= tau) & (tau < np.inf)):
+            raise ValueError("tau_s must be finite and >= 0")
         if np.any(np.diff(tau) <= 0.0):
-            raise ValueError("times must be strictly increasing")
+            raise ValueError("tau_s must be strictly increasing")
         if sig.shape != tau.shape or not np.all(np.isfinite(sig)):
             raise ValueError("signal must be finite and match tau in length")
         object.__setattr__(self, "tau_s", tau)
         object.__setattr__(self, "signal", sig)
         if self.sigma is not None:
             s = np.asarray(self.sigma, dtype=float)
-            if s.shape != tau.shape or np.any(s <= 0.0):
-                raise ValueError("sigma must be positive and match tau in length")
+            if s.shape != tau.shape or not np.all((0.0 < s) & (s < np.inf)):
+                raise ValueError("sigma must be finite, positive and match tau")
             object.__setattr__(self, "sigma", s)
 
     @property
@@ -222,10 +224,8 @@ def _run_simplex(objective, x0: np.ndarray, c: DecayCurve) -> _Simplex:
                         maxiter=4000, maxfev=8000)
 
 
-def _fit(c: DecayCurve, model_of, starts, seed: int | None,
-         mode: str) -> FitResult:
-    """Fit the decay law ``mode`` from each (jittered) start; the best
-    residual wins.
+def _fit(c: DecayCurve, model_of, starts, seed: int | None) -> FitResult:
+    """Fit the decay law from each (jittered) start; the best wins.
 
     A simplex point is (log A, *rest): each of ``starts`` is a rest, and
     log A starts at the log of the largest |signal|.  ``model_of`` maps
@@ -241,7 +241,7 @@ def _fit(c: DecayCurve, model_of, starts, seed: int | None,
     w = c.weights
 
     def objective(x):
-        model = _decay_law(c.tau_s, *model_of(x), mode)
+        model = _decay_law(c.tau_s, *model_of(x))
         return float(np.sum(w * (c.signal - model) ** 2))
 
     results = [_run_simplex(objective, x0, c)
@@ -257,7 +257,7 @@ def _fit(c: DecayCurve, model_of, starts, seed: int | None,
 
 def fit_decay(c: DecayCurve, fixed_t1_ph_s: float | None = None,
               seed: int | None = None) -> FitResult:
-    """Least-squares fit of the two-channel decay model.
+    """Least-squares fit of the two-channel decay law (beta = 1/2).
 
     Free parameters are (A, T1_dd) when ``fixed_t1_ph_s`` is given, or
     (A, T1_dd, T1_ph) otherwise; all fitted in log space from at least
@@ -274,11 +274,11 @@ def fit_decay(c: DecayCurve, fixed_t1_ph_s: float | None = None,
     starts = [[np.log(t_start)]
               + ([np.log(10.0 * c.tau_s[-1])] if free_ph else [])
               for t_start in _t1_starts(c)]
-    return _fit(c, model_of, starts, seed, "two_channel")
+    return _fit(c, model_of, starts, seed)
 
 
 def fit_beta(c: DecayCurve, seed: int | None = None) -> FitResult:
-    """Fit the single stretched exponential with free (A, T1, beta).
+    """Fit the single stretch (T1_ph = inf) with free (A, T1, beta).
 
     beta is searched over (0, 1.5] through a logistic map so the
     simplex stays unconstrained.
@@ -290,7 +290,7 @@ def fit_beta(c: DecayCurve, seed: int | None = None) -> FitResult:
     beta_starts = [0.4, 0.6, 0.8, 1.0, 1.2]
     starts = [[np.log(t_start), -np.log(1.5 / b_start - 1.0)]
               for t_start, b_start in zip(_t1_starts(c), beta_starts)]
-    return _fit(c, model_of, starts, seed, "stretched")
+    return _fit(c, model_of, starts, seed)
 
 
 class LineShape(Enum):

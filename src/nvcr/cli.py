@@ -243,7 +243,8 @@ def _fit_payload(res: FitResult) -> dict:
 
 
 def _cmd_eigen_map(args, cfg: RunConfig) -> _Columns:
-    frame = class_frame(args.class_id)
+    # both scans live in the class's own frame: every class gives these rows
+    frame = class_frame(0)
     b = np.linspace(args.b_min_gauss, args.b_max_gauss, args.n_b)
     th = np.linspace(args.theta_min_rad, args.theta_max_rad, args.n_theta)
     o_p1, o_plus = eigenstate_map(frame, b, th, args.e_perp_mhz,
@@ -255,7 +256,7 @@ def _cmd_eigen_map(args, cfg: RunConfig) -> _Columns:
 
 
 def _cmd_transverse_scan(args, cfg: RunConfig) -> _Columns:
-    frame = class_frame(args.class_id)
+    frame = class_frame(0)
     b = np.linspace(args.b_min_gauss, args.b_max_gauss, args.n_b)
     energies, dnu, matching = transverse_field_scan(frame, b,
                                                     args.e_perp_mhz,
@@ -332,7 +333,7 @@ def _cmd_decay_sim(args, cfg: RunConfig) -> _Columns:
         tau = np.geomspace(args.tau_min_s, args.tau_max_s, args.n_tau)
     else:
         tau = np.linspace(args.tau_min_s, args.tau_max_s, args.n_tau)
-    sig = decay_signal(tau, model, mode=args.mode)
+    sig = decay_signal(tau, model)
     return _Columns(["tau_s", "signal"], [tau, sig])
 
 
@@ -378,8 +379,6 @@ _COMMON = (
     _flag("--format", choices=("csv", "json"), help="output format override"),
     _flag("--seed", type=_seed, help="seed for multi-start fits"),
 )
-_CLASS_ID = _flag("--class-id", type=int, default=0, choices=range(4),
-                  help="orientation class index")
 _DIRECTION = _flag("--direction", type=_vector3,
                    help="crystal-frame field direction x,y,z "
                    "(default: 24 deg off [100])")
@@ -427,7 +426,7 @@ _SUBCOMMANDS = {
     "eigen-map": _Subcommand(
         _cmd_eigen_map, "eigen_map",
         "upper-state character over field amplitude and polar angle",
-        (_CLASS_ID, *_ramp(200.0, 41),
+        (*_ramp(200.0, 41),
          _flag("--theta-min-rad", type=_nonneg, default=0.0,
                help="smallest polar angle from the defect axis (rad)"),
          _flag("--theta-max-rad", type=_positive, default=float(np.pi / 2),
@@ -438,7 +437,7 @@ _SUBCOMMANDS = {
     "transverse-scan": _Subcommand(
         _cmd_transverse_scan, "transverse_scan",
         "energies, splitting and upper-state overlap vs transverse field",
-        (_CLASS_ID, *_ramp(200.0, 201), _E_PERP)),
+        (*_ramp(200.0, 201), _E_PERP)),
     "eta-table": _Subcommand(
         _cmd_eta_table, "eta_table",
         "3x3 table of angular averages (dimensionless)"),
@@ -485,9 +484,7 @@ _SUBCOMMANDS = {
                help="signal amplitude at tau=0 (dimensionless)"),
          _flag("--beta", type=_Number(low=0.0, strict=True, high=1.5),
                default=0.5,
-               help="stretch exponent (stretched mode only)"),
-         _flag("--mode", choices=("two_channel", "stretched"),
-               default="two_channel", help="decay law"),
+               help="stretch exponent of the dipolar channel"),
          _flag("--tau-min-s", type=_positive, default=1e-5,
                help="shortest wait time (seconds)"),
          _flag("--tau-max-s", type=_positive, default=5e-3,

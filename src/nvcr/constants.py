@@ -12,6 +12,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+__all__ = ["PhysicalConstants", "DEFAULT_CONSTANTS", "DEFAULT_E_PERP_MHZ",
+           "DEFAULT_CR_RANGE_MHZ", "J0_MHZ_NM3"]
+
 # Default transverse electric energy d_perp*E_perp (MHz), typical of the
 # local charge environment probed by the zero-field splitting feature.
 DEFAULT_E_PERP_MHZ = 4.0
@@ -19,6 +22,10 @@ DEFAULT_E_PERP_MHZ = 4.0
 # Half width at half maximum of the zero-field cross-relaxation feature
 # (MHz); doubles as the default interaction range in degeneracy analysis.
 DEFAULT_CR_RANGE_MHZ = 8.04
+
+# Characteristic dipole-dipole strength J0 (MHz nm^3): the coupling of
+# two NV spins 1 nm apart; the default of ``FluctuatorParams``.
+J0_MHZ_NM3 = 52.0
 
 
 @dataclass(frozen=True)
@@ -31,16 +38,12 @@ class PhysicalConstants:
         Zero-field splitting D between ``|0>`` and ``|+-1>`` (GHz).
     gamma_e_mhz_per_g : float
         Electron gyromagnetic ratio (MHz per Gauss).
-    j0_mhz_nm3 : float
-        Characteristic dipole-dipole strength J0 (MHz nm^3): the
-        coupling of two NV spins 1 nm apart.
 
     Every value must be finite and positive; construction checks it.
     """
 
     d_ghz: float = 2.87
     gamma_e_mhz_per_g: float = 2.8
-    j0_mhz_nm3: float = 52.0
 
     def __post_init__(self):
         for f in fields(self):

@@ -50,8 +50,8 @@ __all__ = [
     "FieldOrientationScenario",
     "EtaScenario",
     "QuadratureSpec",
+    "DEFAULT_QUADRATURE",
     "ConvergenceError",
-    "ETA_PREFACTOR",
     "scenario_frames",
     "pair_average",
     "angular_average",

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["CLASS_AXES", "NVClassFrame", "PairGeometry", "class_frame",
+           "rotation_matrix", "tilted_field_direction"]
+
 # The four <111> class axes, normalized.  Pairwise dot products are
 # +-1/3: classes are either parallel (same), at arccos(1/3) = 70.5 deg
 # (close), or at arccos(-1/3) = 109.5 deg (far).

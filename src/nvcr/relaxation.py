@@ -10,7 +10,7 @@ a random depolarization rate gamma with probability density
 whose characteristic time T is set by the density, coupling and
 fluctuator linewidth.  The ensemble polarization is the Laplace
 transform of rho, the square-root-stretched exponential
-P(t) = exp(-sqrt(t/T)).
+P(t) = exp(-sqrt(t/T)), the beta = 1/2 case of the decay law.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS
+from .constants import J0_MHZ_NM3
 
 __all__ = [
     "FluctuatorParams",
@@ -59,7 +59,7 @@ class FluctuatorParams:
     n_f_per_nm3: float
     gamma_f_per_s: float
     eta_bar: float
-    j0_mhz_nm3: float = DEFAULT_CONSTANTS.j0_mhz_nm3
+    j0_mhz_nm3: float = J0_MHZ_NM3
 
     def __post_init__(self):
         for f in fields(self):
@@ -71,14 +71,14 @@ class FluctuatorParams:
 
 @dataclass(frozen=True)
 class DecayModel:
-    """Parameters of the polarization decay laws.
+    """Parameters of the polarization decay law.
 
     ``t1_dd_s`` is the dipolar (stretched) timescale, ``t1_ph_s`` the
-    phonon-limited exponential one.  ``beta`` only enters the
-    single-stretch form; it may run up to 1.5 so fitted values slightly
-    above a pure exponential remain representable.  No field may be NaN;
-    an infinite timescale switches its channel off, an infinite
-    amplitude is refused.
+    phonon-limited exponential one, ``beta`` the dipolar stretch (1/2 in
+    the fluctuator model); it may run up to 1.5 so fitted values
+    slightly above a pure exponential remain representable.  No field
+    may be NaN; an infinite timescale switches its channel off, an
+    infinite amplitude is refused.
     """
 
     t1_dd_s: float
@@ -122,8 +122,8 @@ def rate_density(gamma_per_s, t_s: float):
 
 
 def polarization(t_s, big_t_s: float):
-    """Ensemble polarization P(t) = exp(-sqrt(t/T)): the two-channel
-    decay with T1_dd = T, no phonon channel and unit amplitude."""
+    """Ensemble polarization P(t) = exp(-sqrt(t/T)): the decay law
+    with T1_dd = T, beta = 1/2, no phonon channel and unit amplitude."""
     return decay_signal(t_s, DecayModel(t1_dd_s=big_t_s))
 
 
@@ -149,29 +149,22 @@ def polarization_from_density(t_s: float, big_t_s: float) -> float:
                  * np.trapezoid(integrand, dx=_LAPLACE_STEP))
 
 
-def _decay_law(t, t1_dd_s, t1_ph_s, amplitude, beta, mode: str):
-    """The decay laws of ``decay_signal``, with no check of the
+def _decay_law(t, t1_dd_s, t1_ph_s, amplitude, beta):
+    """The decay law of ``decay_signal``, with no check of the
     parameters: a fit objective passes trial values that a
     ``DecayModel`` could refuse (an underflowed timescale, say)."""
-    if mode == "two_channel":
-        log_s = -np.sqrt(t / t1_dd_s) - t / t1_ph_s
-    elif mode == "stretched":
-        log_s = -((t / t1_dd_s) ** beta)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return amplitude * np.exp(log_s)
+    return amplitude * np.exp(-(t / t1_dd_s) ** beta - t / t1_ph_s)
 
 
-def decay_signal(t_s, m: DecayModel, mode: str = "two_channel"):
-    """Model decay signal at times ``t_s``.
+def decay_signal(t_s, m: DecayModel):
+    """Decay signal S = A exp(-(t/T1_dd)^beta - t/T1_ph) at ``t_s``.
 
-    mode "two_channel": S = A exp(-sqrt(t/T1_dd) - t/T1_ph), the
-    dipolar-stretched channel in parallel with a phonon exponential.
-    mode "stretched": S = A exp(-(t/T1_dd)^beta), a single stretched
-    exponential with free exponent.
+    beta = 1/2 gives the two channels of the fluctuator model, T1_ph =
+    inf a single stretch.  A scalar is a batch of one: numpy's array
+    ``** 0.5`` is a square root to the bit, its scalar one is not.
     """
     t = np.asarray(t_s, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("t must be >= 0")
-    out = _decay_law(t, m.t1_dd_s, m.t1_ph_s, m.amplitude, m.beta, mode)
-    return out if out.ndim else float(out)
+    out = _decay_law(t.ravel(), m.t1_dd_s, m.t1_ph_s, m.amplitude, m.beta)
+    return out.reshape(t.shape) if t.ndim else float(out[0])

@@ -196,7 +196,7 @@ def test_criterion_08_fit_round_trips():
     tau = np.geomspace(2e-5, 2e-2, 48)
     for beta in (0.5, 1.0):
         model = DecayModel(t1_dd_s=2.0e-3, beta=beta)
-        curve = DecayCurve(tau, decay_signal(tau, model, mode="stretched"))
+        curve = DecayCurve(tau, decay_signal(tau, model))
         res = fit_beta(curve)
         assert res.converged
         assert res.model.beta == pytest.approx(beta, abs=0.01)

@@ -166,7 +166,7 @@ def test_noiseless_roundtrip_precision(weighted):
 def test_beta_roundtrip_intermediate():
     tau = np.geomspace(2e-5, 2e-2, 48)
     model = DecayModel(t1_dd_s=2.0e-3, beta=0.8)
-    curve = DecayCurve(tau, decay_signal(tau, model, mode="stretched"))
+    curve = DecayCurve(tau, decay_signal(tau, model))
     res = fit_beta(curve)
     assert res.converged
     assert res.model.beta == pytest.approx(0.8, abs=0.01)

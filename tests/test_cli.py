@@ -197,6 +197,9 @@ def test_bad_flags_exit_2(tmp_path, monkeypatch):
                  ["decay-sim", "--amplitude", "inf"],
                  ["spectrum", "--contrast", "1"],
                  ["decay-sim", "--beta", "1.6"],
+                 ["decay-sim", "--mode", "stretched"],
+                 ["eigen-map", "--class-id", "1"],
+                 ["transverse-scan", "--class-id", "0"],
                  ["sensitivity", "--sigma-b-t", "inf"],
                  ["eigen-map", "--b-min-gauss", "50", "--b-max-gauss", "10"],
                  ["transverse-scan", "--b-min-gauss", "9", "--b-max-gauss",
@@ -213,6 +216,29 @@ def test_bad_flags_exit_2(tmp_path, monkeypatch):
             main(argv)
         assert exc.value.code == 2, argv
     assert not any(tmp_path.iterdir())
+
+
+# a 16-row weighted curve, each with one bad cell: (row, column, value)
+@pytest.mark.parametrize("row, column, value", [
+    (5, "tau_s", "nan"), (15, "tau_s", "inf"), (0, "tau_s", "-1e-06"),
+    (5, "sigma", "nan"), (7, "sigma", "inf"),
+], ids=["tau_nan", "tau_inf", "tau_negative", "sigma_nan", "sigma_inf"])
+@pytest.mark.parametrize("command", ["fit-t1", "fit-beta"])
+def test_fit_refuses_non_finite_or_negative_curve_cells(command, row, column,
+                                                       value, tmp_path,
+                                                       capsys):
+    tau = np.geomspace(1e-5, 5e-3, 16)
+    cells = [[repr(t), repr(float(np.exp(-np.sqrt(t / 6e-4)))), "0.01"]
+             for t in tau.tolist()]
+    cells[row][["tau_s", "signal", "sigma"].index(column)] = value
+    curve = tmp_path / "curve.csv"
+    curve.write_text("tau_s,signal,sigma\n"
+                     + "".join(",".join(r) + "\n" for r in cells))
+    out = tmp_path / "fit.json"
+    assert main([command, "--input", str(curve), "--output", str(out)]) == 1
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"] == "ValueError" and column in diag["message"], diag
+    assert not out.exists()
 
 
 def test_numeric_failure_exit_1_with_json(tmp_path, capsys):
@@ -300,6 +326,59 @@ def test_out_of_range_flags_exit_2_without_file(command, flag, data,
     assert not any(tmp_path.iterdir())
 
 
+# a value for each flag that has no default; a --f-*-ghz needs its partner
+_NO_DEFAULT = {
+    "--direction": ["--direction", "1,1,0"],
+    "--t1ph-s": ["--t1ph-s", "1e-3"],
+    "--fix-t1ph-s": ["--fix-t1ph-s", "1e-3"],
+    "--f-min-ghz": ["--f-min-ghz", "2.8", "--f-max-ghz", "2.95"],
+    "--f-max-ghz": ["--f-min-ghz", "2.8", "--f-max-ghz", "2.95"],
+}
+
+
+def _other_value(flag, kw):
+    """Arguments that set ``flag`` to one valid value besides its default."""
+    default = kw.get("default")
+    if kw.get("action") == "store_true":
+        return [flag]
+    if "choices" in kw:
+        return [flag, str(next(c for c in kw["choices"] if c != default))]
+    if default is None:
+        return _NO_DEFAULT[flag]
+    if isinstance(default, int):
+        return [flag, str(default + 1)]
+    return [flag, repr(2.0 * default if default else 1.0)]
+
+
+def test_every_flag_changes_the_output(tmp_path, monkeypatch):
+    # every line but the parameter record; for degeneracy --cr-range-mhz
+    # only the comment lines move
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    common = {names[0] for names, _ in _COMMON}
+    inert = []
+    for command, spec in _SUBCOMMANDS.items():
+        flags = {names[0]: kw for names, kw in spec.flags}
+        # at the default zero field the direction of a spectrum is moot
+        base = [command, "--format", "csv",
+                *(["--b-gauss", "10"] if command == "spectrum" else [])]
+        base += [arg for flag, kw in flags.items() if kw.get("required")
+                 for arg in (flag, str(GOLDEN_DIR / "decay_curve.csv"))]
+
+        def output(*extra):
+            out = tmp_path / "out.csv"
+            assert main([*base, *extra, "--output", str(out)]) == 0, extra
+            return [line for line in out.read_text().splitlines()
+                    if not line.startswith("# params:")]
+
+        default = output()
+        for flag, kw in flags.items():
+            if flag in common or kw.get("required"):
+                continue
+            if output(*_other_value(flag, kw)) == default:
+                inert.append(f"{command} {flag}")
+    assert inert == []
+
+
 _B_GAUSS = st.one_of(st.floats(0.0, 0.05), st.floats(0.0, 300.0))
 _E_PERP_MHZ = st.one_of(st.just(0.0), st.floats(0.0, 50.0))
 # orthogonal to one or two class axes, along one, or anything
@@ -325,7 +404,6 @@ def _field_runs(draw):
     if cmd in ("transitions", "degeneracy"):
         return argv + ["--n-b", str(draw(st.integers(8, 24))),
                        "--direction=" + draw(_DIRECTIONS)]
-    argv += ["--class-id", str(draw(st.integers(0, 3)))]
     if cmd == "eigen-map":
         return argv + ["--n-b", str(draw(st.integers(2, 12))),
                        "--n-theta", str(draw(st.integers(2, 8)))]
@@ -384,7 +462,6 @@ def _fieldless_runs(draw):
         argv = [cmd, "--t1dd-s", repr(draw(_POSITIVE)),
                 "--amplitude", repr(draw(_POSITIVE)),
                 "--beta", repr(draw(st.floats(1e-6, 1.5))),
-                "--mode", draw(st.sampled_from(["two_channel", "stretched"])),
                 "--n-tau", str(draw(st.integers(2, 64))),
                 *_range(draw, 1e-300, 1e300, "tau-*-s")]
         if draw(st.booleans()):
@@ -512,7 +589,7 @@ def test_decay_sim_then_fit(tmp_path):
 def test_fit_beta_cli(tmp_path):
     curve = tmp_path / "curve.csv"
     fit = tmp_path / "fit.json"
-    assert main(["decay-sim", "--mode", "stretched", "--t1dd-s", "2e-3",
+    assert main(["decay-sim", "--t1dd-s", "2e-3",
                  "--beta", "0.5", "--tau-max-s", "2e-2", "--log-spacing",
                  "--output", str(curve)]) == 0
     assert main(["fit-beta", "--input", str(curve),
@@ -622,11 +699,12 @@ def test_config_flag_precedence(tmp_path):
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
-    # the electric susceptibility keys are unknown: no formula reads them
+    # the electric susceptibility keys and J0 are unknown: no formula or
+    # subcommand reads them
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "sens.json"
     for key, value in [("frobnication", "7"), ("d_perp_hz_cm_per_v", "17"),
-                       ("d_par_hz_cm_per_v", "0.35")]:
+                       ("d_par_hz_cm_per_v", "0.35"), ("j0_mhz_nm3", "52")]:
         cfg.write_text(f"{key} = {value}\n")
         assert main(["sensitivity", "--config", str(cfg), "--output",
                      str(out)]) == 2, key
@@ -713,7 +791,7 @@ def test_quadrature_config_lines_follow_the_exit_contract(drawn, tmp_path,
                                            dtype=float))), lines
 
 
-_CONST_KEYS = ("d_ghz", "gamma_e_mhz_per_g", "j0_mhz_nm3")
+_CONST_KEYS = ("d_ghz", "gamma_e_mhz_per_g")
 _GOOD_VALUES = {
     **{k: _POSITIVE.map(repr) for k in _CONST_KEYS},
     "format": st.sampled_from(["csv", "json"]),

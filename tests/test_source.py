@@ -42,3 +42,23 @@ def test_unused_import_is_caught():
     tree = ast.parse("import os\nfrom math import pi, tau\n"
                      "__all__ = ['tau']\nprint(os.sep)\n")
     assert _unused_imports(tree) == ["pi (line 2)"]
+
+
+def _assigned(tree: ast.Module, name: str):
+    """The literal value bound to ``name`` at module level, or None."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def test_each_export_list_matches_the_package_table():
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    table = _assigned(init, "_SUBMODULES")
+    for module, names in table.items():
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        exported = _assigned(tree, "__all__")
+        assert exported is not None, f"{module} has no __all__"
+        assert sorted(exported) == sorted(names), module
