@@ -1,10 +1,13 @@
 """Decay-curve fitting, spectral overlaps and sensitivity estimates.
 
-Both fits run one driver: a derivative-free simplex over the decay
-law of ``relaxation`` with log-parameterized timescales (positivity
-by construction) from several deterministic starting points; the best
-residual wins.  The simplex is an in-package port of
-SciPy's Nelder-Mead, so the command path never imports SciPy.
+Both fits are least squares of the decay law of ``relaxation`` with the
+amplitude profiled out (variable projection, Golub & Pereyra 1973): the
+law is linear in A, so each trial shape has a closed-form best A, and
+what remains is a search over one or two timescale-like coordinates.
+Each 1-D search is a coarse grid followed by Brent's method on the
+bracket around its best node; nested searches run an inner one per
+outer point.  No search has starting points or random draws, so equal
+inputs give equal bits, and the command path never imports SciPy.
 Spectral overlaps of Gaussian and Lorentzian lines are closed-form
 convolutions (only a mixed pair loads ``scipy.special`` for the Voigt
 profile).
@@ -12,10 +15,9 @@ profile).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,11 +35,16 @@ __all__ = [
     "sensitivity",
 ]
 
-_SIMPLEX_XATOL = 1e-10   # relative, thanks to log parameterization
-# relative to sum(w y^2), the objective of a zero model and so an upper
-# bound on the optimum: an absolute test would sit below the rounding of
-# a weighted residual sum of order the point count
-_SIMPLEX_FTOL = 1e-14
+# Brent's tolerance, absolute on each search coordinate: on log T1 it is
+# a relative one on T1
+_XTOL = 1e-10
+# the log T1 grid spans the sampled times widened by this factor on each
+# side, with this many nodes per decade
+_T1_WIDEN = 100.0
+_T1_NODES_PER_DECADE = 2
+# the beta grid of fit_beta: beta may run up to 1.5 (see DecayModel)
+_BETA_NODES = np.linspace(0.1, 1.5, 15)
+_GOLDEN = 0.5 * (3.0 - 5.0 ** 0.5)
 
 
 @dataclass(frozen=True)
@@ -83,214 +90,187 @@ class FitResult:
 
 
 class FitError(RuntimeError):
-    """Fit failed to converge; carries the best attempt found."""
+    """Fit ended on an edge of its search window; carries that fit."""
 
     def __init__(self, message: str, best: FitResult):
         super().__init__(message)
         self.best = best
 
 
-def _t1_starts(c: DecayCurve) -> np.ndarray:
-    # five, log-spaced from well inside the sampled window to well beyond it
-    lo = max(c.tau_s[1], c.tau_s[-1] * 1e-3)
-    return np.geomspace(lo, 10.0 * c.tau_s[-1], 5)
+class _Min(NamedTuple):
+    """The end of one 1-D search: where, the value there, and whether it
+    is an end of the window (so the minimum may lie beyond it)."""
 
-
-def _jittered(starts, seed: int | None):
-    """Yield each start as an array; with a seed, every coordinate is
-    shifted by a ``random.Random(seed).gauss(0, 1e-3)`` draw, so equal
-    inputs and seeds give equal bits."""
-    rng = None if seed is None else random.Random(seed)
-    for x0 in starts:
-        x0 = np.asarray(x0, dtype=float)
-        if rng is not None:
-            x0 = x0 + [rng.gauss(0.0, 1e-3) for _ in range(x0.size)]
-        yield x0
-
-
-class _Simplex(NamedTuple):
-    """The end of one Nelder-Mead run: best vertex, its value, the
-    iteration and evaluation counts and whether the tolerances (not a
-    limit) stopped it."""
-
-    x: np.ndarray
+    x: float
     fun: float
-    nit: int
-    nfev: int
-    success: bool
+    edge: bool
 
 
-class _Exhausted(Exception):
-    """The evaluation budget ran out; ends the current step."""
-
-
-def _nelder_mead(func, x0, xatol: float, fatol: float, maxiter: int,
-                 maxfev: int) -> _Simplex:
-    """Minimize ``func`` from ``x0`` with the Nelder-Mead simplex.
-
-    A step-by-step port of the unbounded, non-adaptive
-    ``scipy.optimize.minimize(method="Nelder-Mead")``, so both return
-    the same x, fun, nit, nfev and success to the bit: the same initial
-    simplex (each coordinate in turn raised by 5 %, or set to 0.00025
-    when zero), the same reflection, expansion, contraction and shrink
-    expressions with rho = 1, chi = 2, psi = sigma = 1/2, the same
-    ``xatol``/``fatol`` test, an evaluation budget that may stop a step
-    midway, and the same re-sorting after every step.
-    """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    nonzdelt, zdelt = 0.05, 0.00025
-    x0 = np.array(x0, dtype=float).ravel()
-    n = x0.size
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = x0.copy()
-        y[k] = (1 + nonzdelt) * y[k] if y[k] != 0 else zdelt
-        sim[k + 1] = y
-
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _Exhausted
-        nfev += 1
-        return func(x)
-
-    def by_value(sim, fsim):
-        # SciPy sorts twice after the first evaluations; the default
-        # argsort promises no stability, so a second sort of tied
-        # values is kept rather than assumed to change nothing
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-    fsim = np.full(n + 1, np.inf)
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _Exhausted:
-        pass
-    sim, fsim = by_value(*by_value(sim, fsim))
-
-    iterations = 1
-    while nfev < maxfev and iterations < maxiter:
-        try:
-            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = (1 + rho) * xbar - rho * sim[-1]
-            fxr = f(xr)
-            shrink = False
-            if fxr < fsim[0]:
-                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-                fxe = f(xe)
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-1]:
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                fxc = f(xc)
-                if fxc <= fxr:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    shrink = True
+def _brent(f: Callable[[float], float], a: float, x: float, fx: float,
+           b: float) -> tuple[float, float]:
+    """Minimize ``f`` on the bracket a < x < b, f(x) = fx, by Brent's
+    method without derivatives (*Algorithms for Minimization without
+    Derivatives*, 1973, ch. 5): parabolic steps where they fall well
+    inside the bracket, golden-section steps otherwise, until the
+    bracket is within ``_XTOL`` of its best point.  Returns that point
+    and its value, no worse than (x, fx)."""
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    tol1, tol2 = _XTOL, 2.0 * _XTOL
+    while abs(x - 0.5 * (a + b)) > tol2 - 0.5 * (b - a):
+        m = 0.5 * (a + b)
+        p = q = r = 0.0
+        if abs(e) > tol1:
+            # the parabola through (v, fv), (w, fw), (x, fx)
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if x + d - a < tol2 or b - (x + d) < tol2:
+                d = tol1 if x < m else -tol1
+        else:
+            e = (b if x < m else a) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else tol1 if d >= 0.0 else -tol1)
+        fu = f(u)
+        if fu <= fx:
+            if u < x:
+                b = x
             else:
-                xcc = (1 - psi) * xbar + psi * sim[-1]
-                fxcc = f(xcc)
-                if fxcc < fsim[-1]:
-                    sim[-1], fsim[-1] = xcc, fxcc
-                else:
-                    shrink = True
-            if shrink:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
-            iterations += 1
-        except _Exhausted:
-            pass
-        sim, fsim = by_value(sim, fsim)
-
-    return _Simplex(x=sim[0], fun=np.min(fsim), nit=iterations, nfev=nfev,
-                    success=nfev < maxfev and iterations < maxiter)
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
-def _run_simplex(objective, x0: np.ndarray, c: DecayCurve) -> _Simplex:
-    fatol = _SIMPLEX_FTOL * float(np.sum(c.weights * c.signal ** 2))
-    return _nelder_mead(objective, x0, xatol=_SIMPLEX_XATOL, fatol=fatol,
-                        maxiter=4000, maxfev=8000)
+def _minimize(f: Callable[[float], float], nodes: np.ndarray) -> _Min:
+    """Minimize ``f`` over [nodes[0], nodes[-1]]: ``f`` at every node,
+    then Brent's method on the two node intervals around the best one.
+    A best node at an end of the window is the edge result."""
+    values = [f(float(x)) for x in nodes]
+    k = int(np.argmin(values))
+    if k in (0, nodes.size - 1):
+        return _Min(float(nodes[k]), values[k], True)
+    x, fx = _brent(f, float(nodes[k - 1]), float(nodes[k]), values[k],
+                   float(nodes[k + 1]))
+    return _Min(x, fx, False)
 
 
-def _fit(c: DecayCurve, model_of, starts, seed: int | None) -> FitResult:
-    """Fit the decay law from each (jittered) start; the best wins.
+class _Profile:
+    """The decay law fitted to one curve with its amplitude profiled
+    out.  For a trial shape m(t), the law at A = 1, the best amplitude
+    is A = max(0, sum(w y m) / sum(w m^2)), and the shape scores the
+    weighted residual sum at that A.  A shape that underflows to all
+    zeros scores as the zero model, sum(w y^2).  ``evaluations`` counts
+    the shapes tried."""
 
-    A simplex point is (log A, *rest): each of ``starts`` is a rest, and
-    log A starts at the log of the largest |signal|.  ``model_of`` maps
-    a point to the law's (T1_dd, T1_ph, A, beta); the objective passes
-    them to the law unchecked, and only the winner becomes a
-    ``DecayModel``.  Raises ``FitError``, carrying the winner, when no
-    start converged.
-    """
-    peak = float(np.max(np.abs(c.signal)))
-    if float(np.ptp(c.signal)) < 1e-12 * max(peak, 1e-300):
-        raise ValueError("signal shows no decay; nothing to fit")
-    log_a0 = np.log(max(peak, 1e-12))
-    w = c.weights
+    def __init__(self, c: DecayCurve):
+        peak = float(np.max(np.abs(c.signal)))
+        if float(np.ptp(c.signal)) < 1e-12 * max(peak, 1e-300):
+            raise ValueError("signal shows no decay; nothing to fit")
+        t = c.tau_s[c.tau_s > 0.0]
+        lo, hi = np.log(t[0] / _T1_WIDEN), np.log(t[-1] * _T1_WIDEN)
+        n = int(np.ceil((hi - lo) / np.log(10.0) * _T1_NODES_PER_DECADE))
+        self.log_t1_nodes = np.linspace(lo, hi, n + 1)
+        self.curve = c
+        self.weights = c.weights
+        self.evaluations = 0
 
-    def objective(x):
-        model = _decay_law(c.tau_s, *model_of(x))
-        return float(np.sum(w * (c.signal - model) ** 2))
+    def amplitude_rss(self, t1_dd_s, t1_ph_s, beta) -> tuple[float, float]:
+        self.evaluations += 1
+        c, w = self.curve, self.weights
+        m = _decay_law(c.tau_s, t1_dd_s, t1_ph_s, 1.0, beta)
+        mm = float(np.sum(w * m * m))
+        a = max(0.0, float(np.sum(w * c.signal * m)) / mm) if mm > 0.0 \
+            else 0.0
+        return a, float(np.sum(w * (c.signal - a * m) ** 2))
 
-    results = [_run_simplex(objective, x0, c)
-               for x0 in _jittered([[log_a0, *x] for x in starts], seed)]
-    best = min(results, key=lambda r: r.fun)
-    fit = FitResult(model=DecayModel(*map(float, model_of(best.x))),
-                    residual_rss=float(best.fun),
-                    converged=bool(best.success), iterations=int(best.nit))
-    if not any(r.success for r in results):
-        raise FitError("no simplex start converged", fit)
-    return fit
+    def best_t1_dd(self, t1_ph_s, beta) -> _Min:
+        """The best log T1_dd with T1_ph and beta held fixed."""
+        return _minimize(
+            lambda u: self.amplitude_rss(np.exp(u), t1_ph_s, beta)[1],
+            self.log_t1_nodes)
+
+    def nested(self, rest_of, nodes: np.ndarray) -> tuple[_Min, _Min]:
+        """An outer search over v, where ``rest_of(v)`` gives (T1_ph,
+        beta), each point scored by its best T1_dd.  Returns the outer
+        minimum and the inner one at it."""
+        inner = {}
+
+        def score(v):
+            inner[v] = self.best_t1_dd(*rest_of(v))
+            return inner[v].fun
+
+        outer = _minimize(score, nodes)
+        return outer, inner[outer.x]
+
+    def result(self, log_t1_dd: float, t1_ph_s: float, beta: float,
+               edge: bool) -> FitResult:
+        """The fit at these parameters; raises ``FitError``, carrying it,
+        when a search ended on an edge of its window."""
+        t1_dd = float(np.exp(log_t1_dd))
+        a, rss = self.amplitude_rss(t1_dd, t1_ph_s, beta)
+        if a == 0.0:
+            raise ValueError("no decay shape fits the signal with a "
+                             "positive amplitude")
+        fit = FitResult(model=DecayModel(t1_dd, t1_ph_s, a, beta),
+                        residual_rss=rss, converged=not edge,
+                        iterations=self.evaluations)
+        if edge:
+            raise FitError("the best fit lies on an edge of the search "
+                           "window", fit)
+        return fit
 
 
-def fit_decay(c: DecayCurve, fixed_t1_ph_s: float | None = None,
-              seed: int | None = None) -> FitResult:
+def fit_decay(c: DecayCurve, fixed_t1_ph_s: float | None = None
+              ) -> FitResult:
     """Least-squares fit of the two-channel decay law (beta = 1/2).
 
-    Free parameters are (A, T1_dd) when ``fixed_t1_ph_s`` is given, or
-    (A, T1_dd, T1_ph) otherwise; all fitted in log space from at least
-    five starting points log-spaced in T1_dd.  ``seed`` optionally
-    jitters the starts; identical inputs and seed give identical
-    results.
+    With ``fixed_t1_ph_s``, one search in log T1_dd over the sampled
+    times widened a hundredfold on each side; a minimum on an edge of
+    that window raises ``FitError``.  Otherwise an outer search in the
+    phonon rate runs around it, over the rates of the same window and
+    rate 0: the channel-off limit T1_ph = inf, evaluated exactly and no
+    edge.
     """
-    free_ph = fixed_t1_ph_s is None
+    p = _Profile(c)
+    if fixed_t1_ph_s is not None:
+        dd = p.best_t1_dd(fixed_t1_ph_s, 0.5)
+        return p.result(dd.x, fixed_t1_ph_s, 0.5, dd.edge)
+    # the rate coordinate t_max / T1_ph: of order one where the channel
+    # shows in the samples, so Brent's absolute tolerance is a relative one
+    t_max = float(c.tau_s[-1])
+    rates = np.concatenate([[0.0], t_max * np.exp(-p.log_t1_nodes[::-1])])
 
-    def model_of(x):
-        t_ph = np.exp(x[2]) if free_ph else fixed_t1_ph_s
-        return np.exp(x[1]), t_ph, np.exp(x[0]), 0.5
+    def t1_ph_of(rate):
+        return np.inf if rate == 0.0 else t_max / rate
 
-    starts = [[np.log(t_start)]
-              + ([np.log(10.0 * c.tau_s[-1])] if free_ph else [])
-              for t_start in _t1_starts(c)]
-    return _fit(c, model_of, starts, seed)
+    ph, dd = p.nested(lambda rate: (t1_ph_of(rate), 0.5), rates)
+    return p.result(dd.x, t1_ph_of(ph.x), 0.5,
+                    (ph.edge and ph.x > 0.0) or dd.edge)
 
 
-def fit_beta(c: DecayCurve, seed: int | None = None) -> FitResult:
-    """Fit the single stretch (T1_ph = inf) with free (A, T1, beta).
-
-    beta is searched over (0, 1.5] through a logistic map so the
-    simplex stays unconstrained.
-    """
-    def model_of(x):
-        beta = 1.5 / (1.0 + np.exp(-x[2]))
-        return np.exp(x[1]), np.inf, np.exp(x[0]), beta
-
-    beta_starts = [0.4, 0.6, 0.8, 1.0, 1.2]
-    starts = [[np.log(t_start), -np.log(1.5 / b_start - 1.0)]
-              for t_start, b_start in zip(_t1_starts(c), beta_starts)]
-    return _fit(c, model_of, starts, seed)
+def fit_beta(c: DecayCurve) -> FitResult:
+    """Fit the single stretch (T1_ph = inf) with free (A, T1, beta):
+    an outer search in beta over [0.1, 1.5] around a search in log T1."""
+    p = _Profile(c)
+    beta, dd = p.nested(lambda b: (np.inf, b), _BETA_NODES)
+    return p.result(dd.x, np.inf, beta.x, beta.edge or dd.edge)
 
 
 class LineShape(Enum):

@@ -1,6 +1,6 @@
 """Command-line surface: every computation as a file-emitting subcommand.
 
-Outputs are deterministic for a fixed configuration and seed.  Bad
+Outputs are deterministic for a fixed configuration.  Bad
 flags or config keys exit with status 2; numeric failures exit with
 status 1 and print a JSON diagnostic.  A config file of ``key = value``
 lines supplies defaults that flags override; the environment variable
@@ -66,7 +66,6 @@ class RunConfig:
     quadrature: QuadratureSpec = DEFAULT_QUADRATURE
     output_dir: Path = Path(".")
     output_format: str | None = None
-    seed: int | None = None
 
 
 def _parse_config_file(path: str) -> dict:
@@ -88,18 +87,16 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def load_run_config(config_path: str | None, output_format: str | None = None,
-                    seed: int | None = None) -> RunConfig:
+def load_run_config(config_path: str | None,
+                    output_format: str | None = None) -> RunConfig:
     """Merge defaults, config file and flag overrides; reject unknown keys."""
     consts = DEFAULT_CONSTANTS
     quad = DEFAULT_QUADRATURE
     out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, "."))
     fmt = None
-    cfg_seed = None
     if config_path is not None:
         values = _parse_config_file(config_path)
-        known = {*_CONSTANT_KEYS, *_QUAD_CASTS, "output_dir", "format",
-                 "seed"}
+        known = {*_CONSTANT_KEYS, *_QUAD_CASTS, "output_dir", "format"}
         unknown = sorted(set(values) - known)
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
@@ -108,9 +105,7 @@ def load_run_config(config_path: str | None, output_format: str | None = None,
                           if k in values}
             quad_over = {k: cast(values[k]) for k, cast in _QUAD_CASTS.items()
                          if k in values}
-            if "seed" in values:
-                cfg_seed = _seed(values["seed"])
-        except (ValueError, argparse.ArgumentTypeError) as exc:
+        except ValueError as exc:
             raise UsageError(f"bad config value: {exc}") from exc
         if const_over:
             try:
@@ -131,8 +126,7 @@ def load_run_config(config_path: str | None, output_format: str | None = None,
     if fmt is not None and fmt not in ("csv", "json"):
         raise UsageError(f"format must be 'csv' or 'json', got {fmt!r}")
     return RunConfig(constants=consts, quadrature=quad, output_dir=out_dir,
-                     output_format=fmt, seed=seed if seed is not None
-                     else cfg_seed)
+                     output_format=fmt)
 
 
 @dataclass(frozen=True)
@@ -171,7 +165,6 @@ _real = _Number()
 _positive = _Number(low=0.0, strict=True)
 _nonneg = _Number(low=0.0)
 _count = _Number(int, low=2)
-_seed = _Number(int, low=0)
 
 
 def _vector3(text: str) -> np.ndarray:
@@ -188,13 +181,10 @@ def _vector3(text: str) -> np.ndarray:
     return v
 
 
-def _header_params(args: argparse.Namespace, cfg: RunConfig) -> dict:
+def _header_params(args: argparse.Namespace) -> dict:
     skip = {"func", "command", "config", "output", "format"}
-    params = {k: v for k, v in vars(args).items()
-              if k not in skip and v is not None}
-    if cfg.seed is not None:
-        params["seed"] = cfg.seed
-    return params
+    return {k: v for k, v in vars(args).items()
+            if k not in skip and v is not None}
 
 
 class _Columns(NamedTuple):
@@ -208,7 +198,7 @@ class _Columns(NamedTuple):
 def _emit(args, cfg: RunConfig, result: dict | _Columns) -> Path:
     """Write a runner's result: a dict is a record (JSON by default), a
     ``_Columns`` a table (CSV by default)."""
-    params = _header_params(args, cfg)
+    params = _header_params(args)
     record = isinstance(result, dict)
     fmt = cfg.output_format or ("json" if record else "csv")
     path = Path(args.output) if args.output is not None else \
@@ -339,13 +329,12 @@ def _cmd_decay_sim(args, cfg: RunConfig) -> _Columns:
 
 def _cmd_fit_t1(args, cfg: RunConfig) -> dict:
     curve = read_decay_csv(args.input)
-    return _fit_payload(fit_decay(curve, fixed_t1_ph_s=args.fix_t1ph_s,
-                                  seed=cfg.seed))
+    return _fit_payload(fit_decay(curve, fixed_t1_ph_s=args.fix_t1ph_s))
 
 
 def _cmd_fit_beta(args, cfg: RunConfig) -> dict:
     curve = read_decay_csv(args.input)
-    return _fit_payload(fit_beta(curve, seed=cfg.seed))
+    return _fit_payload(fit_beta(curve))
 
 
 def _cmd_overlap(args, cfg: RunConfig) -> _Columns:
@@ -377,7 +366,11 @@ _COMMON = (
           "output directory)"),
     _flag("--config", help="config file of key = value lines"),
     _flag("--format", choices=("csv", "json"), help="output format override"),
-    _flag("--seed", type=_seed, help="seed for multi-start fits"),
+    # parsed and echoed in the header, read by nothing: no computation
+    # draws random numbers
+    _flag("--seed", type=_Number(int, low=0),
+          help="accepted for compatibility and ignored: every result is "
+          "deterministic"),
 )
 _DIRECTION = _flag("--direction", type=_vector3,
                    help="crystal-frame field direction x,y,z "
@@ -566,7 +559,7 @@ def main(argv=None) -> int:
             if None not in (lo, hi) and lo >= hi:
                 parser.error(f"{low} ({lo:g}) must be below {high} ({hi:g})")
     try:
-        cfg = load_run_config(args.config, args.format, args.seed)
+        cfg = load_run_config(args.config, args.format)
         out = _emit(args, cfg, args.func(args, cfg))
     except UsageError as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)

@@ -595,6 +595,26 @@ def test_fit_beta_cli(tmp_path):
     assert doc["T1_ph_s"] is None
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit-t1", "--input", "decay_curve.csv", "--fix-t1ph", "3.62e-3"],
+    ["fit-t1", "--input", "decay_curve.csv"],
+    ["fit-beta", "--input", "decay_curve.csv"],
+], ids=["fit-t1-fixed", "fit-t1-free", "fit-beta"])
+def test_fits_ignore_the_seed(argv, tmp_path, monkeypatch):
+    # --seed is parsed and echoed in the header but draws nothing
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(GOLDEN_DIR / "decay_curve.csv", tmp_path)
+    docs = []
+    for k, seed in enumerate([[], ["--seed", "0"], ["--seed", "7"]]):
+        out = tmp_path / f"fit{k}.json"
+        assert main(argv + seed + ["--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["meta"]["params"].get("seed") == (seed[1:] or [None])[0]
+        del doc["meta"]
+        docs.append(doc)
+    assert docs[0] == docs[1] == docs[2]
+
+
 def test_fix_t1ph_flag_spellings():
     parser = build_parser()
     for flag in ("--fix-t1ph-s", "--fix-t1ph"):
@@ -685,22 +705,22 @@ def test_config_file(tmp_path):
 
 def test_config_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("format = json\nseed = 9\n")
+    cfg.write_text("format = json\n")
     out = tmp_path / "sens.csv"
     assert main(["sensitivity", "--config", str(cfg), "--format", "csv",
                  "--output", str(out)]) == 0
-    comments, header, _ = _read_csv(out)
+    _, header, _ = _read_csv(out)
     assert header == ["key", "value"]
-    assert any("seed=9" in c for c in comments)
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
-    # the electric susceptibility keys and J0 are unknown: no formula or
-    # subcommand reads them
+    # the electric susceptibility keys, J0 and the seed are unknown: no
+    # formula or subcommand reads them
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "sens.json"
     for key, value in [("frobnication", "7"), ("d_perp_hz_cm_per_v", "17"),
-                       ("d_par_hz_cm_per_v", "0.35"), ("j0_mhz_nm3", "52")]:
+                       ("d_par_hz_cm_per_v", "0.35"), ("j0_mhz_nm3", "52"),
+                       ("seed", "9")]:
         cfg.write_text(f"{key} = {value}\n")
         assert main(["sensitivity", "--config", str(cfg), "--output",
                      str(out)]) == 2, key
@@ -716,8 +736,6 @@ def test_config_rejects_bad_syntax(tmp_path):
     cfg.write_text("d_ghz = 3.0\nd_ghz = 2.9\n")
     assert main(["sensitivity", "--config", str(cfg)]) == 2
     cfg.write_text("d_ghz = -1.0\n")
-    assert main(["sensitivity", "--config", str(cfg)]) == 2
-    cfg.write_text("seed = -1\n")
     assert main(["sensitivity", "--config", str(cfg)]) == 2
 
 
@@ -791,7 +809,6 @@ _CONST_KEYS = ("d_ghz", "gamma_e_mhz_per_g")
 _GOOD_VALUES = {
     **{k: _POSITIVE.map(repr) for k in _CONST_KEYS},
     "format": st.sampled_from(["csv", "json"]),
-    "seed": st.integers(0, 2**64).map(str),
     # resolved inside the run's scratch directory by the test
     "output_dir": st.sampled_from(["<existing>", "<missing>"]),
 }
@@ -801,8 +818,6 @@ _BAD_VALUES = {
                                      "abc", "1,5", "0x10"]))
        for k in _CONST_KEYS},
     "format": st.sampled_from(["CSV", "xml", "", "csv json", "jsonl"]),
-    "seed": st.one_of(st.integers(max_value=-1).map(str),
-                      st.sampled_from(["1.5", "abc", "", "1e3", "nan"])),
 }
 _KNOWN_KEYS = {*_GOOD_VALUES, "n_theta", "n_phi", "n_psi", "tolerance",
                "max_doublings"}
@@ -959,7 +974,7 @@ def test_only_a_mixed_overlap_loads_scipy(tmp_path, monkeypatch):
     commands = [GOLDEN[name] for name in (
         "fit_t1.json", "decay_curve.csv", "overlap.csv", "degeneracy.csv",
         "spectrum.csv", "sensitivity.json")]
-    commands += [["fit-beta", "--input", "decay_curve.csv", "--seed", "3"],
+    commands += [["fit-beta", "--input", "decay_curve.csv"],
                  GOLDEN["overlap_mixed.csv"]]
     script = """
         import json
@@ -973,7 +988,7 @@ def test_only_a_mixed_overlap_loads_scipy(tmp_path, monkeypatch):
                     or m.startswith("numpy.random")]
 
         curve = read_decay_csv("decay_curve.csv")
-        fit_decay(curve, fixed_t1_ph_s=3.62e-3, seed=3)
+        fit_decay(curve, fixed_t1_ph_s=3.62e-3)
         fit_beta(curve)
         assert not unwanted(), unwanted()
         *commands, mixed = json.loads(sys.argv[1])
