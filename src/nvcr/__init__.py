@@ -27,8 +27,8 @@ _SUBMODULES = {
     # pair coupling
     "dipolar": ("BasisChoice", "DipolarCoefficients", "dipolar_coefficients",
                 "build_two_spin_hamiltonian", "flip_flop_amplitude",
-                "double_flip_amplitude", "resonance_factor",
-                "nonmagnetic_spin_matrices", "nonmagnetic_change_of_basis"),
+                "double_flip_amplitude", "nonmagnetic_spin_matrices",
+                "nonmagnetic_change_of_basis"),
     # angular averages
     "eta_average": ("ZAngle", "XMode", "EtaScenario",
                     "FieldOrientationScenario", "QuadratureSpec",

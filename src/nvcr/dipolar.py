@@ -64,7 +64,6 @@ __all__ = [
     "build_two_spin_hamiltonian",
     "flip_flop_amplitude",
     "double_flip_amplitude",
-    "resonance_factor",
 ]
 
 
@@ -189,11 +188,3 @@ def double_flip_amplitude(g: PairGeometry,
         return _value(np.hypot(c.a_xx - c.a_yy, c.a_xy + c.a_yx) / 2.0)
     return _value(np.abs(c.a_yx))
 
-
-def resonance_factor(omega_f_mhz: float, omega_nv_mhz: float,
-                     gamma_f_mhz: float) -> float:
-    """Lorentzian resonance weight 4 g^2 / (detuning^2 + 4 g^2) in (0, 1]."""
-    if gamma_f_mhz <= 0.0:
-        raise ValueError("gamma_f must be positive")
-    det = omega_f_mhz - omega_nv_mhz
-    return 4.0 * gamma_f_mhz**2 / (det**2 + 4.0 * gamma_f_mhz**2)

@@ -181,8 +181,8 @@ def degeneracy_lift(direction=None, b_amps_gauss=None,
     reaches the range.  Rounds repeat until the bracket is at most
     1e-5 G wide, and the crossing is its midpoint.
     """
-    if cr_range_mhz <= 0.0:
-        raise ValueError("cr_range must be positive")
+    if not 0.0 < cr_range_mhz < np.inf:
+        raise ValueError("cr_range_mhz must be finite and positive")
     direction = _unit_direction(direction)
     amps = _ramp(b_amps_gauss)
     if amps.size < 8:

@@ -112,11 +112,11 @@ def rate_density(gamma_per_s, t_s: float):
     Normalized over gamma in (0, inf); heavy-tailed with median near
     1/T and mode at 1/(6T).
     """
-    if t_s <= 0.0:
-        raise ValueError("T must be positive")
+    if not 0.0 < t_s < np.inf:
+        raise ValueError("t_s must be finite and positive")
     gamma = np.asarray(gamma_per_s, dtype=float)
-    if np.any(gamma <= 0.0):
-        raise ValueError("gamma must be strictly positive")
+    if not np.all((0.0 < gamma) & (gamma < np.inf)):
+        raise ValueError("gamma_per_s must be finite and positive")
     out = np.exp(-1.0 / (4.0 * gamma * t_s)) / np.sqrt(4.0 * np.pi * gamma**3 * t_s)
     return out if out.ndim else float(out)
 
@@ -138,10 +138,10 @@ def polarization_from_density(t_s: float, big_t_s: float) -> float:
     closed form exp(-sqrt(t/T)) to ~1e-13 for t/T up to 1e4; with
     t = 0 this is the normalization check.
     """
-    if t_s < 0.0:
-        raise ValueError("t must be >= 0")
-    if big_t_s <= 0.0:
-        raise ValueError("T must be positive")
+    if not 0.0 <= t_s < np.inf:
+        raise ValueError("t_s must be finite and >= 0")
+    if not 0.0 < big_t_s < np.inf:
+        raise ValueError("big_t_s must be finite and positive")
     y = _LAPLACE_Y
     ratio = t_s / (4.0 * big_t_s)
     integrand = y * np.exp(-y * y - ratio / (y * y))
@@ -164,7 +164,7 @@ def decay_signal(t_s, m: DecayModel):
     ``** 0.5`` is a square root to the bit, its scalar one is not.
     """
     t = np.asarray(t_s, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("t must be >= 0")
+    if not np.all((0.0 <= t) & (t < np.inf)):
+        raise ValueError("t_s must be finite and >= 0")
     out = _decay_law(t.ravel(), m.t1_dd_s, m.t1_ph_s, m.amplitude, m.beta)
     return out.reshape(t.shape) if t.ndim else float(out[0])

@@ -84,10 +84,11 @@ class FieldConfiguration:
     b_gauss : array-like
         Crystal-frame magnetic field (Gauss): a 3-vector or a (..., 3) stack.
     e_perp_mhz : float
-        Transverse electric energy d_perp*E_perp (MHz), >= 0.
+        Transverse electric energy d_perp*E_perp (MHz), finite and >= 0.
     phi_e_rad : float
         Azimuth of the transverse electric field in the NV transverse
-        plane, measured from the local x axis; folded into [0, 2*pi).
+        plane, measured from the local x axis; finite, folded into
+        [0, 2*pi).
     """
 
     b_gauss: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -99,8 +100,10 @@ class FieldConfiguration:
         if b.shape[-1:] != (3,) or not np.all(np.isfinite(b)):
             raise ValueError("b_gauss must be finite 3-vectors")
         object.__setattr__(self, "b_gauss", b)
-        if self.e_perp_mhz < 0.0:
-            raise ValueError("e_perp_mhz must be >= 0")
+        if not 0.0 <= self.e_perp_mhz < np.inf:
+            raise ValueError("e_perp_mhz must be finite and >= 0")
+        if not np.isfinite(self.phi_e_rad):
+            raise ValueError("phi_e_rad must be finite")
         object.__setattr__(self, "phi_e_rad", float(self.phi_e_rad) % (2.0 * np.pi))
 
 

@@ -13,7 +13,6 @@ from nvcr import (
     double_flip_amplitude,
     flip_flop_amplitude,
     nonmagnetic_change_of_basis,
-    resonance_factor,
     zero_field_states,
 )
 
@@ -164,14 +163,6 @@ def test_retained_terms_only():
     u = (FRAME0.x_hat + FRAME0.z_hat) / np.sqrt(2.0)
     h = build_two_spin_hamiltonian(_pair(u), BasisChoice.MAGNETIC)
     assert h[5, 8] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_resonance_factor():
-    assert resonance_factor(10.0, 10.0, 1.0) == pytest.approx(1.0, abs=1e-15)
-    assert resonance_factor(12.0, 10.0, 1.0) == pytest.approx(0.5, abs=1e-15)
-    assert resonance_factor(1e8, 10.0, 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        resonance_factor(10.0, 10.0, 0.0)
 
 
 def test_pair_geometry_validation():

@@ -265,6 +265,17 @@ def test_degeneracy_small_range_limit():
         degeneracy_lift(cr_range_mhz=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_inputs_are_refused(bad):
+    # a NaN range once passed the sign check and reported every crossing
+    # absent; a NaN field reached LAPACK
+    with pytest.raises(ValueError, match="cr_range_mhz"):
+        degeneracy_lift(cr_range_mhz=bad)
+    for run in (all_transitions, degeneracy_lift):
+        with pytest.raises(ValueError, match="e_perp_mhz"):
+            run(e_perp_mhz=bad)
+
+
 def test_spectrum_zero_field_two_dips():
     f = all_transitions([1.0, 0.0, 0.0], [0.0], e_perp_mhz=4.0)[0]
     profile = LineProfile(LineShape.GAUSSIAN, width_mhz=0.5)

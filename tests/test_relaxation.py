@@ -90,6 +90,24 @@ def test_density_rejects_bad_args():
         rate_density(1.0, 0.0)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda bad: decay_signal(bad, DecayModel(t1_dd_s=1e-3)), "t_s"),
+    (lambda bad: decay_signal([0.0, bad], DecayModel(t1_dd_s=1e-3)), "t_s"),
+    (lambda bad: polarization_from_density(bad, 1e-3), "t_s"),
+    (lambda bad: polarization_from_density(1e-3, bad), "big_t_s"),
+    (lambda bad: rate_density(bad, 1e-3), "gamma_per_s"),
+    (lambda bad: rate_density([1e3, bad], 1e-3), "gamma_per_s"),
+    (lambda bad: rate_density(1e3, bad), "t_s"),
+], ids=["decay_t", "decay_t_stack", "density_t", "density_big_t",
+        "rate_gamma", "rate_gamma_stack", "rate_t"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_arguments_are_refused(call, name, bad):
+    # an infinite time once gave NaN with a RuntimeWarning, a NaN one
+    # NaN silently
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call(bad)
+
+
 def test_laplace_identity_examples():
     big_t = 1.7e-3
     for t in (big_t / 4.0, big_t, 4.0 * big_t):

@@ -206,6 +206,20 @@ def test_field_stack_validation():
 
 
 
+@pytest.mark.parametrize("name", ["e_perp_mhz", "phi_e_rad"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_field_configuration_refuses_non_finite_electric_fields(name, bad):
+    # these once reached LAPACK and failed there: "Eigenvalues did not
+    # converge"
+    with pytest.raises(ValueError, match=name):
+        FieldConfiguration(**{name: bad})
+    if name == "e_perp_mhz":
+        with pytest.raises(ValueError, match=name):
+            transverse_field_scan(class_frame(0), [1.0, 2.0], bad)
+        with pytest.raises(ValueError, match=name):
+            eigenstate_map(class_frame(0), [1.0], [0.0, 1.0], bad)
+
+
 @pytest.mark.parametrize("name", [f.name for f in
                                   dataclass_fields(PhysicalConstants)])
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
