@@ -21,7 +21,7 @@ truth = DecayModel(t1_dd_s=0.6e-3, t1_ph_s=3.62e-3, amplitude=1.0)
 curve = DecayCurve(tau_s=tau, signal=decay_signal(tau, truth))
 res = fit_decay(curve, fixed_t1_ph_s=3.62e-3)
 print("generated with T1_dd = 0.600 ms, phonon channel held at 3.62 ms")
-print("fit recovers  T1_dd = %.4f ms (rss %.1e, %d iterations)"
+print("fit recovers  T1_dd = %.4f ms (rss %.1e, %d evaluations)"
       % (res.model.t1_dd_s * 1e3, res.residual_rss, res.iterations))
 
 # the same machinery with the phonon channel free
