@@ -1,13 +1,11 @@
 """Decay-curve fitting, spectral overlaps and sensitivity estimates.
 
 Both fits are least squares of the decay law of ``relaxation`` with the
-amplitude profiled out (variable projection, Golub & Pereyra 1973): the
-law is linear in A, so each trial shape has a closed-form best A, and
-what remains is a search over one or two timescale-like coordinates.
-Each 1-D search is a coarse grid followed by Brent's method on the
-bracket around its best node; nested searches run an inner one per
-outer point.  No search has starting points or random draws, so equal
-inputs give equal bits, and the command path never imports SciPy.
+amplitude, in which the law is linear, profiled out in closed form
+(variable projection, Golub & Pereyra 1973).  The rest is one 1-D
+search, or an outer one around an inner one: each a coarse grid, then
+Brent's method on the bracket around its best node.  No search has
+starts or random draws, and the command path never imports SciPy.
 Spectral overlaps of Gaussian and Lorentzian lines are closed-form
 convolutions (only a mixed pair loads ``scipy.special`` for the Voigt
 profile).
@@ -35,11 +33,9 @@ __all__ = [
     "sensitivity",
 ]
 
-# Brent's tolerance, absolute on each search coordinate: on log T1 it is
-# a relative one on T1
+# Brent's tolerance, absolute: on log T1 it is a relative one on T1
 _XTOL = 1e-10
-# the log T1 grid spans the sampled times widened by this factor on each
-# side, with this many nodes per decade
+# the log T1 grid: the sampled times widened this much each side
 _T1_WIDEN = 100.0
 _T1_NODES_PER_DECADE = 2
 # the beta grid of fit_beta: beta may run up to 1.5 (see DecayModel)
@@ -98,8 +94,8 @@ class FitError(RuntimeError):
 
 
 class _Min(NamedTuple):
-    """The end of one 1-D search: where, the value there, and whether it
-    is an end of the window (so the minimum may lie beyond it)."""
+    """A 1-D search's best point, its value, and whether it is a window
+    end (so the minimum may lie beyond)."""
 
     x: float
     fun: float
@@ -117,11 +113,10 @@ def _brent(f: Callable[[float], float], a: float, x: float, fx: float,
     w = v = x
     fw = fv = fx
     d = e = 0.0
-    tol1, tol2 = _XTOL, 2.0 * _XTOL
-    while abs(x - 0.5 * (a + b)) > tol2 - 0.5 * (b - a):
+    while abs(x - 0.5 * (a + b)) > 2.0 * _XTOL - 0.5 * (b - a):
         m = 0.5 * (a + b)
         p = q = r = 0.0
-        if abs(e) > tol1:
+        if abs(e) > _XTOL:
             # the parabola through (v, fv), (w, fw), (x, fx)
             r = (x - w) * (fx - fv)
             q = (x - v) * (fx - fw)
@@ -133,12 +128,12 @@ def _brent(f: Callable[[float], float], a: float, x: float, fx: float,
             r, e = e, d
         if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
             d = p / q
-            if x + d - a < tol2 or b - (x + d) < tol2:
-                d = tol1 if x < m else -tol1
+            if min(x + d - a, b - x - d) < 2.0 * _XTOL:
+                d = _XTOL if x < m else -_XTOL
         else:
             e = (b if x < m else a) - x
             d = _GOLDEN * e
-        u = x + (d if abs(d) >= tol1 else tol1 if d >= 0.0 else -tol1)
+        u = x + (d if abs(d) >= _XTOL else _XTOL if d >= 0.0 else -_XTOL)
         fu = f(u)
         if fu <= fx:
             if u < x:
@@ -175,9 +170,9 @@ class _Profile:
     """The decay law fitted to one curve with its amplitude profiled
     out.  For a trial shape m(t), the law at A = 1, the best amplitude
     is A = max(0, sum(w y m) / sum(w m^2)), and the shape scores the
-    weighted residual sum at that A.  A shape that underflows to all
-    zeros scores as the zero model, sum(w y^2).  ``evaluations`` counts
-    the shapes tried."""
+    weighted residual sum at that A: a shape that underflows to all
+    zeros, as the zero model.  ``evaluations`` counts the shapes tried.
+    """
 
     def __init__(self, c: DecayCurve):
         peak = float(np.max(np.abs(c.signal)))
@@ -206,32 +201,24 @@ class _Profile:
             lambda u: self.amplitude_rss(np.exp(u), t1_ph_s, beta)[1],
             self.log_t1_nodes)
 
-    def nested(self, rest_of, nodes: np.ndarray) -> tuple[_Min, _Min]:
+    def outer(self, rest_of, nodes: np.ndarray) -> _Min:
         """An outer search over v, where ``rest_of(v)`` gives (T1_ph,
-        beta), each point scored by its best T1_dd.  Returns the outer
-        minimum and the inner one at it."""
-        inner = {}
+        beta), each point scored by its best T1_dd."""
+        return _minimize(lambda v: self.best_t1_dd(*rest_of(v)).fun, nodes)
 
-        def score(v):
-            inner[v] = self.best_t1_dd(*rest_of(v))
-            return inner[v].fun
-
-        outer = _minimize(score, nodes)
-        return outer, inner[outer.x]
-
-    def result(self, log_t1_dd: float, t1_ph_s: float, beta: float,
-               edge: bool) -> FitResult:
-        """The fit at these parameters; raises ``FitError``, carrying it,
-        when a search ended on an edge of its window."""
-        t1_dd = float(np.exp(log_t1_dd))
+    def fit(self, t1_ph_s: float, beta: float, edge: bool = False
+            ) -> FitResult:
+        """Fit T1_dd and A with T1_ph and beta held.  Raises ``FitError``,
+        carrying the fit, when this search or the caller's (``edge``)
+        ended on an edge of its window; ``DecayModel`` raises ValueError
+        when no shape correlates positively with the signal."""
+        dd = self.best_t1_dd(t1_ph_s, beta)
+        t1_dd = float(np.exp(dd.x))
         a, rss = self.amplitude_rss(t1_dd, t1_ph_s, beta)
-        if a == 0.0:
-            raise ValueError("no decay shape fits the signal with a "
-                             "positive amplitude")
         fit = FitResult(model=DecayModel(t1_dd, t1_ph_s, a, beta),
-                        residual_rss=rss, converged=not edge,
+                        residual_rss=rss, converged=not (edge or dd.edge),
                         iterations=self.evaluations)
-        if edge:
+        if not fit.converged:
             raise FitError("the best fit lies on an edge of the search "
                            "window", fit)
         return fit
@@ -250,27 +237,25 @@ def fit_decay(c: DecayCurve, fixed_t1_ph_s: float | None = None
     """
     p = _Profile(c)
     if fixed_t1_ph_s is not None:
-        dd = p.best_t1_dd(fixed_t1_ph_s, 0.5)
-        return p.result(dd.x, fixed_t1_ph_s, 0.5, dd.edge)
+        return p.fit(fixed_t1_ph_s, 0.5)
     # the rate coordinate t_max / T1_ph: of order one where the channel
     # shows in the samples, so Brent's absolute tolerance is a relative one
     t_max = float(c.tau_s[-1])
     rates = np.concatenate([[0.0], t_max * np.exp(-p.log_t1_nodes[::-1])])
 
-    def t1_ph_of(rate):
-        return np.inf if rate == 0.0 else t_max / rate
+    def rest_of(rate):
+        return (np.inf if rate == 0.0 else t_max / rate), 0.5
 
-    ph, dd = p.nested(lambda rate: (t1_ph_of(rate), 0.5), rates)
-    return p.result(dd.x, t1_ph_of(ph.x), 0.5,
-                    (ph.edge and ph.x > 0.0) or dd.edge)
+    ph = p.outer(rest_of, rates)
+    return p.fit(*rest_of(ph.x), edge=ph.edge and ph.x > 0.0)
 
 
 def fit_beta(c: DecayCurve) -> FitResult:
     """Fit the single stretch (T1_ph = inf) with free (A, T1, beta):
     an outer search in beta over [0.1, 1.5] around a search in log T1."""
     p = _Profile(c)
-    beta, dd = p.nested(lambda b: (np.inf, b), _BETA_NODES)
-    return p.result(dd.x, np.inf, beta.x, beta.edge or dd.edge)
+    beta = p.outer(lambda b: (np.inf, b), _BETA_NODES)
+    return p.fit(np.inf, beta.x, edge=beta.edge)
 
 
 class LineShape(Enum):

@@ -181,12 +181,6 @@ def _vector3(text: str) -> np.ndarray:
     return v
 
 
-def _header_params(args: argparse.Namespace) -> dict:
-    skip = {"func", "command", "config", "output", "format"}
-    return {k: v for k, v in vars(args).items()
-            if k not in skip and v is not None}
-
-
 class _Columns(NamedTuple):
     """A table result: named columns plus extra header comment lines."""
 
@@ -198,7 +192,9 @@ class _Columns(NamedTuple):
 def _emit(args, cfg: RunConfig, result: dict | _Columns) -> Path:
     """Write a runner's result: a dict is a record (JSON by default), a
     ``_Columns`` a table (CSV by default)."""
-    params = _header_params(args)
+    skip = {"func", "command", "config", "output", "format"}
+    params = {k: v for k, v in vars(args).items()
+              if k not in skip and v is not None}
     record = isinstance(result, dict)
     fmt = cfg.output_format or ("json" if record else "csv")
     path = Path(args.output) if args.output is not None else \
@@ -366,8 +362,6 @@ _COMMON = (
           "output directory)"),
     _flag("--config", help="config file of key = value lines"),
     _flag("--format", choices=("csv", "json"), help="output format override"),
-    # parsed and echoed in the header, read by nothing: no computation
-    # draws random numbers
     _flag("--seed", type=_Number(int, low=0),
           help="accepted for compatibility and ignored: every result is "
           "deterministic"),

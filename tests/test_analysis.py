@@ -118,7 +118,7 @@ def test_signal_without_a_positive_decay_is_refused():
     tau = np.geomspace(1e-5, 5e-3, 16)
     curve = DecayCurve(tau, -decay_signal(tau, DecayModel(t1_dd_s=1e-3)))
     for fit in (fit_decay, fit_beta):
-        with pytest.raises(ValueError, match="positive amplitude"):
+        with pytest.raises(ValueError, match="amplitude"):
             fit(curve)
 
 
