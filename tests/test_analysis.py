@@ -15,6 +15,7 @@ from nvcr import (
     sensitivity,
     spectral_overlap,
 )
+
 T1PH = 3.62e-3
 
 

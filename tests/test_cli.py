@@ -605,11 +605,12 @@ def test_fits_ignore_the_seed(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     shutil.copy(GOLDEN_DIR / "decay_curve.csv", tmp_path)
     docs = []
-    for k, seed in enumerate([[], ["--seed", "0"], ["--seed", "7"]]):
+    for k, seed in enumerate([None, "0", "7"]):
         out = tmp_path / f"fit{k}.json"
-        assert main(argv + seed + ["--output", str(out)]) == 0
+        flags = [] if seed is None else ["--seed", seed]
+        assert main(argv + flags + ["--output", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["meta"]["params"].get("seed") == (seed[1:] or [None])[0]
+        assert doc["meta"]["params"].get("seed") == seed
         del doc["meta"]
         docs.append(doc)
     assert docs[0] == docs[1] == docs[2]
