@@ -4,7 +4,7 @@ Both fits are least squares of the decay law of ``relaxation`` with the
 amplitude, in which the law is linear, profiled out in closed form
 (variable projection, Golub & Pereyra 1973).  The rest is one 1-D
 search, or an outer one around an inner one: each a coarse grid, then
-Brent's method on the bracket around its best node.  No search has
+a golden-section search around its best node.  No search has
 starts or random draws, and the command path never imports SciPy.
 Spectral overlaps of Gaussian and Lorentzian lines are closed-form
 convolutions (only a mixed pair loads ``scipy.special`` for the Voigt
@@ -33,14 +33,16 @@ __all__ = [
     "sensitivity",
 ]
 
-# Brent's tolerance, absolute: on log T1 it is a relative one on T1
+# the search tolerance, relative to the size of the coordinate (at least 1)
 _XTOL = 1e-10
-# the log T1 grid: the sampled times widened this much each side
-_T1_WIDEN = 100.0
-_T1_NODES_PER_DECADE = 2
+# the log T1 grid runs from a stretched exponent (t/T1)^beta of
+# _EXPONENT_SPAN at the first positive time to 1/_EXPONENT_SPAN at the
+# last one, _NODES_PER_DECADE nodes per decade of the exponent
+_EXPONENT_SPAN = 100.0
+_NODES_PER_DECADE = 4
 # the beta grid of fit_beta: beta may run up to 1.5 (see DecayModel)
-_BETA_NODES = np.linspace(0.1, 1.5, 15)
-_GOLDEN = 0.5 * (3.0 - 5.0 ** 0.5)
+_BETA_NODES = np.geomspace(0.05, 1.5, 16)
+_GOLDEN = 0.5 * (5.0 ** 0.5 - 1.0)
 
 
 @dataclass(frozen=True)
@@ -102,68 +104,41 @@ class _Min(NamedTuple):
     edge: bool
 
 
-def _brent(f: Callable[[float], float], a: float, x: float, fx: float,
-           b: float) -> tuple[float, float]:
-    """Minimize ``f`` on the bracket a < x < b, f(x) = fx, by Brent's
-    method without derivatives (*Algorithms for Minimization without
-    Derivatives*, 1973, ch. 5): parabolic steps where they fall well
-    inside the bracket, golden-section steps otherwise, until the
-    bracket is within ``_XTOL`` of its best point.  Returns that point
-    and its value, no worse than (x, fx)."""
-    w = v = x
-    fw = fv = fx
-    d = e = 0.0
-    while abs(x - 0.5 * (a + b)) > 2.0 * _XTOL - 0.5 * (b - a):
-        m = 0.5 * (a + b)
-        p = q = r = 0.0
-        if abs(e) > _XTOL:
-            # the parabola through (v, fv), (w, fw), (x, fx)
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, d
-        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-            d = p / q
-            if min(x + d - a, b - x - d) < 2.0 * _XTOL:
-                d = _XTOL if x < m else -_XTOL
+def _golden(f: Callable[[float], float], a: float, b: float
+            ) -> tuple[float, float]:
+    """Minimize ``f`` inside [a, b] by golden-section search until the
+    bracket is narrower than ``_XTOL`` times max(1, |x|).  Returns the
+    best point tried and its value."""
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > _XTOL * max(1.0, abs(c)):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
         else:
-            e = (b if x < m else a) - x
-            d = _GOLDEN * e
-        u = x + (d if abs(d) >= _XTOL else _XTOL if d >= 0.0 else -_XTOL)
-        fu = f(u)
-        if fu <= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return x, fx
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
 
 
 def _minimize(f: Callable[[float], float], nodes: np.ndarray) -> _Min:
     """Minimize ``f`` over [nodes[0], nodes[-1]]: ``f`` at every node,
-    then Brent's method on the two node intervals around the best one.
-    A best node at an end of the window is the edge result."""
+    then a golden-section search of the node intervals next to the best
+    one.  A best node at an end of the window is the edge result unless
+    that search finds a better point away from it, that is, farther
+    than its tolerance."""
     values = [f(float(x)) for x in nodes]
     k = int(np.argmin(values))
-    if k in (0, nodes.size - 1):
-        return _Min(float(nodes[k]), values[k], True)
-    x, fx = _brent(f, float(nodes[k - 1]), float(nodes[k]), values[k],
-                   float(nodes[k + 1]))
-    return _Min(x, fx, False)
+    node = float(nodes[k])
+    x, fx = _golden(f, float(nodes[max(k - 1, 0)]),
+                    float(nodes[min(k + 1, nodes.size - 1)]))
+    end = k in (0, nodes.size - 1)
+    if fx < values[k] and not (
+            end and abs(x - node) <= _XTOL * max(1.0, abs(x))):
+        return _Min(x, fx, False)
+    return _Min(node, values[k], end)
 
 
 class _Profile:
@@ -179,32 +154,33 @@ class _Profile:
         if float(np.ptp(c.signal)) < 1e-12 * max(peak, 1e-300):
             raise ValueError("signal shows no decay; nothing to fit")
         t = c.tau_s[c.tau_s > 0.0]
-        lo, hi = np.log(t[0] / _T1_WIDEN), np.log(t[-1] * _T1_WIDEN)
-        n = int(np.ceil((hi - lo) / np.log(10.0) * _T1_NODES_PER_DECADE))
-        self.log_t1_nodes = np.linspace(lo, hi, n + 1)
+        self.log_t = float(np.log(t[0])), float(np.log(t[-1]))
         self.curve = c
         self.weights = c.weights
         self.evaluations = 0
+
+    def log_t1_nodes(self, beta: float) -> np.ndarray:
+        """The log T1 grid of a channel of stretch ``beta``."""
+        widen = np.log(_EXPONENT_SPAN) / beta
+        lo, hi = self.log_t[0] - widen, self.log_t[1] + widen
+        n = int(np.ceil((hi - lo) * beta / np.log(10.0) * _NODES_PER_DECADE))
+        return np.linspace(lo, hi, n + 1)
 
     def amplitude_rss(self, t1_dd_s, t1_ph_s, beta) -> tuple[float, float]:
         self.evaluations += 1
         c, w = self.curve, self.weights
         m = _decay_law(c.tau_s, t1_dd_s, t1_ph_s, 1.0, beta)
-        mm = float(np.sum(w * m * m))
-        a = max(0.0, float(np.sum(w * c.signal * m)) / mm) if mm > 0.0 \
-            else 0.0
-        return a, float(np.sum(w * (c.signal - a * m) ** 2))
+        wm = w * m
+        mm = float(wm @ m)
+        a = max(0.0, float(wm @ c.signal) / mm) if mm > 0.0 else 0.0
+        r = c.signal - a * m
+        return a, float(r @ (w * r))
 
     def best_t1_dd(self, t1_ph_s, beta) -> _Min:
         """The best log T1_dd with T1_ph and beta held fixed."""
         return _minimize(
             lambda u: self.amplitude_rss(np.exp(u), t1_ph_s, beta)[1],
-            self.log_t1_nodes)
-
-    def outer(self, rest_of, nodes: np.ndarray) -> _Min:
-        """An outer search over v, where ``rest_of(v)`` gives (T1_ph,
-        beta), each point scored by its best T1_dd."""
-        return _minimize(lambda v: self.best_t1_dd(*rest_of(v)).fun, nodes)
+            self.log_t1_nodes(beta))
 
     def fit(self, t1_ph_s: float, beta: float, edge: bool = False
             ) -> FitResult:
@@ -228,33 +204,36 @@ def fit_decay(c: DecayCurve, fixed_t1_ph_s: float | None = None
               ) -> FitResult:
     """Least-squares fit of the two-channel decay law (beta = 1/2).
 
-    With ``fixed_t1_ph_s``, one search in log T1_dd over the sampled
-    times widened a hundredfold on each side; a minimum on an edge of
-    that window raises ``FitError``.  Otherwise an outer search in the
-    phonon rate runs around it, over the rates of the same window and
-    rate 0: the channel-off limit T1_ph = inf, evaluated exactly and no
-    edge.
+    With ``fixed_t1_ph_s``, one search in log T1_dd over the window in
+    which (t/T1_dd)^(1/2) runs from 100 at the first positive time to
+    0.01 at the last one: the sampled times widened 1e4-fold on each
+    side.  A minimum on an edge of that window raises ``FitError``.
+    Otherwise an outer search in the phonon rate runs around it, over
+    the rates of the phonon window (t/T1_ph from 100 to 0.01, the
+    sampled times widened a hundredfold) and rate 0: the channel-off
+    limit T1_ph = inf, evaluated exactly and no edge.
     """
     p = _Profile(c)
     if fixed_t1_ph_s is not None:
         return p.fit(fixed_t1_ph_s, 0.5)
-    # the rate coordinate t_max / T1_ph: of order one where the channel
-    # shows in the samples, so Brent's absolute tolerance is a relative one
+    # the rate coordinate t_max / T1_ph, so that rate 0 is T1_ph = inf
     t_max = float(c.tau_s[-1])
-    rates = np.concatenate([[0.0], t_max * np.exp(-p.log_t1_nodes[::-1])])
+    rates = np.concatenate([[0.0],
+                            t_max * np.exp(-p.log_t1_nodes(1.0)[::-1])])
 
-    def rest_of(rate):
-        return (np.inf if rate == 0.0 else t_max / rate), 0.5
+    def t1_ph(rate):
+        return np.inf if rate == 0.0 else t_max / rate
 
-    ph = p.outer(rest_of, rates)
-    return p.fit(*rest_of(ph.x), edge=ph.edge and ph.x > 0.0)
+    ph = _minimize(lambda r: p.best_t1_dd(t1_ph(r), 0.5).fun, rates)
+    return p.fit(t1_ph(ph.x), 0.5, edge=ph.edge and ph.x > 0.0)
 
 
 def fit_beta(c: DecayCurve) -> FitResult:
-    """Fit the single stretch (T1_ph = inf) with free (A, T1, beta):
-    an outer search in beta over [0.1, 1.5] around a search in log T1."""
+    """Fit the single stretch (T1_ph = inf) with free (A, T1, beta): an
+    outer search in beta over [0.05, 1.5] around a search in log T1 over
+    the window of that beta (see ``fit_decay``)."""
     p = _Profile(c)
-    beta = p.outer(lambda b: (np.inf, b), _BETA_NODES)
+    beta = _minimize(lambda b: p.best_t1_dd(np.inf, b).fun, _BETA_NODES)
     return p.fit(np.inf, beta.x, edge=beta.edge)
 
 

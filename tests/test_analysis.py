@@ -100,11 +100,45 @@ def test_pure_stretch_fits_with_the_phonon_channel_off():
     assert res.model.t1_dd_s == pytest.approx(0.7e-3, rel=1e-7)
 
 
-@pytest.mark.parametrize("t1_dd", [1e-9, 10.0])
-def test_timescale_outside_the_window_raises_with_the_best_fit(t1_dd):
-    # the window is the sampled times, 1e-5 to 5e-3 s, widened a
-    # hundredfold on each side
+def test_phonon_channel_beyond_its_grid_is_fitted():
+    # t_max / T1_ph = 1/300 lies between rate 0 and the first rate node
+    # (T1_ph = 100 t_max), so the search must look inside that interval
     tau = np.geomspace(1e-5, 5e-3, 64)
+    model = DecayModel(t1_dd_s=0.7e-3, t1_ph_s=1.5)
+    res = fit_decay(DecayCurve(tau, decay_signal(tau, model)))
+    assert res.converged
+    assert res.model.t1_ph_s == pytest.approx(1.5, rel=1e-6)
+    assert res.model.t1_dd_s == pytest.approx(0.7e-3, rel=1e-7)
+
+
+def test_fast_phonon_channel_over_seven_decades_is_fitted():
+    # the phonon rate t_max / T1_ph is 5e6 here, far beyond where an
+    # absolute search tolerance falls below the spacing of floats
+    tau = np.geomspace(1e-9, 1e-2, 64)
+    model = DecayModel(t1_dd_s=2e-8, t1_ph_s=2e-9)
+    res = fit_decay(DecayCurve(tau, decay_signal(tau, model)))
+    assert res.converged
+    assert res.model.t1_ph_s == pytest.approx(2e-9, rel=1e-6)
+    assert res.model.t1_dd_s == pytest.approx(2e-8, rel=1e-6)
+
+
+def test_slow_dipolar_channel_inside_the_window_is_fitted():
+    # (t_max / T1_dd)^(1/2) = 0.022: a 2 % dipolar loss over the samples
+    tau = np.geomspace(1e-5, 5e-3, 64)
+    curve = DecayCurve(tau, decay_signal(
+        tau, DecayModel(t1_dd_s=10.0, t1_ph_s=T1PH)))
+    res = fit_decay(curve, fixed_t1_ph_s=T1PH)
+    assert res.converged
+    assert res.model.t1_dd_s == pytest.approx(10.0, rel=1e-7)
+
+
+@pytest.mark.parametrize("t1_dd", [1e-12, 1e4])
+def test_timescale_outside_the_window_raises_with_the_best_fit(t1_dd):
+    # at beta = 1/2 the window runs from (t/T1_dd)^(1/2) = 100 at the
+    # first positive time, 1e-5 s, to 0.01 at the last one, 5e-3 s:
+    # T1_dd from 1e-9 to 50 s.  The sample at t = 0 keeps the signal
+    # of the fastest curve from being all zeros.
+    tau = np.concatenate([[0.0], np.geomspace(1e-5, 5e-3, 63)])
     curve = DecayCurve(tau, decay_signal(
         tau, DecayModel(t1_dd_s=t1_dd, t1_ph_s=T1PH)))
     with pytest.raises(FitError) as exc:
@@ -112,7 +146,7 @@ def test_timescale_outside_the_window_raises_with_the_best_fit(t1_dd):
     best = exc.value.best
     assert not best.converged
     assert best.model.t1_dd_s == pytest.approx(
-        1e-7 if t1_dd < 1e-5 else 0.5, rel=1e-12)
+        1e-9 if t1_dd < 1e-5 else 50.0, rel=1e-12)
 
 
 def test_signal_without_a_positive_decay_is_refused():
@@ -142,6 +176,25 @@ def test_beta_roundtrip_intermediate():
     assert res.converged
     assert res.model.beta == pytest.approx(0.8, abs=0.01)
     assert res.model.t1_dd_s == pytest.approx(2.0e-3, rel=0.02)
+
+
+@pytest.mark.parametrize("beta", [0.07, 1.45])
+def test_beta_roundtrip_near_the_ends_of_its_grid(beta):
+    # the beta grid runs from 0.05 to 1.5, the top of DecayModel's range
+    tau = np.geomspace(1e-5, 5e-3, 64)
+    model = DecayModel(t1_dd_s=0.7e-3, beta=beta)
+    res = fit_beta(DecayCurve(tau, decay_signal(tau, model)))
+    assert res.converged
+    assert res.model.beta == pytest.approx(beta, rel=1e-7)
+    assert res.model.t1_dd_s == pytest.approx(0.7e-3, rel=1e-7)
+
+
+def test_beta_at_the_top_of_its_range_raises_with_the_best_fit():
+    tau = np.geomspace(1e-5, 5e-3, 64)
+    model = DecayModel(t1_dd_s=0.7e-3, beta=1.5)
+    with pytest.raises(FitError) as exc:
+        fit_beta(DecayCurve(tau, decay_signal(tau, model)))
+    assert exc.value.best.model.beta == 1.5
 
 
 def test_beta_of_two_channel_curve_near_half():
