@@ -19,16 +19,14 @@ _SUBMODULES = {
     "constants": ("PhysicalConstants", "DEFAULT_CONSTANTS",
                   "DEFAULT_E_PERP_MHZ", "DEFAULT_CR_RANGE_MHZ", "J0_MHZ_NM3"),
     "geometry": ("CLASS_AXES", "NVClassFrame", "PairGeometry", "class_frame",
-                 "rotation_matrix", "tilted_field_direction"),
+                 "tilted_field_direction"),
     # single-center model
     "spin_model": ("FieldConfiguration", "SpinEigensystem", "spin_matrices",
                    "zero_field_states", "build_hamiltonian", "diagonalize",
                    "eigenstate_map", "transverse_field_scan"),
     # pair coupling
     "dipolar": ("BasisChoice", "DipolarCoefficients", "dipolar_coefficients",
-                "build_two_spin_hamiltonian", "flip_flop_amplitude",
-                "double_flip_amplitude", "nonmagnetic_spin_matrices",
-                "nonmagnetic_change_of_basis"),
+                "flip_flop_amplitude", "double_flip_amplitude"),
     # angular averages
     "eta_average": ("ZAngle", "XMode", "EtaScenario",
                     "FieldOrientationScenario", "QuadratureSpec",
@@ -37,8 +35,7 @@ _SUBMODULES = {
                     "eta_bar", "eta_table", "scenario_multiplier",
                     "multiplier_table"),
     "relaxation": ("FluctuatorParams", "DecayModel", "characteristic_rate",
-                   "rate_density", "polarization",
-                   "polarization_from_density", "decay_signal"),
+                   "rate_density", "polarization", "decay_signal"),
     "analysis": ("DecayCurve", "FitResult", "FitError", "LineShape",
                  "LineProfile", "fit_decay", "fit_beta", "spectral_overlap",
                  "sensitivity"),

@@ -279,6 +279,8 @@ def spectral_overlap(p1: LineProfile, p2: LineProfile, delta_nu_mhz) -> np.ndarr
     pair the Voigt profile.
     """
     delta = np.atleast_1d(np.asarray(delta_nu_mhz, dtype=float))
+    if not np.all(np.isfinite(delta)):
+        raise ValueError("delta_nu_mhz must be finite")
     shapes = {p1.shape, p2.shape}
     x = delta + p2.center_mhz - p1.center_mhz
     if shapes == {LineShape.GAUSSIAN}:

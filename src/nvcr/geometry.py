@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["CLASS_AXES", "NVClassFrame", "PairGeometry", "class_frame",
-           "rotation_matrix", "tilted_field_direction"]
+           "tilted_field_direction"]
 
 # The four <111> class axes, normalized.  Pairwise dot products are
 # +-1/3: classes are either parallel (same), at arccos(1/3) = 70.5 deg
@@ -91,9 +91,6 @@ class NVClassFrame:
         if np.dot(np.cross(self.x_hat, self.y_hat), self.z_hat) < 0.0:
             raise ValueError("frame is not right-handed")
 
-    def rotated(self, rot: np.ndarray) -> "NVClassFrame":
-        return NVClassFrame(self.class_id, rot @ self.x_hat, rot @ self.y_hat, rot @ self.z_hat)
-
 
 def class_frame(class_id: int, b_field=None) -> NVClassFrame:
     """Frame of one NV class, oriented against the applied field.
@@ -135,21 +132,6 @@ class PairGeometry:
                 np.any(np.abs(np.linalg.norm(u, axis=-1) - 1.0) > 1e-9):
             raise ValueError("u_hat must be a unit 3-vector or a stack")
         object.__setattr__(self, "u_hat", u)
-
-    def swapped(self) -> "PairGeometry":
-        """Exchange the two spins (and flip the inter-spin direction)."""
-        return PairGeometry(-self.u_hat, self.frame2, self.frame1)
-
-
-def rotation_matrix(axis, angle_rad: float) -> np.ndarray:
-    """Rodrigues rotation about ``axis`` by ``angle_rad``."""
-    axis = as_unit(axis)
-    k = np.array([
-        [0.0, -axis[2], axis[1]],
-        [axis[2], 0.0, -axis[0]],
-        [-axis[1], axis[0], 0.0],
-    ])
-    return np.eye(3) + np.sin(angle_rad) * k + (1.0 - np.cos(angle_rad)) * (k @ k)
 
 
 def tilted_field_direction() -> np.ndarray:

@@ -250,6 +250,8 @@ def synth_spectrum(lines_ghz, profile: LineProfile,
         pad = 20.0 * (profile.width_mhz * 1e-3)
         freq_ghz = np.linspace(lines.min() - pad, lines.max() + pad, n_freq)
     freq_ghz = np.asarray(freq_ghz, dtype=float)
+    if not np.all(np.isfinite(freq_ghz)):
+        raise ValueError("freq_ghz must be finite")
     line = LineProfile(profile.shape, profile.width_mhz)
     peak = line(0.0)
     pl = np.ones_like(freq_ghz)

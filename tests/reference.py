@@ -1,0 +1,124 @@
+"""Second derivations that the tests check the package against.
+
+The package computes the pair matrix elements and the ensemble
+polarization in closed form.  This module derives each a second way,
+independently of how the package does it:
+
+* ``build_two_spin_hamiltonian`` assembles the 9x9 secular pair
+  operator from Kronecker products of single-spin operators, with its
+  own zero-field operators and its own list of retained bilinears, so
+  that the closed-form amplitudes of ``nvcr.dipolar`` can be read off
+  as its elements;
+* ``polarization_from_density`` takes the Laplace transform of the rate
+  density by quadrature, for the closed form exp(-sqrt(t/T));
+* ``rotation_matrix``, ``rotate`` and ``swap`` move frames and pairs
+  for the invariance checks.
+
+Only public names of ``nvcr`` are imported.
+"""
+
+import numpy as np
+
+from nvcr import (BasisChoice, NVClassFrame, PairGeometry,
+                  dipolar_coefficients, spin_matrices)
+from nvcr.geometry import as_unit
+
+
+def nonmagnetic_spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spin-1 operators in the zero-field basis ordered (|->, |0>, |+>)."""
+    sx = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
+    sy = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
+    sz = np.array([[0, 0, -1j], [0, 0, 0], [1j, 0, 0]], dtype=complex)
+    return sx, sy, sz
+
+
+def nonmagnetic_change_of_basis() -> np.ndarray:
+    """Unitary U with columns (|->, |0>, |+>) in the m_s representation.
+
+    Satisfies U^dag S_a U = nonmagnetic_spin_matrices()[a] exactly for
+    all three operators.
+    """
+    sq = 1.0 / np.sqrt(2.0)
+    return np.array([
+        [sq, 0.0, 1j * sq],
+        [0.0, 1.0, 0.0],
+        [sq, 0.0, -1j * sq],
+    ], dtype=complex)
+
+
+_AXES = ("x", "y", "z")
+# the bilinears kept by the secular argument
+_RETAINED = (("x", "x"), ("y", "y"), ("x", "y"), ("y", "x"), ("z", "z"))
+
+
+def _single_spin_ops(basis: BasisChoice):
+    if basis is BasisChoice.MAGNETIC:
+        return spin_matrices()
+    return nonmagnetic_spin_matrices()
+
+
+def build_two_spin_hamiltonian(g: PairGeometry,
+                               basis: BasisChoice) -> np.ndarray:
+    """9x9 pair Hamiltonian in units of J0/r^3.
+
+    Only the five bilinears retained by the secular argument (xx, yy,
+    xy, yx, zz) enter.  ``g`` must hold a single direction.
+    """
+    if g.u_hat.ndim != 1:
+        raise ValueError("the pair Hamiltonian takes a single direction")
+    op = dict(zip(_AXES, _single_spin_ops(basis)))
+    c = dipolar_coefficients(g)
+    h = np.zeros((9, 9), dtype=complex)
+    for a, b in _RETAINED:
+        h -= getattr(c, f"a_{a}{b}") * np.kron(op[a], op[b])
+    return h
+
+
+# trapezoid nodes y = e^u of the Laplace transform, u from -30 to 3.5:
+# outside that range the integrand in u is below e^-30 ~ 1e-13
+_LAPLACE_STEP = 0.1
+_LAPLACE_Y = np.exp(np.arange(-300, 36) * _LAPLACE_STEP)
+
+
+def polarization_from_density(t_s: float, big_t_s: float) -> float:
+    """P(t) as the Laplace transform of the rate density.
+
+    Numerically integrates rho(gamma) exp(-gamma t) over (0, inf).  The
+    substitution gamma = 1/(4 T y^2) turns the integral into
+    (2/sqrt(pi)) int_0^inf exp(-y^2 - t/(4 T y^2)) dy, and y = e^u into
+    a smooth, doubly decaying integrand over the real line for a fixed
+    trapezoid rule (step 0.1 in u over [-30, 3.5]).  Agrees with the
+    closed form exp(-sqrt(t/T)) to ~1e-13 for t/T up to 1e4; with
+    t = 0 this is the normalization check.
+    """
+    if not 0.0 <= t_s < np.inf:
+        raise ValueError("t_s must be finite and >= 0")
+    if not 0.0 < big_t_s < np.inf:
+        raise ValueError("big_t_s must be finite and positive")
+    y = _LAPLACE_Y
+    ratio = t_s / (4.0 * big_t_s)
+    integrand = y * np.exp(-y * y - ratio / (y * y))
+    return float(2.0 / np.sqrt(np.pi)
+                 * np.trapezoid(integrand, dx=_LAPLACE_STEP))
+
+
+def rotation_matrix(axis, angle_rad: float) -> np.ndarray:
+    """Rodrigues rotation about ``axis`` by ``angle_rad``."""
+    axis = as_unit(axis)
+    k = np.array([
+        [0.0, -axis[2], axis[1]],
+        [axis[2], 0.0, -axis[0]],
+        [-axis[1], axis[0], 0.0],
+    ])
+    return np.eye(3) + np.sin(angle_rad) * k + (1.0 - np.cos(angle_rad)) * (k @ k)
+
+
+def rotate(frame: NVClassFrame, rot: np.ndarray) -> NVClassFrame:
+    """``frame`` with each axis rotated by ``rot``."""
+    return NVClassFrame(frame.class_id, rot @ frame.x_hat, rot @ frame.y_hat,
+                        rot @ frame.z_hat)
+
+
+def swap(g: PairGeometry) -> PairGeometry:
+    """Exchange the two spins (and flip the inter-spin direction)."""
+    return PairGeometry(-g.u_hat, g.frame2, g.frame1)

@@ -282,6 +282,16 @@ def test_sensitivity_refuses_non_finite(args):
         sensitivity(*args)
 
 
+@pytest.mark.parametrize("delta", [np.nan, np.inf, [0.0, np.nan]],
+                         ids=["nan", "inf", "nan_in_stack"])
+def test_overlap_refuses_a_non_finite_shift(delta):
+    # a NaN shift once gave a NaN overlap
+    for shape in LineShape:
+        p = LineProfile(shape, width_mhz=1.0)
+        with pytest.raises(ValueError, match="delta_nu_mhz"):
+            spectral_overlap(p, p, delta)
+
+
 def test_sensitivity_values():
     assert sensitivity(1.5e-6, 3e-3) == pytest.approx(82e-9, abs=1e-9)
     assert sensitivity(3.0e-6, 3e-3) == \

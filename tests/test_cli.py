@@ -931,6 +931,29 @@ def test_import_nvcr_is_lazy():
     assert done.returncode == 0, done.stderr
 
 
+def test_dipolar_loads_no_spin_model():
+    done = _fresh_python("""
+        import sys
+        import nvcr.dipolar
+
+        assert "nvcr.spin_model" not in sys.modules, sorted(sys.modules)
+    """)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("name", [
+    "build_two_spin_hamiltonian", "nonmagnetic_spin_matrices",
+    "nonmagnetic_change_of_basis", "polarization_from_density",
+    "rotation_matrix"])
+def test_reference_names_are_not_exported(name):
+    # the second derivations the tests check against live in
+    # tests/reference.py, not in the package
+    import nvcr
+
+    with pytest.raises(AttributeError):
+        getattr(nvcr, name)
+
+
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("4", "4")])
 def test_cli_runs_blas_on_one_thread_unless_set(preset, expected):
     env = {k: v for k, v in os.environ.items()

@@ -323,6 +323,15 @@ def test_spectrum_dip_depth_is_the_contrast(shape):
     assert 1.0 - pl[1] == pytest.approx(0.03, abs=1e-15)
 
 
+@pytest.mark.parametrize("freq", [[np.nan, 2.8], [2.8, np.inf]],
+                         ids=["nan", "inf"])
+def test_spectrum_refuses_a_non_finite_grid(freq):
+    # a NaN frequency once gave a NaN row, an infinite one a flat one
+    with pytest.raises(ValueError, match="freq_ghz"):
+        synth_spectrum([2.87], LineProfile(LineShape.GAUSSIAN, width_mhz=1.0),
+                       freq_ghz=freq)
+
+
 @pytest.mark.parametrize("lines", [[], [2.87, np.nan], [[2.86, 2.88]]])
 def test_spectrum_refuses_bad_lines(lines):
     with pytest.raises(ValueError):

@@ -15,10 +15,11 @@ from nvcr import (
     decay_signal,
     eta_bar,
     polarization,
-    polarization_from_density,
     rate_density,
     scenario_multiplier,
 )
+
+from reference import polarization_from_density
 
 BASE = FluctuatorParams(n_f_per_nm3=1e-6, gamma_f_per_s=2e7, eta_bar=0.1)
 
@@ -74,6 +75,15 @@ def test_params_checked_on_construction(name, bad):
               name: bad}
     with pytest.raises(ValueError, match=name):
         FluctuatorParams(**values)
+
+
+@pytest.mark.parametrize("values", [(1e300, 1e-300, 1e300),
+                                    (1e100, 1.0, 1e100)],
+                         ids=["to_inf", "overflow_error"])
+def test_rate_overflow_is_refused(values):
+    # the first once returned inf, the second raised a bare OverflowError
+    with pytest.raises(ValueError, match="rate overflows"):
+        characteristic_rate(FluctuatorParams(*values))
 
 
 def test_density_normalization():

@@ -5,7 +5,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "nvcr"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "nvcr"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -31,17 +37,73 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             if name not in read and name not in exported]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    assert _unused_imports(tree) == []
+    assert _unused_imports(_parse(path)) == []
 
 
 def test_unused_import_is_caught():
     tree = ast.parse("import os\nfrom math import pi, tau\n"
                      "__all__ = ['tau']\nprint(os.sep)\n")
     assert _unused_imports(tree) == ["pi (line 2)"]
+
+
+def _unread_private_names(tree: ast.Module) -> list[str]:
+    """Module-level functions, classes and assignments named ``_x`` that
+    the module never reads."""
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            bound += [(n.id, node.lineno) for n in ast.walk(node)
+                      if isinstance(n, ast.Name)
+                      and isinstance(n.ctx, ast.Store)]
+    return [f"{name} (line {line})" for name, line in bound
+            if name.startswith("_") and not name.endswith("__")
+            and name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_name_is_read_in_its_module(path):
+    assert _unread_private_names(_parse(path)) == []
+
+
+def test_unread_private_name_is_caught():
+    tree = ast.parse("_A = 1\n_B: int = _A\ndef _f():\n    return _C\n"
+                     "class _C:\n    pass\n__all__ = []\n")
+    assert _unread_private_names(tree) == ["_B (line 2)", "_f (line 3)"]
+
+
+# what the tests directory provides: its package name and each module
+_TEST_CODE = {"tests", *(p.stem for p in TESTS.glob("*.py"))}
+
+
+def _absolute_imports(tree: ast.Module) -> set[str]:
+    """Top-level names of the modules imported anywhere in ``tree``,
+    relative imports left out."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_package_imports_no_test_code(path):
+    assert _absolute_imports(_parse(path)) & _TEST_CODE == set()
+
+
+def test_test_code_import_is_caught():
+    tree = ast.parse("import numpy as np\nfrom . import geometry\n"
+                     "def f():\n    from reference import swap\n"
+                     "    import tests.conftest\n")
+    assert _absolute_imports(tree) & _TEST_CODE == {"reference", "tests"}
 
 
 def _assigned(tree: ast.Module, name: str):

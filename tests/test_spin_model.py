@@ -16,11 +16,12 @@ from nvcr import (
     class_frame,
     diagonalize,
     eigenstate_map,
-    rotation_matrix,
     transverse_field_scan,
     zero_field_states,
 )
 from nvcr.constants import DEFAULT_CONSTANTS, PhysicalConstants
+
+from reference import rotation_matrix
 
 C = DEFAULT_CONSTANTS
 D = C.d_ghz
