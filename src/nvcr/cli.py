@@ -1,12 +1,11 @@
 """Command-line surface: every computation as a file-emitting subcommand.
 
-Outputs are deterministic for a fixed configuration.  Bad
-flags or config keys exit with status 2; numeric failures exit with
-status 1 and print a JSON diagnostic.  A config file of ``key = value``
-lines supplies defaults that flags override; the environment variable
-``NVCR_OUTPUT_DIR`` sets the default output directory only.  Each
-subcommand is one row of ``_SUBCOMMANDS``: its runner, default output
-name, help line and flags.
+Outputs are deterministic for a fixed configuration: a record as JSON,
+a table as CSV.  Bad flags or config keys exit with status 2; numeric
+failures exit with status 1 and print a JSON diagnostic.  A config file
+of ``key = value`` lines sets the physical constants and the output
+directory, over ``NVCR_OUTPUT_DIR``.  Each subcommand is one row of
+``_SUBCOMMANDS``: its runner, default output file, help line and flags.
 """
 
 from __future__ import annotations
@@ -31,8 +30,7 @@ from .analysis import (FitError, FitResult, LineProfile, LineShape, fit_beta,
                        fit_decay, sensitivity, spectral_overlap)
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_CR_RANGE_MHZ,
                         DEFAULT_E_PERP_MHZ, PhysicalConstants)
-from .eta_average import (DEFAULT_QUADRATURE, ConvergenceError,
-                          QuadratureSpec, eta_table, multiplier_table)
+from .eta_average import ConvergenceError, eta_table, multiplier_table
 from .geometry import as_unit, class_frame
 from .odmr import all_transitions, degeneracy_lift, synth_spectrum
 from .relaxation import DecayModel, decay_signal
@@ -44,9 +42,8 @@ __all__ = ["main"]
 
 OUTPUT_DIR_ENV = "NVCR_OUTPUT_DIR"
 
-# config keys: each field of the two dataclasses, parsed as its default's type
+# config keys: each field of PhysicalConstants, plus output_dir
 _CONSTANT_KEYS = tuple(f.name for f in fields(PhysicalConstants))
-_QUAD_CASTS = {f.name: type(f.default) for f in fields(QuadratureSpec)}
 
 _SCENARIO_ORDER = ("RANDOM_DIRECTION", "PLANE_100", "PLANE_110",
                    "AXIS_111", "AXIS_100", "ZERO_FIELD_ELECTRIC")
@@ -63,9 +60,7 @@ class RunConfig:
     """Resolved runtime configuration for one invocation."""
 
     constants: PhysicalConstants = DEFAULT_CONSTANTS
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE
     output_dir: Path = Path(".")
-    output_format: str | None = None
 
 
 def _parse_config_file(path: str) -> dict:
@@ -87,46 +82,23 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def load_run_config(config_path: str | None,
-                    output_format: str | None = None) -> RunConfig:
-    """Merge defaults, config file and flag overrides; reject unknown keys."""
+def load_run_config(config_path: str | None) -> RunConfig:
+    """Merge defaults and the config file; reject unknown keys."""
     consts = DEFAULT_CONSTANTS
-    quad = DEFAULT_QUADRATURE
     out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, "."))
-    fmt = None
     if config_path is not None:
         values = _parse_config_file(config_path)
-        known = {*_CONSTANT_KEYS, *_QUAD_CASTS, "output_dir", "format"}
-        unknown = sorted(set(values) - known)
+        unknown = sorted(set(values) - {*_CONSTANT_KEYS, "output_dir"})
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
         try:
-            const_over = {k: float(values[k]) for k in _CONSTANT_KEYS
-                          if k in values}
-            quad_over = {k: cast(values[k]) for k, cast in _QUAD_CASTS.items()
-                         if k in values}
+            consts = replace(consts, **{k: float(values[k])
+                                        for k in _CONSTANT_KEYS if k in values})
         except ValueError as exc:
             raise UsageError(f"bad config value: {exc}") from exc
-        if const_over:
-            try:
-                consts = replace(consts, **const_over)
-            except ValueError as exc:
-                raise UsageError(f"bad constants override: {exc}") from exc
-        if quad_over:
-            try:
-                quad = replace(quad, **quad_over)
-            except ValueError as exc:
-                raise UsageError(f"bad quadrature override: {exc}") from exc
         if "output_dir" in values:
             out_dir = Path(values["output_dir"])
-        if "format" in values:
-            fmt = values["format"]
-    if output_format is not None:
-        fmt = output_format
-    if fmt is not None and fmt not in ("csv", "json"):
-        raise UsageError(f"format must be 'csv' or 'json', got {fmt!r}")
-    return RunConfig(constants=consts, quadrature=quad, output_dir=out_dir,
-                     output_format=fmt)
+    return RunConfig(constants=consts, output_dir=out_dir)
 
 
 @dataclass(frozen=True)
@@ -190,29 +162,15 @@ class _Columns(NamedTuple):
 
 
 def _emit(args, cfg: RunConfig, result: dict | _Columns) -> Path:
-    """Write a runner's result: a dict is a record (JSON by default), a
-    ``_Columns`` a table (CSV by default)."""
-    skip = {"func", "command", "config", "output", "format"}
+    """Write a runner's result: a dict is a record, written as JSON; a
+    ``_Columns`` a table, written as CSV."""
+    skip = {"func", "command", "config", "output"}
     params = {k: v for k, v in vars(args).items()
               if k not in skip and v is not None}
-    record = isinstance(result, dict)
-    fmt = cfg.output_format or ("json" if record else "csv")
     path = Path(args.output) if args.output is not None else \
-        cfg.output_dir / f"{_SUBCOMMANDS[args.command].stem}.{fmt}"
-    if fmt == "json":
-        if not record:
-            payload = {"columns": {n: np.atleast_1d(np.asarray(c)).tolist()
-                                   for n, c in zip(result.names,
-                                                   result.columns)}}
-            if result.comments:
-                payload["notes"] = list(result.comments)
-            result = payload
+        cfg.output_dir / _SUBCOMMANDS[args.command].output
+    if isinstance(result, dict):
         return write_json(path, result, args.command, params)
-    if record:
-        values = ["" if v is None else v for v in result.values()]
-        result = _Columns(["key", "value"],
-                          [np.array(list(result), dtype=object),
-                           np.array(values, dtype=object)])
     return write_csv(path, result.names, result.columns, args.command,
                      params, extra_comments=result.comments)
 
@@ -254,7 +212,7 @@ def _cmd_transverse_scan(args, cfg: RunConfig) -> _Columns:
 
 
 def _cmd_eta_table(args, cfg: RunConfig) -> _Columns:
-    table = eta_table(cfg.quadrature)
+    table = eta_table()
     families = ["magnetic", "nonmagnetic_random", "nonmagnetic_aligned"]
     cols = [np.array(families, dtype=object)]
     for axis in ("same", "close", "far"):
@@ -263,7 +221,7 @@ def _cmd_eta_table(args, cfg: RunConfig) -> _Columns:
 
 
 def _cmd_multipliers(args, cfg: RunConfig) -> _Columns:
-    table = multiplier_table(cfg.quadrature)
+    table = multiplier_table()
     names = [_SCENARIO_DISPLAY.get(n, n) for n in _SCENARIO_ORDER]
     values = np.array([table[n] for n in _SCENARIO_ORDER])
     return _Columns(["scenario", "multiplier"],
@@ -360,8 +318,8 @@ def _flag(*names: str, **kwargs) -> tuple:
 _COMMON = (
     _flag("--output", help="output file path (default: derived name in the "
           "output directory)"),
-    _flag("--config", help="config file of key = value lines"),
-    _flag("--format", choices=("csv", "json"), help="output format override"),
+    _flag("--config", help="config file of key = value lines setting the "
+          "physical constants and the output directory"),
     _flag("--seed", type=_Number(int, low=0),
           help="accepted for compatibility and ignored: every result is "
           "deterministic"),
@@ -404,14 +362,14 @@ def _profile(k: int) -> tuple:
 
 class _Subcommand(NamedTuple):
     run: Callable       # (args, RunConfig) -> record dict or _Columns
-    stem: str           # default output file name, less the extension
+    output: str         # default output file name
     help: str
     flags: tuple = ()   # added after the common flags
 
 
 _SUBCOMMANDS = {
     "eigen-map": _Subcommand(
-        _cmd_eigen_map, "eigen_map",
+        _cmd_eigen_map, "eigen_map.csv",
         "upper-state character over field amplitude and polar angle",
         (*_ramp(200.0, 41),
          _flag("--theta-min-rad", type=_nonneg, default=0.0,
@@ -422,27 +380,27 @@ _SUBCOMMANDS = {
                help="number of angle points"),
          _E_PERP)),
     "transverse-scan": _Subcommand(
-        _cmd_transverse_scan, "transverse_scan",
+        _cmd_transverse_scan, "transverse_scan.csv",
         "energies, splitting and upper-state overlap vs transverse field",
         (*_ramp(200.0, 201), _E_PERP)),
     "eta-table": _Subcommand(
-        _cmd_eta_table, "eta_table",
+        _cmd_eta_table, "eta_table.csv",
         "3x3 table of angular averages (dimensionless)"),
     "multipliers": _Subcommand(
-        _cmd_multipliers, "multipliers",
+        _cmd_multipliers, "multipliers.csv",
         "relaxation-rate multiplier per field scenario (dimensionless)"),
     "transitions": _Subcommand(
-        _cmd_transitions, "transitions",
+        _cmd_transitions, "transitions.csv",
         "eight transition frequencies (GHz) vs field amplitude",
         (_DIRECTION, *_ramp(30.0, 121), _E_PERP)),
     "degeneracy": _Subcommand(
-        _cmd_degeneracy, "degeneracy",
+        _cmd_degeneracy, "degeneracy.csv",
         "line-pair gaps (MHz) vs field and crossing fields (Gauss)",
         (_DIRECTION, *_ramp(30.0, 121, n_min=8), _E_PERP,
          _flag("--cr-range-mhz", type=_positive, default=DEFAULT_CR_RANGE_MHZ,
                help="interaction range the gaps must clear (MHz)"))),
     "spectrum": _Subcommand(
-        _cmd_spectrum, "spectrum",
+        _cmd_spectrum, "spectrum.csv",
         "synthetic ODMR spectrum at one field amplitude",
         (_flag("--b-gauss", type=_nonneg, default=0.0,
                help="field amplitude (Gauss)"),
@@ -461,7 +419,7 @@ _SUBCOMMANDS = {
          _flag("--n-freq", type=_count, default=2001,
                help="number of frequency points"))),
     "decay-sim": _Subcommand(
-        _cmd_decay_sim, "decay_curve",
+        _cmd_decay_sim, "decay_curve.csv",
         "generate a synthetic decay curve CSV",
         (_flag("--t1dd-s", type=_positive, default=0.6e-3,
                help="dipolar decay timescale (seconds)"),
@@ -481,17 +439,17 @@ _SUBCOMMANDS = {
          _flag("--log-spacing", action="store_true",
                help="log-spaced wait times instead of linear"))),
     "fit-t1": _Subcommand(
-        _cmd_fit_t1, "fit_t1",
+        _cmd_fit_t1, "fit_t1.json",
         "fit the two-channel decay law to a curve CSV",
         (_INPUT,
          _flag("--fix-t1ph-s", "--fix-t1ph", type=_positive,
                dest="fix_t1ph_s",
                help="hold the phonon timescale fixed (seconds)"))),
     "fit-beta": _Subcommand(
-        _cmd_fit_beta, "fit_beta",
+        _cmd_fit_beta, "fit_beta.json",
         "fit a stretched exponential with free exponent", (_INPUT,)),
     "overlap": _Subcommand(
-        _cmd_overlap, "overlap",
+        _cmd_overlap, "overlap.csv",
         "overlap of two line profiles vs detuning",
         (*_profile(1), *_profile(2),
          _flag("--dnu-min-mhz", type=_real, default=-20.0,
@@ -501,7 +459,7 @@ _SUBCOMMANDS = {
          _flag("--n-dnu", type=_count, default=201,
                help="number of detuning points"))),
     "sensitivity": _Subcommand(
-        _cmd_sensitivity, "sensitivity",
+        _cmd_sensitivity, "sensitivity.json",
         "DC field sensitivity from readout noise",
         (_flag("--sigma-b-t", type=_positive, default=1.5e-6,
                help="field readout noise standard deviation (Tesla)"),
@@ -553,7 +511,7 @@ def main(argv=None) -> int:
             if None not in (lo, hi) and lo >= hi:
                 parser.error(f"{low} ({lo:g}) must be below {high} ({hi:g})")
     try:
-        cfg = load_run_config(args.config, args.format)
+        cfg = load_run_config(args.config)
         out = _emit(args, cfg, args.func(args, cfg))
     except UsageError as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)

@@ -115,6 +115,11 @@ class QuadratureSpec:
     max_doublings: int = 3
 
     def __post_init__(self):
+        for name in ("n_theta", "n_phi", "n_psi", "max_doublings"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or \
+                    not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         for name in ("n_theta", "n_phi", "n_psi"):
             if getattr(self, name) < 8:
                 raise ValueError(f"{name} must be >= 8")

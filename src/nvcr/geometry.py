@@ -105,6 +105,8 @@ def class_frame(class_id: int, b_field=None) -> NVClassFrame:
     prefer = None
     if b_field is not None:
         b = np.asarray(b_field, dtype=float)
+        if not np.all(np.isfinite(b)):
+            raise ValueError(f"b_field must be finite, got {b}")
         if np.linalg.norm(b) > 0.0:
             if b @ z_hat < 0.0:
                 z_hat = -z_hat
@@ -129,7 +131,7 @@ class PairGeometry:
     def __post_init__(self):
         u = np.asarray(self.u_hat, dtype=float)
         if u.ndim not in (1, 2) or u.shape[-1] != 3 or \
-                np.any(np.abs(np.linalg.norm(u, axis=-1) - 1.0) > 1e-9):
+                not np.all(np.abs(np.linalg.norm(u, axis=-1) - 1.0) <= 1e-9):
             raise ValueError("u_hat must be a unit 3-vector or a stack")
         object.__setattr__(self, "u_hat", u)
 

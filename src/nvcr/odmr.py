@@ -41,12 +41,12 @@ def _unit_direction(direction) -> np.ndarray:
 
 
 def _ramp(b_amps_gauss) -> np.ndarray:
-    """Field amplitudes of a scan (default 0..30 G), checked >= 0."""
+    """Field amplitudes of a scan (default 0..30 G), checked finite, >= 0."""
     if b_amps_gauss is None:
         b_amps_gauss = np.linspace(0.0, 30.0, 121)
     amps = np.atleast_1d(np.asarray(b_amps_gauss, dtype=float))
-    if np.any(amps < 0.0):
-        raise ValueError("field amplitudes must be >= 0")
+    if not np.all((0.0 <= amps) & (amps < np.inf)):
+        raise ValueError("field amplitudes must be finite and >= 0")
     return amps
 
 

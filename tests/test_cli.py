@@ -15,8 +15,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from nvcr.cli import (_COMMON, _SUBCOMMANDS, OUTPUT_DIR_ENV, _Number,
-                      build_parser, main)
+from nvcr.cli import (_COMMON, _CONSTANT_KEYS, _SUBCOMMANDS, OUTPUT_DIR_ENV,
+                      _Number, build_parser, main)
 
 SUBCOMMANDS = (
     "eigen-map", "transverse-scan", "eta-table", "multipliers",
@@ -48,8 +48,6 @@ GOLDEN = {
                       "--b-max-gauss", "150"],
     "transverse_scan.csv": ["transverse-scan", "--n-b", "7",
                             "--b-max-gauss", "150"],
-    "transverse_scan.json": ["transverse-scan", "--n-b", "5",
-                             "--format", "json"],
     "eta_table.csv": ["eta-table"],
     "multipliers.csv": ["multipliers"],
     "transitions.csv": ["transitions", "--direction", "1,1,1",
@@ -73,7 +71,6 @@ GOLDEN = {
                           "--output", "overlap_mixed.csv"],
     "sensitivity.json": ["sensitivity", "--sigma-b-t", "2e-6",
                          "--tau-lp-s", "1e-3"],
-    "sensitivity.csv": ["sensitivity", "--format", "csv"],
 }
 
 
@@ -211,7 +208,8 @@ def test_bad_flags_exit_2(tmp_path, monkeypatch):
                  ["spectrum", "--f-min-ghz", "3", "--f-max-ghz", "2"],
                  ["decay-sim", "--tau-min-s", "1e-2", "--tau-max-s", "1e-3"],
                  ["overlap", "--dnu-min-mhz", "5", "--dnu-max-mhz", "-5"],
-                 ["fit-t1", "--input", "curve.csv", "--seed", "-1"]):
+                 ["fit-t1", "--input", "curve.csv", "--seed", "-1"],
+                 ["sensitivity", "--format", "json"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -347,24 +345,34 @@ def _other_value(flag, kw):
     return [flag, repr(2.0 * default if default else 1.0)]
 
 
+def _without_params(out):
+    """A written file less its parameter record: a JSON record without its
+    ``meta`` block, a CSV table without its ``# params:`` line."""
+    if out.suffix == ".json":
+        doc = json.loads(out.read_text())
+        del doc["meta"]
+        return doc
+    return [line for line in out.read_text().splitlines()
+            if not line.startswith("# params:")]
+
+
 def test_every_flag_changes_the_output(tmp_path, monkeypatch):
-    # every line but the parameter record; for degeneracy --cr-range-mhz
+    # everything but the parameter record; for degeneracy --cr-range-mhz
     # only the comment lines move
     monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
     inert = []
     for command, spec in _SUBCOMMANDS.items():
         flags = {names[0]: kw for names, kw in spec.flags}   # not _COMMON
         # at the default zero field the direction of a spectrum is moot
-        base = [command, "--format", "csv",
-                *(["--b-gauss", "10"] if command == "spectrum" else [])]
+        base = [command, *(["--b-gauss", "10"] if command == "spectrum"
+                           else [])]
         base += [arg for flag, kw in flags.items() if kw.get("required")
                  for arg in (flag, str(GOLDEN_DIR / "decay_curve.csv"))]
 
         def output(*extra):
-            out = tmp_path / "out.csv"
+            out = tmp_path / spec.output
             assert main([*base, *extra, "--output", str(out)]) == 0, extra
-            return [line for line in out.read_text().splitlines()
-                    if not line.startswith("# params:")]
+            return _without_params(out)
 
         default = output()
         for flag, kw in flags.items():
@@ -493,19 +501,21 @@ def _fieldless_runs(draw):
                "-2e1", "--dnu-max-mhz", "-1e1"])
 def test_fieldless_commands_exit_0_finite_or_1_without_file(argv, tmp_path,
                                                            capsys):
-    out = tmp_path / "out.csv"
+    out = tmp_path / _SUBCOMMANDS[argv[0]].output
     out.unlink(missing_ok=True)
     capsys.readouterr()
     with np.errstate(all="ignore"):
-        rc = main([*argv, "--format", "csv", "--output", str(out)])
+        rc = main([*argv, "--output", str(out)])
     if rc == 1:
         diag = json.loads(capsys.readouterr().out)
         assert set(diag) == {"error", "message"}, argv
         assert not out.exists(), argv
         return
     assert rc == 0, argv
-    _, header, rows = _read_csv(out)
-    values = [r[1:] for r in rows] if header == ["key", "value"] else rows
+    if out.suffix == ".json":
+        values = list(_without_params(out).values())
+    else:
+        values = _read_csv(out)[2]
     table = np.array(values, dtype=float)
     assert table.size > 0 and np.all(np.isfinite(table)), argv
 
@@ -523,12 +533,14 @@ def test_sensitivity_record(tmp_path, capsys):
 
 
 def test_sensitivity_record_as_csv(tmp_path):
+    # a record is JSON only: --format is refused, and a .csv name does
+    # not pick the format
     out = tmp_path / "sens.csv"
-    assert main(["sensitivity", "--format", "csv",
-                 "--output", str(out)]) == 0
-    _, header, rows = _read_csv(out)
-    assert header == ["key", "value"]
-    assert any(r[0] == "sensitivity_t_per_sqrt_hz" for r in rows)
+    with pytest.raises(SystemExit) as exc:
+        main(["sensitivity", "--format", "csv", "--output", str(out)])
+    assert exc.value.code == 2 and not out.exists()
+    assert main(["sensitivity", "--output", str(out)]) == 0
+    assert "sensitivity_t_per_sqrt_hz" in json.loads(out.read_text())
 
 
 def test_multipliers_table(tmp_path):
@@ -560,11 +572,17 @@ def test_eta_table_csv(tmp_path):
 
 
 def test_transverse_scan_json(tmp_path):
+    # a table is CSV only: --format json is refused, and a .json name
+    # does not pick the format
     out = tmp_path / "scan.json"
-    assert main(["transverse-scan", "--b-max-gauss", "150", "--n-b", "4",
-                 "--format", "json", "--output", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    dnu = doc["columns"]["dnu_MHz"]
+    argv = ["transverse-scan", "--b-max-gauss", "150", "--n-b", "4",
+            "--output", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "json"])
+    assert exc.value.code == 2 and not out.exists()
+    assert main(argv) == 0
+    _, header, rows = _read_csv(out)
+    dnu = [float(r[header.index("dnu_MHz")]) for r in rows]
     assert dnu[0] == pytest.approx(8.0, abs=1e-6)
     assert dnu == sorted(dnu)
 
@@ -694,34 +712,70 @@ def test_output_dir_env(tmp_path, monkeypatch):
 
 def test_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment line\nd_ghz = 3.0\nformat = json\n")
-    out = tmp_path / "t.json"
+    cfg.write_text("# comment line\nd_ghz = 3.0\n")
+    out = tmp_path / "t.csv"
     assert main(["transitions", "--n-b", "8", "--b-max-gauss", "7",
                  "--config", str(cfg), "--output", str(out)]) == 0
-    doc = json.loads(out.read_text())
+    _, header, rows = _read_csv(out)
     # zero-field lines follow the overridden splitting constant
-    assert doc["columns"]["nu1_GHz"][0] == pytest.approx(3.0 - 0.004,
-                                                         abs=1e-9)
+    assert float(rows[0][header.index("nu1_GHz")]) == \
+        pytest.approx(3.0 - 0.004, abs=1e-9)
 
 
-def test_config_flag_precedence(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("format = json\n")
-    out = tmp_path / "sens.csv"
-    assert main(["sensitivity", "--config", str(cfg), "--format", "csv",
-                 "--output", str(out)]) == 0
-    _, header, _ = _read_csv(out)
-    assert header == ["key", "value"]
+# one value besides the default for each config key; a key missing here
+# fails test_every_config_key_has_an_effect
+_OTHER_CONFIG_VALUE = {"d_ghz": "3.0", "gamma_e_mhz_per_g": "3.5",
+                       "output_dir": "elsewhere"}
+
+
+@pytest.mark.parametrize("key", [*_CONSTANT_KEYS, "output_dir"])
+def test_every_config_key_has_an_effect(key, tmp_path, monkeypatch):
+    # a constant changes the data rows of a transitions file, output_dir
+    # where the file goes
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    (tmp_path / "elsewhere").mkdir()
+    argv = ["transitions", "--n-b", "5", "--b-max-gauss", "7"]
+    assert main(argv) == 0
+    default = _read_csv(tmp_path / "transitions.csv")[1:]
+    (tmp_path / "transitions.csv").unlink()
+    (tmp_path / "run.cfg").write_text(f"{key} = {_OTHER_CONFIG_VALUE[key]}\n")
+    assert main([*argv, "--config", "run.cfg"]) == 0
+    if key == "output_dir":
+        assert not (tmp_path / "transitions.csv").exists()
+        out = tmp_path / "elsewhere" / "transitions.csv"
+        assert _read_csv(out)[1:] == default
+    else:
+        assert _read_csv(tmp_path / "transitions.csv")[1:] != default
+
+
+def test_config_flag_precedence(tmp_path, monkeypatch):
+    # --output wins over the config file's output_dir
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    (tmp_path / "run.cfg").write_text("output_dir = elsewhere\n")
+    assert main(["sensitivity", "--config", "run.cfg",
+                 "--output", "sens.json"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg",
+                                                          "sens.json"]
+
+
+# config keys of earlier versions, each with a value it once took; each
+# exits 2 as unknown
+_REMOVED_KEYS = {"format": "json", "n_theta": "16", "n_phi": "16",
+                 "n_psi": "16", "tolerance": "1e-3", "max_doublings": "1"}
+_QUAD_KEYS = sorted(_REMOVED_KEYS.keys() - {"format"})
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
-    # the electric susceptibility keys, J0 and the seed are unknown: no
-    # formula or subcommand reads them
+    # the electric susceptibility keys, J0, the seed, the output format
+    # and the quadrature keys are unknown: no formula or subcommand reads
+    # them
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "sens.json"
     for key, value in [("frobnication", "7"), ("d_perp_hz_cm_per_v", "17"),
                        ("d_par_hz_cm_per_v", "0.35"), ("j0_mhz_nm3", "52"),
-                       ("seed", "9")]:
+                       ("seed", "9"), *_REMOVED_KEYS.items()]:
         cfg.write_text(f"{key} = {value}\n")
         assert main(["sensitivity", "--config", str(cfg), "--output",
                      str(out)]) == 2, key
@@ -743,42 +797,33 @@ def test_config_rejects_bad_syntax(tmp_path):
 @pytest.mark.parametrize("line", ["max_doublings = -1", "tolerance = nan",
                                   "tolerance = inf", "n_theta = 4"])
 def test_config_rejects_bad_quadrature(line, tmp_path, capsys):
+    # the tables use the default quadrature: a quadrature line, in range
+    # or not, is an unknown key
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
-    out = tmp_path / "eta.csv"
-    assert main(["eta-table", "--config", str(cfg), "--output", str(out)]) \
-        == 2, line
-    assert "bad quadrature override" in capsys.readouterr().err
-    assert not out.exists()
+    for command in ("eta-table", "multipliers"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", str(cfg), "--output", str(out)]) \
+            == 2, line
+        err = capsys.readouterr().err
+        assert f"unknown config keys: {line.split()[0]}" in err, line
+        assert not out.exists()
 
 
-_QUAD_IN_RANGE = {
-    "n_theta": st.integers(8, 40), "n_phi": st.integers(8, 40),
-    "n_psi": st.integers(8, 40), "max_doublings": st.integers(0, 3),
-    "tolerance": st.floats(1e-12, 1.0),
-}
-_QUAD_OUT_OF_RANGE = {
-    k: st.one_of(low, st.sampled_from(["nan", "inf", "-inf"]))
-    for k, low in [("n_theta", st.integers(max_value=7)),
-                   ("n_phi", st.integers(max_value=7)),
-                   ("n_psi", st.integers(max_value=7)),
-                   ("max_doublings", st.integers(max_value=-1)),
-                   ("tolerance", st.floats(max_value=0.0, allow_nan=False))]
-}
+_QUAD_VALUES = st.one_of(st.integers(-8, 64), st.floats(1e-12, 1.0),
+                         st.sampled_from(["nan", "inf", "-inf"]))
 
 
 @st.composite
 def _quadrature_lines(draw):
-    """Config lines for some quadrature keys, and whether one of them is
-    out of range or non-finite."""
-    keys = draw(st.lists(st.sampled_from(sorted(_QUAD_IN_RANGE)),
-                         min_size=1, unique=True))
-    values = {k: draw(_QUAD_IN_RANGE[k]) for k in keys}
-    bad = draw(st.booleans())
-    if bad:
-        key = draw(st.sampled_from(keys))
-        values[key] = draw(_QUAD_OUT_OF_RANGE[key])
-    return [f"{k} = {v}" for k, v in values.items()], bad
+    """Config lines for some quadrature keys, in range or not, after
+    some good constant lines; the quadrature keys drawn."""
+    keys = draw(st.lists(st.sampled_from(_QUAD_KEYS), min_size=1,
+                         unique=True))
+    consts = draw(st.lists(st.sampled_from(_CONSTANT_KEYS), unique=True))
+    lines = [f"{k} = {draw(_QUAD_VALUES)}" for k in keys]
+    lines += [f"{k} = {draw(_POSITIVE)!r}" for k in consts]
+    return draw(st.permutations(lines)), keys
 
 
 @settings(max_examples=25,
@@ -786,30 +831,21 @@ def _quadrature_lines(draw):
 @given(drawn=_quadrature_lines())
 def test_quadrature_config_lines_follow_the_exit_contract(drawn, tmp_path,
                                                           capsys):
-    lines, bad = drawn
+    # every quadrature key is named, in sorted order, and no file written
+    lines, keys = drawn
     cfg = tmp_path / "run.cfg"
     cfg.write_text("\n".join(lines) + "\n")
     out = tmp_path / "eta.csv"
-    out.unlink(missing_ok=True)
     capsys.readouterr()
     rc = main(["eta-table", "--config", str(cfg), "--output", str(out)])
-    if bad:
-        assert rc == 2 and not out.exists(), lines
-    elif rc == 1:
-        diag = json.loads(capsys.readouterr().out)
-        assert diag["error"] == "ConvergenceError", lines
-        assert not out.exists(), lines
-    else:
-        assert rc == 0, lines
-        _, _, rows = _read_csv(out)
-        assert np.all(np.isfinite(np.array([r[1:] for r in rows],
-                                           dtype=float))), lines
+    assert rc == 2 and not out.exists(), lines
+    assert f"unknown config keys: {', '.join(sorted(keys))}\n" in \
+        capsys.readouterr().err, lines
 
 
 _CONST_KEYS = ("d_ghz", "gamma_e_mhz_per_g")
 _GOOD_VALUES = {
     **{k: _POSITIVE.map(repr) for k in _CONST_KEYS},
-    "format": st.sampled_from(["csv", "json"]),
     # resolved inside the run's scratch directory by the test
     "output_dir": st.sampled_from(["<existing>", "<missing>"]),
 }
@@ -818,15 +854,12 @@ _BAD_VALUES = {
                     st.sampled_from(["nan", "inf", "-inf", "1e400", "",
                                      "abc", "1,5", "0x10"]))
        for k in _CONST_KEYS},
-    "format": st.sampled_from(["CSV", "xml", "", "csv json", "jsonl"]),
 }
-_KNOWN_KEYS = {*_GOOD_VALUES, "n_theta", "n_phi", "n_psi", "tolerance",
-               "max_doublings"}
 
 
 @st.composite
 def _config_files(draw):
-    """Config lines of the non-quadrature keys, at most one of them faulty
+    """Config lines of the known keys, at most one of them faulty
     (a bad value, an unknown or duplicate key, or a line without '='),
     the fault drawn (None when there is none) and the values set."""
     keys = draw(st.lists(st.sampled_from(sorted(_GOOD_VALUES)), min_size=1,
@@ -838,8 +871,10 @@ def _config_files(draw):
         k = draw(st.sampled_from(sorted(_BAD_VALUES)))
         pairs = [p for p in pairs if p[0] != k] + [(k, draw(_BAD_VALUES[k]))]
     elif fault == "unknown":
-        pairs.append((draw(st.from_regex(r"\A[a-z][a-z0-9_]{0,15}\Z").filter(
-            lambda k: k not in _KNOWN_KEYS)), "1"))
+        pairs.append((draw(st.one_of(
+            st.sampled_from(sorted(_REMOVED_KEYS)),
+            st.from_regex(r"\A[a-z][a-z0-9_]{0,15}\Z").filter(
+                lambda k: k not in _GOOD_VALUES))), "1"))
     elif fault == "duplicate":
         pairs.append(draw(st.sampled_from(pairs)))
     lines = [f"{k}{draw(st.sampled_from(['', ' ']))}="
@@ -876,12 +911,8 @@ def test_config_lines_follow_the_exit_contract(drawn, monkeypatch, capsys):
             assert json.loads(out)["error"] == "FileNotFoundError", text
         else:
             assert rc == 0, text
-            path = work / f"transitions.{values.get('format', 'csv')}"
-            assert written == sorted(["run.cfg", path.name]), text
-            if path.suffix == ".json":
-                cells = list(json.loads(path.read_text())["columns"].values())
-            else:
-                cells = _read_csv(path)[2]
+            assert written == ["run.cfg", "transitions.csv"], text
+            cells = _read_csv(work / "transitions.csv")[2]
             assert np.all(np.isfinite(np.array(cells, dtype=float))), text
 
 

@@ -171,6 +171,19 @@ def test_pair_geometry_validation():
         PairGeometry(np.array([1.0, 1.0, 0.0]), FRAME0, FRAME0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("argument", ["u_hat", "b_field"])
+def test_non_finite_geometry_inputs_are_refused(argument, bad):
+    # a NaN direction passed the unit check and gave NaN elements; a NaN
+    # field gave the zero-field frame, an infinite one a RuntimeWarning
+    v = np.array([bad, 0.0, 0.0])
+    with pytest.raises(ValueError, match=argument):
+        if argument == "u_hat":
+            PairGeometry(v, FRAME0, FRAME0)
+        else:
+            class_frame(0, b_field=v)
+
+
 def test_stacked_elements_equal_row_by_row():
     # a stack of directions is a batch of single directions: every row
     # of each element has the bits of the row's own call

@@ -173,6 +173,18 @@ def test_quadrature_spec_validation():
         QuadratureSpec(max_doublings=-1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_theta", 8.5), ("n_psi", float("nan")), ("max_doublings", 1.5),
+    ("n_phi", True)])
+def test_quadrature_spec_refuses_non_integer_sizes(field, value):
+    # 8.5 was rounded by the ladder, NaN failed late, 1.5 inside range()
+    with pytest.raises(TypeError, match=field):
+        QuadratureSpec(**{field: value})
+    QuadratureSpec(n_theta=8, n_phi=8, n_psi=8, tolerance=1.0,
+                   max_doublings=0)
+    QuadratureSpec(**{field: np.int64(8)})
+
+
 def test_quadrature_scaling():
     scaled = MEDIUM.scaled(2.0)
     assert (scaled.n_theta, scaled.n_phi, scaled.n_psi) == (128, 128, 64)

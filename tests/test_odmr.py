@@ -276,6 +276,15 @@ def test_non_finite_inputs_are_refused(bad):
             run(e_perp_mhz=bad)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_ramp_refuses_non_finite_amplitudes(bad):
+    # an infinite point once failed on a RuntimeWarning inside class_frame,
+    # a NaN one only after the frames were built
+    for run in (all_transitions, degeneracy_lift):
+        with pytest.raises(ValueError, match="field amplitudes"):
+            run(None, [bad, 10.0])
+
+
 def test_spectrum_zero_field_two_dips():
     f = all_transitions([1.0, 0.0, 0.0], [0.0], e_perp_mhz=4.0)[0]
     profile = LineProfile(LineShape.GAUSSIAN, width_mhz=0.5)
