@@ -16,8 +16,8 @@ from .version import __version__
 
 # submodule -> its ``__all__``, the public names loaded on first access
 _SUBMODULES = {
-    "constants": ("PhysicalConstants", "DEFAULT_CONSTANTS",
-                  "DEFAULT_E_PERP_MHZ", "DEFAULT_CR_RANGE_MHZ", "J0_MHZ_NM3"),
+    "constants": ("D_GHZ", "GAMMA_E_MHZ_PER_G", "DEFAULT_E_PERP_MHZ",
+                  "DEFAULT_CR_RANGE_MHZ", "J0_MHZ_NM3"),
     "geometry": ("CLASS_AXES", "NVClassFrame", "PairGeometry", "class_frame",
                  "tilted_field_direction"),
     # single-center model

@@ -1,11 +1,11 @@
 """Command-line surface: every computation as a file-emitting subcommand.
 
-Outputs are deterministic for a fixed configuration: a record as JSON,
-a table as CSV.  Bad flags or config keys exit with status 2; numeric
-failures exit with status 1 and print a JSON diagnostic.  A config file
-of ``key = value`` lines sets the physical constants and the output
-directory, over ``NVCR_OUTPUT_DIR``.  Each subcommand is one row of
-``_SUBCOMMANDS``: its runner, default output file, help line and flags.
+Outputs are deterministic for fixed flags: a record as JSON, a table
+as CSV, written to ``--output`` or else to the subcommand's default file
+name in the working directory.  Bad flags exit with status 2; numeric
+and I/O failures exit with status 1 and print a JSON diagnostic.  Each
+subcommand is one row of ``_SUBCOMMANDS``: its runner, default output
+file, help line and flags.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -28,8 +28,7 @@ import numpy as np
 
 from .analysis import (FitError, FitResult, LineProfile, LineShape, fit_beta,
                        fit_decay, sensitivity, spectral_overlap)
-from .constants import (DEFAULT_CONSTANTS, DEFAULT_CR_RANGE_MHZ,
-                        DEFAULT_E_PERP_MHZ, PhysicalConstants)
+from .constants import DEFAULT_CR_RANGE_MHZ, DEFAULT_E_PERP_MHZ
 from .eta_average import ConvergenceError, eta_table, multiplier_table
 from .geometry import as_unit, class_frame
 from .odmr import all_transitions, degeneracy_lift, synth_spectrum
@@ -40,11 +39,6 @@ from .version import TOOL_NAME, __version__
 
 __all__ = ["main"]
 
-OUTPUT_DIR_ENV = "NVCR_OUTPUT_DIR"
-
-# config keys: each field of PhysicalConstants, plus output_dir
-_CONSTANT_KEYS = tuple(f.name for f in fields(PhysicalConstants))
-
 _SCENARIO_ORDER = ("RANDOM_DIRECTION", "PLANE_100", "PLANE_110",
                    "AXIS_111", "AXIS_100", "ZERO_FIELD_ELECTRIC")
 _SCENARIO_DISPLAY = {"RANDOM_DIRECTION": "RANDOM",
@@ -52,53 +46,7 @@ _SCENARIO_DISPLAY = {"RANDOM_DIRECTION": "RANDOM",
 
 
 class UsageError(Exception):
-    """Bad configuration or argument combination; exits with status 2."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved runtime configuration for one invocation."""
-
-    constants: PhysicalConstants = DEFAULT_CONSTANTS
-    output_dir: Path = Path(".")
-
-
-def _parse_config_file(path: str) -> dict:
-    values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in values:
-            raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = value
-    return values
-
-
-def load_run_config(config_path: str | None) -> RunConfig:
-    """Merge defaults and the config file; reject unknown keys."""
-    consts = DEFAULT_CONSTANTS
-    out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, "."))
-    if config_path is not None:
-        values = _parse_config_file(config_path)
-        unknown = sorted(set(values) - {*_CONSTANT_KEYS, "output_dir"})
-        if unknown:
-            raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-        try:
-            consts = replace(consts, **{k: float(values[k])
-                                        for k in _CONSTANT_KEYS if k in values})
-        except ValueError as exc:
-            raise UsageError(f"bad config value: {exc}") from exc
-        if "output_dir" in values:
-            out_dir = Path(values["output_dir"])
-    return RunConfig(constants=consts, output_dir=out_dir)
+    """Bad argument combination; exits with status 2."""
 
 
 @dataclass(frozen=True)
@@ -161,14 +109,14 @@ class _Columns(NamedTuple):
     comments: list[str] | None = None
 
 
-def _emit(args, cfg: RunConfig, result: dict | _Columns) -> Path:
+def _emit(args, result: dict | _Columns) -> Path:
     """Write a runner's result: a dict is a record, written as JSON; a
     ``_Columns`` a table, written as CSV."""
-    skip = {"func", "command", "config", "output"}
+    skip = {"func", "command", "output"}
     params = {k: v for k, v in vars(args).items()
               if k not in skip and v is not None}
-    path = Path(args.output) if args.output is not None else \
-        cfg.output_dir / _SUBCOMMANDS[args.command].output
+    path = Path(_SUBCOMMANDS[args.command].output if args.output is None
+                else args.output)
     if isinstance(result, dict):
         return write_json(path, result, args.command, params)
     return write_csv(path, result.names, result.columns, args.command,
@@ -186,32 +134,30 @@ def _fit_payload(res: FitResult) -> dict:
 # subcommand runners: each returns a record dict or a _Columns table
 
 
-def _cmd_eigen_map(args, cfg: RunConfig) -> _Columns:
+def _cmd_eigen_map(args) -> _Columns:
     # both scans live in the class's own frame: every class gives these rows
     frame = class_frame(0)
     b = np.linspace(args.b_min_gauss, args.b_max_gauss, args.n_b)
     th = np.linspace(args.theta_min_rad, args.theta_max_rad, args.n_theta)
-    o_p1, o_plus = eigenstate_map(frame, b, th, args.e_perp_mhz,
-                                  cfg.constants)
+    o_p1, o_plus = eigenstate_map(frame, b, th, args.e_perp_mhz)
     return _Columns(["B_gauss", "theta_rad", "overlap_e_p1",
                      "overlap_e_plus"],
                     [np.repeat(b, th.size), np.tile(th, b.size),
                      o_p1.ravel(), o_plus.ravel()])
 
 
-def _cmd_transverse_scan(args, cfg: RunConfig) -> _Columns:
+def _cmd_transverse_scan(args) -> _Columns:
     frame = class_frame(0)
     b = np.linspace(args.b_min_gauss, args.b_max_gauss, args.n_b)
     energies, dnu, matching = transverse_field_scan(frame, b,
-                                                    args.e_perp_mhz,
-                                                    cfg.constants)
+                                                    args.e_perp_mhz)
     return _Columns(["B_gauss", "e_g_GHz", "e_d_GHz", "e_e_GHz", "dnu_MHz",
                      "overlap_e_plus"],
                     [b, energies[:, 0], energies[:, 1], energies[:, 2], dnu,
                      matching])
 
 
-def _cmd_eta_table(args, cfg: RunConfig) -> _Columns:
+def _cmd_eta_table(args) -> _Columns:
     table = eta_table()
     families = ["magnetic", "nonmagnetic_random", "nonmagnetic_aligned"]
     cols = [np.array(families, dtype=object)]
@@ -220,7 +166,7 @@ def _cmd_eta_table(args, cfg: RunConfig) -> _Columns:
     return _Columns(["family", "same", "close", "far"], cols)
 
 
-def _cmd_multipliers(args, cfg: RunConfig) -> _Columns:
+def _cmd_multipliers(args) -> _Columns:
     table = multiplier_table()
     names = [_SCENARIO_DISPLAY.get(n, n) for n in _SCENARIO_ORDER]
     values = np.array([table[n] for n in _SCENARIO_ORDER])
@@ -228,17 +174,17 @@ def _cmd_multipliers(args, cfg: RunConfig) -> _Columns:
                     [np.array(names, dtype=object), values])
 
 
-def _cmd_transitions(args, cfg: RunConfig) -> _Columns:
+def _cmd_transitions(args) -> _Columns:
     b = np.linspace(args.b_min_gauss, args.b_max_gauss, args.n_b)
-    freqs = all_transitions(args.direction, b, args.e_perp_mhz, cfg.constants)
+    freqs = all_transitions(args.direction, b, args.e_perp_mhz)
     return _Columns(["B_gauss"] + [f"nu{k}_GHz" for k in range(1, 9)],
                     [b] + [freqs[:, k] for k in range(8)])
 
 
-def _cmd_degeneracy(args, cfg: RunConfig) -> _Columns:
+def _cmd_degeneracy(args) -> _Columns:
     b = np.linspace(args.b_min_gauss, args.b_max_gauss, args.n_b)
     rep = degeneracy_lift(args.direction, b, args.cr_range_mhz,
-                          args.e_perp_mhz, cfg.constants)
+                          args.e_perp_mhz)
     names = ["B_gauss"] + [f"dnu_pair{k + 1}_MHz"
                            for k in range(len(rep.pair_labels))]
     cols = [rep.b_gauss] + [rep.dnu_mhz[:, k]
@@ -255,9 +201,9 @@ def _cmd_degeneracy(args, cfg: RunConfig) -> _Columns:
     return _Columns(names, cols, comments)
 
 
-def _cmd_spectrum(args, cfg: RunConfig) -> _Columns:
-    lines = all_transitions(args.direction, [args.b_gauss], args.e_perp_mhz,
-                            cfg.constants)[0]
+def _cmd_spectrum(args) -> _Columns:
+    lines = all_transitions(args.direction, [args.b_gauss],
+                            args.e_perp_mhz)[0]
     profile = LineProfile(shape=LineShape(args.shape),
                           width_mhz=args.linewidth_mhz)
     if (args.f_min_ghz is None) != (args.f_max_ghz is None):
@@ -269,7 +215,7 @@ def _cmd_spectrum(args, cfg: RunConfig) -> _Columns:
     return _Columns(["freq_GHz", "pl_norm"], [freq, pl])
 
 
-def _cmd_decay_sim(args, cfg: RunConfig) -> _Columns:
+def _cmd_decay_sim(args) -> _Columns:
     t1ph = np.inf if args.t1ph_s is None else args.t1ph_s
     model = DecayModel(t1_dd_s=args.t1dd_s, t1_ph_s=t1ph,
                        amplitude=args.amplitude, beta=args.beta)
@@ -281,17 +227,17 @@ def _cmd_decay_sim(args, cfg: RunConfig) -> _Columns:
     return _Columns(["tau_s", "signal"], [tau, sig])
 
 
-def _cmd_fit_t1(args, cfg: RunConfig) -> dict:
+def _cmd_fit_t1(args) -> dict:
     curve = read_decay_csv(args.input)
     return _fit_payload(fit_decay(curve, fixed_t1_ph_s=args.fix_t1ph_s))
 
 
-def _cmd_fit_beta(args, cfg: RunConfig) -> dict:
+def _cmd_fit_beta(args) -> dict:
     curve = read_decay_csv(args.input)
     return _fit_payload(fit_beta(curve))
 
 
-def _cmd_overlap(args, cfg: RunConfig) -> _Columns:
+def _cmd_overlap(args) -> _Columns:
     p1 = LineProfile(shape=LineShape(args.shape1), width_mhz=args.width1_mhz,
                      center_mhz=args.center1_mhz)
     p2 = LineProfile(shape=LineShape(args.shape2), width_mhz=args.width2_mhz,
@@ -301,7 +247,7 @@ def _cmd_overlap(args, cfg: RunConfig) -> _Columns:
                     [dnu, spectral_overlap(p1, p2, dnu)])
 
 
-def _cmd_sensitivity(args, cfg: RunConfig) -> dict:
+def _cmd_sensitivity(args) -> dict:
     eta = sensitivity(args.sigma_b_t, args.tau_lp_s)
     return {"sigma_b_tesla": args.sigma_b_t, "tau_lp_s": args.tau_lp_s,
             "sensitivity_t_per_sqrt_hz": eta}
@@ -316,10 +262,8 @@ def _flag(*names: str, **kwargs) -> tuple:
 
 
 _COMMON = (
-    _flag("--output", help="output file path (default: derived name in the "
-          "output directory)"),
-    _flag("--config", help="config file of key = value lines setting the "
-          "physical constants and the output directory"),
+    _flag("--output", help="output file path (default: the subcommand's "
+          "file name in the working directory)"),
     _flag("--seed", type=_Number(int, low=0),
           help="accepted for compatibility and ignored: every result is "
           "deterministic"),
@@ -361,7 +305,7 @@ def _profile(k: int) -> tuple:
 
 
 class _Subcommand(NamedTuple):
-    run: Callable       # (args, RunConfig) -> record dict or _Columns
+    run: Callable       # (args) -> record dict or _Columns
     output: str         # default output file name
     help: str
     flags: tuple = ()   # added after the common flags
@@ -511,8 +455,7 @@ def main(argv=None) -> int:
             if None not in (lo, hi) and lo >= hi:
                 parser.error(f"{low} ({lo:g}) must be below {high} ({hi:g})")
     try:
-        cfg = load_run_config(args.config)
-        out = _emit(args, cfg, args.func(args, cfg))
+        out = _emit(args, args.func(args))
     except UsageError as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return 2

@@ -16,8 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .analysis import LineProfile
-from .constants import (DEFAULT_CONSTANTS, DEFAULT_CR_RANGE_MHZ,
-                        DEFAULT_E_PERP_MHZ, PhysicalConstants)
+from .constants import DEFAULT_CR_RANGE_MHZ, DEFAULT_E_PERP_MHZ
 from .geometry import (CLASS_AXES, as_unit, class_frame,
                        tilted_field_direction)
 from .spin_model import FieldConfiguration, build_hamiltonian, diagonalize
@@ -59,8 +58,7 @@ def _frames(direction: np.ndarray, amps: np.ndarray) -> list:
 
 
 def _lines(frames, direction: np.ndarray, amps: np.ndarray,
-           e_perp_mhz: float, constants: PhysicalConstants,
-           classes=range(len(CLASS_AXES))) -> np.ndarray:
+           e_perp_mhz: float, classes=range(len(CLASS_AXES))) -> np.ndarray:
     """(n, 8) lines (GHz) of ``classes`` at the amplitudes ``amps``.
 
     One build and one stacked solve per class; the columns of the other
@@ -70,13 +68,13 @@ def _lines(frames, direction: np.ndarray, amps: np.ndarray,
                            e_perp_mhz=e_perp_mhz)
     lines = np.full((amps.size, 8), np.nan)
     for k in classes:
-        e = diagonalize(build_hamiltonian(frames[k], f, constants)).energies_ghz
+        e = diagonalize(build_hamiltonian(frames[k], f)).energies_ghz
         lines[:, 2 * k:2 * k + 2] = e[:, 1:] - e[:, :1]
     return lines
 
 
-def _scan(direction: np.ndarray, amps: np.ndarray, e_perp_mhz: float,
-          constants: PhysicalConstants) -> tuple[list, np.ndarray]:
+def _scan(direction: np.ndarray, amps: np.ndarray, e_perp_mhz: float
+          ) -> tuple[list, np.ndarray]:
     """The frames of a scan and its (n, 8) lines.
 
     Solved point by point, four solves per field point, which the
@@ -86,15 +84,12 @@ def _scan(direction: np.ndarray, amps: np.ndarray, e_perp_mhz: float,
     frames = _frames(direction, amps)
     lines = np.empty((amps.size, 8))
     for i in range(amps.size):
-        lines[i] = _lines(frames, direction, amps[i:i + 1], e_perp_mhz,
-                          constants)[0]
+        lines[i] = _lines(frames, direction, amps[i:i + 1], e_perp_mhz)[0]
     return frames, lines
 
 
 def all_transitions(direction=None, b_amps_gauss=None,
-                    e_perp_mhz: float = DEFAULT_E_PERP_MHZ,
-                    constants: PhysicalConstants = DEFAULT_CONSTANTS
-                    ) -> np.ndarray:
+                    e_perp_mhz: float = DEFAULT_E_PERP_MHZ) -> np.ndarray:
     """Transition frequencies (GHz) of all four classes along a field ramp.
 
     ``direction`` is a crystal-frame vector (default: the tilted
@@ -111,7 +106,7 @@ def all_transitions(direction=None, b_amps_gauss=None,
     is the branch order.
     """
     return _scan(_unit_direction(direction), _ramp(b_amps_gauss),
-                 e_perp_mhz, constants)[1]
+                 e_perp_mhz)[1]
 
 
 @dataclass(frozen=True)
@@ -169,8 +164,7 @@ def _gaps_mhz(freqs: np.ndarray, pairs) -> np.ndarray:
 
 def degeneracy_lift(direction=None, b_amps_gauss=None,
                     cr_range_mhz: float = DEFAULT_CR_RANGE_MHZ,
-                    e_perp_mhz: float = DEFAULT_E_PERP_MHZ,
-                    constants: PhysicalConstants = DEFAULT_CONSTANTS
+                    e_perp_mhz: float = DEFAULT_E_PERP_MHZ
                     ) -> DegeneracyReport:
     """Find where line-pair gaps cross the interaction range.
 
@@ -189,7 +183,7 @@ def degeneracy_lift(direction=None, b_amps_gauss=None,
         raise ValueError("need at least 8 scan points")
     if np.any(np.diff(amps) <= 0.0):
         raise ValueError("field amplitudes must be strictly increasing")
-    frames, freqs = _scan(direction, amps, e_perp_mhz, constants)
+    frames, freqs = _scan(direction, amps, e_perp_mhz)
     pairs = _branch_pairs(freqs)
     dnu = _gaps_mhz(freqs, pairs)
 
@@ -206,8 +200,7 @@ def degeneracy_lift(direction=None, b_amps_gauss=None,
         # a relative floor keeps the rounds finite on huge fields
         while hi - lo > max(_BRACKET_GAUSS, 1e-12 * hi):
             b = np.linspace(lo, hi, _BRACKET_POINTS + 2)
-            lines = _lines(frames, direction, b[1:-1], e_perp_mhz, constants,
-                           classes)
+            lines = _lines(frames, direction, b[1:-1], e_perp_mhz, classes)
             above = _gaps_mhz(lines, subset).min(axis=1) >= cr_range_mhz
             j = int(np.argmax(np.append(above, True)))
             lo, hi = float(b[j]), float(b[j + 1])

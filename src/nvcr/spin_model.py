@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import D_GHZ, GAMMA_E_MHZ_PER_G
 from .geometry import NVClassFrame, as_unit
 
 __all__ = [
@@ -132,8 +132,7 @@ class SpinEigensystem:
         return self.states[..., :, 2]
 
 
-def build_hamiltonian(cls: NVClassFrame, f: FieldConfiguration,
-                      c: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
+def build_hamiltonian(cls: NVClassFrame, f: FieldConfiguration) -> np.ndarray:
     """Assemble H/h in GHz for one NV center, (..., 3, 3) for a field stack.
 
     The magnetic field is supplied in the crystal frame and projected
@@ -144,8 +143,8 @@ def build_hamiltonian(cls: NVClassFrame, f: FieldConfiguration,
     # products summed along the last axis: the same bits in any stack shape
     b = (f.b_gauss[..., None, :] * [cls.x_hat, cls.y_hat, cls.z_hat]).sum(-1)
     bx, by, bz = (b[..., k, None, None] for k in range(3))
-    gam = c.gamma_e_mhz_per_g * 1e-3  # GHz per Gauss
-    h = c.d_ghz * _SZ2 + gam * (bx * _SX + by * _SY + bz * _SZ)
+    gam = GAMMA_E_MHZ_PER_G * 1e-3  # GHz per Gauss
+    h = D_GHZ * _SZ2 + gam * (bx * _SX + by * _SY + bz * _SZ)
     eps = f.e_perp_mhz * 1e-3
     if eps != 0.0:
         ph = np.exp(1j * f.phi_e_rad)
@@ -212,8 +211,7 @@ def diagonalize(h: np.ndarray) -> SpinEigensystem:
     return SpinEigensystem(e.reshape(shape + (3,)), v.reshape(shape + (3, 3)))
 
 
-def _solve_fields(cls: NVClassFrame, b_gauss: np.ndarray,
-                  c: PhysicalConstants, **electric):
+def _solve_fields(cls: NVClassFrame, b_gauss: np.ndarray, **electric):
     """Yield (slice, SpinEigensystem) for each block of ``_BLOCK`` points
     of an (n, 3) crystal-frame field stack.
 
@@ -226,12 +224,11 @@ def _solve_fields(cls: NVClassFrame, b_gauss: np.ndarray,
     for k in range(0, max(len(b_gauss), 1), _BLOCK):
         s = slice(k, k + _BLOCK)
         f = FieldConfiguration(b_gauss=b_gauss[s], **electric)
-        yield s, diagonalize(build_hamiltonian(cls, f, c))
+        yield s, diagonalize(build_hamiltonian(cls, f))
 
 
 def eigenstate_map(cls: NVClassFrame, b_amplitude_gauss, theta_rad,
-                   e_perp_mhz: float,
-                   c: PhysicalConstants = DEFAULT_CONSTANTS):
+                   e_perp_mhz: float):
     """Overlap maps of |e> with |+1> and |+> over (B amplitude, polar angle).
 
     The field is tilted by theta from the NV axis toward the local x
@@ -253,14 +250,13 @@ def eigenstate_map(cls: NVClassFrame, b_amplitude_gauss, theta_rad,
             + np.sin(theta_rad)[:, None] * cls.x_hat)
     b = (b_amplitude_gauss[:, None, None] * tilt).reshape(-1, 3)
     o_p1, o_plus = np.empty(len(b)), np.empty(len(b))
-    for s, es in _solve_fields(cls, b, c, e_perp_mhz=e_perp_mhz):
+    for s, es in _solve_fields(cls, b, e_perp_mhz=e_perp_mhz):
         o_p1[s], o_plus[s] = np.abs(_MAP_BRAS @ es.states)[:, :, 2].T ** 2
     shape = (b_amplitude_gauss.size, theta_rad.size)
     return o_p1.reshape(shape), o_plus.reshape(shape)
 
 
-def transverse_field_scan(cls: NVClassFrame, b_perp_gauss, e_perp_mhz: float,
-                          c: PhysicalConstants = DEFAULT_CONSTANTS):
+def transverse_field_scan(cls: NVClassFrame, b_perp_gauss, e_perp_mhz: float):
     """Eigenstructure versus a purely transverse magnetic field along the
     frame's x axis.
 
@@ -290,7 +286,7 @@ def transverse_field_scan(cls: NVClassFrame, b_perp_gauss, e_perp_mhz: float,
     ref = zero_field_states(phi_e)[2]
     b = b_perp_gauss[:, None] * direction
     energies, matching = np.empty((len(b), 3)), np.empty(len(b))
-    for s, es in _solve_fields(cls, b, c, e_perp_mhz=e_perp_mhz,
+    for s, es in _solve_fields(cls, b, e_perp_mhz=e_perp_mhz,
                                phi_e_rad=phi_e):
         energies[s] = es.energies_ghz
         # a row sum, not a matrix-vector product, whose BLAS kernel

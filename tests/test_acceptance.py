@@ -39,7 +39,7 @@ from nvcr import (
     transverse_field_scan,
     zero_field_states,
 )
-from nvcr.constants import DEFAULT_CONSTANTS
+from nvcr.constants import D_GHZ, GAMMA_E_MHZ_PER_G
 from nvcr.eta_average import QuadratureSpec
 from nvcr.spin_model import FieldConfiguration, build_hamiltonian, diagonalize
 
@@ -110,9 +110,9 @@ def _transverse_closed_form(b_gauss, e_perp_mhz):
     remaining {|0>, |+>} block is [[0, a], [a, s]] with s = D + eps and
     a = gamma_e * B (all in MHz).
     """
-    d_mhz = DEFAULT_CONSTANTS.d_ghz * 1e3
+    d_mhz = D_GHZ * 1e3
     s = d_mhz + e_perp_mhz
-    a = DEFAULT_CONSTANTS.gamma_e_mhz_per_g * np.asarray(b_gauss, dtype=float)
+    a = GAMMA_E_MHZ_PER_G * np.asarray(b_gauss, dtype=float)
     root = np.sqrt(s**2 + 4.0 * a**2)
     dnu = 0.5 * (s + root) - (d_mhz - e_perp_mhz)
     return dnu, 0.5 * (1.0 + s / root)
@@ -204,7 +204,6 @@ def test_criterion_08_fit_round_trips():
 
 def test_criterion_09_property_suites():
     rng = np.random.default_rng(7)
-    c = DEFAULT_CONSTANTS
 
     # Hamiltonian trace and hermiticity at random fields
     for _ in range(5):
@@ -213,9 +212,9 @@ def test_criterion_09_property_suites():
                                e_perp_mhz=float(rng.uniform(0.0, 6.0)),
                                phi_e_rad=float(rng.uniform(0.0, 2.0 * np.pi)))
         frame = class_frame(int(rng.integers(4)), b)
-        h = build_hamiltonian(frame, f, c)
+        h = build_hamiltonian(frame, f)
         assert np.linalg.norm(h - h.conj().T) < 1e-12
-        assert np.trace(h).real == pytest.approx(2.0 * c.d_ghz, abs=1e-12)
+        assert np.trace(h).real == pytest.approx(2.0 * D_GHZ, abs=1e-12)
 
     # frame invariance of the angular average under common rotations
     f1, f2 = scenario_frames(ZAngle.CLOSE)

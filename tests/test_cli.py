@@ -15,8 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from nvcr.cli import (_COMMON, _CONSTANT_KEYS, _SUBCOMMANDS, OUTPUT_DIR_ENV,
-                      _Number, build_parser, main)
+from nvcr.cli import _COMMON, _SUBCOMMANDS, _Number, build_parser, main
 
 SUBCOMMANDS = (
     "eigen-map", "transverse-scan", "eta-table", "multipliers",
@@ -181,7 +180,6 @@ def test_direction_is_normalized_but_kept_in_the_header(tmp_path):
 
 def test_bad_flags_exit_2(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
     for argv in (["sensitivity", "--nope"],
                  ["fit-t1"],
                  ["frobnicate"],
@@ -209,7 +207,8 @@ def test_bad_flags_exit_2(tmp_path, monkeypatch):
                  ["decay-sim", "--tau-min-s", "1e-2", "--tau-max-s", "1e-3"],
                  ["overlap", "--dnu-min-mhz", "5", "--dnu-max-mhz", "-5"],
                  ["fit-t1", "--input", "curve.csv", "--seed", "-1"],
-                 ["sensitivity", "--format", "json"]):
+                 ["sensitivity", "--format", "json"],
+                 ["sensitivity", "--config", "x.cfg"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -245,6 +244,16 @@ def test_numeric_failure_exit_1_with_json(tmp_path, capsys):
     diag = json.loads(capsys.readouterr().out)
     assert diag["error"] == "FileNotFoundError"
     assert "message" in diag
+
+
+def test_output_into_a_missing_directory_exits_1_without_file(tmp_path,
+                                                               capsys):
+    missing = tmp_path / "missing"
+    for argv in (["sensitivity"], ["transitions", "--n-b", "3"]):
+        assert main([*argv, "--output", str(missing / "out")]) == 1, argv
+        diag = json.loads(capsys.readouterr().out)
+        assert diag["error"] == "FileNotFoundError", argv
+    assert not any(tmp_path.iterdir())
 
 
 def test_non_finite_result_exit_1_without_file(tmp_path, capsys):
@@ -312,7 +321,6 @@ def test_out_of_range_flags_exit_2_without_file(command, flag, data,
                                                 tmp_path, monkeypatch,
                                                 capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
     argv = [command, *data.draw(_out_of_range(command, flag))]
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -356,10 +364,9 @@ def _without_params(out):
             if not line.startswith("# params:")]
 
 
-def test_every_flag_changes_the_output(tmp_path, monkeypatch):
+def test_every_flag_changes_the_output(tmp_path):
     # everything but the parameter record; for degeneracy --cr-range-mhz
     # only the comment lines move
-    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
     inert = []
     for command, spec in _SUBCOMMANDS.items():
         flags = {names[0]: kw for names, kw in spec.flags}   # not _COMMON
@@ -704,226 +711,13 @@ def test_eigen_map_grid(tmp_path):
     assert all(0.0 <= float(r[2]) <= 1.0 for r in rows)
 
 
-def test_output_dir_env(tmp_path, monkeypatch):
-    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
-    assert main(["sensitivity"]) == 0
-    assert (tmp_path / "sensitivity.json").exists()
-
-
-def test_config_file(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment line\nd_ghz = 3.0\n")
-    out = tmp_path / "t.csv"
-    assert main(["transitions", "--n-b", "8", "--b-max-gauss", "7",
-                 "--config", str(cfg), "--output", str(out)]) == 0
-    _, header, rows = _read_csv(out)
-    # zero-field lines follow the overridden splitting constant
-    assert float(rows[0][header.index("nu1_GHz")]) == \
-        pytest.approx(3.0 - 0.004, abs=1e-9)
-
-
-# one value besides the default for each config key; a key missing here
-# fails test_every_config_key_has_an_effect
-_OTHER_CONFIG_VALUE = {"d_ghz": "3.0", "gamma_e_mhz_per_g": "3.5",
-                       "output_dir": "elsewhere"}
-
-
-@pytest.mark.parametrize("key", [*_CONSTANT_KEYS, "output_dir"])
-def test_every_config_key_has_an_effect(key, tmp_path, monkeypatch):
-    # a constant changes the data rows of a transitions file, output_dir
-    # where the file goes
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
-    (tmp_path / "elsewhere").mkdir()
-    argv = ["transitions", "--n-b", "5", "--b-max-gauss", "7"]
-    assert main(argv) == 0
-    default = _read_csv(tmp_path / "transitions.csv")[1:]
-    (tmp_path / "transitions.csv").unlink()
-    (tmp_path / "run.cfg").write_text(f"{key} = {_OTHER_CONFIG_VALUE[key]}\n")
-    assert main([*argv, "--config", "run.cfg"]) == 0
-    if key == "output_dir":
-        assert not (tmp_path / "transitions.csv").exists()
-        out = tmp_path / "elsewhere" / "transitions.csv"
-        assert _read_csv(out)[1:] == default
-    else:
-        assert _read_csv(tmp_path / "transitions.csv")[1:] != default
-
-
-def test_config_flag_precedence(tmp_path, monkeypatch):
-    # --output wins over the config file's output_dir
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
-    (tmp_path / "run.cfg").write_text("output_dir = elsewhere\n")
-    assert main(["sensitivity", "--config", "run.cfg",
-                 "--output", "sens.json"]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg",
-                                                          "sens.json"]
-
-
-# config keys of earlier versions, each with a value it once took; each
-# exits 2 as unknown
-_REMOVED_KEYS = {"format": "json", "n_theta": "16", "n_phi": "16",
-                 "n_psi": "16", "tolerance": "1e-3", "max_doublings": "1"}
-_QUAD_KEYS = sorted(_REMOVED_KEYS.keys() - {"format"})
-
-
-def test_config_rejects_unknown_keys(tmp_path, capsys):
-    # the electric susceptibility keys, J0, the seed, the output format
-    # and the quadrature keys are unknown: no formula or subcommand reads
-    # them
-    cfg = tmp_path / "run.cfg"
-    out = tmp_path / "sens.json"
-    for key, value in [("frobnication", "7"), ("d_perp_hz_cm_per_v", "17"),
-                       ("d_par_hz_cm_per_v", "0.35"), ("j0_mhz_nm3", "52"),
-                       ("seed", "9"), *_REMOVED_KEYS.items()]:
-        cfg.write_text(f"{key} = {value}\n")
-        assert main(["sensitivity", "--config", str(cfg), "--output",
-                     str(out)]) == 2, key
-        err = capsys.readouterr().err
-        assert "unknown config keys" in err and key in err, key
-        assert not out.exists(), key
-
-
-def test_config_rejects_bad_syntax(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("d_ghz 3.0\n")
-    assert main(["sensitivity", "--config", str(cfg)]) == 2
-    cfg.write_text("d_ghz = 3.0\nd_ghz = 2.9\n")
-    assert main(["sensitivity", "--config", str(cfg)]) == 2
-    cfg.write_text("d_ghz = -1.0\n")
-    assert main(["sensitivity", "--config", str(cfg)]) == 2
-
-
-@pytest.mark.parametrize("line", ["max_doublings = -1", "tolerance = nan",
-                                  "tolerance = inf", "n_theta = 4"])
-def test_config_rejects_bad_quadrature(line, tmp_path, capsys):
-    # the tables use the default quadrature: a quadrature line, in range
-    # or not, is an unknown key
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(line + "\n")
-    for command in ("eta-table", "multipliers"):
-        out = tmp_path / f"{command}.csv"
-        assert main([command, "--config", str(cfg), "--output", str(out)]) \
-            == 2, line
-        err = capsys.readouterr().err
-        assert f"unknown config keys: {line.split()[0]}" in err, line
-        assert not out.exists()
-
-
-_QUAD_VALUES = st.one_of(st.integers(-8, 64), st.floats(1e-12, 1.0),
-                         st.sampled_from(["nan", "inf", "-inf"]))
-
-
-@st.composite
-def _quadrature_lines(draw):
-    """Config lines for some quadrature keys, in range or not, after
-    some good constant lines; the quadrature keys drawn."""
-    keys = draw(st.lists(st.sampled_from(_QUAD_KEYS), min_size=1,
-                         unique=True))
-    consts = draw(st.lists(st.sampled_from(_CONSTANT_KEYS), unique=True))
-    lines = [f"{k} = {draw(_QUAD_VALUES)}" for k in keys]
-    lines += [f"{k} = {draw(_POSITIVE)!r}" for k in consts]
-    return draw(st.permutations(lines)), keys
-
-
-@settings(max_examples=25,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(drawn=_quadrature_lines())
-def test_quadrature_config_lines_follow_the_exit_contract(drawn, tmp_path,
-                                                          capsys):
-    # every quadrature key is named, in sorted order, and no file written
-    lines, keys = drawn
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("\n".join(lines) + "\n")
-    out = tmp_path / "eta.csv"
-    capsys.readouterr()
-    rc = main(["eta-table", "--config", str(cfg), "--output", str(out)])
-    assert rc == 2 and not out.exists(), lines
-    assert f"unknown config keys: {', '.join(sorted(keys))}\n" in \
-        capsys.readouterr().err, lines
-
-
-_CONST_KEYS = ("d_ghz", "gamma_e_mhz_per_g")
-_GOOD_VALUES = {
-    **{k: _POSITIVE.map(repr) for k in _CONST_KEYS},
-    # resolved inside the run's scratch directory by the test
-    "output_dir": st.sampled_from(["<existing>", "<missing>"]),
-}
-_BAD_VALUES = {
-    **{k: st.one_of(st.floats(max_value=0.0).map(repr),
-                    st.sampled_from(["nan", "inf", "-inf", "1e400", "",
-                                     "abc", "1,5", "0x10"]))
-       for k in _CONST_KEYS},
-}
-
-
-@st.composite
-def _config_files(draw):
-    """Config lines of the known keys, at most one of them faulty
-    (a bad value, an unknown or duplicate key, or a line without '='),
-    the fault drawn (None when there is none) and the values set."""
-    keys = draw(st.lists(st.sampled_from(sorted(_GOOD_VALUES)), min_size=1,
-                         unique=True))
-    pairs = [(k, draw(_GOOD_VALUES[k])) for k in keys]
-    fault = draw(st.sampled_from([None, "value", "unknown", "duplicate",
-                                  "no_equals"]))
-    if fault == "value":
-        k = draw(st.sampled_from(sorted(_BAD_VALUES)))
-        pairs = [p for p in pairs if p[0] != k] + [(k, draw(_BAD_VALUES[k]))]
-    elif fault == "unknown":
-        pairs.append((draw(st.one_of(
-            st.sampled_from(sorted(_REMOVED_KEYS)),
-            st.from_regex(r"\A[a-z][a-z0-9_]{0,15}\Z").filter(
-                lambda k: k not in _GOOD_VALUES))), "1"))
-    elif fault == "duplicate":
-        pairs.append(draw(st.sampled_from(pairs)))
-    lines = [f"{k}{draw(st.sampled_from(['', ' ']))}="
-             f"{draw(st.sampled_from(['', ' ']))}{v}" for k, v in pairs]
-    if fault == "no_equals":
-        lines.append(draw(st.text("abcdefgxyz0123456789 .,-_", min_size=1)
-                          .filter(str.strip)))
-    lines += draw(st.lists(st.sampled_from(["", "   ", "# a comment"]),
-                           max_size=2))
-    return draw(st.permutations(lines)), fault, dict(pairs)
-
-
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(drawn=_config_files())
-def test_config_lines_follow_the_exit_contract(drawn, monkeypatch, capsys):
-    lines, fault, values = drawn
-    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
-    with tempfile.TemporaryDirectory() as work:
-        work = Path(work)
-        text = "\n".join(lines).replace("<existing>", str(work)).replace(
-            "<missing>", str(work / "missing"))
-        (work / "run.cfg").write_text(text + "\n")
-        monkeypatch.chdir(work)
-        capsys.readouterr()
-        rc = main(["transitions", "--n-b", "3", "--config", "run.cfg"])
-        out, err = capsys.readouterr()
-        written = sorted(p.name for p in work.rglob("*") if p.is_file())
-        assert "Traceback" not in out + err, text
-        if fault is not None:
-            assert rc == 2 and written == ["run.cfg"], text
-        elif values.get("output_dir") == "<missing>":
-            assert rc == 1 and written == ["run.cfg"], text
-            assert json.loads(out)["error"] == "FileNotFoundError", text
-        else:
-            assert rc == 0, text
-            assert written == ["run.cfg", "transitions.csv"], text
-            cells = _read_csv(work / "transitions.csv")[2]
-            assert np.all(np.isfinite(np.array(cells, dtype=float))), text
-
-
 def test_golden_flags():
     # defaults a golden command overrides are pinned here instead
     assert _parser_surface() == (GOLDEN_DIR / "flags.txt").read_text()
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))
-def test_golden_output(name, tmp_path, monkeypatch):
-    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+def test_golden_output(name, tmp_path):
     out = _run_golden(name, tmp_path)
     assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
 
@@ -1009,7 +803,6 @@ def test_cli_runs_blas_on_one_thread_unless_set(preset, expected):
 def test_tables_load_no_numpy_polynomial(tmp_path):
     # Gauss-Legendre nodes come from a Newton iteration, not from
     # numpy.polynomial's companion-matrix eigenvalues
-    env = {k: v for k, v in os.environ.items() if k != OUTPUT_DIR_ENV}
     done = _fresh_python("""
         import sys
         from nvcr.cli import main
@@ -1017,14 +810,13 @@ def test_tables_load_no_numpy_polynomial(tmp_path):
         for argv in (["eta-table"], ["multipliers"]):
             assert main(argv) == 0, argv
             assert "numpy.polynomial" not in sys.modules, argv
-    """, cwd=tmp_path, env=env)
+    """, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
 
 
-def test_only_a_mixed_overlap_loads_scipy(tmp_path, monkeypatch):
+def test_only_a_mixed_overlap_loads_scipy(tmp_path):
     # a fresh interpreter, because this test session has SciPy and
     # numpy.random loaded; no command path may load numpy.random
-    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
     shutil.copy(GOLDEN_DIR / "decay_curve.csv", tmp_path)
     commands = [GOLDEN[name] for name in (
         "fit_t1.json", "decay_curve.csv", "overlap.csv", "degeneracy.csv",
@@ -1060,6 +852,5 @@ def test_only_a_mixed_overlap_loads_scipy(tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
-    os.environ.pop(OUTPUT_DIR_ENV, None)
     GOLDEN_DIR.mkdir(exist_ok=True)
     write_golden()

@@ -15,11 +15,9 @@ from nvcr import (
     synth_spectrum,
     tilted_field_direction,
 )
-from nvcr.constants import DEFAULT_CONSTANTS, DEFAULT_E_PERP_MHZ
+from nvcr.constants import (D_GHZ as D, DEFAULT_E_PERP_MHZ,
+                            GAMMA_E_MHZ_PER_G as GAMMA)
 from nvcr.spin_model import FieldConfiguration, build_hamiltonian
-
-D = DEFAULT_CONSTANTS.d_ghz
-GAMMA = DEFAULT_CONSTANTS.gamma_e_mhz_per_g
 
 
 def _dip_indices(pl, depth=0.01):
@@ -128,9 +126,9 @@ def test_solver_calls_per_scan_and_refinement(monkeypatch):
     built = []
     build = nvcr.odmr.build_hamiltonian
 
-    def recorded(frame, f, c):
+    def recorded(frame, f):
         built.append((frame.class_id, f.b_gauss.shape[:-1]))
-        return build(frame, f, c)
+        return build(frame, f)
 
     monkeypatch.setattr(nvcr.odmr, "build_hamiltonian", recorded)
     degeneracy_lift()
