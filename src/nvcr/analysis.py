@@ -186,11 +186,16 @@ class _Profile:
             ) -> FitResult:
         """Fit T1_dd and A with T1_ph and beta held.  Raises ``FitError``,
         carrying the fit, when this search or the caller's (``edge``)
-        ended on an edge of its window; ``DecayModel`` raises ValueError
-        when no shape correlates positively with the signal."""
+        ended on an edge of its window, and ValueError when no shape
+        correlates positively with the signal."""
         dd = self.best_t1_dd(t1_ph_s, beta)
         t1_dd = float(np.exp(dd.x))
         a, rss = self.amplitude_rss(t1_dd, t1_ph_s, beta)
+        if a == 0.0:
+            raise ValueError(
+                f"the best amplitude is 0: no decay shape with T1_ph = "
+                f"{t1_ph_s:g} s and beta = {beta:g} correlates positively "
+                "with the signal")
         fit = FitResult(model=DecayModel(t1_dd, t1_ph_s, a, beta),
                         residual_rss=rss, converged=not (edge or dd.edge),
                         iterations=self.evaluations)
@@ -259,13 +264,20 @@ class LineProfile:
 
     def __call__(self, nu_mhz):
         """Unit-area density evaluated at nu (MHz)."""
-        x = np.asarray(nu_mhz, dtype=float) - self.center_mhz
-        if self.shape is LineShape.GAUSSIAN:
-            s = self.width_mhz
-            out = np.exp(-0.5 * (x / s) ** 2) / (s * np.sqrt(2.0 * np.pi))
-        else:
-            g = self.width_mhz
-            out = (g / np.pi) / (x * x + g * g)
+        w = self.width_mhz
+        area = w * np.sqrt(2.0 * np.pi) \
+            if self.shape is LineShape.GAUSSIAN else np.pi * w
+        return self.peak_normalized(nu_mhz) / area
+
+    def peak_normalized(self, nu_mhz):
+        """The profile at nu (MHz) over its peak value: exp(-u^2/2) or
+        1/(1 + u^2) of the offset in widths, u = (nu - center)/width.
+        An offset too large for a float gives 0."""
+        with np.errstate(over="ignore"):    # an overflowed offset gives 0
+            u = (np.asarray(nu_mhz, dtype=float) - self.center_mhz) \
+                / self.width_mhz
+            out = np.exp(-0.5 * u ** 2) \
+                if self.shape is LineShape.GAUSSIAN else 1.0 / (1.0 + u * u)
         return out if out.ndim else float(out)
 
 
@@ -305,4 +317,9 @@ def sensitivity(sigma_b_tesla: float, tau_lp_s: float) -> float:
     """
     if not (0.0 < sigma_b_tesla < np.inf and 0.0 < tau_lp_s < np.inf):
         raise ValueError("sigma and tau must be finite and positive")
-    return float(sigma_b_tesla * np.sqrt(tau_lp_s))
+    with np.errstate(over="ignore"):    # an overflowed value is refused
+        eta = sigma_b_tesla * np.sqrt(tau_lp_s)
+    if eta == np.inf:
+        raise ValueError(f"the sensitivity overflows for sigma_b_tesla = "
+                         f"{sigma_b_tesla:g} and tau_lp_s = {tau_lp_s:g}")
+    return float(eta)

@@ -96,8 +96,8 @@ def class_frame(class_id: int, b_field=None) -> NVClassFrame:
     """Frame of one NV class, oriented against the applied field.
 
     The sign of z_hat is chosen so B.z_hat >= 0 (at B = 0 the positive
-    <111> representative is kept), and x_hat points along the dominant
-    transverse component of B when one exists.
+    <111> representative is kept), and x_hat points along the transverse
+    component of B when it is at least 1e-8 of B's largest component.
     """
     if not 0 <= class_id < N_CLASSES:
         raise ValueError(f"class_id must be in 0..3, got {class_id}")
@@ -107,7 +107,11 @@ def class_frame(class_id: int, b_field=None) -> NVClassFrame:
         b = np.asarray(b_field, dtype=float)
         if not np.all(np.isfinite(b)):
             raise ValueError(f"b_field must be finite, got {b}")
-        if np.linalg.norm(b) > 0.0:
+        big = np.max(np.abs(b))
+        if big > 0.0:
+            # scaled exactly, by a power of two, to a largest component
+            # in [0.5, 1): no length overflows at any finite field
+            b = np.ldexp(b, -np.frexp(big)[1])
             if b @ z_hat < 0.0:
                 z_hat = -z_hat
             prefer = b

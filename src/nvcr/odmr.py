@@ -246,8 +246,9 @@ def synth_spectrum(lines_ghz, profile: LineProfile,
     if not np.all(np.isfinite(freq_ghz)):
         raise ValueError("freq_ghz must be finite")
     line = LineProfile(profile.shape, profile.width_mhz)
-    peak = line(0.0)
     pl = np.ones_like(freq_ghz)
     for nu in np.sort(lines):
-        pl -= contrast_per_line * (line((freq_ghz - nu) * 1e3) / peak)
+        with np.errstate(over="ignore"):    # a far line digs no dip
+            offset = (freq_ghz - nu) * 1e3
+        pl -= contrast_per_line * line.peak_normalized(offset)
     return freq_ghz, pl

@@ -259,9 +259,8 @@ def test_output_into_a_missing_directory_exits_1_without_file(tmp_path,
 def test_non_finite_result_exit_1_without_file(tmp_path, capsys):
     out = tmp_path / "sens.json"
     # finite flags whose product overflows
-    with np.errstate(over="ignore"):
-        rc = main(["sensitivity", "--sigma-b-t", "1e300", "--tau-lp-s",
-                   "1e300", "--output", str(out)])
+    rc = main(["sensitivity", "--sigma-b-t", "1e300", "--tau-lp-s",
+               "1e300", "--output", str(out)])
     assert rc == 1
     assert json.loads(capsys.readouterr().out)["error"] == "ValueError"
     assert not out.exists()
@@ -525,6 +524,78 @@ def test_fieldless_commands_exit_0_finite_or_1_without_file(argv, tmp_path,
         values = _read_csv(out)[2]
     table = np.array(values, dtype=float)
     assert table.size > 0 and np.all(np.isfinite(table)), argv
+
+
+def _extreme_runs():
+    """(argv, flag, value) for every float flag of the subcommand table
+    at 1e300 and at 1e-300 where its parser admits the value: the flag
+    alone, and a --X-min-Y or --X-max-Y also with its partner set so that
+    the range holds.  Grids are small; an --input is the golden curve."""
+    small = {"--n-b": "8", "--n-theta": "2", "--n-freq": "9",
+             "--n-tau": "8", "--n-dnu": "5"}
+    # two flags whose product overflows: the noise times the root of the
+    # time, and a probe frequency in MHz
+    runs = [pytest.param(argv, flag, value, id=" ".join(argv))
+            for argv, flag, value in [
+                (["sensitivity", "--sigma-b-t=1e+300", "--tau-lp-s=1e+300"],
+                 "--tau-lp-s", 1e300),
+                (["spectrum", "--f-min-ghz=1e+306", "--f-max-ghz=1e+308"],
+                 "--f-max-ghz", 1e308)]]
+    for command, spec in _SUBCOMMANDS.items():
+        flags = {names[0]: kw for names, kw in spec.flags}
+        base = [command, *(f"{f}={n}" for f, n in small.items() if f in flags)]
+        base += [arg for flag, kw in flags.items() if kw.get("required")
+                 for arg in (flag, str(GOLDEN_DIR / "decay_curve.csv"))]
+        for flag, kw in flags.items():
+            kind = kw.get("type")
+            if not (isinstance(kind, _Number) and kind.cast is float):
+                continue
+            for value in (1e300, 1e-300):
+                try:
+                    kind(repr(value))
+                except argparse.ArgumentTypeError:
+                    continue
+                low = "-min-" in flag
+                partner = flag.replace(*(("-min-", "-max-") if low
+                                         else ("-max-", "-min-")))
+                tails = [[f"{flag}={value!r}"]]
+                if partner in flags.keys() - {flag}:
+                    bound = 2.0 * value if low else value / 2.0
+                    tails.append([*tails[0], f"{partner}={bound!r}"])
+                runs += [pytest.param([*base, *tail], flag, value,
+                                      id=" ".join([command, *tail]))
+                         for tail in tails]
+    return runs
+
+
+@pytest.mark.parametrize("argv, flag, value", _extreme_runs())
+def test_extreme_flag_values_compute_or_are_refused_by_name(argv, flag, value,
+                                                            tmp_path, capsys):
+    # exit 0 with a finite file, or exit 1 or 2 naming the flag or its
+    # value and writing nothing; a numpy warning fails the run
+    out = tmp_path / _SUBCOMMANDS[argv[0]].output
+    try:
+        rc = main([*argv, "--output", str(out)])
+    except SystemExit as exc:
+        rc = exc.code
+    stdout, err = capsys.readouterr()
+    names = (flag, f"{value:g}")
+    if rc == 0:
+        assert err == "", argv
+        if out.suffix == ".json":
+            cells = [v for v in _without_params(out).values() if v is not None]
+        else:
+            cells = _read_csv(out)[2]
+        assert np.all(np.isfinite(np.array(cells, dtype=float))), argv
+        return
+    assert not out.exists(), argv
+    if rc == 1:
+        assert err == "", argv
+        message = json.loads(stdout)["message"]
+        assert any(name in message for name in names), message
+    else:
+        assert rc == 2, argv
+        assert any(name in err for name in names), err
 
 
 def test_sensitivity_record(tmp_path, capsys):

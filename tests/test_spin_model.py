@@ -259,6 +259,18 @@ def test_frame_axes_are_read_only_copies():
     assert frame.x_hat[0] == 1.0
 
 
+@pytest.mark.parametrize("exponent", [-1000, -30, 512, 1000])
+def test_class_frame_depends_on_the_field_direction_only(exponent):
+    # a field past ~1e154 G overflowed the length of the preferred axis,
+    # and the frame check then refused the frame; a power of two scales
+    # the field exactly, so the frame keeps every bit
+    b = np.array([1.0, -2.0, 0.5])
+    for k in range(4):
+        ref, frame = class_frame(k, b), class_frame(k, 2.0 ** exponent * b)
+        for axis in ("x_hat", "y_hat", "z_hat"):
+            assert np.array_equal(getattr(frame, axis), getattr(ref, axis))
+
+
 def test_eigenstate_map_limits():
     frame = class_frame(0)
     o_p1, o_plus = eigenstate_map(frame, [0.0, 100.0, 145.0, 150.0],
