@@ -192,10 +192,8 @@ class _Profile:
         t1_dd = float(np.exp(dd.x))
         a, rss = self.amplitude_rss(t1_dd, t1_ph_s, beta)
         if a == 0.0:
-            raise ValueError(
-                f"the best amplitude is 0: no decay shape with T1_ph = "
-                f"{t1_ph_s:g} s and beta = {beta:g} correlates positively "
-                "with the signal")
+            raise ValueError(f"no decay shape with T1_ph = {t1_ph_s:g} s and "
+                             f"beta = {beta:g} fits with a positive amplitude")
         fit = FitResult(model=DecayModel(t1_dd, t1_ph_s, a, beta),
                         residual_rss=rss, converged=not (edge or dd.edge),
                         iterations=self.evaluations)
@@ -264,15 +262,13 @@ class LineProfile:
 
     def __call__(self, nu_mhz):
         """Unit-area density evaluated at nu (MHz)."""
-        w = self.width_mhz
-        area = w * np.sqrt(2.0 * np.pi) \
-            if self.shape is LineShape.GAUSSIAN else np.pi * w
+        gaussian = self.shape is LineShape.GAUSSIAN
+        area = (np.sqrt(2.0 * np.pi) if gaussian else np.pi) * self.width_mhz
         return self.peak_normalized(nu_mhz) / area
 
     def peak_normalized(self, nu_mhz):
         """The profile at nu (MHz) over its peak value: exp(-u^2/2) or
-        1/(1 + u^2) of the offset in widths, u = (nu - center)/width.
-        An offset too large for a float gives 0."""
+        1/(1 + u^2) of the offset in widths, u = (nu - center)/width."""
         with np.errstate(over="ignore"):    # an overflowed offset gives 0
             u = (np.asarray(nu_mhz, dtype=float) - self.center_mhz) \
                 / self.width_mhz

@@ -149,8 +149,7 @@ def _cmd_eigen_map(args) -> _Columns:
 def _cmd_transverse_scan(args) -> _Columns:
     frame = class_frame(0)
     b = np.linspace(args.b_min_gauss, args.b_max_gauss, args.n_b)
-    energies, dnu, matching = transverse_field_scan(frame, b,
-                                                    args.e_perp_mhz)
+    energies, dnu, matching = transverse_field_scan(frame, b, args.e_perp_mhz)
     return _Columns(["B_gauss", "e_g_GHz", "e_d_GHz", "e_e_GHz", "dnu_MHz",
                      "overlap_e_plus"],
                     [b, energies[:, 0], energies[:, 1], energies[:, 2], dnu,
@@ -202,8 +201,7 @@ def _cmd_degeneracy(args) -> _Columns:
 
 
 def _cmd_spectrum(args) -> _Columns:
-    lines = all_transitions(args.direction, [args.b_gauss],
-                            args.e_perp_mhz)[0]
+    lines = all_transitions(args.direction, [args.b_gauss], args.e_perp_mhz)[0]
     profile = LineProfile(shape=LineShape(args.shape),
                           width_mhz=args.linewidth_mhz)
     if (args.f_min_ghz is None) != (args.f_max_ghz is None):

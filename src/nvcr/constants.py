@@ -1,7 +1,4 @@
-"""Physical constants of the NV- ground-state spin model.
-
-The zero-field splitting D and the electron gyromagnetic ratio gamma_e
-are the paper's values, fixed as module constants like J0.
+"""The paper's physical constants of the NV- ground-state spin model.
 
 Internal unit conventions, used consistently across the package:
 energies and frequencies in GHz (Hamiltonians) or MHz (splittings,

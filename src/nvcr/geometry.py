@@ -107,11 +107,9 @@ def class_frame(class_id: int, b_field=None) -> NVClassFrame:
         b = np.asarray(b_field, dtype=float)
         if not np.all(np.isfinite(b)):
             raise ValueError(f"b_field must be finite, got {b}")
-        big = np.max(np.abs(b))
-        if big > 0.0:
-            # scaled exactly, by a power of two, to a largest component
-            # in [0.5, 1): no length overflows at any finite field
-            b = np.ldexp(b, -np.frexp(big)[1])
+        if np.any(b):
+            # exactly, by a power of two: no length overflows
+            b = np.ldexp(b, -np.frexp(np.abs(b).max())[1])
             if b @ z_hat < 0.0:
                 z_hat = -z_hat
             prefer = b

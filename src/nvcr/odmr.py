@@ -247,8 +247,8 @@ def synth_spectrum(lines_ghz, profile: LineProfile,
         raise ValueError("freq_ghz must be finite")
     line = LineProfile(profile.shape, profile.width_mhz)
     pl = np.ones_like(freq_ghz)
-    for nu in np.sort(lines):
-        with np.errstate(over="ignore"):    # a far line digs no dip
-            offset = (freq_ghz - nu) * 1e3
-        pl -= contrast_per_line * line.peak_normalized(offset)
+    with np.errstate(over="ignore"):    # a far line digs no dip
+        for nu in np.sort(lines):
+            dip = line.peak_normalized((freq_ghz - nu) * 1e3)
+            pl -= contrast_per_line * dip
     return freq_ghz, pl

@@ -286,8 +286,7 @@ def transverse_field_scan(cls: NVClassFrame, b_perp_gauss, e_perp_mhz: float):
     ref = zero_field_states(phi_e)[2]
     b = b_perp_gauss[:, None] * direction
     energies, matching = np.empty((len(b), 3)), np.empty(len(b))
-    for s, es in _solve_fields(cls, b, e_perp_mhz=e_perp_mhz,
-                               phi_e_rad=phi_e):
+    for s, es in _solve_fields(cls, b, e_perp_mhz=e_perp_mhz, phi_e_rad=phi_e):
         energies[s] = es.energies_ghz
         # a row sum, not a matrix-vector product, whose BLAS kernel
         # rounds differently with the number of rows
