@@ -19,7 +19,7 @@ from .analysis import LineProfile
 from .constants import DEFAULT_CR_RANGE_MHZ, DEFAULT_E_PERP_MHZ
 from .geometry import (CLASS_AXES, as_unit, class_frame,
                        tilted_field_direction)
-from .spin_model import FieldConfiguration, build_hamiltonian, diagonalize
+from .spin_model import _solve_fields
 
 __all__ = [
     "DegeneracyReport",
@@ -61,31 +61,23 @@ def _lines(frames, direction: np.ndarray, amps: np.ndarray,
            e_perp_mhz: float, classes=range(len(CLASS_AXES))) -> np.ndarray:
     """(n, 8) lines (GHz) of ``classes`` at the amplitudes ``amps``.
 
-    One build and one stacked solve per class; the columns of the other
-    classes are NaN.
+    Each class's field stack is solved by ``_solve_fields``, one stacked
+    solve per block; the columns of the other classes are NaN.
     """
-    f = FieldConfiguration(b_gauss=amps[:, None] * direction,
-                           e_perp_mhz=e_perp_mhz)
+    b = amps[:, None] * direction
     lines = np.full((amps.size, 8), np.nan)
     for k in classes:
-        e = diagonalize(build_hamiltonian(frames[k], f)).energies_ghz
-        lines[:, 2 * k:2 * k + 2] = e[:, 1:] - e[:, :1]
+        for s, es in _solve_fields(frames[k], b, e_perp_mhz=e_perp_mhz):
+            e = es.energies_ghz
+            lines[s, 2 * k:2 * k + 2] = e[:, 1:] - e[:, :1]
     return lines
 
 
 def _scan(direction: np.ndarray, amps: np.ndarray, e_perp_mhz: float
           ) -> tuple[list, np.ndarray]:
-    """The frames of a scan and its (n, 8) lines.
-
-    Solved point by point, four solves per field point, which the
-    benchmark's traced call count pins; a single ``_lines`` call would
-    give the same bits.
-    """
+    """The frames of a scan and its (n, 8) lines."""
     frames = _frames(direction, amps)
-    lines = np.empty((amps.size, 8))
-    for i in range(amps.size):
-        lines[i] = _lines(frames, direction, amps[i:i + 1], e_perp_mhz)[0]
-    return frames, lines
+    return frames, _lines(frames, direction, amps, e_perp_mhz)
 
 
 def all_transitions(direction=None, b_amps_gauss=None,

@@ -1,5 +1,6 @@
 """Transition fans, class degeneracy analysis, synthetic spectra."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -17,7 +18,9 @@ from nvcr import (
 )
 from nvcr.constants import (D_GHZ as D, DEFAULT_E_PERP_MHZ,
                             GAMMA_E_MHZ_PER_G as GAMMA)
-from nvcr.spin_model import FieldConfiguration, build_hamiltonian
+from nvcr.geometry import as_unit
+from nvcr.spin_model import (FieldConfiguration, build_hamiltonian,
+                             diagonalize)
 
 
 def _dip_indices(pl, depth=0.01):
@@ -105,38 +108,75 @@ def test_crossing_does_not_depend_on_ramp_start():
 
 
 def test_solver_calls_per_scan_and_refinement(monkeypatch):
-    import nvcr.odmr
+    import nvcr.spin_model
     calls = []
-    solve = nvcr.odmr.diagonalize
+    solve = nvcr.spin_model.diagonalize
 
     def counted(h):
         calls.append(1)
         return solve(h)
 
-    monkeypatch.setattr(nvcr.odmr, "diagonalize", counted)
+    monkeypatch.setattr(nvcr.spin_model, "diagonalize", counted)
     all_transitions(None, [0.0, 1.0, 2.0])
-    assert len(calls) == 12     # one per class and field point
+    assert len(calls) == 4      # one stacked solve per class
     calls.clear()
     report = degeneracy_lift()
-    # 484 for the scan; each pair then takes three rounds (a 0.25 G step
+    # 4 for the scan; each pair then takes three rounds (a 0.25 G step
     # narrowed 65-fold per round to <= 1e-5 G) solving its two classes,
     # and the envelope three rounds solving all four
-    assert len(calls) == 484 + 6 * 3 * 2 + 3 * 4
+    assert len(calls) == 4 + 6 * 3 * 2 + 3 * 4
 
     built = []
-    build = nvcr.odmr.build_hamiltonian
+    build = nvcr.spin_model.build_hamiltonian
 
     def recorded(frame, f):
         built.append((frame.class_id, f.b_gauss.shape[:-1]))
         return build(frame, f)
 
-    monkeypatch.setattr(nvcr.odmr, "build_hamiltonian", recorded)
+    monkeypatch.setattr(nvcr.spin_model, "build_hamiltonian", recorded)
     degeneracy_lift()
     rounds = [cls for cls, shape in built if shape == (64,)]
     for n, label in enumerate(report.pair_labels):
         pair = {int(label[-2]) - 1, int(label[-1]) - 1}
         assert set(rounds[6 * n:6 * n + 6]) == pair, label
     assert sorted(rounds[36:]) == sorted(3 * [0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("e_perp", [0.0, DEFAULT_E_PERP_MHZ])
+@pytest.mark.parametrize("direction", [None, [1.0, 1.0, 1.0],
+                                       [0.3, -0.7, 0.5]])
+def test_stacked_scan_equals_point_by_point_solves(direction, e_perp):
+    # 1100 points from 0 G: three solver blocks, the last partial; at
+    # e_perp = 0 the excited levels are exactly degenerate at B = 0
+    amps = np.linspace(0.0, 40.0, 1100)
+    lines = all_transitions(direction, amps, e_perp)
+    u = tilted_field_direction() if direction is None else as_unit(direction)
+    b = amps[:, None] * u
+    expected = np.empty((amps.size, 8))
+    for k in range(len(CLASS_AXES)):
+        # the scan's frames take their in-plane phase from its top field
+        frame = class_frame(k, b_field=b[-1])
+        for i in range(amps.size):
+            f = FieldConfiguration(b[i:i + 1], e_perp_mhz=e_perp)
+            e = diagonalize(build_hamiltonian(frame, f)).energies_ghz[0]
+            expected[i, 2 * k:2 * k + 2] = e[1:] - e[0]
+    assert np.array_equal(lines, expected)
+
+
+def test_scan_memory_grows_only_by_fields_and_lines():
+    # past one solver block, a 4x ramp may add to the peak only its
+    # amplitudes (8 B), field stack (24 B) and line rows (64 B) per
+    # point; the Hamiltonians and eigenvectors stay one block in size
+    def peak(n):
+        tracemalloc.start()
+        try:
+            all_transitions(None, np.linspace(0.0, 30.0, n))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1024)                            # warm up lazy imports and caches
+    assert peak(4096) - peak(1024) <= 3072 * 96 + 64 * 1024
 
 
 def _distinct_columns(lines):
