@@ -290,18 +290,22 @@ def spectral_overlap(p1: LineProfile, p2: LineProfile, delta_nu_mhz) -> np.ndarr
     if not np.all(np.isfinite(delta)):
         raise ValueError("delta_nu_mhz must be finite")
     shapes = {p1.shape, p2.shape}
-    x = delta + p2.center_mhz - p1.center_mhz
-    if shapes == {LineShape.GAUSSIAN}:
-        out = LineProfile(LineShape.GAUSSIAN,
-                          float(np.hypot(p1.width_mhz, p2.width_mhz)))(x)
-    elif shapes == {LineShape.LORENTZIAN}:
-        out = LineProfile(LineShape.LORENTZIAN,
-                          p1.width_mhz + p2.width_mhz)(x)
-    else:
-        g, lor = (p1, p2) if p1.shape is LineShape.GAUSSIAN else (p2, p1)
-        # the one SciPy use on the command path, loaded only here
-        from scipy.special import voigt_profile
-        out = voigt_profile(x, g.width_mhz, lor.width_mhz)
+    w1, w2 = p1.width_mhz, p2.width_mhz
+    # an overflowed offset gives 0; an overflowed width or value is refused
+    with np.errstate(over="ignore"):
+        x = delta + p2.center_mhz - p1.center_mhz
+        if len(shapes) == 2:
+            g, lor = (p1, p2) if p1.shape is LineShape.GAUSSIAN else (p2, p1)
+            # the one SciPy use on the command path, loaded only here
+            from scipy.special import voigt_profile
+            out = voigt_profile(x, g.width_mhz, lor.width_mhz)
+        else:
+            width = float(np.hypot(w1, w2)) if shapes == {LineShape.GAUSSIAN} \
+                else w1 + w2
+            out = LineProfile(p1.shape, width)(x) if width < np.inf else np.inf
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"the overlap overflows for widths {w1:g} and "
+                         f"{w2:g} MHz")
     return out if np.ndim(delta_nu_mhz) else float(out[0])
 
 

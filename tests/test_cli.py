@@ -533,14 +533,25 @@ def _extreme_runs():
     the range holds.  Grids are small; an --input is the golden curve."""
     small = {"--n-b": "8", "--n-theta": "2", "--n-freq": "9",
              "--n-tau": "8", "--n-dnu": "5"}
-    # two flags whose product overflows: the noise times the root of the
-    # time, and a probe frequency in MHz
+    # flag pairs whose product, sum or quotient overflows: the noise
+    # times the root of the time, a probe frequency in MHz, the peak of
+    # two narrow lines, the offset of two far centers, and the summed
+    # width of two Lorentzians
     runs = [pytest.param(argv, flag, value, id=" ".join(argv))
             for argv, flag, value in [
                 (["sensitivity", "--sigma-b-t=1e+300", "--tau-lp-s=1e+300"],
                  "--tau-lp-s", 1e300),
                 (["spectrum", "--f-min-ghz=1e+306", "--f-max-ghz=1e+308"],
-                 "--f-max-ghz", 1e308)]]
+                 "--f-max-ghz", 1e308),
+                (["overlap", "--width1-mhz=5e-324", "--width2-mhz=5e-324",
+                  "--n-dnu=3"], "--width2-mhz", 5e-324),
+                (["overlap", "--center1-mhz=-1e+308", "--center2-mhz=1e+308"],
+                 "--center2-mhz", 1e308),
+                (["overlap", "--dnu-max-mhz=1e+308", "--center2-mhz=1e+308"],
+                 "--center2-mhz", 1e308),
+                (["overlap", "--shape1=lorentzian", "--shape2=lorentzian",
+                  "--width1-mhz=1e+308", "--width2-mhz=1e+308"],
+                 "--width2-mhz", 1e308)]]
     for command, spec in _SUBCOMMANDS.items():
         flags = {names[0]: kw for names, kw in spec.flags}
         base = [command, *(f"{f}={n}" for f, n in small.items() if f in flags)]
