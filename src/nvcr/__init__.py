@@ -29,11 +29,9 @@ _SUBMODULES = {
                 "flip_flop_amplitude", "double_flip_amplitude"),
     # angular averages
     "eta_average": ("ZAngle", "XMode", "EtaScenario",
-                    "FieldOrientationScenario", "QuadratureSpec",
-                    "DEFAULT_QUADRATURE", "ConvergenceError",
-                    "scenario_frames", "pair_average", "angular_average",
-                    "eta_bar", "eta_table", "scenario_multiplier",
-                    "multiplier_table"),
+                    "FieldOrientationScenario", "scenario_frames",
+                    "pair_average", "angular_average", "eta_bar",
+                    "eta_table", "scenario_multiplier", "multiplier_table"),
     "relaxation": ("FluctuatorParams", "DecayModel", "characteristic_rate",
                    "rate_density", "polarization", "decay_signal"),
     "analysis": ("DecayCurve", "FitResult", "FitError", "LineShape",

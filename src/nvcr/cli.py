@@ -29,7 +29,7 @@ import numpy as np
 from .analysis import (FitError, FitResult, LineProfile, LineShape, fit_beta,
                        fit_decay, sensitivity, spectral_overlap)
 from .constants import DEFAULT_CR_RANGE_MHZ, DEFAULT_E_PERP_MHZ
-from .eta_average import ConvergenceError, eta_table, multiplier_table
+from .eta_average import eta_table, multiplier_table
 from .geometry import as_unit, class_frame
 from .odmr import all_transitions, degeneracy_lift, synth_spectrum
 from .relaxation import DecayModel, decay_signal
@@ -457,8 +457,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, ConvergenceError, FitError,
-            OSError) as exc:
+    except (ValueError, ArithmeticError, FitError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
                          sort_keys=True))
         return 1

@@ -36,7 +36,7 @@ elements have equal magnitude and the channel argument is ignored.
 The coefficients and amplitudes are floats for a single direction and
 arrays for a ``PairGeometry`` holding an (n, 3) stack of them, each row
 with the bits of its own single call; ``eta_average`` sums the magnetic
-flip-flop amplitude over its sphere nodes a block at a time this way.
+flip-flop amplitude over the node stack of its sphere rule this way.
 """
 
 from __future__ import annotations

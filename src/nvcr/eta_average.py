@@ -11,47 +11,64 @@ or does not contribute at all.
 All averages are reported normalized as A = eta_bar / (1/4 * sqrt(1/3)),
 the convention of the coupling table; ``eta_bar`` applies the prefactor.
 
-Quadrature: in the zero-field basis the sphere average for a fixed pair
-of in-plane axes is a kernel K(c) of their cosine alone, with the
-azimuthal integral in closed form and the polar one split at its single
-kink (see _pair_kernel_batch), accurate to ~1e-13.  Only the in-plane
-axes are sampled: a uniform trapezoid in psi for RANDOM mode, a sphere
-of shared field directions for ALIGNED mode.  The psi-average converges
-algebraically, not spectrally, because K - K(0) ~ c^2 log|c| has a cusp
-at c = 0 (Trefethen & Weideman, SIAM Rev. 56, 2014).  Magnetic-basis
-cross-class averages sum dipolar.flip_flop_amplitude over product
-Gauss-Legendre in cos(theta) x uniform trapezoid in phi.  Either way
-the average is evaluated on a resolution ladder (half, nominal,
-doubled, ...) until two successive rungs agree within tolerance; for
-zero-field-basis averages only n_psi matters.  The axially symmetric
-magnetic case is half the kernel at c = 1.  All node sets are built in
-a triad derived from the pair geometry itself, so every average is
-invariant under a common rotation of the frames to rounding accuracy.
-Sphere grids (magnetic averages, ALIGNED field directions) are
-generated and summed in blocks of whole theta rows of about _BLOCK
-nodes, so no full grid is held.  Gauss-Legendre nodes come from
-Newton's method on the Legendre recurrence, with no eigenvalue solve.
+Quadrature: each average is one fixed rule that depends only on the
+basis, the mode and czz = z1.z2, with gamma = arccos czz.  In the
+zero-field basis the sphere average for a fixed pair of in-plane axes
+is a kernel K(c) of their cosine alone, with the azimuthal integral in
+closed form and the polar one split at its single kink (see
+_pair_kernel_batch), accurate to ~1e-13.  "Graded" nodes below are
+Gauss-Legendre nodes mapped by g(s) = s^3 / (s^3 + (1 - s)^3), which
+integrates a corner or endpoint singularity of a panel to rounding.
+
+* RANDOM (zero-field basis, independent in-plane azimuths psi1, psi2):
+  x1.x2 = R cos(psi2 - delta) with R^2 = cos^2 psi1 + czz^2 sin^2 psi1,
+  so the psi2 average is M(R) = (2/pi) int_0^{pi/2} K(R cos phi) dphi,
+  taken on 32 Gauss-Legendre nodes in s with phi = (pi/2)(1 - s^3),
+  which smooths K's cusp at c = 0 (Trefethen & Weideman, SIAM Rev. 56,
+  2014).  The average is the mean of M(R) over a 64-point trapezoid in
+  psi1; the same axis is R = 1.  Error below 1e-14 against nested
+  adaptive quadrature.
+* MAGNETIC basis, cross-class: t = cos(theta) about the pair-plane
+  normal runs over [0, 1], and the azimuth over [0, pi) is split into
+  two panels at the equatorial conical zeros of the element, phi =
+  (gamma +- arccos((czz - 2)/3))/2 mod pi; 48 x 48 graded nodes per
+  panel sum ``dipolar.flip_flop_amplitude`` over the node stack.  The
+  same axis is half the kernel at c = 1, in closed form.  Error below
+  1e-14 against doubled node counts.
+* ALIGNED (zero-field basis, in-plane axes projected from a shared
+  field direction F uniform over the sphere), with |czz| since z2 ->
+  -z2 leaves both transverse planes as they are: the pole sits at the
+  pair-plane normal, F = sin(chi)(cos(alpha) z1 + sin(alpha) e2) +
+  cos(chi) e3, a = F.z1 and b = F.z2, so that
+  c = (1 - sin^2(chi) Q) / sqrt((1 - a^2)(1 - b^2)) with
+  Q = 1 + (czz/2)(cos(2 alpha - gamma) - czz) and 1 - a^2 formed as
+  cos^2(chi) + sin^2(chi) sin^2(alpha).  alpha in [0, pi) is split at
+  0 and gamma, where the point singularities F = z1 and F = z2 sit,
+  and chi where Q > 1 at the cusp sin(chi) = Q^(-1/2), which meets the
+  equator exactly at those two points; 64 x 64 graded nodes per panel.
+  Error below 1e-14 against doubled node counts and an independent rule
+  with its pole at z1.
+
+Gauss-Legendre nodes come from Newton's method on the Legendre
+recurrence, with no eigenvalue solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
 import numpy as np
 
 from .dipolar import BasisChoice, flip_flop_amplitude
-from .geometry import NVClassFrame, PairGeometry, as_unit
+from .geometry import NVClassFrame, PairGeometry
 
 __all__ = [
     "ZAngle",
     "XMode",
     "FieldOrientationScenario",
     "EtaScenario",
-    "QuadratureSpec",
-    "DEFAULT_QUADRATURE",
-    "ConvergenceError",
     "scenario_frames",
     "pair_average",
     "angular_average",
@@ -100,52 +117,12 @@ class EtaScenario:
     x_mode: XMode = XMode.RANDOM
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Grid resolutions and the convergence target for angular averages.
-
-    n_theta and n_phi size the sphere grid of magnetic-basis averages;
-    n_psi sizes the in-plane axis samples of zero-field-basis averages.
-    """
-
-    n_theta: int = 128
-    n_phi: int = 128
-    n_psi: int = 64
-    tolerance: float = 5e-4
-    max_doublings: int = 3
-
-    def __post_init__(self):
-        for name in ("n_theta", "n_phi", "n_psi", "max_doublings"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or \
-                    not isinstance(value, (int, np.integer)):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        for name in ("n_theta", "n_phi", "n_psi"):
-            if getattr(self, name) < 8:
-                raise ValueError(f"{name} must be >= 8")
-        if not (np.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise ValueError("tolerance must be positive and finite")
-        if self.max_doublings < 0:
-            raise ValueError("max_doublings must be >= 0")
-
-    def scaled(self, factor: float) -> "QuadratureSpec":
-        return replace(
-            self,
-            n_theta=max(8, int(round(self.n_theta * factor))),
-            n_phi=max(8, int(round(self.n_phi * factor))),
-            n_psi=max(8, int(round(self.n_psi * factor))),
-        )
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when the quadrature ladder fails to settle."""
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
-_KERNEL_NODES = 32  # Gauss-Legendre nodes below the kink of the pair kernel
-_NEWTON_STEPS = 10  # cap on the Newton iterations of _gl_nodes
-_BLOCK = 2048       # sphere nodes per block of whole theta rows
+_KERNEL_NODES = 32    # Gauss-Legendre nodes below the kink of the pair kernel
+_NEWTON_STEPS = 10    # cap on the Newton iterations of _gl_nodes
+_PSI_NODES = 64       # RANDOM: trapezoid nodes in psi1
+_PHI_NODES = 32       # RANDOM: Gauss-Legendre nodes of M(R)
+_MAGNETIC_NODES = 48  # MAGNETIC: graded nodes per panel and direction
+_ALIGNED_NODES = 64   # ALIGNED: graded nodes per panel and direction
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +150,7 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
         if np.max(np.abs(dx)) <= 1e-15:
             break
     else:
-        raise ConvergenceError(
+        raise ArithmeticError(
             f"Gauss-Legendre nodes for n={n} did not settle in "
             f"{_NEWTON_STEPS} Newton steps")
     _, dp = _legendre(n, x)
@@ -182,6 +159,21 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     for a in nodes:
         a.flags.writeable = False
     return nodes
+
+
+def _graded(n: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """n graded Gauss-Legendre nodes on [lo, hi] and their weights.
+
+    The nodes s on [0, 1] are mapped by g(s) = s^3 / (s^3 + (1 - s)^3),
+    whose derivative vanishes to second order at both ends.  ``lo`` and
+    ``hi`` may be arrays of intervals; the nodes then get a last axis.
+    """
+    x, w = _gl_nodes(n)
+    s = 0.5 * (x + 1.0)
+    d = s ** 3 + (1.0 - s) ** 3
+    g, dg = s ** 3 / d, 1.5 * w * (s * (1.0 - s)) ** 2 / (d * d)
+    lo, hi = (np.asarray(v, dtype=float)[..., None] for v in (lo, hi))
+    return lo + (hi - lo) * g, (hi - lo) * dg
 
 
 def _pair_kernel_batch(cosines) -> np.ndarray:
@@ -213,174 +205,112 @@ def _pair_kernel_batch(cosines) -> np.ndarray:
     return out
 
 
-def _relative_triad(z1: np.ndarray, z2: np.ndarray):
-    """Orthonormal triad built from the two NV axes.
-
-    Returns (e1, e2, e3) with e1 = z1 and e3 normal to the (z1, z2)
-    plane; for parallel axes any fixed normal completes the triad.  All
-    downstream node sets live in this triad, which is what makes the
-    averages rotation covariant.
-    """
-    e1 = as_unit(z1)
-    cross = np.cross(z1, z2)
-    n = np.linalg.norm(cross)
-    if n > 1e-12:
-        e3 = cross / n
-    else:
-        seed = np.array([1.0, 0.0, 0.0])
-        if abs(seed @ e1) > 0.9:
-            seed = np.array([0.0, 1.0, 0.0])
-        e3 = as_unit(seed - (seed @ e1) * e1)
-    e2 = np.cross(e3, e1)
-    return e1, e2, e3
+def _pair_frames(czz: float) -> tuple[NVClassFrame, NVClassFrame]:
+    """Frames with z1 = [001] and z2 = [sin gamma, 0, czz] in the xz
+    plane, both x axes along the pair-plane normal [010]."""
+    x = np.array([0.0, 1.0, 0.0])
+    return tuple(NVClassFrame(k, x, np.cross(z, x), z) for k, z in (
+        (0, np.array([0.0, 0.0, 1.0])),
+        (1, np.array([np.sqrt(1.0 - czz * czz), 0.0, czz]))))
 
 
-def _sphere_node_blocks(n_theta: int, n_phi: int, triad):
-    """Yield (u, weight) of the product sphere grid in blocks of whole
-    theta rows, about ``_BLOCK`` nodes each (one row when n_phi alone
-    exceeds it), so no full grid is ever held."""
-    e1, e2, e3 = triad
-    t, w = _gl_nodes(n_theta)
-    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    cp, sp = np.cos(phi), np.sin(phi)
-    rows = max(1, _BLOCK // n_phi)
-    for k in range(0, n_theta, rows):
-        tk = t[k:k + rows]
-        ct = np.repeat(tk, n_phi)
-        st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
-        # polar axis e3 so u covers the sphere relative to the pair plane
-        u = (st * np.tile(cp, len(tk)))[:, None] * e1[None, :] \
-            + (st * np.tile(sp, len(tk)))[:, None] * e2[None, :] \
-            + ct[:, None] * e3[None, :]
-        yield u, np.repeat(w[k:k + rows], n_phi) / (2.0 * n_phi)
-
-
-def _magnetic_pair_average(z1: np.ndarray, z2: np.ndarray,
-                           n_theta: int, n_phi: int) -> float:
+def _magnetic_average(czz: float) -> float:
     """Sphere average of the magnetic-basis flip-flop magnitude."""
-    czz = float(z1 @ z2)
     if abs(abs(czz) - 1.0) < 1e-12:
         # axial symmetry: |M| = |3 (u.z)^2 - 1| / 2, half the kernel at c = 1
         return 0.5 * float(_pair_kernel_batch(1.0)[0])
-    triad = _relative_triad(z1, z2)
-    # the magnitude is invariant under in-plane axis rotations, so both
-    # frames take the normal to both axes as their x axis
-    frame1, frame2 = (NVClassFrame(k, triad[2], np.cross(z, triad[2]), z)
-                      for k, z in ((0, z1), (1, z2)))
+    # the equatorial zeros of the element, one per azimuth panel edge
+    gamma, spread = np.arccos(czz), np.arccos((czz - 2.0) / 3.0)
+    lo, hi = np.sort(np.mod(0.5 * (gamma + np.array([-spread, spread])),
+                            np.pi))
+    phi, w_phi = _graded(_MAGNETIC_NODES, [lo, hi], [hi, lo + np.pi])
+    t, w_t = _graded(_MAGNETIC_NODES, 0.0, 1.0)
+    # u = sin(theta)(cos(phi) z1 + sin(phi) e2) + t e3 with e2 = [100]
+    # and e3 = [010]: the magnitude is even in t and pi-periodic in phi
+    st, phi = np.sqrt(1.0 - t * t)[:, None], phi.ravel()[None, :]
+    u = np.stack(np.broadcast_arrays(st * np.sin(phi), t[:, None],
+                                     st * np.cos(phi)), axis=-1)
+    w = (w_t[:, None] * w_phi.ravel()[None, :]).ravel() / np.pi
+    return float(flip_flop_amplitude(
+        PairGeometry(u.reshape(-1, 3), *_pair_frames(czz)),
+        BasisChoice.MAGNETIC) @ w)
+
+
+def _random_average(czz: float) -> float:
+    """RANDOM mode: the mean over psi1 of M(R), with R^2 = cos^2 psi1 +
+    czz^2 sin^2 psi1 and cos(phi) = sin((pi/2) s^3) in M's integral."""
+    x, w = _gl_nodes(_PHI_NODES)
+    s, ws = 0.5 * (x + 1.0), 0.5 * w
+    psi = np.linspace(0.0, 2.0 * np.pi, _PSI_NODES, endpoint=False)
+    c = np.outer(np.hypot(np.cos(psi), czz * np.sin(psi)),
+                 np.sin(0.5 * np.pi * s ** 3))
+    m = _pair_kernel_batch(c.ravel()).reshape(c.shape) @ (3.0 * s * s * ws)
+    return float(np.mean(m))
+
+
+def _aligned_average(czz: float) -> float:
+    """ALIGNED mode: K at the cosine of the in-plane axes that a shared
+    field direction F, uniform over the sphere, projects onto both
+    transverse planes; hemisphere chi <= pi/2 and alpha in [0, pi)."""
+    gamma = np.arccos(czz)
     total = 0.0
-    for u, w in _sphere_node_blocks(n_theta, n_phi, triad):
-        g = PairGeometry(u, frame1, frame2)
-        total += float(flip_flop_amplitude(g, BasisChoice.MAGNETIC) @ w)
-    return total
-
-
-def _nonmagnetic_pair_average(z1: np.ndarray, z2: np.ndarray, x_mode: XMode,
-                              n_psi: int) -> float:
-    """Average of the zero-field-basis flip-flop magnitude (x channel).
-
-    The in-plane axes are either derived from a shared field direction
-    averaged over the sphere (ALIGNED), or independently randomized
-    (RANDOM).  For a pair of in-plane axes the sphere average is the
-    kernel of _pair_kernel_batch at their mutual cosine, so only the
-    in-plane axes are sampled, on n_psi nodes per angle.
-    """
-    czz = float(np.clip(z1 @ z2, -1.0, 1.0))
-    same_axis = abs(abs(czz) - 1.0) < 1e-12
-    if x_mode is XMode.ALIGNED:
-        if same_axis:
-            # shared transverse plane: a common field projects onto the
-            # same in-plane axis for both spins
-            return float(_pair_kernel_batch(1.0)[0])
-        # distinct axes: project a shared direction F, uniform over the
-        # sphere, onto each transverse plane
-        def in_plane(f, zhat):
-            p = f - np.outer(f @ zhat, zhat)
-            n = np.linalg.norm(p, axis=1)
-            n[n < 1e-12] = 1.0  # measure-zero poles; numerator is ~0 there
-            return p / n[:, None]
-
-        total = 0.0
-        for f, wf in _sphere_node_blocks(n_psi, n_psi,
-                                         _relative_triad(z1, z2)):
-            c = np.sum(in_plane(f, z1) * in_plane(f, z2), axis=1)
-            total += float(_pair_kernel_batch(np.clip(c, -1.0, 1.0)) @ wf)
-        return total
-    # RANDOM mode: independent uniform azimuths psi_1, psi_2 of the two
-    # in-plane axes; x1.x2 = cos(psi1)cos(psi2) + (z1.z2) sin(psi1)sin(psi2)
-    psi = np.linspace(0.0, 2.0 * np.pi, n_psi, endpoint=False)
-    cp, sp = np.cos(psi), np.sin(psi)
-    if same_axis:
-        c = cp  # only the relative azimuth matters in a shared plane
-    else:
-        c = (cp[:, None] * cp[None, :] + czz * sp[:, None] * sp[None, :]).ravel()
-    return float(np.mean(_pair_kernel_batch(c)))
+    for a_lo, a_hi in ((0.0, gamma), (gamma, np.pi)):
+        alpha, w_alpha = _graded(_ALIGNED_NODES, a_lo, a_hi)
+        q = 1.0 + 0.5 * czz * (np.cos(2.0 * alpha - gamma) - czz)
+        # Q >= 1 between z1 and z2, where chi splits at the cusp c = 0,
+        # and Q <= 1 on the rest of [0, pi)
+        cusp = np.arcsin(1.0 / np.sqrt(np.maximum(q, 1.0)))
+        bands = ((0.0, cusp), (cusp, 0.5 * np.pi)) if a_lo == 0.0 \
+            else ((0.0, 0.5 * np.pi),)
+        for c_lo, c_hi in bands:
+            chi, w_chi = _graded(_ALIGNED_NODES, c_lo, c_hi)
+            sin_chi = np.sin(chi)
+            cc, sc = np.cos(chi) ** 2, sin_chi ** 2
+            # 1 - a^2 and 1 - b^2 as sums: no cancellation near z1, z2
+            c = (1.0 - sc * q[:, None]) / np.sqrt(
+                (cc + sc * np.sin(alpha)[:, None] ** 2)
+                * (cc + sc * np.sin(alpha - gamma)[:, None] ** 2))
+            k = _pair_kernel_batch(np.clip(c, -1.0, 1.0).ravel())
+            total += float(k @ (sin_chi * w_chi * w_alpha[:, None]).ravel())
+    return total / np.pi
 
 
 def scenario_frames(z_angle: ZAngle) -> tuple[NVClassFrame, NVClassFrame]:
     """Canonical frame pair realizing a relative-axis class."""
-    z1 = np.array([0.0, 0.0, 1.0])
-    czz = _Z_COS[z_angle]
-    z2 = np.array([np.sqrt(max(0.0, 1.0 - czz * czz)), 0.0, czz])
-    frames = []
-    for cid, z in ((0, z1), (1, z2)):
-        x = np.array([0.0, 1.0, 0.0])  # orthogonal to both axes
-        frames.append(NVClassFrame(cid, x, np.cross(z, x), z))
-    return frames[0], frames[1]
+    return _pair_frames(_Z_COS[z_angle])
 
 
 def pair_average(frame1: NVClassFrame, frame2: NVClassFrame,
-                 basis: BasisChoice, x_mode: XMode,
-                 q: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Converged angular average for an explicit frame pair.
+                 basis: BasisChoice, x_mode: XMode) -> float:
+    """Angular average for an explicit frame pair, by the fixed rule of
+    its basis and mode (module docstring).
 
-    Only the frames' NV axes enter; in the zero-field basis ``x_mode``
-    sets the in-plane axes (a shared field direction averaged over the
-    sphere, or independent uniform azimuths).
+    Only the frames' NV axes enter, through czz = z1.z2; in the
+    zero-field basis ``x_mode`` sets the in-plane axes (a shared field
+    direction averaged over the sphere, or independent uniform
+    azimuths).
     """
-
-    def rung(spec: QuadratureSpec) -> float:
-        if basis is BasisChoice.MAGNETIC:
-            return _magnetic_pair_average(frame1.z_hat, frame2.z_hat,
-                                          spec.n_theta, spec.n_phi)
-        return _nonmagnetic_pair_average(frame1.z_hat, frame2.z_hat, x_mode,
-                                         spec.n_psi)
-
-    def sampled(spec: QuadratureSpec) -> tuple:
-        if basis is BasisChoice.MAGNETIC:
-            return spec.n_theta, spec.n_phi
-        return (spec.n_psi,)
-
-    half = q.scaled(0.5)
-    # at the resolution floor of the sizes this average samples the half
-    # spec repeats q's rung and would compare it with itself; step the
-    # ladder up instead
-    at_floor = sampled(half) == sampled(q)
-    prev = rung(half)
-    for k in range(q.max_doublings + 1):
-        factor = float(2 ** (k + 1)) if at_floor else float(2 ** k)
-        cur = rung(q.scaled(factor))
-        change = abs(cur - prev)
-        if change < q.tolerance:
-            return cur
-        prev = cur
-    raise ConvergenceError(
-        f"angular average did not settle within tolerance {q.tolerance:g}; "
-        f"last change {change:.3e} at {factor:g}x resolution")
+    czz = float(np.clip(frame1.z_hat @ frame2.z_hat, -1.0, 1.0))
+    if basis is BasisChoice.MAGNETIC:
+        return _magnetic_average(czz)
+    if x_mode is XMode.ALIGNED:
+        return _aligned_average(abs(czz))
+    return _random_average(czz)
 
 
-def angular_average(s: EtaScenario, q: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def angular_average(s: EtaScenario) -> float:
     """Normalized average A = eta_bar / (1/4 sqrt(1/3)) for one scenario.
 
     In the magnetic basis the result does not depend on x_mode (the
     flip-flop magnitude is invariant under in-plane axis rotations).
     """
     f1, f2 = scenario_frames(s.z_angle)
-    return pair_average(f1, f2, s.basis, s.x_mode, q)
+    return pair_average(f1, f2, s.basis, s.x_mode)
 
 
-def eta_bar(s: EtaScenario, q: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def eta_bar(s: EtaScenario) -> float:
     """Average coupling including the population and bandwidth prefactor."""
-    return ETA_PREFACTOR * angular_average(s, q)
+    return ETA_PREFACTOR * angular_average(s)
 
 
 # resonant class-pair composition per applied-field configuration: each
@@ -395,8 +325,8 @@ _MAGNETIC_COMPOSITION = {
 }
 
 
-def _memoized_average(q: QuadratureSpec):
-    """angular_average at ``q`` keyed by (basis, z_angle, x_mode).
+def _memoized_average():
+    """angular_average keyed by (basis, z_angle, x_mode).
 
     The dict lives only as long as the returned function, so a table
     evaluates each distinct average once per call and nothing is kept
@@ -412,7 +342,7 @@ def _memoized_average(q: QuadratureSpec):
             z_angle = ZAngle.CLOSE
         key = (basis, z_angle, x_mode)
         if key not in cache:
-            cache[key] = angular_average(EtaScenario(basis, z_angle, x_mode), q)
+            cache[key] = angular_average(EtaScenario(basis, z_angle, x_mode))
         return cache[key]
 
     return average
@@ -436,25 +366,24 @@ def _multiplier(fs: FieldOrientationScenario, average) -> float:
     return float((_composition_total(fs, average) / base) ** 2)
 
 
-def scenario_multiplier(fs: FieldOrientationScenario,
-                        q: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def scenario_multiplier(fs: FieldOrientationScenario) -> float:
     """Rate multiplier (eta_bar / eta_bar_0)^2 for one field configuration.
 
     eta_bar_0 is the single-class magnetic-basis average, the rate unit
     of a generic field direction where only same-class pairs are
     resonant.
     """
-    return _multiplier(fs, _memoized_average(q))
+    return _multiplier(fs, _memoized_average())
 
 
-def eta_table(q: QuadratureSpec = DEFAULT_QUADRATURE) -> dict:
+def eta_table() -> dict:
     """The 3x3 table of normalized averages A per basis/mode and axis class.
 
     Rows: magnetic basis (mode-free), nonmagnetic with random in-plane
     axes, nonmagnetic with field-aligned axes.  Columns: same, close,
     far.
     """
-    average = _memoized_average(q)
+    average = _memoized_average()
     table = {}
     for z in ZAngle:
         table[("magnetic", z.value)] = average(BasisChoice.MAGNETIC, z)
@@ -465,7 +394,7 @@ def eta_table(q: QuadratureSpec = DEFAULT_QUADRATURE) -> dict:
     return table
 
 
-def multiplier_table(q: QuadratureSpec = DEFAULT_QUADRATURE) -> dict:
+def multiplier_table() -> dict:
     """Rate multiplier per field-orientation scenario."""
-    average = _memoized_average(q)
+    average = _memoized_average()
     return {fs.name: _multiplier(fs, average) for fs in FieldOrientationScenario}

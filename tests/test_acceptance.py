@@ -40,7 +40,6 @@ from nvcr import (
     zero_field_states,
 )
 from nvcr.constants import D_GHZ, GAMMA_E_MHZ_PER_G
-from nvcr.eta_average import QuadratureSpec
 from nvcr.spin_model import FieldConfiguration, build_hamiltonian, diagonalize
 
 from reference import (build_two_spin_hamiltonian,
@@ -48,11 +47,6 @@ from reference import (build_two_spin_hamiltonian,
                        rotate, rotation_matrix)
 
 _T0 = time.perf_counter()
-
-# light spec for invariance checks: the properties hold at any
-# resolution, so the convergence ladder is effectively disabled
-_LIGHT_Q = QuadratureSpec(n_theta=16, n_phi=16, n_psi=16,
-                          tolerance=1.0, max_doublings=0)
 
 
 def test_criterion_01_eta_table():
@@ -218,12 +212,12 @@ def test_criterion_09_property_suites():
 
     # frame invariance of the angular average under common rotations
     f1, f2 = scenario_frames(ZAngle.CLOSE)
-    base = pair_average(f1, f2, BasisChoice.MAGNETIC, XMode.RANDOM, _LIGHT_Q)
+    base = pair_average(f1, f2, BasisChoice.MAGNETIC, XMode.RANDOM)
     for _ in range(5):
         rot = rotation_matrix(rng.normal(size=3),
                               float(rng.uniform(0.0, 2.0 * np.pi)))
         rotated = pair_average(rotate(f1, rot), rotate(f2, rot),
-                               BasisChoice.MAGNETIC, XMode.RANDOM, _LIGHT_Q)
+                               BasisChoice.MAGNETIC, XMode.RANDOM)
         assert abs(rotated - base) < 1e-8
 
     # basis equivalence: conjugating the magnetic-basis pair operator by
@@ -259,8 +253,8 @@ def test_criterion_09_property_suites():
 def test_criterion_10_runtime_and_determinism():
     # bitwise repeatability of a quadrature and of a fit
     f1, f2 = scenario_frames(ZAngle.FAR)
-    a1 = pair_average(f1, f2, BasisChoice.NONMAGNETIC, XMode.RANDOM, _LIGHT_Q)
-    a2 = pair_average(f1, f2, BasisChoice.NONMAGNETIC, XMode.RANDOM, _LIGHT_Q)
+    a1 = pair_average(f1, f2, BasisChoice.NONMAGNETIC, XMode.RANDOM)
+    a2 = pair_average(f1, f2, BasisChoice.NONMAGNETIC, XMode.RANDOM)
     assert a1 == a2
 
     tau = np.geomspace(2e-5, 4e-3, 40)
