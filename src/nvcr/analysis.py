@@ -217,18 +217,19 @@ def fit_decay(c: DecayCurve, fixed_t1_ph_s: float | None = None
     limit T1_ph = inf, evaluated exactly and no edge.
     """
     p = _Profile(c)
-    if fixed_t1_ph_s is not None:
-        return p.fit(fixed_t1_ph_s, 0.5)
-    # the rate coordinate t_max / T1_ph, so that rate 0 is T1_ph = inf
-    t_max = float(c.tau_s[-1])
-    rates = np.concatenate([[0.0],
-                            t_max * np.exp(-p.log_t1_nodes(1.0)[::-1])])
+    with np.errstate(over="ignore"):    # see relaxation._decay_law
+        if fixed_t1_ph_s is not None:
+            return p.fit(fixed_t1_ph_s, 0.5)
+        # the rate coordinate t_max / T1_ph, so that rate 0 is T1_ph = inf
+        t_max = float(c.tau_s[-1])
+        rates = np.concatenate([[0.0],
+                                t_max * np.exp(-p.log_t1_nodes(1.0)[::-1])])
 
-    def t1_ph(rate):
-        return np.inf if rate == 0.0 else t_max / rate
+        def t1_ph(rate):
+            return np.inf if rate == 0.0 else t_max / rate
 
-    ph = _minimize(lambda r: p.best_t1_dd(t1_ph(r), 0.5).fun, rates)
-    return p.fit(t1_ph(ph.x), 0.5, edge=ph.edge and ph.x > 0.0)
+        ph = _minimize(lambda r: p.best_t1_dd(t1_ph(r), 0.5).fun, rates)
+        return p.fit(t1_ph(ph.x), 0.5, edge=ph.edge and ph.x > 0.0)
 
 
 def fit_beta(c: DecayCurve) -> FitResult:
@@ -236,8 +237,9 @@ def fit_beta(c: DecayCurve) -> FitResult:
     outer search in beta over [0.05, 1.5] around a search in log T1 over
     the window of that beta (see ``fit_decay``)."""
     p = _Profile(c)
-    beta = _minimize(lambda b: p.best_t1_dd(np.inf, b).fun, _BETA_NODES)
-    return p.fit(np.inf, beta.x, edge=beta.edge)
+    with np.errstate(over="ignore"):    # see relaxation._decay_law
+        beta = _minimize(lambda b: p.best_t1_dd(np.inf, b).fun, _BETA_NODES)
+        return p.fit(np.inf, beta.x, edge=beta.edge)
 
 
 class LineShape(Enum):

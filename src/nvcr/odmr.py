@@ -174,7 +174,8 @@ def degeneracy_lift(direction=None, b_amps_gauss=None,
     if amps.size < 8:
         raise ValueError("need at least 8 scan points")
     if np.any(np.diff(amps) <= 0.0):
-        raise ValueError("field amplitudes must be strictly increasing")
+        raise ValueError("field amplitudes must be strictly increasing "
+                         f"from {amps[0]:g} to {amps[-1]:g} G")
     frames, freqs = _scan(direction, amps, e_perp_mhz)
     pairs = _branch_pairs(freqs)
     dnu = _gaps_mhz(freqs, pairs)

@@ -129,7 +129,9 @@ def polarization(t_s, big_t_s: float):
 def _decay_law(t, t1_dd_s, t1_ph_s, amplitude, beta):
     """The decay law of ``decay_signal``, with no check of the
     parameters: a fit objective passes trial values that a
-    ``DecayModel`` could refuse (an underflowed timescale, say)."""
+    ``DecayModel`` could refuse (an underflowed timescale, say).  An
+    overflowed exponent gives the fully decayed limit, 0; each public
+    caller evaluates the law under one ``np.errstate(over="ignore")``."""
     return amplitude * np.exp(-(t / t1_dd_s) ** beta - t / t1_ph_s)
 
 
@@ -143,5 +145,7 @@ def decay_signal(t_s, m: DecayModel):
     t = np.asarray(t_s, dtype=float)
     if not np.all((0.0 <= t) & (t < np.inf)):
         raise ValueError("t_s must be finite and >= 0")
-    out = _decay_law(t.ravel(), m.t1_dd_s, m.t1_ph_s, m.amplitude, m.beta)
+    with np.errstate(over="ignore"):    # an overflowed exponent gives 0
+        out = _decay_law(t.ravel(), m.t1_dd_s, m.t1_ph_s, m.amplitude,
+                         m.beta)
     return out.reshape(t.shape) if t.ndim else float(out[0])

@@ -69,7 +69,10 @@ def write_csv(path, names: list[str], columns, subcommand: str,
 
     Columns may be numeric or strings; ``extra_comments`` lines are
     appended to the provenance block (without the leading ``#``).
-    A non-finite number raises ``ValueError`` before the file is opened.
+    A non-finite number, or a float column whose largest magnitude
+    prints at ``FLOAT_FMT`` as text that reads back as inf (DBL_MAX
+    prints as 1.797693135e+308), raises ``ValueError`` before the file
+    is opened.
     """
     cols = [np.atleast_1d(np.asarray(c)) for c in columns]
     if len(cols) != len(names):
@@ -80,6 +83,12 @@ def write_csv(path, names: list[str], columns, subcommand: str,
     for name, c in zip(names, cols):
         if not _all_finite(c):
             raise ValueError(f"column {name!r} holds a non-finite value")
+        if c.dtype.kind == "f" and n:
+            top = max(c.max(), -c.min())
+            text = FLOAT_FMT % top
+            if math.isinf(float(text)):
+                raise ValueError(f"column {name!r} holds {top:g}, which "
+                                 f"prints as {text} and reads back as inf")
 
     row = ",".join("%s" if c.dtype.kind in "USO" else FLOAT_FMT
                    for c in cols) + "\n"

@@ -536,8 +536,13 @@ def _extreme_runs():
     # flag pairs whose product, sum or quotient overflows: the noise
     # times the root of the time, a probe frequency in MHz, the peak of
     # two narrow lines, the offset of two far centers, and the summed
-    # width of two Lorentzians
-    runs = [pytest.param(argv, flag, value, id=" ".join(argv))
+    # width of two Lorentzians; then the ends of the float range: a
+    # timescale whose quotient overflows, a ramp of repeated denormals,
+    # and cells that print at ten digits as text that reads back as inf
+    top, tiny = sys.float_info.max, 5e-324
+    curve = str(GOLDEN_DIR / "decay_curve.csv")
+    runs = [pytest.param(argv, flag, value,
+                         id=" ".join(argv).replace(curve, "decay_curve.csv"))
             for argv, flag, value in [
                 (["sensitivity", "--sigma-b-t=1e+300", "--tau-lp-s=1e+300"],
                  "--tau-lp-s", 1e300),
@@ -551,7 +556,30 @@ def _extreme_runs():
                  "--center2-mhz", 1e308),
                 (["overlap", "--shape1=lorentzian", "--shape2=lorentzian",
                   "--width1-mhz=1e+308", "--width2-mhz=1e+308"],
-                 "--width2-mhz", 1e308)]]
+                 "--width2-mhz", 1e308),
+                (["decay-sim", f"--t1dd-s={tiny!r}"], "--t1dd-s", tiny),
+                (["decay-sim", f"--t1ph-s={tiny!r}"], "--t1ph-s", tiny),
+                (["fit-t1", "--input", curve, f"--fix-t1ph-s={tiny!r}"],
+                 "--fix-t1ph-s", tiny),
+                (["degeneracy", f"--b-max-gauss={tiny!r}"],
+                 "--b-max-gauss", tiny),
+                (["degeneracy", f"--b-max-gauss={tiny!r}", "--b-min-gauss=0.0"],
+                 "--b-max-gauss", tiny),
+                (["degeneracy", f"--b-min-gauss={tiny!r}",
+                  f"--b-max-gauss={2 * tiny!r}"], "--b-max-gauss", 2 * tiny),
+                (["eigen-map", "--n-b=8", "--n-theta=2",
+                  f"--theta-max-rad={top!r}"], "--theta-max-rad", top),
+                (["eigen-map", "--n-b=8", "--n-theta=2",
+                  f"--theta-max-rad={top!r}", f"--theta-min-rad={top / 2!r}"],
+                 "--theta-max-rad", top),
+                (["transverse-scan", "--n-b=8", f"--e-perp-mhz={top!r}"],
+                 "--e-perp-mhz", top),
+                (["spectrum", "--n-freq=9", f"--f-min-ghz={top / 2!r}",
+                  f"--f-max-ghz={top!r}"], "--f-max-ghz", top),
+                (["overlap", "--n-dnu=5", f"--dnu-max-mhz={top!r}"],
+                 "--dnu-max-mhz", top),
+                (["overlap", "--n-dnu=5", f"--dnu-max-mhz={top!r}",
+                  f"--dnu-min-mhz={top / 2!r}"], "--dnu-max-mhz", top)]]
     for command, spec in _SUBCOMMANDS.items():
         flags = {names[0]: kw for names, kw in spec.flags}
         base = [command, *(f"{f}={n}" for f, n in small.items() if f in flags)]

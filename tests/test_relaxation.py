@@ -176,6 +176,15 @@ def test_decay_signal_reference_value():
         pytest.approx(np.exp(-1.0 - 1.0 / 6.0), abs=1e-15)
 
 
+@pytest.mark.parametrize("model", [DecayModel(t1_dd_s=5e-324),
+                                   DecayModel(t1_dd_s=1e-3, t1_ph_s=5e-324)])
+def test_overflowed_exponent_is_fully_decayed(model):
+    # t / 5e-324 overflows: the limit 0, and no warning (an error here)
+    tau = np.array([0.0, 1e-5, 1.0])
+    np.testing.assert_array_equal(decay_signal(tau, model), [1.0, 0.0, 0.0])
+    assert decay_signal(1.0, model) == 0.0
+
+
 @pytest.mark.parametrize("t1_dd", [0.6e-3, 2e-3, 0.3])
 def test_one_law_keeps_the_bits_of_both_forms(t1_dd):
     # the two forms the decay law replaced, written out: numpy computes

@@ -84,6 +84,21 @@ def test_writers_refuse_non_finite_values(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("top", [np.finfo(float).max, 1.7976931345e308])
+def test_write_csv_refuses_a_cell_that_reads_back_as_inf(tmp_path, top):
+    # both print as 1.797693135e+308, which float() reads as inf; the
+    # largest magnitude is found on either sign
+    path = tmp_path / "bad.csv"
+    for col in (np.array([1.0, top]), np.array([-top, 0.0])):
+        with pytest.raises(ValueError, match="'x' holds 1.79769e[+]308"):
+            write_csv(path, ["i", "x"], [np.arange(2), col], "demo", {})
+        assert not path.exists()
+    # one step below at ten digits reads back finite and is written
+    edge = float("1.797693134e308")
+    write_csv(path, ["x"], [np.array([-edge, 0.0])], "demo", {})
+    assert path.read_text().endswith("\nx\n-1.797693134e+308\n0\n")
+
+
 def test_write_json_meta(tmp_path):
     path = tmp_path / "out.json"
     write_json(path, {"answer": 42.0}, "demo", {"seed": 7})
