@@ -223,17 +223,20 @@ def _magnetic_average(czz: float) -> float:
     gamma, spread = np.arccos(czz), np.arccos((czz - 2.0) / 3.0)
     lo, hi = np.sort(np.mod(0.5 * (gamma + np.array([-spread, spread])),
                             np.pi))
-    phi, w_phi = _graded(_MAGNETIC_NODES, [lo, hi], [hi, lo + np.pi])
     t, w_t = _graded(_MAGNETIC_NODES, 0.0, 1.0)
-    # u = sin(theta)(cos(phi) z1 + sin(phi) e2) + t e3 with e2 = [100]
-    # and e3 = [010]: the magnitude is even in t and pi-periodic in phi
-    st, phi = np.sqrt(1.0 - t * t)[:, None], phi.ravel()[None, :]
-    u = np.stack(np.broadcast_arrays(st * np.sin(phi), t[:, None],
-                                     st * np.cos(phi)), axis=-1)
-    w = (w_t[:, None] * w_phi.ravel()[None, :]).ravel() / np.pi
-    return float(flip_flop_amplitude(
-        PairGeometry(u.reshape(-1, 3), *_pair_frames(czz)),
-        BasisChoice.MAGNETIC) @ w)
+    st, t = np.sqrt(1.0 - t * t)[:, None], t[:, None]
+    frames = _pair_frames(czz)
+    total = 0.0
+    for p_lo, p_hi in ((lo, hi), (hi, lo + np.pi)):
+        phi, w_phi = _graded(_MAGNETIC_NODES, p_lo, p_hi)
+        # u = sin(theta)(cos(phi) z1 + sin(phi) e2) + t e3 with e2 = [100]
+        # and e3 = [010]: the magnitude is even in t and pi-periodic in phi
+        u = np.stack(np.broadcast_arrays(st * np.sin(phi), t,
+                                         st * np.cos(phi)), axis=-1)
+        total += float(flip_flop_amplitude(
+            PairGeometry(u.reshape(-1, 3), *frames),
+            BasisChoice.MAGNETIC) @ np.outer(w_t, w_phi).ravel())
+    return total / np.pi
 
 
 def _random_average(czz: float) -> float:
@@ -248,6 +251,16 @@ def _random_average(czz: float) -> float:
     return float(np.mean(m))
 
 
+def _aligned_cosines(alpha, chi, q_alpha, gamma) -> np.ndarray:
+    """c on the (alpha, chi) nodes of one band, clipped and flattened."""
+    cc, sc = np.cos(chi) ** 2, np.sin(chi) ** 2
+    # 1 - a^2 and 1 - b^2 as sums: no cancellation near z1, z2
+    c = (1.0 - sc * q_alpha[:, None]) / np.sqrt(
+        (cc + sc * np.sin(alpha)[:, None] ** 2)
+        * (cc + sc * np.sin(alpha - gamma)[:, None] ** 2))
+    return np.clip(c, -1.0, 1.0).ravel()
+
+
 def _aligned_average(czz: float) -> float:
     """ALIGNED mode: K at the cosine of the in-plane axes that a shared
     field direction F, uniform over the sphere, projects onto both
@@ -255,23 +268,20 @@ def _aligned_average(czz: float) -> float:
     gamma = np.arccos(czz)
     total = 0.0
     for a_lo, a_hi in ((0.0, gamma), (gamma, np.pi)):
+        if a_hi == a_lo:    # the same axis: no panel between z1 and z2
+            continue
         alpha, w_alpha = _graded(_ALIGNED_NODES, a_lo, a_hi)
-        q = 1.0 + 0.5 * czz * (np.cos(2.0 * alpha - gamma) - czz)
+        q_alpha = 1.0 + 0.5 * czz * (np.cos(2.0 * alpha - gamma) - czz)
         # Q >= 1 between z1 and z2, where chi splits at the cusp c = 0,
         # and Q <= 1 on the rest of [0, pi)
-        cusp = np.arcsin(1.0 / np.sqrt(np.maximum(q, 1.0)))
+        cusp = np.arcsin(1.0 / np.sqrt(np.maximum(q_alpha, 1.0)))
         bands = ((0.0, cusp), (cusp, 0.5 * np.pi)) if a_lo == 0.0 \
             else ((0.0, 0.5 * np.pi),)
         for c_lo, c_hi in bands:
             chi, w_chi = _graded(_ALIGNED_NODES, c_lo, c_hi)
-            sin_chi = np.sin(chi)
-            cc, sc = np.cos(chi) ** 2, sin_chi ** 2
-            # 1 - a^2 and 1 - b^2 as sums: no cancellation near z1, z2
-            c = (1.0 - sc * q[:, None]) / np.sqrt(
-                (cc + sc * np.sin(alpha)[:, None] ** 2)
-                * (cc + sc * np.sin(alpha - gamma)[:, None] ** 2))
-            k = _pair_kernel_batch(np.clip(c, -1.0, 1.0).ravel())
-            total += float(k @ (sin_chi * w_chi * w_alpha[:, None]).ravel())
+            w = w_chi * np.sin(chi) * w_alpha[:, None]
+            k = _pair_kernel_batch(_aligned_cosines(alpha, chi, q_alpha, gamma))
+            total += float(k @ w.ravel())
     return total / np.pi
 
 
