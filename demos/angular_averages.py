@@ -12,8 +12,7 @@ Run:  python3 demos/angular_averages.py
 
 import numpy as np
 
-from nvcr import (EtaScenario, BasisChoice, ZAngle, eta_bar, eta_table,
-                  multiplier_table)
+from nvcr import BasisChoice, ZAngle, eta_bar, eta_table, multiplier_table
 from nvcr.eta_average import ETA_PREFACTOR
 
 table = eta_table()
@@ -30,14 +29,14 @@ print("\nclosed forms: 2/(3 sqrt 3) = %.6f, 4/(3 sqrt 3) = %.6f"
 # with the 1/4 population weight and sqrt(1/3) bandwidth factor
 print("\nweighted couplings eta_bar (magnetic basis):")
 for z in ZAngle:
-    val = eta_bar(EtaScenario(BasisChoice.MAGNETIC, z))
+    val = eta_bar(BasisChoice.MAGNETIC, z)
     print("  %-6s %.4e" % (z.value, val))
 print("  prefactor 1/4 * sqrt(1/3) = %.6f" % ETA_PREFACTOR)
 
 mult = multiplier_table()
-print("\nrate multipliers per field configuration (RANDOM_DIRECTION = 1):")
+print("\nrate multipliers per field configuration (RANDOM = 1):")
 for name, value in mult.items():
     print("  %-20s %6.2f" % (name, value))
-ratio = mult["ZERO_FIELD_ELECTRIC"] / mult["AXIS_100"]
+ratio = mult["ZERO_FIELD"] / mult["AXIS_100"]
 print("zero-field exceeds the best magnetic alignment by %.0f%%"
       % (100.0 * (ratio - 1.0)))

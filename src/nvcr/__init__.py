@@ -21,25 +21,22 @@ _SUBMODULES = {
     "geometry": ("CLASS_AXES", "NVClassFrame", "PairGeometry", "class_frame",
                  "tilted_field_direction"),
     # single-center model
-    "spin_model": ("FieldConfiguration", "SpinEigensystem", "spin_matrices",
-                   "zero_field_states", "build_hamiltonian", "diagonalize",
-                   "eigenstate_map", "transverse_field_scan"),
+    "spin_model": ("FieldConfiguration", "spin_matrices", "zero_field_states",
+                   "build_hamiltonian", "diagonalize", "eigenstate_map",
+                   "transverse_field_scan"),
     # pair coupling
-    "dipolar": ("BasisChoice", "DipolarCoefficients", "dipolar_coefficients",
-                "flip_flop_amplitude", "double_flip_amplitude"),
+    "dipolar": ("BasisChoice", "dipolar_coefficients", "flip_flop_amplitude",
+                "double_flip_amplitude"),
     # angular averages
-    "eta_average": ("ZAngle", "XMode", "EtaScenario",
-                    "FieldOrientationScenario", "scenario_frames",
-                    "pair_average", "angular_average", "eta_bar",
-                    "eta_table", "scenario_multiplier", "multiplier_table"),
+    "eta_average": ("ZAngle", "XMode", "scenario_frames", "pair_average",
+                    "eta_bar", "eta_table", "multiplier_table"),
     "relaxation": ("FluctuatorParams", "DecayModel", "characteristic_rate",
                    "rate_density", "polarization", "decay_signal"),
     "analysis": ("DecayCurve", "FitResult", "FitError", "LineShape",
                  "LineProfile", "fit_decay", "fit_beta", "spectral_overlap",
                  "sensitivity"),
     # spectra
-    "odmr": ("DegeneracyReport", "all_transitions", "degeneracy_lift",
-             "synth_spectrum"),
+    "odmr": ("all_transitions", "degeneracy_lift", "synth_spectrum"),
 }
 _EXPORTS = {name: module for module, names in _SUBMODULES.items()
             for name in names}

@@ -39,12 +39,6 @@ from .version import TOOL_NAME, __version__
 
 __all__ = ["main"]
 
-_SCENARIO_ORDER = ("RANDOM_DIRECTION", "PLANE_100", "PLANE_110",
-                   "AXIS_111", "AXIS_100", "ZERO_FIELD_ELECTRIC")
-_SCENARIO_DISPLAY = {"RANDOM_DIRECTION": "RANDOM",
-                     "ZERO_FIELD_ELECTRIC": "ZERO_FIELD"}
-
-
 class UsageError(Exception):
     """Bad argument combination; exits with status 2."""
 
@@ -131,14 +125,30 @@ def _fit_payload(res: FitResult) -> dict:
             "converged": res.converged, "iterations": res.iterations}
 
 
+def _ramp_points(args, x: str, unit: str, n: int,
+                 log: bool = False) -> np.ndarray:
+    """The ``n`` points of the ``--{x}-min-{unit}`` .. ``--{x}-max-{unit}``
+    ramp, geometric when ``log``; a ramp whose points leave the float
+    range is refused, naming both flags and values."""
+    flags = [f"--{x}-{end}-{unit}" for end in ("min", "max")]
+    lo, hi = (getattr(args, f[2:].replace("-", "_")) for f in flags)
+    # a span past DBL_MAX makes inf - inf and 0 * inf points: refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = (np.geomspace if log else np.linspace)(lo, hi, n)
+    if not np.all(np.isfinite(points)):
+        raise ValueError(f"the ramp from {flags[0]}={lo:g} to "
+                         f"{flags[1]}={hi:g} leaves the float range")
+    return points
+
+
 # subcommand runners: each returns a record dict or a _Columns table
 
 
 def _cmd_eigen_map(args) -> _Columns:
     # both scans live in the class's own frame: every class gives these rows
     frame = class_frame(0)
-    b = np.linspace(args.b_min_gauss, args.b_max_gauss, args.n_b)
-    th = np.linspace(args.theta_min_rad, args.theta_max_rad, args.n_theta)
+    b = _ramp_points(args, "b", "gauss", args.n_b)
+    th = _ramp_points(args, "theta", "rad", args.n_theta)
     o_p1, o_plus = eigenstate_map(frame, b, th, args.e_perp_mhz)
     return _Columns(["B_gauss", "theta_rad", "overlap_e_p1",
                      "overlap_e_plus"],
@@ -148,7 +158,7 @@ def _cmd_eigen_map(args) -> _Columns:
 
 def _cmd_transverse_scan(args) -> _Columns:
     frame = class_frame(0)
-    b = np.linspace(args.b_min_gauss, args.b_max_gauss, args.n_b)
+    b = _ramp_points(args, "b", "gauss", args.n_b)
     energies, dnu, matching = transverse_field_scan(frame, b, args.e_perp_mhz)
     return _Columns(["B_gauss", "e_g_GHz", "e_d_GHz", "e_e_GHz", "dnu_MHz",
                      "overlap_e_plus"],
@@ -167,21 +177,20 @@ def _cmd_eta_table(args) -> _Columns:
 
 def _cmd_multipliers(args) -> _Columns:
     table = multiplier_table()
-    names = [_SCENARIO_DISPLAY.get(n, n) for n in _SCENARIO_ORDER]
-    values = np.array([table[n] for n in _SCENARIO_ORDER])
     return _Columns(["scenario", "multiplier"],
-                    [np.array(names, dtype=object), values])
+                    [np.array(list(table), dtype=object),
+                     np.array(list(table.values()))])
 
 
 def _cmd_transitions(args) -> _Columns:
-    b = np.linspace(args.b_min_gauss, args.b_max_gauss, args.n_b)
+    b = _ramp_points(args, "b", "gauss", args.n_b)
     freqs = all_transitions(args.direction, b, args.e_perp_mhz)
     return _Columns(["B_gauss"] + [f"nu{k}_GHz" for k in range(1, 9)],
                     [b] + [freqs[:, k] for k in range(8)])
 
 
 def _cmd_degeneracy(args) -> _Columns:
-    b = np.linspace(args.b_min_gauss, args.b_max_gauss, args.n_b)
+    b = _ramp_points(args, "b", "gauss", args.n_b)
     rep = degeneracy_lift(args.direction, b, args.cr_range_mhz,
                           args.e_perp_mhz)
     names = ["B_gauss"] + [f"dnu_pair{k + 1}_MHz"
@@ -207,7 +216,7 @@ def _cmd_spectrum(args) -> _Columns:
     if (args.f_min_ghz is None) != (args.f_max_ghz is None):
         raise UsageError("--f-min-ghz and --f-max-ghz go together")
     freq = None if args.f_min_ghz is None else \
-        np.linspace(args.f_min_ghz, args.f_max_ghz, args.n_freq)
+        _ramp_points(args, "f", "ghz", args.n_freq)
     freq, pl = synth_spectrum(lines, profile, args.contrast, freq,
                               n_freq=args.n_freq)
     return _Columns(["freq_GHz", "pl_norm"], [freq, pl])
@@ -217,10 +226,7 @@ def _cmd_decay_sim(args) -> _Columns:
     t1ph = np.inf if args.t1ph_s is None else args.t1ph_s
     model = DecayModel(t1_dd_s=args.t1dd_s, t1_ph_s=t1ph,
                        amplitude=args.amplitude, beta=args.beta)
-    if args.log_spacing:
-        tau = np.geomspace(args.tau_min_s, args.tau_max_s, args.n_tau)
-    else:
-        tau = np.linspace(args.tau_min_s, args.tau_max_s, args.n_tau)
+    tau = _ramp_points(args, "tau", "s", args.n_tau, args.log_spacing)
     sig = decay_signal(tau, model)
     return _Columns(["tau_s", "signal"], [tau, sig])
 
@@ -240,7 +246,7 @@ def _cmd_overlap(args) -> _Columns:
                      center_mhz=args.center1_mhz)
     p2 = LineProfile(shape=LineShape(args.shape2), width_mhz=args.width2_mhz,
                      center_mhz=args.center2_mhz)
-    dnu = np.linspace(args.dnu_min_mhz, args.dnu_max_mhz, args.n_dnu)
+    dnu = _ramp_points(args, "dnu", "mhz", args.n_dnu)
     return _Columns(["dnu_MHz", "overlap_per_MHz"],
                     [dnu, spectral_overlap(p1, p2, dnu)])
 

@@ -50,7 +50,6 @@ from .geometry import PairGeometry
 
 __all__ = [
     "BasisChoice",
-    "DipolarCoefficients",
     "dipolar_coefficients",
     "flip_flop_amplitude",
     "double_flip_amplitude",

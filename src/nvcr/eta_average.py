@@ -11,6 +11,18 @@ or does not contribute at all.
 All averages are reported normalized as A = eta_bar / (1/4 * sqrt(1/3)),
 the convention of the coupling table; ``eta_bar`` applies the prefactor.
 
+Each applied-field scenario of ``multiplier_table`` resonates n_same,
+n_close and n_far class pairs in one basis, and its rate multiplier is
+(sum n_i A_i / A_same,magnetic)^2, summed in that order:
+
+    RANDOM      magnetic     1 0 0   generic direction, one class
+    PLANE_100   magnetic     1 1 0
+    PLANE_110   magnetic     1 0 1
+    AXIS_111    magnetic     1 0 2
+    AXIS_100    magnetic     1 2 1   all four classes resonant
+    ZERO_FIELD  nonmagnetic  1 3 0   in-plane axes from uncorrelated
+                                     local electric fields (RANDOM mode)
+
 Quadrature: each average is one fixed rule that depends only on the
 basis, the mode and czz = z1.z2, with gamma = arccos czz.  In the
 zero-field basis the sphere average for a fixed pair of in-plane axes
@@ -55,7 +67,6 @@ recurrence, with no eigenvalue solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
@@ -67,13 +78,9 @@ from .geometry import NVClassFrame, PairGeometry
 __all__ = [
     "ZAngle",
     "XMode",
-    "FieldOrientationScenario",
-    "EtaScenario",
     "scenario_frames",
     "pair_average",
-    "angular_average",
     "eta_bar",
-    "scenario_multiplier",
     "eta_table",
     "multiplier_table",
 ]
@@ -96,25 +103,6 @@ class XMode(Enum):
     """How the two in-plane reference axes relate."""
     ALIGNED = "aligned"   # both x axes from one shared field direction
     RANDOM = "random"     # independent uniform azimuths, averaged
-
-
-class FieldOrientationScenario(Enum):
-    """Applied-field configurations and their resonant class sets."""
-    RANDOM_DIRECTION = "random_direction"
-    PLANE_110 = "plane_110"
-    PLANE_100 = "plane_100"
-    AXIS_111 = "axis_111"
-    AXIS_100 = "axis_100"
-    ZERO_FIELD_ELECTRIC = "zero_field_electric"
-
-
-@dataclass(frozen=True)
-class EtaScenario:
-    """One angular-average specification."""
-
-    basis: BasisChoice
-    z_angle: ZAngle
-    x_mode: XMode = XMode.RANDOM
 
 
 _KERNEL_NODES = 32    # Gauss-Legendre nodes below the kink of the pair kernel
@@ -308,82 +296,26 @@ def pair_average(frame1: NVClassFrame, frame2: NVClassFrame,
     return _random_average(czz)
 
 
-def angular_average(s: EtaScenario) -> float:
-    """Normalized average A = eta_bar / (1/4 sqrt(1/3)) for one scenario.
+def eta_bar(basis: BasisChoice, z_angle: ZAngle,
+            x_mode: XMode = XMode.RANDOM) -> float:
+    """Average coupling of one axis class including the population and
+    bandwidth prefactor; in the magnetic basis ``x_mode`` plays no part
+    (the flip-flop magnitude is invariant under in-plane axis rotations)."""
+    return ETA_PREFACTOR * pair_average(*scenario_frames(z_angle), basis,
+                                        x_mode)
 
-    In the magnetic basis the result does not depend on x_mode (the
-    flip-flop magnitude is invariant under in-plane axis rotations).
+
+def _row(basis: BasisChoice, x_mode: XMode = XMode.RANDOM) -> list[float]:
+    """The [same, close, far] averages of one basis and mode.
+
+    In the zero-field basis far reuses close: K is even and z2 -> -z2
+    leaves both in-plane axis sets unchanged, so the two are one integral.
     """
-    f1, f2 = scenario_frames(s.z_angle)
-    return pair_average(f1, f2, s.basis, s.x_mode)
-
-
-def eta_bar(s: EtaScenario) -> float:
-    """Average coupling including the population and bandwidth prefactor."""
-    return ETA_PREFACTOR * angular_average(s)
-
-
-# resonant class-pair composition per applied-field configuration: each
-# term is (z_angle, count); basis/x_mode depend on the configuration
-_MAGNETIC_COMPOSITION = {
-    FieldOrientationScenario.RANDOM_DIRECTION: [(ZAngle.SAME, 1)],
-    FieldOrientationScenario.PLANE_110: [(ZAngle.SAME, 1), (ZAngle.FAR, 1)],
-    FieldOrientationScenario.PLANE_100: [(ZAngle.SAME, 1), (ZAngle.CLOSE, 1)],
-    FieldOrientationScenario.AXIS_111: [(ZAngle.SAME, 1), (ZAngle.FAR, 2)],
-    FieldOrientationScenario.AXIS_100: [(ZAngle.SAME, 1), (ZAngle.CLOSE, 2),
-                                        (ZAngle.FAR, 1)],
-}
-
-
-def _memoized_average():
-    """angular_average keyed by (basis, z_angle, x_mode).
-
-    The dict lives only as long as the returned function, so a table
-    evaluates each distinct average once per call and nothing is kept
-    between calls.  A zero-field-basis FAR request reuses CLOSE: K is
-    even and z2 -> -z2 leaves both in-plane axis sets unchanged, so the
-    two are one integral.
-    """
-    cache = {}
-
-    def average(basis: BasisChoice, z_angle: ZAngle,
-                x_mode: XMode = XMode.RANDOM) -> float:
-        if basis is BasisChoice.NONMAGNETIC and z_angle is ZAngle.FAR:
-            z_angle = ZAngle.CLOSE
-        key = (basis, z_angle, x_mode)
-        if key not in cache:
-            cache[key] = angular_average(EtaScenario(basis, z_angle, x_mode))
-        return cache[key]
-
-    return average
-
-
-def _composition_total(fs: FieldOrientationScenario, average) -> float:
-    if fs is FieldOrientationScenario.ZERO_FIELD_ELECTRIC:
-        # all four classes resonant in the zero-field basis; in-plane
-        # axes set by uncorrelated local electric fields
-        same = average(BasisChoice.NONMAGNETIC, ZAngle.SAME)
-        diff = average(BasisChoice.NONMAGNETIC, ZAngle.CLOSE)
-        return same + 3.0 * diff
-    total = 0.0
-    for z_angle, count in _MAGNETIC_COMPOSITION[fs]:
-        total += count * average(BasisChoice.MAGNETIC, z_angle)
-    return total
-
-
-def _multiplier(fs: FieldOrientationScenario, average) -> float:
-    base = average(BasisChoice.MAGNETIC, ZAngle.SAME)
-    return float((_composition_total(fs, average) / base) ** 2)
-
-
-def scenario_multiplier(fs: FieldOrientationScenario) -> float:
-    """Rate multiplier (eta_bar / eta_bar_0)^2 for one field configuration.
-
-    eta_bar_0 is the single-class magnetic-basis average, the rate unit
-    of a generic field direction where only same-class pairs are
-    resonant.
-    """
-    return _multiplier(fs, _memoized_average())
+    row = [pair_average(*scenario_frames(z), basis, x_mode)
+           for z in (ZAngle.SAME, ZAngle.CLOSE)]
+    if basis is BasisChoice.NONMAGNETIC:
+        return row + row[1:]
+    return row + [pair_average(*scenario_frames(ZAngle.FAR), basis, x_mode)]
 
 
 def eta_table() -> dict:
@@ -393,18 +325,40 @@ def eta_table() -> dict:
     axes, nonmagnetic with field-aligned axes.  Columns: same, close,
     far.
     """
-    average = _memoized_average()
-    table = {}
-    for z in ZAngle:
-        table[("magnetic", z.value)] = average(BasisChoice.MAGNETIC, z)
-    for mode in (XMode.RANDOM, XMode.ALIGNED):
-        for z in ZAngle:
-            table[(f"nonmagnetic_{mode.value}", z.value)] = average(
-                BasisChoice.NONMAGNETIC, z, mode)
-    return table
+    rows = {"magnetic": _row(BasisChoice.MAGNETIC),
+            "nonmagnetic_random": _row(BasisChoice.NONMAGNETIC),
+            "nonmagnetic_aligned": _row(BasisChoice.NONMAGNETIC,
+                                        XMode.ALIGNED)}
+    return {(family, z.value): value for family, row in rows.items()
+            for z, value in zip(ZAngle, row)}
+
+
+# scenario -> basis and counts of same, close and far resonant pairs
+# (module docstring)
+_SCENARIOS = {
+    "RANDOM": (BasisChoice.MAGNETIC, (1, 0, 0)),
+    "PLANE_100": (BasisChoice.MAGNETIC, (1, 1, 0)),
+    "PLANE_110": (BasisChoice.MAGNETIC, (1, 0, 1)),
+    "AXIS_111": (BasisChoice.MAGNETIC, (1, 0, 2)),
+    "AXIS_100": (BasisChoice.MAGNETIC, (1, 2, 1)),
+    "ZERO_FIELD": (BasisChoice.NONMAGNETIC, (1, 3, 0)),
+}
 
 
 def multiplier_table() -> dict:
-    """Rate multiplier per field-orientation scenario."""
-    average = _memoized_average()
-    return {fs.name: _multiplier(fs, average) for fs in FieldOrientationScenario}
+    """Rate multiplier (eta_bar / eta_bar_0)^2 per field scenario.
+
+    eta_bar_0 is the single-class magnetic-basis average, the rate unit
+    of a generic field direction where only same-class pairs are
+    resonant.
+    """
+    rows = {basis: _row(basis) for basis in BasisChoice}
+    base = rows[BasisChoice.MAGNETIC][0]
+    table = {}
+    for name, (basis, counts) in _SCENARIOS.items():
+        total = 0.0
+        # in order: sum() compensates its float additions since Python 3.12
+        for n, value in zip(counts, rows[basis]):
+            total += n * value
+        table[name] = (total / base) ** 2
+    return table

@@ -22,7 +22,6 @@ from .geometry import (CLASS_AXES, as_unit, class_frame,
 from .spin_model import _solve_fields
 
 __all__ = [
-    "DegeneracyReport",
     "all_transitions",
     "degeneracy_lift",
     "synth_spectrum",

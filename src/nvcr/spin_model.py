@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import D_GHZ, GAMMA_E_MHZ_PER_G
-from .geometry import NVClassFrame, as_unit
+from .geometry import NVClassFrame
 
 __all__ = [
     "FieldConfiguration",
-    "SpinEigensystem",
     "spin_matrices",
     "zero_field_states",
     "build_hamiltonian",
@@ -141,7 +140,17 @@ def build_hamiltonian(cls: NVClassFrame, f: FieldConfiguration) -> np.ndarray:
     here.
     """
     # products summed along the last axis: the same bits in any stack shape
-    b = (f.b_gauss[..., None, :] * [cls.x_hat, cls.y_hat, cls.z_hat]).sum(-1)
+    with np.errstate(over="ignore"):
+        b = (f.b_gauss[..., None, :] * [cls.x_hat, cls.y_hat, cls.z_hat]).sum(-1)
+    if not np.all(np.isfinite(b)):
+        # the field's magnitude may itself pass DBL_MAX, so it is summed
+        # in decimal, imported here: it adds ~0.3 MB to every process
+        from decimal import Decimal
+        v = f.b_gauss[~np.all(np.isfinite(b), axis=-1)]
+        v = v[np.abs(v).max(axis=-1).argmax()]
+        size = sum(Decimal(float(c)) ** 2 for c in v).sqrt()
+        raise ValueError(f"a field of {size:.6g} G overflows in its "
+                         "projection onto the class axes")
     bx, by, bz = (b[..., k, None, None] for k in range(3))
     gam = GAMMA_E_MHZ_PER_G * 1e-3  # GHz per Gauss
     h = D_GHZ * _SZ2 + gam * (bx * _SX + by * _SY + bz * _SZ)
@@ -258,7 +267,7 @@ def eigenstate_map(cls: NVClassFrame, b_amplitude_gauss, theta_rad,
 
 def transverse_field_scan(cls: NVClassFrame, b_perp_gauss, e_perp_mhz: float):
     """Eigenstructure versus a purely transverse magnetic field along the
-    frame's x axis.
+    frame's x axis, the electric azimuth phi_E = 0.
 
     Parameters
     ----------
@@ -272,23 +281,25 @@ def transverse_field_scan(cls: NVClassFrame, b_perp_gauss, e_perp_mhz: float):
     dnu_mhz : (n,) ndarray
         d/e splitting nu_+ - nu_- in MHz.
     matching : (n,) ndarray
-        |<e|+>|^2 per amplitude, |+> taken at the scan's electric
-        azimuth.  It includes the second-order admixture of |0>: with
-        the field along the electric azimuth, |-> stays an exact
-        eigenstate and |e> lies in the {|0>, |+>} block, so
+        |<e|+>|^2 per amplitude, |+> taken at phi_E = 0.  It includes
+        the second-order admixture of |0>: with the field along the
+        electric azimuth, |-> stays an exact eigenstate and |e> lies in
+        the {|0>, |+>} block, so
         matching = (1 + s/sqrt(s^2 + 4 (gamma_e B)^2))/2 with s = D + eps.
     """
     b_perp_gauss = np.atleast_1d(np.asarray(b_perp_gauss, dtype=float))
-    direction = as_unit(cls.x_hat)
-    # keep the electric field along the scan direction so the d/e
-    # splitting adds up coherently at all amplitudes
-    phi_e = float(np.arctan2(direction @ cls.y_hat, direction @ cls.x_hat))
-    ref = zero_field_states(phi_e)[2]
-    b = b_perp_gauss[:, None] * direction
+    ref = zero_field_states(0.0)[2]
+    b = b_perp_gauss[:, None] * cls.x_hat
     energies, matching = np.empty((len(b), 3)), np.empty(len(b))
-    for s, es in _solve_fields(cls, b, e_perp_mhz=e_perp_mhz, phi_e_rad=phi_e):
+    for s, es in _solve_fields(cls, b, e_perp_mhz=e_perp_mhz):
         energies[s] = es.energies_ghz
         # a row sum, not a matrix-vector product, whose BLAS kernel
         # rounds differently with the number of rows
         matching[s] = np.abs((es.e.conj() * ref).sum(-1)) ** 2
-    return energies, (energies[:, 2] - energies[:, 1]) * 1e3, matching
+    with np.errstate(over="ignore"):
+        dnu = (energies[:, 2] - energies[:, 1]) * 1e3
+    if not np.all(np.isfinite(dnu)):
+        raise ValueError(
+            "the d/e splitting overflows in MHz at a transverse field of "
+            f"{b_perp_gauss[~np.isfinite(dnu)].max():g} G")
+    return energies, dnu, matching

@@ -528,7 +528,7 @@ def test_fieldless_commands_exit_0_finite_or_1_without_file(argv, tmp_path,
 
 def _extreme_runs():
     """(argv, flag, value) for every float flag of the subcommand table
-    at 1e300 and at 1e-300 where its parser admits the value: the flag
+    at 1e300, 1e-300 and DBL_MAX where its parser admits the value: the flag
     alone, and a --X-min-Y or --X-max-Y also with its partner set so that
     the range holds.  Grids are small; an --input is the golden curve."""
     small = {"--n-b": "8", "--n-theta": "2", "--n-freq": "9",
@@ -538,7 +538,8 @@ def _extreme_runs():
     # two narrow lines, the offset of two far centers, and the summed
     # width of two Lorentzians; then the ends of the float range: a
     # timescale whose quotient overflows, a ramp of repeated denormals,
-    # and cells that print at ten digits as text that reads back as inf
+    # cells that print at ten digits as text that reads back as inf, and
+    # a ramp whose span passes DBL_MAX
     top, tiny = sys.float_info.max, 5e-324
     curve = str(GOLDEN_DIR / "decay_curve.csv")
     runs = [pytest.param(argv, flag, value,
@@ -579,7 +580,9 @@ def _extreme_runs():
                 (["overlap", "--n-dnu=5", f"--dnu-max-mhz={top!r}"],
                  "--dnu-max-mhz", top),
                 (["overlap", "--n-dnu=5", f"--dnu-max-mhz={top!r}",
-                  f"--dnu-min-mhz={top / 2!r}"], "--dnu-max-mhz", top)]]
+                  f"--dnu-min-mhz={top / 2!r}"], "--dnu-max-mhz", top),
+                (["overlap", "--n-dnu=5", f"--dnu-max-mhz={top!r}",
+                  f"--dnu-min-mhz={-top!r}"], "--dnu-max-mhz", top)]]
     for command, spec in _SUBCOMMANDS.items():
         flags = {names[0]: kw for names, kw in spec.flags}
         base = [command, *(f"{f}={n}" for f, n in small.items() if f in flags)]
@@ -589,7 +592,7 @@ def _extreme_runs():
             kind = kw.get("type")
             if not (isinstance(kind, _Number) and kind.cast is float):
                 continue
-            for value in (1e300, 1e-300):
+            for value in (1e300, 1e-300, sys.float_info.max):
                 try:
                     kind(repr(value))
                 except argparse.ArgumentTypeError:

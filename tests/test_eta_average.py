@@ -6,15 +6,11 @@ from scipy import integrate
 
 from nvcr import (
     BasisChoice,
-    EtaScenario,
-    FieldOrientationScenario,
     XMode,
     ZAngle,
-    angular_average,
     eta_bar,
     pair_average,
     scenario_frames,
-    scenario_multiplier,
 )
 from nvcr import eta_average
 from nvcr.eta_average import (ETA_PREFACTOR, _gl_nodes, _graded,
@@ -53,20 +49,19 @@ def test_scenario_frames_geometry():
 
 
 def test_same_class_closed_form():
-    value = angular_average(EtaScenario(BasisChoice.MAGNETIC, ZAngle.SAME))
+    value = pair_average(*scenario_frames(ZAngle.SAME), BasisChoice.MAGNETIC,
+                         XMode.RANDOM)
     assert value == pytest.approx(2.0 / (3.0 * np.sqrt(3.0)), abs=1e-12)
 
 
 def test_eta_bar_same_is_one_eighteenth():
-    value = eta_bar(EtaScenario(BasisChoice.MAGNETIC, ZAngle.SAME))
+    value = eta_bar(BasisChoice.MAGNETIC, ZAngle.SAME)
     assert value == pytest.approx(1.0 / 18.0, abs=1e-12)
 
 
 def test_nonmagnetic_close_equals_far():
-    close = angular_average(
-        EtaScenario(BasisChoice.NONMAGNETIC, ZAngle.CLOSE, XMode.RANDOM))
-    far = angular_average(
-        EtaScenario(BasisChoice.NONMAGNETIC, ZAngle.FAR, XMode.RANDOM))
+    close, far = (pair_average(*scenario_frames(z), BasisChoice.NONMAGNETIC,
+                               XMode.RANDOM) for z in (ZAngle.CLOSE, ZAngle.FAR))
     # R depends on czz^2 only, so the two are one integral
     assert close == far
 
@@ -81,11 +76,11 @@ def test_aligned_mode_interpretations():
 
 def test_magnetic_mode_free():
     # flip-flop magnitudes carry no in-plane axis dependence
+    f1, f2 = scenario_frames(ZAngle.CLOSE)
+    base = pair_average(f1, f2, BasisChoice.MAGNETIC, XMode.RANDOM)
     for mode in (XMode.RANDOM, XMode.ALIGNED):
-        value = angular_average(
-            EtaScenario(BasisChoice.MAGNETIC, ZAngle.CLOSE, mode))
-        assert value == pytest.approx(
-            angular_average(EtaScenario(BasisChoice.MAGNETIC, ZAngle.CLOSE)), abs=1e-12)
+        value = pair_average(f1, f2, BasisChoice.MAGNETIC, mode)
+        assert value == pytest.approx(base, abs=1e-12)
 
 
 @pytest.mark.parametrize("mode", [XMode.RANDOM, XMode.ALIGNED])
@@ -102,27 +97,23 @@ def test_frame_invariance_nonmagnetic(mode):
 
 
 def test_random_direction_multiplier_is_unity():
-    assert scenario_multiplier(FieldOrientationScenario.RANDOM_DIRECTION,
-                               ) == pytest.approx(1.0, abs=1e-12)
+    assert multiplier_table()["RANDOM"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_axis_100_composition():
-    same = angular_average(EtaScenario(BasisChoice.MAGNETIC, ZAngle.SAME))
-    close = angular_average(EtaScenario(BasisChoice.MAGNETIC, ZAngle.CLOSE))
-    far = angular_average(EtaScenario(BasisChoice.MAGNETIC, ZAngle.FAR))
+    a = eta_table()
+    same, close, far = (a[("magnetic", z)] for z in ("same", "close", "far"))
     expected = ((same + 2.0 * close + far) / same) ** 2
-    assert scenario_multiplier(FieldOrientationScenario.AXIS_100) == \
-        pytest.approx(expected, abs=1e-12)
+    assert multiplier_table()["AXIS_100"] == pytest.approx(expected, abs=1e-12)
 
 
 def test_zero_field_composition():
-    same = angular_average(
-        EtaScenario(BasisChoice.NONMAGNETIC, ZAngle.SAME, XMode.RANDOM))
-    diff = angular_average(
-        EtaScenario(BasisChoice.NONMAGNETIC, ZAngle.CLOSE, XMode.RANDOM))
-    base = angular_average(EtaScenario(BasisChoice.MAGNETIC, ZAngle.SAME))
+    a = eta_table()
+    same = a[("nonmagnetic_random", "same")]
+    diff = a[("nonmagnetic_random", "close")]
+    base = a[("magnetic", "same")]
     expected = ((same + 3.0 * diff) / base) ** 2
-    assert scenario_multiplier(FieldOrientationScenario.ZERO_FIELD_ELECTRIC) == pytest.approx(expected, abs=1e-12)
+    assert multiplier_table()["ZERO_FIELD"] == pytest.approx(expected, abs=1e-12)
 
 
 def _kernel_reference(c: float) -> float:

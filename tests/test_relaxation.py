@@ -7,16 +7,14 @@ from hypothesis import given, strategies as st
 from nvcr import (
     BasisChoice,
     DecayModel,
-    EtaScenario,
-    FieldOrientationScenario,
     FluctuatorParams,
     ZAngle,
     characteristic_rate,
     decay_signal,
     eta_bar,
+    multiplier_table,
     polarization,
     rate_density,
-    scenario_multiplier,
 )
 
 from reference import polarization_from_density
@@ -48,8 +46,8 @@ def test_rate_density_scaling():
 def test_rate_scenario_ratio():
     # composing the rate with the orientation multiplier: the quadruple
     # resonance speeds relaxation up by the full eta-bar-squared factor
-    eta_random = eta_bar(EtaScenario(BasisChoice.MAGNETIC, ZAngle.SAME))
-    multiplier = scenario_multiplier(FieldOrientationScenario.AXIS_100)
+    eta_random = eta_bar(BasisChoice.MAGNETIC, ZAngle.SAME)
+    multiplier = multiplier_table()["AXIS_100"]
     eta_quad = eta_random * np.sqrt(multiplier)
     ratio = characteristic_rate(
         FluctuatorParams(BASE.n_f_per_nm3, BASE.gamma_f_per_s, eta_quad)) / \

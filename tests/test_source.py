@@ -124,3 +124,40 @@ def test_each_export_list_matches_the_package_table():
         exported = _assigned(tree, "__all__")
         assert exported is not None, f"{module} has no __all__"
         assert sorted(exported) == sorted(names), module
+
+
+# where a public name may be read: the package and everything that uses it
+_READERS = [p for d in ("src", "tests", "demos", "bench")
+            for p in sorted((TESTS.parent / d).rglob("*.py"))]
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name ``tree`` loads, directly or as an attribute."""
+    return {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | \
+        {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def _unread_exports(table: dict, readers, package: Path = SRC) -> list[str]:
+    """The names of ``table`` (module -> exports) that no reader file
+    loads outside their own module and ``package``'s ``__init__``."""
+    read = {path: _read_names(_parse(path)) for path in readers}
+    return [f"{module}.{name}" for module, names in table.items()
+            for name in names
+            if not any(name in found for path, found in read.items()
+                       if path not in (package / f"{module}.py",
+                                       package / "__init__.py"))]
+
+
+def test_every_export_is_read_outside_its_module():
+    table = _assigned(_parse(SRC / "__init__.py"), "_SUBMODULES")
+    assert _unread_exports(table, _READERS) == []
+
+
+def test_unread_export_is_caught(tmp_path):
+    (tmp_path / "__init__.py").write_text("_SUBMODULES = {'mod': ('f', 'g')}\n")
+    (tmp_path / "mod.py").write_text(
+        "def f():\n    return g()\ndef g():\n    return 1\n")
+    (tmp_path / "user.py").write_text("import mod\nprint(mod.f())\n")
+    assert _unread_exports({"mod": ("f", "g")}, sorted(tmp_path.glob("*.py")),
+                           tmp_path) == ["mod.g"]

@@ -90,6 +90,23 @@ def test_hamiltonian_trace_and_hermiticity(f):
     assert np.trace(h).real == pytest.approx(2.0 * D, abs=1e-10)
 
 
+def test_projection_past_the_float_range_is_refused_by_value():
+    # the field is DBL_MAX along the class axis, whose components sum to
+    # a little over 1 in floats; the message gives the field's magnitude
+    frame = class_frame(0)
+    f = FieldConfiguration(b_gauss=np.finfo(float).max * frame.z_hat)
+    with np.errstate(over="raise", invalid="raise"), \
+            pytest.raises(ValueError, match=r"field of 1\.79769e\+308 G"):
+        build_hamiltonian(frame, f)
+
+
+def test_splitting_past_the_float_range_is_refused_by_value():
+    # gamma_e B passes DBL_MAX in MHz near B = 6.4e307 G, not in GHz
+    with np.errstate(over="raise", invalid="raise"), \
+            pytest.raises(ValueError, match=r"transverse field of 1e\+308 G"):
+        transverse_field_scan(class_frame(0), [0.0, 1e307, 1e308, 1e300], 0.0)
+
+
 @given(f=fields)
 def test_eigen_residuals(f):
     frame = class_frame(0, f.b_gauss)
