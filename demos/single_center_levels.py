@@ -12,22 +12,17 @@ Run:  python3 demos/single_center_levels.py
 
 import numpy as np
 
-from nvcr import FieldConfiguration, build_hamiltonian, diagonalize, \
-    transverse_field_scan
-from nvcr.geometry import class_frame
-
-frame = class_frame(0)
+from nvcr import build_hamiltonian, diagonalize, transverse_field_scan
 
 # zero field: |0> at zero energy, the doublet split by 2 * 4 MHz
-f0 = FieldConfiguration(b_gauss=np.zeros(3), e_perp_mhz=4.0)
-es = diagonalize(build_hamiltonian(frame, f0))
+es = diagonalize(build_hamiltonian(np.zeros(3), e_perp_mhz=4.0))
 print("zero-field energies (GHz):", np.round(es.energies_ghz, 6))
 print("doublet splitting: %.3f MHz"
       % ((es.energies_ghz[2] - es.energies_ghz[1]) * 1e3))
 
 # ramp a transverse field and watch the splitting and the |+> character
 b = np.linspace(0.0, 200.0, 41)
-energies, dnu, matching = transverse_field_scan(frame, b, e_perp_mhz=4.0)
+energies, dnu, matching = transverse_field_scan(b, e_perp_mhz=4.0)
 
 print("\n  B_perp (G)   dnu (MHz)   |<e|+>|^2")
 for i in range(0, b.size, 8):

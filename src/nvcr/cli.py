@@ -30,7 +30,7 @@ from .analysis import (FitError, FitResult, LineProfile, LineShape, fit_beta,
                        fit_decay, sensitivity, spectral_overlap)
 from .constants import DEFAULT_CR_RANGE_MHZ, DEFAULT_E_PERP_MHZ
 from .eta_average import eta_table, multiplier_table
-from .geometry import as_unit, class_frame
+from .geometry import as_unit
 from .odmr import all_transitions, degeneracy_lift, synth_spectrum
 from .relaxation import DecayModel, decay_signal
 from .serialize import read_decay_csv, write_csv, write_json
@@ -145,11 +145,9 @@ def _ramp_points(args, x: str, unit: str, n: int,
 
 
 def _cmd_eigen_map(args) -> _Columns:
-    # both scans live in the class's own frame: every class gives these rows
-    frame = class_frame(0)
     b = _ramp_points(args, "b", "gauss", args.n_b)
     th = _ramp_points(args, "theta", "rad", args.n_theta)
-    o_p1, o_plus = eigenstate_map(frame, b, th, args.e_perp_mhz)
+    o_p1, o_plus = eigenstate_map(b, th, args.e_perp_mhz)
     return _Columns(["B_gauss", "theta_rad", "overlap_e_p1",
                      "overlap_e_plus"],
                     [np.repeat(b, th.size), np.tile(th, b.size),
@@ -157,9 +155,8 @@ def _cmd_eigen_map(args) -> _Columns:
 
 
 def _cmd_transverse_scan(args) -> _Columns:
-    frame = class_frame(0)
     b = _ramp_points(args, "b", "gauss", args.n_b)
-    energies, dnu, matching = transverse_field_scan(frame, b, args.e_perp_mhz)
+    energies, dnu, matching = transverse_field_scan(b, args.e_perp_mhz)
     return _Columns(["B_gauss", "e_g_GHz", "e_d_GHz", "e_e_GHz", "dnu_MHz",
                      "overlap_e_plus"],
                     [b, energies[:, 0], energies[:, 1], energies[:, 2], dnu,
@@ -279,7 +276,7 @@ _E_PERP = _flag("--e-perp-mhz", type=_nonneg, default=DEFAULT_E_PERP_MHZ,
                 help="transverse electric splitting energy (MHz)")
 _INPUT = _flag("--input", required=True,
                help="input CSV with header tau_s,signal[,sigma]")
-_SHAPES = ("gaussian", "lorentzian")
+_SHAPES = tuple(s.value for s in LineShape)
 
 
 def _ramp(b_max: float, n_b: int, n_min: int = 2) -> tuple:

@@ -6,6 +6,10 @@ of lines fans out into up to eight.  This module tracks those lines
 versus field amplitude, measures the gaps between neighboring lines,
 finds the field where every resolvable gap clears a requested width,
 and renders simple synthetic spectra.
+
+The field is given in the crystal frame.  This is the one module that
+projects it onto each class's triad, whose x axis follows the field's
+transverse part, for ``spin_model`` to solve in the NV frame.
 """
 
 from __future__ import annotations
@@ -48,35 +52,43 @@ def _ramp(b_amps_gauss) -> np.ndarray:
     return amps
 
 
-def _frames(direction: np.ndarray, amps: np.ndarray) -> list:
-    """The four class frames of one scan: made once, so the in-plane
-    field phase stays put along the ramp."""
+def _triads(direction: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """(4, 3, 3): the rows x_hat, y_hat, z_hat of the four class frames
+    of one scan: made once, so the in-plane field phase stays put along
+    the ramp."""
     amp_ref = float(np.max(amps)) if amps.size and np.max(amps) > 0 else 1.0
-    return [class_frame(k, b_field=amp_ref * direction)
-            for k in range(len(CLASS_AXES))]
+    frames = [class_frame(k, b_field=amp_ref * direction)
+              for k in range(len(CLASS_AXES))]
+    return np.array([[f.x_hat, f.y_hat, f.z_hat] for f in frames])
 
 
-def _lines(frames, direction: np.ndarray, amps: np.ndarray,
+def _lines(triads: np.ndarray, direction: np.ndarray, amps: np.ndarray,
            e_perp_mhz: float, classes=range(len(CLASS_AXES))) -> np.ndarray:
     """(n, 8) lines (GHz) of ``classes`` at the amplitudes ``amps``.
 
-    Each class's field stack is solved by ``_solve_fields``, one stacked
-    solve per block; the columns of the other classes are NaN.
+    Each class's field stack is projected onto its triad and solved by
+    ``_solve_fields``, one stacked solve per block; the columns of the
+    other classes are NaN.
     """
-    b = amps[:, None] * direction
     lines = np.full((amps.size, 8), np.nan)
     for k in classes:
-        for s, es in _solve_fields(frames[k], b, e_perp_mhz=e_perp_mhz):
+        with np.errstate(over="ignore"):    # refused below
+            b = amps[:, None] * (triads[k] @ direction)
+        if not np.all(np.isfinite(b)):
+            # a projection can pass 1 by an ulp, as along [111]
+            raise ValueError(f"a field of {amps.max():g} G overflows in "
+                             "its projection onto the class axes")
+        for s, es in _solve_fields(b, e_perp_mhz):
             e = es.energies_ghz
             lines[s, 2 * k:2 * k + 2] = e[:, 1:] - e[:, :1]
     return lines
 
 
 def _scan(direction: np.ndarray, amps: np.ndarray, e_perp_mhz: float
-          ) -> tuple[list, np.ndarray]:
-    """The frames of a scan and its (n, 8) lines."""
-    frames = _frames(direction, amps)
-    return frames, _lines(frames, direction, amps, e_perp_mhz)
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """The class triads of a scan and its (n, 8) lines."""
+    triads = _triads(direction, amps)
+    return triads, _lines(triads, direction, amps, e_perp_mhz)
 
 
 def all_transitions(direction=None, b_amps_gauss=None,
@@ -175,7 +187,7 @@ def degeneracy_lift(direction=None, b_amps_gauss=None,
     if np.any(np.diff(amps) <= 0.0):
         raise ValueError("field amplitudes must be strictly increasing "
                          f"from {amps[0]:g} to {amps[-1]:g} G")
-    frames, freqs = _scan(direction, amps, e_perp_mhz)
+    triads, freqs = _scan(direction, amps, e_perp_mhz)
     pairs = _branch_pairs(freqs)
     dnu = _gaps_mhz(freqs, pairs)
 
@@ -192,7 +204,7 @@ def degeneracy_lift(direction=None, b_amps_gauss=None,
         # a relative floor keeps the rounds finite on huge fields
         while hi - lo > max(_BRACKET_GAUSS, 1e-12 * hi):
             b = np.linspace(lo, hi, _BRACKET_POINTS + 2)
-            lines = _lines(frames, direction, b[1:-1], e_perp_mhz, classes)
+            lines = _lines(triads, direction, b[1:-1], e_perp_mhz, classes)
             above = _gaps_mhz(lines, subset).min(axis=1) >= cr_range_mhz
             j = int(np.argmax(np.append(above, True)))
             lo, hi = float(b[j]), float(b[j + 1])

@@ -1,32 +1,34 @@
 """Single-NV ground-state Hamiltonian and eigenstructure.
 
-The spin-1 ground state is modeled as
+The spin-1 ground state is modeled as in eq. (1) of the paper,
 
-    H/h = D Sz^2 + gamma_e (B . S) + eps_perp (transverse electric term)
+    H/h = D Sz^2 + gamma_e (B . S)
+          + d_perp [E_x (Sy^2 - Sx^2) + E_y (Sx Sy + Sy Sx)],
 
-with all operators written in the |m_s> basis ordered (|-1>, |0>, |+1>)
-and energies in GHz.  ``eps_perp`` is the transverse electric energy
-d_perp*E_perp; its azimuth phi_E is measured from the local x axis.
+in the NV's own frame (z along the NV axis), with all operators written
+in the |m_s> basis ordered (|-1>, |0>, |+1>) and energies in GHz.  The
+electric term is given as the energy eps_perp = d_perp*E_perp and its
+azimuth phi_E from the local x axis.  Projecting a crystal-frame field
+onto a center's axes is left to the caller (``odmr``).
 
 Sign convention: the transverse electric coupling is taken as
-<+1|H|-1> = +eps_perp * exp(i phi_E), so the zero-field eigenstates are
-|0> and |+-> = (|+1> +- exp(-i phi_E)|-1>)/sqrt(2) with |+> the upper
-branch.  With this choice the upper eigenstate |e> tracks |+> as a
-transverse magnetic field grows, and the d/e splitting increases
-monotonically with B_perp.
+<+1|H|-1> = +eps_perp * exp(i phi_E), which is eq. (1) with
+d_perp (E_x, E_y) = -eps_perp (cos phi_E, sin phi_E).  The zero-field
+eigenstates are then |0> and |+-> = (|+1> +- exp(-i phi_E)|-1>)/sqrt(2)
+with |+> the upper branch.  With this choice the upper eigenstate |e>
+tracks |+> as a transverse magnetic field grows, and the d/e splitting
+increases monotonically with B_perp.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import D_GHZ, GAMMA_E_MHZ_PER_G
-from .geometry import NVClassFrame
 
 __all__ = [
-    "FieldConfiguration",
     "spin_matrices",
     "zero_field_states",
     "build_hamiltonian",
@@ -75,38 +77,6 @@ _MAP_BRAS = np.conj([[0.0, 0.0, 1.0], zero_field_states(0.0)[2]])
 
 
 @dataclass(frozen=True)
-class FieldConfiguration:
-    """Applied fields seen by one NV center, or by a stack of field points.
-
-    Attributes
-    ----------
-    b_gauss : array-like
-        Crystal-frame magnetic field (Gauss): a 3-vector or a (..., 3) stack.
-    e_perp_mhz : float
-        Transverse electric energy d_perp*E_perp (MHz), finite and >= 0.
-    phi_e_rad : float
-        Azimuth of the transverse electric field in the NV transverse
-        plane, measured from the local x axis; finite, folded into
-        [0, 2*pi).
-    """
-
-    b_gauss: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    e_perp_mhz: float = 0.0
-    phi_e_rad: float = 0.0
-
-    def __post_init__(self):
-        b = np.asarray(self.b_gauss, dtype=float)
-        if b.shape[-1:] != (3,) or not np.all(np.isfinite(b)):
-            raise ValueError("b_gauss must be finite 3-vectors")
-        object.__setattr__(self, "b_gauss", b)
-        if not 0.0 <= self.e_perp_mhz < np.inf:
-            raise ValueError("e_perp_mhz must be finite and >= 0")
-        if not np.isfinite(self.phi_e_rad):
-            raise ValueError("phi_e_rad must be finite")
-        object.__setattr__(self, "phi_e_rad", float(self.phi_e_rad) % (2.0 * np.pi))
-
-
-@dataclass(frozen=True)
 class SpinEigensystem:
     """Ordered eigenstructure of the 3x3 ground-state Hamiltonian.
 
@@ -131,32 +101,28 @@ class SpinEigensystem:
         return self.states[..., :, 2]
 
 
-def build_hamiltonian(cls: NVClassFrame, f: FieldConfiguration) -> np.ndarray:
-    """Assemble H/h in GHz for one NV center, (..., 3, 3) for a field stack.
+def build_hamiltonian(b_gauss, e_perp_mhz: float = 0.0,
+                      phi_e_rad: float = 0.0) -> np.ndarray:
+    """Assemble H/h of eq. (1) in GHz, (..., 3, 3) for a field stack.
 
-    The magnetic field is supplied in the crystal frame and projected
-    onto the class triad internally; the electric term is specified
-    directly as an energy so no susceptibility conversion is needed
-    here.
+    ``b_gauss`` is the magnetic field (Gauss) in the NV frame: a finite
+    3-vector or a (..., 3) stack.  ``e_perp_mhz`` is the transverse
+    electric energy d_perp*E_perp (MHz), finite and >= 0, and
+    ``phi_e_rad`` its finite azimuth from the local x axis.
     """
-    # products summed along the last axis: the same bits in any stack shape
-    with np.errstate(over="ignore"):
-        b = (f.b_gauss[..., None, :] * [cls.x_hat, cls.y_hat, cls.z_hat]).sum(-1)
-    if not np.all(np.isfinite(b)):
-        # the field's magnitude may itself pass DBL_MAX, so it is summed
-        # in decimal, imported here: it adds ~0.3 MB to every process
-        from decimal import Decimal
-        v = f.b_gauss[~np.all(np.isfinite(b), axis=-1)]
-        v = v[np.abs(v).max(axis=-1).argmax()]
-        size = sum(Decimal(float(c)) ** 2 for c in v).sqrt()
-        raise ValueError(f"a field of {size:.6g} G overflows in its "
-                         "projection onto the class axes")
+    b = np.asarray(b_gauss, dtype=float)
+    if b.shape[-1:] != (3,) or not np.all(np.isfinite(b)):
+        raise ValueError("b_gauss must be finite 3-vectors")
+    if not 0.0 <= e_perp_mhz < np.inf:
+        raise ValueError("e_perp_mhz must be finite and >= 0")
+    if not np.isfinite(phi_e_rad):
+        raise ValueError("phi_e_rad must be finite")
     bx, by, bz = (b[..., k, None, None] for k in range(3))
     gam = GAMMA_E_MHZ_PER_G * 1e-3  # GHz per Gauss
     h = D_GHZ * _SZ2 + gam * (bx * _SX + by * _SY + bz * _SZ)
-    eps = f.e_perp_mhz * 1e-3
+    eps = e_perp_mhz * 1e-3
     if eps != 0.0:
-        ph = np.exp(1j * f.phi_e_rad)
+        ph = np.exp(1j * phi_e_rad)
         h[..., 2, 0] += eps * ph
         h[..., 0, 2] += eps * np.conj(ph)
     return h
@@ -220,29 +186,27 @@ def diagonalize(h: np.ndarray) -> SpinEigensystem:
     return SpinEigensystem(e.reshape(shape + (3,)), v.reshape(shape + (3, 3)))
 
 
-def _solve_fields(cls: NVClassFrame, b_gauss: np.ndarray, **electric):
+def _solve_fields(b_gauss: np.ndarray, e_perp_mhz: float):
     """Yield (slice, SpinEigensystem) for each block of ``_BLOCK`` points
-    of an (n, 3) crystal-frame field stack.
+    of an (n, 3) NV-frame field stack, the electric azimuth phi_E = 0.
 
-    Only one block's Hamiltonians and eigenvectors are alive at a time;
-    ``electric`` holds the other FieldConfiguration fields.  Each matrix
-    is built and solved on its own, so the bits do not depend on the
-    blocking.  An empty stack still makes one (empty) block, so the
-    electric fields are checked.
+    Only one block's Hamiltonians and eigenvectors are alive at a time.
+    Each matrix is built and solved on its own, so the bits do not
+    depend on the blocking.  An empty stack still makes one (empty)
+    block, so the electric energy is checked.
     """
     for k in range(0, max(len(b_gauss), 1), _BLOCK):
         s = slice(k, k + _BLOCK)
-        f = FieldConfiguration(b_gauss=b_gauss[s], **electric)
-        yield s, diagonalize(build_hamiltonian(cls, f))
+        yield s, diagonalize(build_hamiltonian(b_gauss[s], e_perp_mhz))
 
 
-def eigenstate_map(cls: NVClassFrame, b_amplitude_gauss, theta_rad,
-                   e_perp_mhz: float):
+def eigenstate_map(b_amplitude_gauss, theta_rad, e_perp_mhz: float):
     """Overlap maps of |e> with |+1> and |+> over (B amplitude, polar angle).
 
-    The field is tilted by theta from the NV axis toward the local x
-    axis; the electric azimuth is held at phi_E = 0, i.e. the electric
-    field lies along the same transverse direction.
+    The field B (sin theta, 0, cos theta) is tilted by theta from the NV
+    axis toward the local x axis.  The electric azimuth is held at
+    phi_E = 0, which in eq. (1) is an electric field along -x: against
+    the field's transverse part.
 
     Returns
     -------
@@ -253,21 +217,21 @@ def eigenstate_map(cls: NVClassFrame, b_amplitude_gauss, theta_rad,
     theta_rad = np.atleast_1d(np.asarray(theta_rad, dtype=float))
     if b_amplitude_gauss.size == 0 or theta_rad.size == 0:
         raise ValueError("grids must be non-empty")
-    if np.any(b_amplitude_gauss < 0.0):
-        raise ValueError("amplitudes must be >= 0")
-    tilt = (np.cos(theta_rad)[:, None] * cls.z_hat
-            + np.sin(theta_rad)[:, None] * cls.x_hat)
+    if not np.all((0.0 <= b_amplitude_gauss) & (b_amplitude_gauss < np.inf)):
+        raise ValueError("amplitudes must be finite and >= 0")
+    tilt = np.stack([np.sin(theta_rad), np.zeros_like(theta_rad),
+                     np.cos(theta_rad)], axis=-1)
     b = (b_amplitude_gauss[:, None, None] * tilt).reshape(-1, 3)
     o_p1, o_plus = np.empty(len(b)), np.empty(len(b))
-    for s, es in _solve_fields(cls, b, e_perp_mhz=e_perp_mhz):
+    for s, es in _solve_fields(b, e_perp_mhz):
         o_p1[s], o_plus[s] = np.abs(_MAP_BRAS @ es.states)[:, :, 2].T ** 2
     shape = (b_amplitude_gauss.size, theta_rad.size)
     return o_p1.reshape(shape), o_plus.reshape(shape)
 
 
-def transverse_field_scan(cls: NVClassFrame, b_perp_gauss, e_perp_mhz: float):
-    """Eigenstructure versus a purely transverse magnetic field along the
-    frame's x axis, the electric azimuth phi_E = 0.
+def transverse_field_scan(b_perp_gauss, e_perp_mhz: float):
+    """Eigenstructure versus a purely transverse magnetic field (B, 0, 0)
+    along the NV frame's x axis, the electric azimuth phi_E = 0.
 
     Parameters
     ----------
@@ -282,16 +246,17 @@ def transverse_field_scan(cls: NVClassFrame, b_perp_gauss, e_perp_mhz: float):
         d/e splitting nu_+ - nu_- in MHz.
     matching : (n,) ndarray
         |<e|+>|^2 per amplitude, |+> taken at phi_E = 0.  It includes
-        the second-order admixture of |0>: with the field along the
-        electric azimuth, |-> stays an exact eigenstate and |e> lies in
-        the {|0>, |+>} block, so
+        the second-order admixture of |0>: with the field along x and
+        the electric field of eq. (1) along -x, |-> stays an exact
+        eigenstate and |e> lies in the {|0>, |+>} block, so
         matching = (1 + s/sqrt(s^2 + 4 (gamma_e B)^2))/2 with s = D + eps.
     """
     b_perp_gauss = np.atleast_1d(np.asarray(b_perp_gauss, dtype=float))
     ref = zero_field_states(0.0)[2]
-    b = b_perp_gauss[:, None] * cls.x_hat
+    b = np.zeros((b_perp_gauss.size, 3))
+    b[:, 0] = b_perp_gauss
     energies, matching = np.empty((len(b), 3)), np.empty(len(b))
-    for s, es in _solve_fields(cls, b, e_perp_mhz=e_perp_mhz):
+    for s, es in _solve_fields(b, e_perp_mhz):
         energies[s] = es.energies_ghz
         # a row sum, not a matrix-vector product, whose BLAS kernel
         # rounds differently with the number of rows

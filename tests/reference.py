@@ -4,6 +4,8 @@ The package computes the pair matrix elements and the ensemble
 polarization in closed form.  This module derives each a second way,
 independently of how the package does it:
 
+* ``paper_hamiltonian`` writes eq. (1) of the paper term by term from
+  the spin operators, with the electric field as its components;
 * ``build_two_spin_hamiltonian`` assembles the 9x9 secular pair
   operator from Kronecker products of single-spin operators, with its
   own zero-field operators and its own list of retained bilinears, so
@@ -21,7 +23,20 @@ import numpy as np
 
 from nvcr import (BasisChoice, NVClassFrame, PairGeometry,
                   dipolar_coefficients, spin_matrices)
+from nvcr.constants import D_GHZ, GAMMA_E_MHZ_PER_G
 from nvcr.geometry import as_unit
+
+
+def paper_hamiltonian(b_gauss, ex_mhz: float, ey_mhz: float) -> np.ndarray:
+    """H/h of eq. (1) in GHz for an NV-frame field (Gauss):
+    D Sz^2 + gamma_e B.S + d_perp [E_x (Sy^2 - Sx^2) + E_y (Sx Sy + Sy Sx)],
+    with ``ex_mhz``, ``ey_mhz`` the energies d_perp E_x, d_perp E_y."""
+    sx, sy, sz = spin_matrices()
+    bx, by, bz = np.asarray(b_gauss, dtype=float)
+    gamma_ghz = GAMMA_E_MHZ_PER_G * 1e-3
+    return (D_GHZ * sz @ sz + gamma_ghz * (bx * sx + by * sy + bz * sz)
+            + 1e-3 * (ex_mhz * (sy @ sy - sx @ sx)
+                      + ey_mhz * (sx @ sy + sy @ sx)))
 
 
 def nonmagnetic_spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -39,7 +39,7 @@ from nvcr import (
     zero_field_states,
 )
 from nvcr.constants import D_GHZ, GAMMA_E_MHZ_PER_G
-from nvcr.spin_model import FieldConfiguration, build_hamiltonian, diagonalize
+from nvcr.spin_model import build_hamiltonian, diagonalize
 
 from reference import (build_two_spin_hamiltonian,
                        nonmagnetic_change_of_basis, polarization_from_density,
@@ -97,7 +97,8 @@ def test_criterion_03_intermediate_eta_values():
 
 
 def _transverse_closed_form(b_gauss, e_perp_mhz):
-    """Exact (dnu_MHz, |<e|+>|^2) for B along the electric azimuth.
+    """Exact (dnu_MHz, |<e|+>|^2) for B along x and phi_E = 0, where the
+    electric field of eq. (1) points along -x.
 
     Sx annihilates |->, so |-> is an eigenstate at D - eps; the
     remaining {|0>, |+>} block is [[0, a], [a, s]] with s = D + eps and
@@ -112,9 +113,8 @@ def _transverse_closed_form(b_gauss, e_perp_mhz):
 
 
 def test_criterion_04_transverse_field_emulation():
-    frame = class_frame(0)
     b = np.array([0.0, 150.0])
-    _, dnu, matching = transverse_field_scan(frame, b, e_perp_mhz=4.0)
+    _, dnu, matching = transverse_field_scan(b, e_perp_mhz=4.0)
     assert dnu[0] == pytest.approx(8.0, abs=1e-6)
     assert 65.0 <= dnu[1] <= 75.0
     # both follow the exact two-level solution; at 150 G the overlap is
@@ -124,8 +124,7 @@ def test_criterion_04_transverse_field_emulation():
     np.testing.assert_allclose(matching, exact_matching, rtol=0.0, atol=1e-9)
     # emulation: the transverse field mixes |+> with |0> only, never
     # with |->, so |e> keeps the zero-field |+> character
-    f = FieldConfiguration(b_gauss=150.0 * frame.x_hat, e_perp_mhz=4.0)
-    e = diagonalize(build_hamiltonian(frame, f)).e
+    e = diagonalize(build_hamiltonian([150.0, 0.0, 0.0], 4.0)).e
     s0, sm, sp = zero_field_states(0.0)
     w0, wm, wp = (abs(ref.conj() @ e) ** 2 for ref in (s0, sm, sp))
     assert wm <= 1e-12
@@ -200,12 +199,9 @@ def test_criterion_09_property_suites():
 
     # Hamiltonian trace and hermiticity at random fields
     for _ in range(5):
-        b = rng.normal(size=3) * 40.0
-        f = FieldConfiguration(b_gauss=b,
-                               e_perp_mhz=float(rng.uniform(0.0, 6.0)),
-                               phi_e_rad=float(rng.uniform(0.0, 2.0 * np.pi)))
-        frame = class_frame(int(rng.integers(4)), b)
-        h = build_hamiltonian(frame, f)
+        h = build_hamiltonian(rng.normal(size=3) * 40.0,
+                              float(rng.uniform(0.0, 6.0)),
+                              float(rng.uniform(0.0, 2.0 * np.pi)))
         assert np.linalg.norm(h - h.conj().T) < 1e-12
         assert np.trace(h).real == pytest.approx(2.0 * D_GHZ, abs=1e-12)
 

@@ -582,7 +582,12 @@ def _extreme_runs():
                 (["overlap", "--n-dnu=5", f"--dnu-max-mhz={top!r}",
                   f"--dnu-min-mhz={top / 2!r}"], "--dnu-max-mhz", top),
                 (["overlap", "--n-dnu=5", f"--dnu-max-mhz={top!r}",
-                  f"--dnu-min-mhz={-top!r}"], "--dnu-max-mhz", top)]]
+                  f"--dnu-min-mhz={-top!r}"], "--dnu-max-mhz", top),
+                # along [111] a class projection passes 1 by an ulp
+                (["transitions", "--n-b=8", "--direction=1,1,1",
+                  f"--b-max-gauss={top!r}"], "--b-max-gauss", top),
+                (["degeneracy", "--n-b=8", "--direction=1,1,1",
+                  f"--b-max-gauss={top!r}"], "--b-max-gauss", top)]]
     for command, spec in _SUBCOMMANDS.items():
         flags = {names[0]: kw for names, kw in spec.flags}
         base = [command, *(f"{f}={n}" for f, n in small.items() if f in flags)]
@@ -602,7 +607,9 @@ def _extreme_runs():
                                          else ("-max-", "-min-")))
                 tails = [[f"{flag}={value!r}"]]
                 if partner in flags.keys() - {flag}:
-                    bound = 2.0 * value if low else value / 2.0
+                    # a min at DBL_MAX meets its max there: the order is
+                    # refused, naming both flags
+                    bound = min(2.0 * value, top) if low else value / 2.0
                     tails.append([*tails[0], f"{partner}={bound!r}"])
                 runs += [pytest.param([*base, *tail], flag, value,
                                       id=" ".join([command, *tail]))
@@ -637,7 +644,9 @@ def test_extreme_flag_values_compute_or_are_refused_by_name(argv, flag, value,
         assert any(name in message for name in names), message
     else:
         assert rc == 2, argv
-        assert any(name in err for name in names), err
+        # the usage lines above the error list every flag
+        error = err.splitlines()[-1]
+        assert "error:" in error and any(n in error for n in names), err
 
 
 def test_sensitivity_record(tmp_path, capsys):
@@ -879,10 +888,22 @@ def test_dipolar_loads_no_spin_model():
     assert done.returncode == 0, done.stderr
 
 
+def test_spin_model_loads_no_geometry():
+    # the Hamiltonian takes its field in the NV frame: projecting a
+    # crystal-frame field is odmr's
+    done = _fresh_python("""
+        import sys
+        import nvcr.spin_model
+
+        assert "nvcr.geometry" not in sys.modules, sorted(sys.modules)
+    """)
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.parametrize("name", [
     "build_two_spin_hamiltonian", "nonmagnetic_spin_matrices",
-    "nonmagnetic_change_of_basis", "polarization_from_density",
-    "rotation_matrix"])
+    "nonmagnetic_change_of_basis", "paper_hamiltonian",
+    "polarization_from_density", "rotation_matrix"])
 def test_reference_names_are_not_exported(name):
     # the second derivations the tests check against live in
     # tests/reference.py, not in the package

@@ -19,8 +19,16 @@ from nvcr import (
 from nvcr.constants import (D_GHZ as D, DEFAULT_E_PERP_MHZ,
                             GAMMA_E_MHZ_PER_G as GAMMA)
 from nvcr.geometry import as_unit
-from nvcr.spin_model import (FieldConfiguration, build_hamiltonian,
-                             diagonalize)
+from nvcr.spin_model import build_hamiltonian, diagonalize
+
+
+def _nv_fields(k, direction, amps):
+    """The ramp ``amps`` along the unit ``direction`` in the NV frame of
+    class ``k``, projected as the scan does: the frame's x axis follows
+    the field at the top of the ramp."""
+    frame = class_frame(k, b_field=amps.max() * direction)
+    triad = np.array([frame.x_hat, frame.y_hat, frame.z_hat])
+    return amps[:, None] * (triad @ direction)
 
 
 def _dip_indices(pl, depth=0.01):
@@ -84,13 +92,12 @@ def test_lines_follow_energy_order(direction, amps, e_perp):
     freqs = all_transitions(direction, amps, e_perp_mhz=e_perp)
     assert freqs.shape == (amps.size, 8)
     assert np.all(freqs[:, 0::2] <= freqs[:, 1::2])
-    u = tilted_field_direction() if direction is None else \
-        np.asarray(direction) / np.linalg.norm(direction)
-    f = FieldConfiguration(b_gauss=amps[:, None] * u, e_perp_mhz=e_perp)
+    u = tilted_field_direction() if direction is None else as_unit(direction)
     for k in range(4):
-        # the scan's frame: x follows the field, phi_E = 0 along it
-        frame = class_frame(k, b_field=amps.max() * u)
-        e = np.linalg.eigvalsh(build_hamiltonian(frame, f))
+        # x follows the field's transverse part, and phi_E = 0 puts the
+        # electric field of eq. (1) against it
+        e = np.linalg.eigvalsh(build_hamiltonian(_nv_fields(k, u, amps),
+                                                 e_perp))
         assert freqs[:, 2 * k:2 * k + 2] == pytest.approx(
             e[:, 1:] - e[:, :1], abs=1e-12)
 
@@ -128,10 +135,13 @@ def test_solver_calls_per_scan_and_refinement(monkeypatch):
 
     built = []
     build = nvcr.spin_model.build_hamiltonian
+    # the axial share of the default field tells the four classes apart
+    axial = np.abs(CLASS_AXES @ tilted_field_direction())
 
-    def recorded(frame, f):
-        built.append((frame.class_id, f.b_gauss.shape[:-1]))
-        return build(frame, f)
+    def recorded(b, e_perp_mhz):
+        share = b[-1, 2] / np.linalg.norm(b[-1])
+        built.append((int(np.abs(axial - share).argmin()), b.shape[:-1]))
+        return build(b, e_perp_mhz)
 
     monkeypatch.setattr(nvcr.spin_model, "build_hamiltonian", recorded)
     degeneracy_lift()
@@ -151,14 +161,12 @@ def test_stacked_scan_equals_point_by_point_solves(direction, e_perp):
     amps = np.linspace(0.0, 40.0, 1100)
     lines = all_transitions(direction, amps, e_perp)
     u = tilted_field_direction() if direction is None else as_unit(direction)
-    b = amps[:, None] * u
     expected = np.empty((amps.size, 8))
     for k in range(len(CLASS_AXES)):
-        # the scan's frames take their in-plane phase from its top field
-        frame = class_frame(k, b_field=b[-1])
+        b = _nv_fields(k, u, amps)
         for i in range(amps.size):
-            f = FieldConfiguration(b[i:i + 1], e_perp_mhz=e_perp)
-            e = diagonalize(build_hamiltonian(frame, f)).energies_ghz[0]
+            h = build_hamiltonian(b[i:i + 1], e_perp)
+            e = diagonalize(h).energies_ghz[0]
             expected[i, 2 * k:2 * k + 2] = e[1:] - e[0]
     assert np.array_equal(lines, expected)
 
@@ -312,6 +320,39 @@ def test_non_finite_inputs_are_refused(bad):
     for run in (all_transitions, degeneracy_lift):
         with pytest.raises(ValueError, match="e_perp_mhz"):
             run(e_perp_mhz=bad)
+
+
+def test_projection_past_the_float_range_is_refused_by_value():
+    # along [111] a class projection passes 1 by an ulp, so a DBL_MAX
+    # field overflows in it; the message gives the field's amplitude
+    amps = np.finfo(float).max * np.linspace(0.0, 1.0, 8)
+    with np.errstate(over="raise", invalid="raise"):
+        for run in (all_transitions, degeneracy_lift):
+            with pytest.raises(ValueError, match=r"field of 1\.79769e\+308 G"):
+                run([1.0, 1.0, 1.0], amps)
+
+
+_CUBIC_ROTATIONS = {
+    "90 deg about [001]": [[0, -1, 0], [1, 0, 0], [0, 0, 1]],
+    "90 deg about [100]": [[1, 0, 0], [0, 0, -1], [0, 1, 0]],
+    "120 deg about [111]": [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+}
+
+
+@pytest.mark.parametrize("rot", _CUBIC_ROTATIONS.values(),
+                         ids=_CUBIC_ROTATIONS.keys())
+@pytest.mark.parametrize("direction", [None, [0.3, -0.7, 0.5]])
+def test_cubic_rotations_permute_the_class_lines(rot, direction):
+    # each rotation maps every class axis onto +- another one, so the
+    # rotated field gives the same lines with the classes permuted
+    rot = np.array(rot, dtype=float)
+    u = tilted_field_direction() if direction is None else as_unit(direction)
+    amps = np.linspace(0.0, 40.0, 9)
+    perm = np.abs(CLASS_AXES @ rot @ CLASS_AXES.T).argmax(axis=0)
+    assert sorted(perm) == [0, 1, 2, 3]
+    cols = [c for k in perm for c in (2 * k, 2 * k + 1)]
+    np.testing.assert_allclose(all_transitions(rot @ u, amps)[:, cols],
+                               all_transitions(u, amps), rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

@@ -8,8 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nvcr import (
-    CLASS_AXES,
-    FieldConfiguration,
     NVClassFrame,
     build_hamiltonian,
     class_frame,
@@ -20,22 +18,19 @@ from nvcr import (
 )
 from nvcr.constants import D_GHZ as D, GAMMA_E_MHZ_PER_G
 
-from reference import rotation_matrix
+from reference import paper_hamiltonian
 
 field_components = st.floats(-200.0, 200.0, allow_nan=False)
-fields = st.builds(
-    FieldConfiguration,
-    b_gauss=st.tuples(field_components, field_components, field_components),
-    e_perp_mhz=st.floats(0.0, 10.0),
-    phi_e_rad=st.floats(0.0, 2.0 * np.pi, exclude_max=True),
-)
+# build_hamiltonian's arguments: an NV-frame field and the electric term
+fields = st.fixed_dictionaries({
+    "b_gauss": st.tuples(field_components, field_components, field_components),
+    "e_perp_mhz": st.floats(0.0, 10.0),
+    "phi_e_rad": st.floats(0.0, 2.0 * np.pi, exclude_max=True),
+})
 
 
-def _eigensystem(b_gauss, e_perp_mhz=0.0, phi_e_rad=0.0, class_id=0):
-    frame = class_frame(class_id, np.asarray(b_gauss, dtype=float))
-    f = FieldConfiguration(b_gauss=b_gauss, e_perp_mhz=e_perp_mhz,
-                           phi_e_rad=phi_e_rad)
-    return diagonalize(build_hamiltonian(frame, f))
+def _eigensystem(b_gauss, e_perp_mhz=0.0, phi_e_rad=0.0):
+    return diagonalize(build_hamiltonian(b_gauss, e_perp_mhz, phi_e_rad))
 
 
 # the phi_E = 0 zero-field references |0>, |->, |+>
@@ -61,8 +56,7 @@ def test_electric_splitting():
 
 
 def test_axial_field_transitions():
-    frame = class_frame(0)
-    es = _eigensystem(50.0 * frame.z_hat)
+    es = _eigensystem([0.0, 0.0, 50.0])
     transitions = es.energies_ghz[1:] - es.energies_ghz[0]
     assert transitions == pytest.approx([2.730, 3.010], abs=1e-9)
 
@@ -84,33 +78,32 @@ def test_dark_state_vector():
 
 @given(f=fields)
 def test_hamiltonian_trace_and_hermiticity(f):
-    frame = class_frame(1, f.b_gauss)
-    h = build_hamiltonian(frame, f)
+    h = build_hamiltonian(**f)
     assert np.linalg.norm(h - h.conj().T) < 1e-12
     assert np.trace(h).real == pytest.approx(2.0 * D, abs=1e-10)
 
 
-def test_projection_past_the_float_range_is_refused_by_value():
-    # the field is DBL_MAX along the class axis, whose components sum to
-    # a little over 1 in floats; the message gives the field's magnitude
-    frame = class_frame(0)
-    f = FieldConfiguration(b_gauss=np.finfo(float).max * frame.z_hat)
-    with np.errstate(over="raise", invalid="raise"), \
-            pytest.raises(ValueError, match=r"field of 1\.79769e\+308 G"):
-        build_hamiltonian(frame, f)
+@settings(max_examples=200)
+@given(f=fields)
+def test_electric_term_is_eq_1_with_e_opposite_phi_e(f):
+    # <+1|H|-1> = +eps exp(i phi_E) is eq. (1) with
+    # d_perp (E_x, E_y) = -eps (cos phi_E, sin phi_E)
+    eps, phi = f["e_perp_mhz"], f["phi_e_rad"]
+    paper = paper_hamiltonian(f["b_gauss"], -eps * np.cos(phi),
+                              -eps * np.sin(phi))
+    assert np.abs(build_hamiltonian(**f) - paper).max() <= 1e-15
 
 
 def test_splitting_past_the_float_range_is_refused_by_value():
     # gamma_e B passes DBL_MAX in MHz near B = 6.4e307 G, not in GHz
     with np.errstate(over="raise", invalid="raise"), \
             pytest.raises(ValueError, match=r"transverse field of 1e\+308 G"):
-        transverse_field_scan(class_frame(0), [0.0, 1e307, 1e308, 1e300], 0.0)
+        transverse_field_scan([0.0, 1e307, 1e308, 1e300], 0.0)
 
 
 @given(f=fields)
 def test_eigen_residuals(f):
-    frame = class_frame(0, f.b_gauss)
-    h = build_hamiltonian(frame, f)
+    h = build_hamiltonian(**f)
     es = diagonalize(h)
     scale = max(np.linalg.norm(h), 1.0)
     for k in range(3):
@@ -123,38 +116,22 @@ def test_eigen_residuals(f):
 
 
 @settings(max_examples=40)
-@given(class_id=st.integers(0, 3),
-       phi=st.floats(0.0, 2.0 * np.pi, exclude_max=True),
+@given(phi=st.floats(0.0, 2.0 * np.pi, exclude_max=True),
        tilt=st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3)),
        amps=st.lists(st.floats(1e-3, 0.1), min_size=1, max_size=32),
        e_perp=st.one_of(st.just(0.0), st.floats(0.0, 1e-6)))
-@example(class_id=0, phi=-np.pi / 6, tilt=0.0, amps=[0.0122382], e_perp=0.0)
-def test_near_degenerate_transverse_fields_solve(class_id, phi, tilt, amps,
-                                                 e_perp):
+@example(phi=-np.pi / 6, tilt=0.0, amps=[0.0122382], e_perp=0.0)
+def test_near_degenerate_transverse_fields_solve(phi, tilt, amps, e_perp):
     # a weak field almost orthogonal to the axis splits |+-1> by
     # ~(gamma_e B)^2 / D, around 1e-10 GHz: tie-breaking such a pair
     # must not push its eigen-residual over diagonalize's bound
-    frame = class_frame(class_id)
-    u = (np.cos(tilt) * (np.cos(phi) * frame.x_hat + np.sin(phi) * frame.y_hat)
-         + np.sin(tilt) * frame.z_hat)
-    f = FieldConfiguration(b_gauss=np.multiply.outer(amps, u),
-                           e_perp_mhz=e_perp)
-    h = build_hamiltonian(frame, f)
+    u = [np.cos(tilt) * np.cos(phi), np.cos(tilt) * np.sin(phi), np.sin(tilt)]
+    h = build_hamiltonian(np.multiply.outer(amps, u), e_perp)
     es = diagonalize(h)
     assert np.all(np.diff(es.energies_ghz, axis=-1) >= 0.0)
     v = es.states
     eye = np.conj(np.swapaxes(v, -1, -2)) @ v
     assert np.abs(eye - np.eye(3)).max() < 1e-10
-
-def test_rotational_consistency():
-    b = np.array([23.0, -4.0, 11.0])
-    for i, j in ((0, 1), (2, 3), (1, 2)):
-        zi, zj = CLASS_AXES[i], CLASS_AXES[j]
-        rot = rotation_matrix(np.cross(zi, zj),
-                              float(np.arccos(np.clip(zi @ zj, -1.0, 1.0))))
-        ei = _eigensystem(b, e_perp_mhz=3.0, phi_e_rad=0.7, class_id=i)
-        ej = _eigensystem(rot @ b, e_perp_mhz=3.0, phi_e_rad=0.7, class_id=j)
-        assert ei.energies_ghz == pytest.approx(ej.energies_ghz, abs=1e-10)
 
 
 @given(phi=st.floats(0.0, 2.0 * np.pi, exclude_max=True))
@@ -166,29 +143,26 @@ def test_phi_e_symmetry(phi):
     assert abs(es.e.conj() @ plus) ** 2 == pytest.approx(1.0, abs=1e-10)
 
 
-def _assert_stack_matches_rows(frame, b, **fields):
+def _assert_stack_matches_rows(b, **electric):
     """One solve of the field stack ``b`` (..., 3) equals a solve per row."""
-    f = FieldConfiguration(b_gauss=b, **fields)
-    es = diagonalize(build_hamiltonian(frame, f))
+    es = diagonalize(build_hamiltonian(b, **electric))
     assert es.energies_ghz.shape == b.shape
     assert es.e.shape == b.shape
     for idx in np.ndindex(b.shape[:-1]):
-        row = FieldConfiguration(b_gauss=b[idx], **fields)
-        one = diagonalize(build_hamiltonian(frame, row))
+        one = diagonalize(build_hamiltonian(b[idx], **electric))
         assert np.array_equal(es.energies_ghz[idx], one.energies_ghz)
         assert np.array_equal(es.states[idx], one.states)
     return es
 
 
 def test_stack_mixes_degenerate_and_generic_rows():
-    frame = class_frame(0)
     rng = np.random.default_rng(7)
-    degenerate = np.vstack([np.zeros(3),          # |+-1> at e_perp = 0
-                            1e-3 * frame.x_hat])  # gap ~ (gamma B)^2 / D
+    degenerate = np.array([[0.0, 0.0, 0.0],     # |+-1> at e_perp = 0
+                           [1e-3, 0.0, 0.0]])   # gap ~ (gamma B)^2 / D
     # more generic rows than a _solve_fields block, solved in one call
-    b = np.vstack([degenerate, 40.0 * frame.y_hat,
+    b = np.vstack([degenerate, [[0.0, 40.0, 0.0]],
                    rng.uniform(-150.0, 150.0, size=(1100, 3)), degenerate])
-    es = _assert_stack_matches_rows(frame, b, e_perp_mhz=0.0)
+    es = _assert_stack_matches_rows(b, e_perp_mhz=0.0)
     gaps = np.diff(es.energies_ghz, axis=-1).min(axis=-1)
     assert np.all(gaps[[0, 1, -2, -1]] < 1e-9) and np.all(gaps[2:-2] > 1e-6)
     # the degenerate rows are tie-broken onto the zero-field references
@@ -204,34 +178,30 @@ def test_stack_mixes_degenerate_and_generic_rows():
                                  st.just(3)),
                 elements=st.one_of(st.just(0.0), field_components)),
        e_perp=st.sampled_from([0.0, 4.0]),
-       phi=st.floats(0.0, 2.0 * np.pi, exclude_max=True),
-       class_id=st.integers(0, 3))
-def test_stacked_solve_equals_row_by_row(b, e_perp, phi, class_id):
-    _assert_stack_matches_rows(class_frame(class_id), b, e_perp_mhz=e_perp,
-                               phi_e_rad=phi)
+       phi=st.floats(0.0, 2.0 * np.pi, exclude_max=True))
+def test_stacked_solve_equals_row_by_row(b, e_perp, phi):
+    _assert_stack_matches_rows(b, e_perp_mhz=e_perp, phi_e_rad=phi)
 
 
 def test_field_stack_validation():
-    assert FieldConfiguration(b_gauss=np.ones((2, 5, 3))).b_gauss.shape == \
-        (2, 5, 3)
+    assert build_hamiltonian(np.ones((2, 5, 3))).shape == (2, 5, 3, 3)
     for bad in (np.ones((4, 2)), np.ones(()), [[1.0, 2.0, np.inf]]):
-        with pytest.raises(ValueError):
-            FieldConfiguration(b_gauss=bad)
-
+        with pytest.raises(ValueError, match="b_gauss"):
+            build_hamiltonian(bad)
 
 
 @pytest.mark.parametrize("name", ["e_perp_mhz", "phi_e_rad"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_field_configuration_refuses_non_finite_electric_fields(name, bad):
+def test_build_hamiltonian_refuses_non_finite_electric_fields(name, bad):
     # these once reached LAPACK and failed there: "Eigenvalues did not
     # converge"
     with pytest.raises(ValueError, match=name):
-        FieldConfiguration(**{name: bad})
+        build_hamiltonian(np.zeros(3), **{name: bad})
     if name == "e_perp_mhz":
         with pytest.raises(ValueError, match=name):
-            transverse_field_scan(class_frame(0), [1.0, 2.0], bad)
+            transverse_field_scan([1.0, 2.0], bad)
         with pytest.raises(ValueError, match=name):
-            eigenstate_map(class_frame(0), [1.0], [0.0, 1.0], bad)
+            eigenstate_map([1.0], [0.0, 1.0], bad)
 
 def test_diagonalize_rejects_non_hermitian():
     h = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
@@ -289,8 +259,7 @@ def test_class_frame_depends_on_the_field_direction_only(exponent):
 
 
 def test_eigenstate_map_limits():
-    frame = class_frame(0)
-    o_p1, o_plus = eigenstate_map(frame, [0.0, 100.0, 145.0, 150.0],
+    o_p1, o_plus = eigenstate_map([0.0, 100.0, 145.0, 150.0],
                                   [0.0, np.pi / 2], e_perp_mhz=4.0)
     assert np.all((0.0 <= o_p1) & (o_p1 <= 1.0))
     assert np.all((0.0 <= o_plus) & (o_plus <= 1.0))
@@ -300,8 +269,9 @@ def test_eigenstate_map_limits():
     assert o_p1[1, 0] > 0.99
     # strong transverse field: upper state follows |+>
     assert o_plus[2, 1] > 0.98
-    # at theta = pi/2 the field lies along the electric azimuth, so |e>
-    # lives in the {|0>, |+>} block [[0, a], [a, s]]; the overlap is
+    # at theta = pi/2 the field lies along x and, at phi_E = 0, the
+    # electric field of eq. (1) along -x, so |e> lives in the {|0>, |+>}
+    # block [[0, a], [a, s]]; the overlap is
     # short of 1 only by its second-order |0> admixture, ~(a/s)^2
     s = D * 1e3 + 4.0
     a = GAMMA_E_MHZ_PER_G * np.array([0.0, 100.0, 145.0, 150.0])
@@ -310,18 +280,14 @@ def test_eigenstate_map_limits():
 
 
 def test_eigenstate_map_validation():
-    frame = class_frame(0)
-    with pytest.raises(ValueError):
-        eigenstate_map(frame, [], [0.0], e_perp_mhz=4.0)
-    with pytest.raises(ValueError):
-        eigenstate_map(frame, [-1.0], [0.0], e_perp_mhz=4.0)
+    for b in ([], [-1.0], [np.inf]):
+        with pytest.raises(ValueError):
+            eigenstate_map(b, [0.0], e_perp_mhz=4.0)
 
 
 def test_transverse_scan_splitting():
-    frame = class_frame(0)
     grid = np.linspace(0.0, 150.0, 31)
-    energies, dnu, matching = transverse_field_scan(frame, grid,
-                                                    e_perp_mhz=4.0)
+    energies, dnu, matching = transverse_field_scan(grid, e_perp_mhz=4.0)
     assert energies.shape == (31, 3)
     assert dnu[0] == pytest.approx(8.0, abs=1e-9)
     assert np.all(np.diff(dnu) > 0.0)
@@ -331,11 +297,10 @@ def test_transverse_scan_splitting():
 
 
 def test_empty_transverse_scan_still_checks_the_electric_field():
-    frame = class_frame(0)
-    energies, dnu, matching = transverse_field_scan(frame, [], 4.0)
+    energies, dnu, matching = transverse_field_scan([], 4.0)
     assert energies.shape == (0, 3) and dnu.shape == matching.shape == (0,)
     with pytest.raises(ValueError):
-        transverse_field_scan(frame, [], e_perp_mhz=-1.0)
+        transverse_field_scan([], e_perp_mhz=-1.0)
 
 
 def _assert_same_bits(whole, rows):
@@ -345,15 +310,14 @@ def _assert_same_bits(whole, rows):
 
 def test_grid_scans_equal_row_by_row_solves():
     # 37 x 31 = 1147 field points: three solver blocks, the last partial
-    frame = class_frame(1)
     b = np.linspace(0.0, 180.0, 37)
     theta = np.linspace(0.0, np.pi / 2, 31)
-    _assert_same_bits(eigenstate_map(frame, b, theta, 4.0),
-                      [eigenstate_map(frame, b[i:i + 1], theta, 4.0)
+    _assert_same_bits(eigenstate_map(b, theta, 4.0),
+                      [eigenstate_map(b[i:i + 1], theta, 4.0)
                        for i in range(b.size)])
     b = np.linspace(0.0, 180.0, 1147)
-    _assert_same_bits(transverse_field_scan(frame, b, 4.0),
-                      [transverse_field_scan(frame, b[i:i + 1], 4.0)
+    _assert_same_bits(transverse_field_scan(b, 4.0),
+                      [transverse_field_scan(b[i:i + 1], 4.0)
                        for i in range(b.size)])
 
 
@@ -368,11 +332,11 @@ def _traced_peak(fn, *args):
 
 
 _SCANS = {
-    "eigen-map": lambda frame, n: eigenstate_map(
-        frame, np.linspace(0.0, 150.0, n // 64),
-        np.linspace(0.0, np.pi / 2, 64), 4.0),
-    "transverse-scan": lambda frame, n: transverse_field_scan(
-        frame, np.linspace(0.0, 150.0, n), 4.0),
+    "eigen-map": lambda n: eigenstate_map(
+        np.linspace(0.0, 150.0, n // 64), np.linspace(0.0, np.pi / 2, 64),
+        4.0),
+    "transverse-scan": lambda n: transverse_field_scan(
+        np.linspace(0.0, 150.0, n), 4.0),
 }
 
 
@@ -381,10 +345,9 @@ def test_grid_scan_memory_grows_only_by_fields_and_results(scan):
     # past one solver block, a 4x grid may add to the peak only its
     # (n, 3) field stack and the returned arrays; the Hamiltonians and
     # eigenvectors stay one block in size
-    frame = class_frame(0)
     run = _SCANS[scan]
-    run(frame, 1024)                      # warm up lazy imports and caches
-    small, _ = _traced_peak(run, frame, 1024)
-    large, out = _traced_peak(run, frame, 4096)
+    run(1024)                             # warm up lazy imports and caches
+    small, _ = _traced_peak(run, 1024)
+    large, out = _traced_peak(run, 4096)
     per_point = 3 * 8 + sum(a.nbytes for a in out) / 4096
     assert large - small <= 3 * 1024 * per_point + 64 * 1024
