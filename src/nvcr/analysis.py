@@ -2,20 +2,18 @@
 
 Both fits are least squares of the decay law of ``relaxation`` with the
 amplitude, in which the law is linear, profiled out in closed form
-(variable projection, Golub & Pereyra 1973).  The rest is one 1-D
-search, or an outer one around an inner one: each a coarse grid, then
-a golden-section search around its best node.  No search has
-starts or random draws, and the command path never imports SciPy.
-Spectral overlaps of Gaussian and Lorentzian lines are closed-form
-convolutions (only a mixed pair loads ``scipy.special`` for the Voigt
-profile).
+(variable projection, Golub & Pereyra 1973), then Levenberg-Marquardt
+steps from the best node of a fixed grid: no random starts, and the
+command path never imports SciPy.  Spectral overlaps of Gaussian and
+Lorentzian lines are closed-form convolutions (only a mixed pair loads
+``scipy.special`` for the Voigt profile).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,7 +32,8 @@ __all__ = [
 ]
 
 # the search tolerance, relative to the size of the coordinate (at least 1)
-_XTOL = 1e-10
+_XTOL = 1e-11
+_MAX_STEPS = 100    # Levenberg-Marquardt steps, rejected ones included
 # the log T1 grid runs from a stretched exponent (t/T1)^beta of
 # _EXPONENT_SPAN at the first positive time to 1/_EXPONENT_SPAN at the
 # last one, _NODES_PER_DECADE nodes per decade of the exponent
@@ -42,7 +41,6 @@ _EXPONENT_SPAN = 100.0
 _NODES_PER_DECADE = 4
 # the beta grid of fit_beta: beta may run up to 1.5 (see DecayModel)
 _BETA_NODES = np.geomspace(0.05, 1.5, 16)
-_GOLDEN = 0.5 * (5.0 ** 0.5 - 1.0)
 
 
 @dataclass(frozen=True)
@@ -95,68 +93,24 @@ class FitError(RuntimeError):
         self.best = best
 
 
-class _Min(NamedTuple):
-    """A 1-D search's best point, its value, and whether it is a window
-    end (so the minimum may lie beyond)."""
-
-    x: float
-    fun: float
-    edge: bool
-
-
-def _golden(f: Callable[[float], float], a: float, b: float
-            ) -> tuple[float, float]:
-    """Minimize ``f`` inside [a, b] by golden-section search until the
-    bracket is narrower than ``_XTOL`` times max(1, |x|).  Returns the
-    best point tried and its value."""
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > _XTOL * max(1.0, abs(c)):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
-def _minimize(f: Callable[[float], float], nodes: np.ndarray) -> _Min:
-    """Minimize ``f`` over [nodes[0], nodes[-1]]: ``f`` at every node,
-    then a golden-section search of the node intervals next to the best
-    one.  A best node at an end of the window is the edge result unless
-    that search finds a better point away from it, that is, farther
-    than its tolerance."""
-    values = [f(float(x)) for x in nodes]
-    k = int(np.argmin(values))
-    node = float(nodes[k])
-    x, fx = _golden(f, float(nodes[max(k - 1, 0)]),
-                    float(nodes[min(k + 1, nodes.size - 1)]))
-    end = k in (0, nodes.size - 1)
-    if fx < values[k] and not (
-            end and abs(x - node) <= _XTOL * max(1.0, abs(x))):
-        return _Min(x, fx, False)
-    return _Min(node, values[k], end)
+# a shape m(t) tried at x: its amplitude, rss and residual y - A m
+_Trial = namedtuple("_Trial", "x amplitude rss shape residual")
 
 
 class _Profile:
-    """The decay law fitted to one curve with its amplitude profiled
-    out.  For a trial shape m(t), the law at A = 1, the best amplitude
-    is A = max(0, sum(w y m) / sum(w m^2)), and the shape scores the
-    weighted residual sum at that A: a shape that underflows to all
-    zeros, as the zero model.  ``evaluations`` counts the shapes tried.
-    """
+    """The decay law fitted to one curve at x = (log T1_dd, beta, rate =
+    t_max / T1_ph; rate 0 is T1_ph = inf) unless ``t1_ph_s`` holds T1_ph,
+    its amplitude profiled out: a shape m(t), the law at A = 1, takes
+    A = max(0, sum(w y m) / sum(w m^2)).  ``evaluations`` counts the
+    shapes tried."""
 
-    def __init__(self, c: DecayCurve):
+    def __init__(self, c: DecayCurve, t1_ph_s: float | None = None):
         peak = float(np.max(np.abs(c.signal)))
         if float(np.ptp(c.signal)) < 1e-12 * max(peak, 1e-300):
             raise ValueError("signal shows no decay; nothing to fit")
         t = c.tau_s[c.tau_s > 0.0]
         self.log_t = float(np.log(t[0])), float(np.log(t[-1]))
-        self.curve = c
-        self.weights = c.weights
+        self.curve, self.weights, self.t1_ph_s = c, c.weights, t1_ph_s
         self.evaluations = 0
 
     def log_t1_nodes(self, beta: float) -> np.ndarray:
@@ -166,80 +120,123 @@ class _Profile:
         n = int(np.ceil((hi - lo) * beta / np.log(10.0) * _NODES_PER_DECADE))
         return np.linspace(lo, hi, n + 1)
 
-    def amplitude_rss(self, t1_dd_s, t1_ph_s, beta) -> tuple[float, float]:
+    def law(self, x, amplitude: float = 1.0) -> tuple:
+        """(T1_dd, T1_ph, A, beta) at ``x``."""
+        log_t1, beta, rate = (float(v) for v in x)
+        t_max = float(self.curve.tau_s[-1])
+        t1_ph = self.t1_ph_s or (t_max / rate if rate > 0.0 else np.inf)
+        return float(np.exp(log_t1)), t1_ph, amplitude, beta
+
+    def trial(self, x) -> _Trial:
         self.evaluations += 1
         c, w = self.curve, self.weights
-        m = _decay_law(c.tau_s, t1_dd_s, t1_ph_s, 1.0, beta)
+        m = _decay_law(c.tau_s, *self.law(x))
         wm = w * m
         mm = float(wm @ m)
         a = max(0.0, float(wm @ c.signal) / mm) if mm > 0.0 else 0.0
         r = c.signal - a * m
-        return a, float(r @ (w * r))
+        return _Trial(x, a, float(r @ (w * r)), m, r)
 
-    def best_t1_dd(self, t1_ph_s, beta) -> _Min:
-        """The best log T1_dd with T1_ph and beta held fixed."""
-        return _minimize(
-            lambda u: self.amplitude_rss(np.exp(u), t1_ph_s, beta)[1],
-            self.log_t1_nodes(beta))
+    def jacobian(self, s: _Trial) -> np.ndarray:
+        """Kaufman's Jacobian of the residual (BIT 15, 49, 1975), a row
+        per coordinate: -A times each derivative of m orthogonal to m."""
+        t, m, (log_t1, beta, _) = self.curve.tau_s, s.shape, s.x
+        # m (t/T1_dd)^beta and log(t/T1_dd), 0 where m or t is
+        zm = np.where(m > 0.0, (t / np.exp(log_t1)) ** beta, 0.0) * m
+        log_t = np.log(np.where(t > 0.0, t, 1.0)) - log_t1
+        dm = np.array([beta * zm, -log_t * zm, -t / t[-1] * m])
+        wm = self.weights * m
+        return -s.amplitude * (dm - np.outer(dm @ wm / (wm @ m), m))
 
-    def fit(self, t1_ph_s: float, beta: float, edge: bool = False
-            ) -> FitResult:
-        """Fit T1_dd and A with T1_ph and beta held.  Raises ``FitError``,
-        carrying the fit, when this search or the caller's (``edge``)
-        ended on an edge of its window, and ValueError when no shape
-        correlates positively with the signal."""
-        dd = self.best_t1_dd(t1_ph_s, beta)
-        t1_dd = float(np.exp(dd.x))
-        a, rss = self.amplitude_rss(t1_dd, t1_ph_s, beta)
-        if a == 0.0:
-            raise ValueError(f"no decay shape with T1_ph = {t1_ph_s:g} s and "
-                             f"beta = {beta:g} fits with a positive amplitude")
-        fit = FitResult(model=DecayModel(t1_dd, t1_ph_s, a, beta),
-                        residual_rss=rss, converged=not (edge or dd.edge),
-                        iterations=self.evaluations)
-        if not fit.converged:
-            raise FitError("the best fit lies on an edge of the search "
-                           "window", fit)
-        return fit
+
+@np.errstate(over="ignore")     # see relaxation._decay_law
+def _search(p: _Profile, betas) -> FitResult:
+    """Levenberg-Marquardt steps in the coordinates that the start grid
+    spans, from its best node until a step is below ``_XTOL`` relative,
+    each coordinate kept to the span of its grid and put on an end
+    within ``_XTOL`` of it.  The grid is each beta of ``betas`` times its
+    log T1 grid, times rate 0 and, unless T1_ph is held, the rates of
+    the phonon window (t/T1_ph from 100 to 0.01).  A fit on an end, or
+    not settled in ``_MAX_STEPS`` steps, raises ``FitError``."""
+    rates = [0.0] if p.t1_ph_s else \
+        [0.0, *(p.curve.tau_s[-1] * np.exp(-p.log_t1_nodes(1.0)[::-1]))]
+    starts = np.array([(u, b, r) for r in rates for b in betas
+                       for u in p.log_t1_nodes(b)])
+    span = np.array([starts.min(axis=0), starts.max(axis=0)])
+    free = span[0] < span[1]
+
+    def window(x) -> np.ndarray:    # the (2, 3) low and high ends at x
+        return np.column_stack([p.log_t1_nodes(x[1])[[0, -1]], span[:, 1:]])
+
+    def project(x) -> np.ndarray:
+        x = np.clip(x, *span)   # first: the log T1 window moves with beta
+        (lo, hi), near = window(x), _XTOL * np.maximum(1.0, np.abs(x))
+        return np.where(x - lo <= near, lo, np.where(hi - x <= near, hi, x))
+
+    s = min((p.trial(x) for x in starts), key=lambda t: t.rss)
+    if s.amplitude == 0.0:
+        raise ValueError(f"no decay shape with T1_ph = {p.law(s.x)[1]:g} s "
+                         f"and beta = {s.x[1]:g} fits with a positive "
+                         f"amplitude")
+    damping, growth, settled = 1e-3, 2.0, True
+    for _ in range(_MAX_STEPS):
+        jac = p.jacobian(s)
+        grad = jac @ (p.weights * s.residual)
+        normal = (jac * p.weights) @ jac.T
+        # a coordinate on an end stays there if descent points past it
+        on_lo, on_hi = s.x == window(s.x)
+        move = free & ~(on_lo & (grad > 0.0) | on_hi & (grad < 0.0))
+        a = normal[np.ix_(move, move)]
+        # Marquardt's damping, relative to the diagonal
+        scale = np.diag(np.where(np.diag(a) > 0.0, np.diag(a), 1.0))
+        step = np.zeros(3)
+        step[move] = np.linalg.solve(a + damping * scale, -grad[move])
+        d = project(s.x + step) - s.x
+        if np.all(np.abs(d) <= _XTOL * np.maximum(1.0, np.abs(s.x))):
+            break
+        t = p.trial(s.x + d)
+        # the damping follows the gain ratio (Nielsen, IMM-REP-1999-05)
+        predicted = -(2.0 * grad @ d + d @ normal @ d)
+        gain = (s.rss - t.rss) / predicted if predicted > 0.0 else 0.0
+        if t.rss < s.rss:
+            s, growth = t, 2.0
+            damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+        else:
+            damping, growth = damping * growth, 2.0 * growth
+    else:
+        settled = False
+    # rate 0 is T1_ph = inf, not an edge
+    edge = free & (s.x == window(s.x)).any(axis=0) & [True, True, s.x[2] > 0]
+    fit = FitResult(model=DecayModel(*p.law(s.x, s.amplitude)),
+                    residual_rss=s.rss, converged=settled and not edge.any(),
+                    iterations=p.evaluations)
+    if not fit.converged:
+        raise FitError("the best fit lies on an edge of the search window"
+                       if edge.any() else
+                       f"the search did not settle in {_MAX_STEPS} steps", fit)
+    return fit
 
 
 def fit_decay(c: DecayCurve, fixed_t1_ph_s: float | None = None
               ) -> FitResult:
     """Least-squares fit of the two-channel decay law (beta = 1/2).
 
-    With ``fixed_t1_ph_s``, one search in log T1_dd over the window in
-    which (t/T1_dd)^(1/2) runs from 100 at the first positive time to
-    0.01 at the last one: the sampled times widened 1e4-fold on each
-    side.  A minimum on an edge of that window raises ``FitError``.
-    Otherwise an outer search in the phonon rate runs around it, over
-    the rates of the phonon window (t/T1_ph from 100 to 0.01, the
-    sampled times widened a hundredfold) and rate 0: the channel-off
-    limit T1_ph = inf, evaluated exactly and no edge.
+    T1_dd is searched in log T1_dd over the window in which
+    (t/T1_dd)^(1/2) runs from 100 at the first positive time to 0.01 at
+    the last one: the sampled times widened 1e4-fold on each side.
+    Unless ``fixed_t1_ph_s`` holds T1_ph (inf switches the channel off),
+    so is the phonon rate t_max / T1_ph (see ``_search``).
     """
-    p = _Profile(c)
-    with np.errstate(over="ignore"):    # see relaxation._decay_law
-        if fixed_t1_ph_s is not None:
-            return p.fit(fixed_t1_ph_s, 0.5)
-        # the rate coordinate t_max / T1_ph, so that rate 0 is T1_ph = inf
-        t_max = float(c.tau_s[-1])
-        rates = np.concatenate([[0.0],
-                                t_max * np.exp(-p.log_t1_nodes(1.0)[::-1])])
-
-        def t1_ph(rate):
-            return np.inf if rate == 0.0 else t_max / rate
-
-        ph = _minimize(lambda r: p.best_t1_dd(t1_ph(r), 0.5).fun, rates)
-        return p.fit(t1_ph(ph.x), 0.5, edge=ph.edge and ph.x > 0.0)
+    if fixed_t1_ph_s is not None and not fixed_t1_ph_s > 0.0:
+        raise ValueError(f"fixed_t1_ph_s = {fixed_t1_ph_s!r} is not positive")
+    return _search(_Profile(c, fixed_t1_ph_s), [0.5])
 
 
 def fit_beta(c: DecayCurve) -> FitResult:
-    """Fit the single stretch (T1_ph = inf) with free (A, T1, beta): an
-    outer search in beta over [0.05, 1.5] around a search in log T1 over
-    the window of that beta (see ``fit_decay``)."""
-    p = _Profile(c)
-    with np.errstate(over="ignore"):    # see relaxation._decay_law
-        beta = _minimize(lambda b: p.best_t1_dd(np.inf, b).fun, _BETA_NODES)
-        return p.fit(np.inf, beta.x, edge=beta.edge)
+    """Fit the single stretch (T1_ph = inf) with free (A, T1, beta):
+    beta in [0.05, 1.5], log T1 in the window of that beta (see
+    ``fit_decay``)."""
+    return _search(_Profile(c, np.inf), _BETA_NODES)
 
 
 class LineShape(Enum):

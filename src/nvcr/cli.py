@@ -461,8 +461,10 @@ def main(argv=None) -> int:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, FitError, OSError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
-                         sort_keys=True))
+        best = {"best": _fit_payload(exc.best)} \
+            if isinstance(exc, FitError) else {}
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc),
+                          **best}, sort_keys=True))
         return 1
     print(out)
     return 0

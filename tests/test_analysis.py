@@ -1,5 +1,7 @@
 """Decay-curve fitting, spectral overlaps, sensitivity."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from nvcr import (
     sensitivity,
     spectral_overlap,
 )
+from nvcr.serialize import read_decay_csv
 
 T1PH = 3.62e-3
 
@@ -98,6 +101,19 @@ def test_pure_stretch_fits_with_the_phonon_channel_off():
     assert res.converged
     assert res.model.t1_ph_s == np.inf
     assert res.model.t1_dd_s == pytest.approx(0.7e-3, rel=1e-7)
+
+
+def test_tail_slower_than_the_root_stretch_holds_the_phonon_rate_at_0():
+    # a beta = 0.45 tail decays more slowly than any beta = 1/2 law with
+    # a phonon channel, so the rate stays on 0 while T1_dd moves
+    tau = np.geomspace(1e-5, 5e-3, 64)
+    curve = DecayCurve(tau, decay_signal(
+        tau, DecayModel(t1_dd_s=0.7e-3, beta=0.45)))
+    free, off = fit_decay(curve), fit_decay(curve, fixed_t1_ph_s=np.inf)
+    assert free.converged and free.model.t1_ph_s == np.inf
+    assert free.model.t1_dd_s == pytest.approx(off.model.t1_dd_s, rel=1e-9)
+    assert free.model.amplitude == pytest.approx(off.model.amplitude,
+                                                 rel=1e-9)
 
 
 def test_phonon_channel_beyond_its_grid_is_fitted():
@@ -206,6 +222,74 @@ def test_beta_of_two_channel_curve_near_half():
     res = fit_beta(curve)
     assert res.converged
     assert abs(res.model.beta - 0.5) < abs(res.model.beta - 1.0)
+
+
+GOLDEN_CURVE = Path(__file__).parent / "golden" / "decay_curve.csv"
+
+# (T1_dd, beta, T1_ph, A, rss) on the golden curve from the nested
+# golden-section searches that the Levenberg-Marquardt search replaced
+NESTED_SEARCH = {
+    "fit_beta": (4.7903825185699277e-04, 0.5884278386707186, np.inf,
+                 0.9662285806511632, 2.1654465974786614e-04),
+    "fit_decay": (6.00000000174659e-04, 0.5, 3.6199999984405443e-03,
+                  0.9999999999623853, 3.7282465396779466e-20),
+}
+
+
+@pytest.mark.parametrize("name", list(NESTED_SEARCH))
+def test_golden_curve_fits_match_the_nested_search(name):
+    fit = {"fit_beta": fit_beta, "fit_decay": fit_decay}[name]
+    res = fit(read_decay_csv(GOLDEN_CURVE))
+    t1_dd, beta, t1_ph, amplitude, rss = NESTED_SEARCH[name]
+    m = res.model
+    assert res.converged
+    assert m.t1_dd_s == pytest.approx(t1_dd, rel=1e-8)
+    assert m.beta == pytest.approx(beta, rel=1e-8)
+    assert m.t1_ph_s == pytest.approx(t1_ph, rel=1e-8)
+    assert m.amplitude == pytest.approx(amplitude, rel=1e-8)
+    assert res.residual_rss <= rss * (1.0 + 1e-12)
+    assert res.iterations < 1000
+
+
+def _profiled_rss(curve, t1_dd, t1_ph, beta):
+    m = decay_signal(curve.tau_s, DecayModel(t1_dd, t1_ph, 1.0, beta))
+    wm = curve.weights * m
+    r = curve.signal - (wm @ curve.signal) / (wm @ m) * m
+    return r @ (curve.weights * r)
+
+
+@pytest.mark.parametrize("name", list(NESTED_SEARCH))
+def test_golden_curve_fits_are_local_minima(name):
+    # a step of 1e-7 in any free coordinate, log T1_dd, beta or the rate
+    # t_max / T1_ph, leads uphill
+    curve = read_decay_csv(GOLDEN_CURVE)
+    res = {"fit_beta": fit_beta, "fit_decay": fit_decay}[name](curve)
+    m, t_max = res.model, curve.tau_s[-1]
+    assert _profiled_rss(curve, m.t1_dd_s, m.t1_ph_s, m.beta) == \
+        res.residual_rss
+    for h in (1e-7, -1e-7):
+        neighbours = [(m.t1_dd_s * np.exp(h), m.t1_ph_s, m.beta)]
+        if name == "fit_beta":
+            neighbours.append((m.t1_dd_s, m.t1_ph_s, m.beta + h))
+        else:
+            neighbours.append((m.t1_dd_s, t_max / (t_max / m.t1_ph_s + h),
+                               m.beta))
+        for args in neighbours:
+            assert _profiled_rss(curve, *args) >= res.residual_rss, (h, args)
+
+
+@pytest.mark.parametrize("t1_ph", [np.nan, 0.0, -1.0, -np.inf],
+                         ids=["nan", "zero", "negative", "minus_inf"])
+def test_fixed_phonon_time_not_positive_is_refused(t1_ph):
+    curve = _synthetic(0.6e-3)
+    with pytest.raises(ValueError, match=f"fixed_t1_ph_s .* {t1_ph!r}"):
+        fit_decay(curve, fixed_t1_ph_s=t1_ph)
+    # inf switches the phonon channel off
+    tau = np.geomspace(1e-5, 5e-3, 64)
+    pure = DecayCurve(tau, decay_signal(tau, DecayModel(t1_dd_s=0.7e-3)))
+    res = fit_decay(pure, fixed_t1_ph_s=np.inf)
+    assert res.converged and res.model.t1_ph_s == np.inf
+    assert res.model.t1_dd_s == pytest.approx(0.7e-3, rel=1e-7)
 
 
 def test_overlap_peak_and_symmetry():

@@ -238,6 +238,25 @@ def test_fit_refuses_non_finite_or_negative_curve_cells(command, row, column,
     assert not out.exists()
 
 
+def test_fit_on_a_window_edge_exits_1_with_that_fit(tmp_path, capsys):
+    # a 1e4 s dipolar timescale lies beyond the window, whose top is the
+    # last wait time widened 1e4-fold: 50 s
+    curve, out = tmp_path / "curve.csv", tmp_path / "fit.json"
+    assert main(["decay-sim", "--t1dd-s", "1e4", "--t1ph-s", "3.62e-3",
+                 "--log-spacing", "--output", str(curve)]) == 0
+    capsys.readouterr()
+    assert main(["fit-t1", "--input", str(curve), "--fix-t1ph", "3.62e-3",
+                 "--output", str(out)]) == 1
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"] == "FitError" and "edge" in diag["message"], diag
+    best = diag["best"]
+    assert best["converged"] is False
+    assert best["T1_dd_s"] == pytest.approx(50.0, rel=1e-12)
+    assert best["T1_ph_s"] == 3.62e-3 and best["beta"] == 0.5
+    assert best["A"] > 0.0 and best["iterations"] > 0
+    assert not out.exists()
+
+
 def test_numeric_failure_exit_1_with_json(tmp_path, capsys):
     rc = main(["fit-t1", "--input", str(tmp_path / "missing.csv")])
     assert rc == 1
