@@ -229,18 +229,18 @@ GOLDEN_CURVE = Path(__file__).parent / "golden" / "decay_curve.csv"
 # (T1_dd, beta, T1_ph, A, rss) on the golden curve from the nested
 # golden-section searches that the Levenberg-Marquardt search replaced
 NESTED_SEARCH = {
-    "fit_beta": (4.7903825185699277e-04, 0.5884278386707186, np.inf,
-                 0.9662285806511632, 2.1654465974786614e-04),
-    "fit_decay": (6.00000000174659e-04, 0.5, 3.6199999984405443e-03,
-                  0.9999999999623853, 3.7282465396779466e-20),
+    fit_beta: (4.7903825185699277e-04, 0.5884278386707186, np.inf,
+               0.9662285806511632, 2.1654465974786614e-04),
+    fit_decay: (6.00000000174659e-04, 0.5, 3.6199999984405443e-03,
+                0.9999999999623853, 3.7282465396779466e-20),
 }
 
 
-@pytest.mark.parametrize("name", list(NESTED_SEARCH))
-def test_golden_curve_fits_match_the_nested_search(name):
-    fit = {"fit_beta": fit_beta, "fit_decay": fit_decay}[name]
+@pytest.mark.parametrize("fit", list(NESTED_SEARCH),
+                         ids=lambda f: f.__name__)
+def test_golden_curve_fits_match_the_nested_search(fit):
     res = fit(read_decay_csv(GOLDEN_CURVE))
-    t1_dd, beta, t1_ph, amplitude, rss = NESTED_SEARCH[name]
+    t1_dd, beta, t1_ph, amplitude, rss = NESTED_SEARCH[fit]
     m = res.model
     assert res.converged
     assert m.t1_dd_s == pytest.approx(t1_dd, rel=1e-8)
@@ -258,18 +258,19 @@ def _profiled_rss(curve, t1_dd, t1_ph, beta):
     return r @ (curve.weights * r)
 
 
-@pytest.mark.parametrize("name", list(NESTED_SEARCH))
-def test_golden_curve_fits_are_local_minima(name):
+@pytest.mark.parametrize("fit", list(NESTED_SEARCH),
+                         ids=lambda f: f.__name__)
+def test_golden_curve_fits_are_local_minima(fit):
     # a step of 1e-7 in any free coordinate, log T1_dd, beta or the rate
     # t_max / T1_ph, leads uphill
     curve = read_decay_csv(GOLDEN_CURVE)
-    res = {"fit_beta": fit_beta, "fit_decay": fit_decay}[name](curve)
+    res = fit(curve)
     m, t_max = res.model, curve.tau_s[-1]
     assert _profiled_rss(curve, m.t1_dd_s, m.t1_ph_s, m.beta) == \
         res.residual_rss
     for h in (1e-7, -1e-7):
         neighbours = [(m.t1_dd_s * np.exp(h), m.t1_ph_s, m.beta)]
-        if name == "fit_beta":
+        if fit is fit_beta:
             neighbours.append((m.t1_dd_s, m.t1_ph_s, m.beta + h))
         else:
             neighbours.append((m.t1_dd_s, t_max / (t_max / m.t1_ph_s + h),
