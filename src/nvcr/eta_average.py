@@ -197,9 +197,9 @@ def _pair_frames(czz: float) -> tuple[NVClassFrame, NVClassFrame]:
     """Frames with z1 = [001] and z2 = [sin gamma, 0, czz] in the xz
     plane, both x axes along the pair-plane normal [010]."""
     x = np.array([0.0, 1.0, 0.0])
-    return tuple(NVClassFrame(k, x, np.cross(z, x), z) for k, z in (
-        (0, np.array([0.0, 0.0, 1.0])),
-        (1, np.array([np.sqrt(1.0 - czz * czz), 0.0, czz]))))
+    return tuple(NVClassFrame(x, np.cross(z, x), z) for z in (
+        np.array([0.0, 0.0, 1.0]),
+        np.array([np.sqrt(1.0 - czz * czz), 0.0, czz])))
 
 
 def _magnetic_average(czz: float) -> float:

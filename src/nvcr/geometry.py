@@ -3,8 +3,9 @@
 The NV axis of a given center points along one of the four <111>
 directions of the diamond lattice (the four "classes").  Each spin
 carries a local right-handed orthonormal triad (x_hat, y_hat, z_hat)
-with z_hat along its NV axis; the transverse axes fix the phase
-reference for the in-plane electric field.
+with z_hat along its NV axis.  A class frame is fixed by the crystal
+alone: x_hat is the part of [100] transverse to the axis, whatever
+field is applied.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ CLASS_AXES = np.array(
     ]
 ) / np.sqrt(3.0)
 
-N_CLASSES = 4
-
 
 def as_unit(v) -> np.ndarray:
     """Return v normalized, rejecting lengths below 1e-9 or not finite
@@ -45,25 +44,6 @@ def as_unit(v) -> np.ndarray:
     return v / n
 
 
-def orthonormal_complement(z_hat: np.ndarray, prefer=None) -> tuple[np.ndarray, np.ndarray]:
-    """Build (x_hat, y_hat) completing z_hat to a right-handed triad.
-
-    If ``prefer`` is given and has a nonzero projection on the plane
-    orthogonal to z_hat, x_hat is taken along that projection;
-    otherwise along [100], or along [010] when z_hat is along [100].
-    """
-    z_hat = as_unit(z_hat)
-    candidates = [] if prefer is None else [np.asarray(prefer, dtype=float)]
-    for cand in candidates + [np.array([1.0, 0.0, 0.0]),
-                              np.array([0.0, 1.0, 0.0])]:
-        perp = cand - (cand @ z_hat) * z_hat
-        n = np.linalg.norm(perp)
-        if n > 1e-8:
-            break
-    x_hat = perp / n
-    return x_hat, np.cross(z_hat, x_hat)
-
-
 @dataclass(frozen=True)
 class NVClassFrame:
     """Local orthonormal triad of one NV center.
@@ -74,7 +54,6 @@ class NVClassFrame:
     frame need not check it again.
     """
 
-    class_id: int
     x_hat: np.ndarray
     y_hat: np.ndarray
     z_hat: np.ndarray
@@ -92,29 +71,16 @@ class NVClassFrame:
             raise ValueError("frame is not right-handed")
 
 
-def class_frame(class_id: int, b_field=None) -> NVClassFrame:
-    """Frame of one NV class, oriented against the applied field.
-
-    The sign of z_hat is chosen so B.z_hat >= 0 (at B = 0 the positive
-    <111> representative is kept), and x_hat points along the transverse
-    component of B when it is at least 1e-8 of B's largest component.
+def class_frame(class_id: int) -> NVClassFrame:
+    """Frame of one NV class in the crystal: z_hat along its <111> axis,
+    x_hat along the part of [100] transverse to it, y_hat = z_hat x x_hat.
     """
-    if not 0 <= class_id < N_CLASSES:
+    if not 0 <= class_id < len(CLASS_AXES):
         raise ValueError(f"class_id must be in 0..3, got {class_id}")
-    z_hat = CLASS_AXES[class_id].copy()
-    prefer = None
-    if b_field is not None:
-        b = np.asarray(b_field, dtype=float)
-        if not np.all(np.isfinite(b)):
-            raise ValueError(f"b_field must be finite, got {b}")
-        if np.any(b):
-            # exactly, by a power of two: no length overflows
-            b = np.ldexp(b, -np.frexp(np.abs(b).max())[1])
-            if b @ z_hat < 0.0:
-                z_hat = -z_hat
-            prefer = b
-    x_hat, y_hat = orthonormal_complement(z_hat, prefer=prefer)
-    return NVClassFrame(class_id, x_hat, y_hat, z_hat)
+    z_hat = CLASS_AXES[class_id]
+    x = np.array([1.0, 0.0, 0.0]) - z_hat[0] * z_hat
+    x_hat = x / np.linalg.norm(x)
+    return NVClassFrame(x_hat, np.cross(z_hat, x_hat), z_hat)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,10 @@ finds the field where every resolvable gap clears a requested width,
 and renders simple synthetic spectra.
 
 The field is given in the crystal frame.  This is the one module that
-projects it onto each class's triad, whose x axis follows the field's
-transverse part, for ``spin_model`` to solve in the NV frame.
+projects it onto the classes.  With the NV frame's x axis along the
+field's transverse part (and phi_E = 0), a field B along the unit
+direction d reaches class k only as B (|d x z_k|, 0, |d . z_k|), which
+``spin_model`` solves in the NV frame.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ import numpy as np
 
 from .analysis import LineProfile
 from .constants import DEFAULT_CR_RANGE_MHZ, DEFAULT_E_PERP_MHZ
-from .geometry import (CLASS_AXES, as_unit, class_frame,
-                       tilted_field_direction)
+from .geometry import CLASS_AXES, as_unit, tilted_field_direction
 from .spin_model import _solve_fields
 
 __all__ = [
@@ -36,12 +37,6 @@ _BRACKET_POINTS = 64     # interior points solved per crossing-refinement round
 _BRACKET_GAUSS = 1e-5    # refinement stops once the bracket is this narrow
 
 
-def _unit_direction(direction) -> np.ndarray:
-    if direction is None:
-        return tilted_field_direction()
-    return as_unit(direction)
-
-
 def _ramp(b_amps_gauss) -> np.ndarray:
     """Field amplitudes of a scan (default 0..30 G), checked finite, >= 0."""
     if b_amps_gauss is None:
@@ -52,28 +47,28 @@ def _ramp(b_amps_gauss) -> np.ndarray:
     return amps
 
 
-def _triads(direction: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """(4, 3, 3): the rows x_hat, y_hat, z_hat of the four class frames
-    of one scan: made once, so the in-plane field phase stays put along
-    the ramp."""
-    amp_ref = float(np.max(amps)) if amps.size and np.max(amps) > 0 else 1.0
-    frames = [class_frame(k, b_field=amp_ref * direction)
-              for k in range(len(CLASS_AXES))]
-    return np.array([[f.x_hat, f.y_hat, f.z_hat] for f in frames])
+def _class_fields(direction) -> np.ndarray:
+    """(4, 3): row k is the unit field d along ``direction`` (default:
+    the tilted one) in the NV frame of class k, (|d x z_k|, 0, |d . z_k|).
+    """
+    d = tilted_field_direction() if direction is None else as_unit(direction)
+    return np.column_stack([np.linalg.norm(np.cross(d, CLASS_AXES), axis=1),
+                            np.zeros(len(CLASS_AXES)),
+                            np.abs(CLASS_AXES @ d)])
 
 
-def _lines(triads: np.ndarray, direction: np.ndarray, amps: np.ndarray,
-           e_perp_mhz: float, classes=range(len(CLASS_AXES))) -> np.ndarray:
+def _lines(fields: np.ndarray, amps: np.ndarray, e_perp_mhz: float,
+           classes=range(len(CLASS_AXES))) -> np.ndarray:
     """(n, 8) lines (GHz) of ``classes`` at the amplitudes ``amps``.
 
-    Each class's field stack is projected onto its triad and solved by
+    Each class's field stack ``amps * fields[k]`` is solved by
     ``_solve_fields``, one stacked solve per block; the columns of the
     other classes are NaN.
     """
     lines = np.full((amps.size, 8), np.nan)
     for k in classes:
         with np.errstate(over="ignore"):    # refused below
-            b = amps[:, None] * (triads[k] @ direction)
+            b = amps[:, None] * fields[k]
         if not np.all(np.isfinite(b)):
             # a projection can pass 1 by an ulp, as along [111]
             raise ValueError(f"a field of {amps.max():g} G overflows in "
@@ -82,13 +77,6 @@ def _lines(triads: np.ndarray, direction: np.ndarray, amps: np.ndarray,
             e = es.energies_ghz
             lines[s, 2 * k:2 * k + 2] = e[:, 1:] - e[:, :1]
     return lines
-
-
-def _scan(direction: np.ndarray, amps: np.ndarray, e_perp_mhz: float
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """The class triads of a scan and its (n, 8) lines."""
-    triads = _triads(direction, amps)
-    return triads, _lines(triads, direction, amps, e_perp_mhz)
 
 
 def all_transitions(direction=None, b_amps_gauss=None,
@@ -101,15 +89,14 @@ def all_transitions(direction=None, b_amps_gauss=None,
     for each class the lower line, then the upper line.
 
     Each class's two excited levels are labeled by energy order.  The
-    class frame's x axis follows the field's transverse part and
+    NV frame's x axis follows the field's transverse part and
     phi_E = 0, so the Hamiltonian is real; its only symmetry, m -> -m,
     holds when the field is transverse, and there the odd level
     (<= D - eps) stays below the even one (>= D + eps).  The two
     excited levels therefore never cross for B > 0, and energy order
     is the branch order.
     """
-    return _scan(_unit_direction(direction), _ramp(b_amps_gauss),
-                 e_perp_mhz)[1]
+    return _lines(_class_fields(direction), _ramp(b_amps_gauss), e_perp_mhz)
 
 
 @dataclass(frozen=True)
@@ -180,14 +167,14 @@ def degeneracy_lift(direction=None, b_amps_gauss=None,
     """
     if not 0.0 < cr_range_mhz < np.inf:
         raise ValueError("cr_range_mhz must be finite and positive")
-    direction = _unit_direction(direction)
+    fields = _class_fields(direction)
     amps = _ramp(b_amps_gauss)
     if amps.size < 8:
         raise ValueError("need at least 8 scan points")
     if np.any(np.diff(amps) <= 0.0):
         raise ValueError("field amplitudes must be strictly increasing "
                          f"from {amps[0]:g} to {amps[-1]:g} G")
-    triads, freqs = _scan(direction, amps, e_perp_mhz)
+    freqs = _lines(fields, amps, e_perp_mhz)
     pairs = _branch_pairs(freqs)
     dnu = _gaps_mhz(freqs, pairs)
 
@@ -204,7 +191,7 @@ def degeneracy_lift(direction=None, b_amps_gauss=None,
         # a relative floor keeps the rounds finite on huge fields
         while hi - lo > max(_BRACKET_GAUSS, 1e-12 * hi):
             b = np.linspace(lo, hi, _BRACKET_POINTS + 2)
-            lines = _lines(triads, direction, b[1:-1], e_perp_mhz, classes)
+            lines = _lines(fields, b[1:-1], e_perp_mhz, classes)
             above = _gaps_mhz(lines, subset).min(axis=1) >= cr_range_mhz
             j = int(np.argmax(np.append(above, True)))
             lo, hi = float(b[j]), float(b[j + 1])

@@ -130,7 +130,7 @@ def rotation_matrix(axis, angle_rad: float) -> np.ndarray:
 
 def rotate(frame: NVClassFrame, rot: np.ndarray) -> NVClassFrame:
     """``frame`` with each axis rotated by ``rot``."""
-    return NVClassFrame(frame.class_id, rot @ frame.x_hat, rot @ frame.y_hat,
+    return NVClassFrame(rot @ frame.x_hat, rot @ frame.y_hat,
                         rot @ frame.z_hat)
 
 

@@ -172,16 +172,10 @@ def test_pair_geometry_validation():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("argument", ["u_hat", "b_field"])
-def test_non_finite_geometry_inputs_are_refused(argument, bad):
-    # a NaN direction passed the unit check and gave NaN elements; a NaN
-    # field gave the zero-field frame, an infinite one a RuntimeWarning
-    v = np.array([bad, 0.0, 0.0])
-    with pytest.raises(ValueError, match=argument):
-        if argument == "u_hat":
-            PairGeometry(v, FRAME0, FRAME0)
-        else:
-            class_frame(0, b_field=v)
+def test_non_finite_geometry_inputs_are_refused(bad):
+    # a NaN direction passed the unit check and gave NaN elements
+    with pytest.raises(ValueError, match="u_hat"):
+        PairGeometry(np.array([bad, 0.0, 0.0]), FRAME0, FRAME0)
 
 
 def test_stacked_elements_equal_row_by_row():

@@ -11,7 +11,6 @@ from nvcr import (
     LineProfile,
     LineShape,
     all_transitions,
-    class_frame,
     degeneracy_lift,
     synth_spectrum,
     tilted_field_direction,
@@ -24,11 +23,13 @@ from nvcr.spin_model import build_hamiltonian, diagonalize
 
 def _nv_fields(k, direction, amps):
     """The ramp ``amps`` along the unit ``direction`` in the NV frame of
-    class ``k``, projected as the scan does: the frame's x axis follows
-    the field at the top of the ramp."""
-    frame = class_frame(k, b_field=amps.max() * direction)
-    triad = np.array([frame.x_hat, frame.y_hat, frame.z_hat])
-    return amps[:, None] * (triad @ direction)
+    class ``k``, whose x axis follows the field's transverse part: its
+    transverse and axial shares (|d x z_k|, 0, |d . z_k|), computed by
+    the scan's numpy calls."""
+    shares = np.column_stack([
+        np.linalg.norm(np.cross(direction, CLASS_AXES), axis=1),
+        np.zeros(len(CLASS_AXES)), np.abs(CLASS_AXES @ direction)])
+    return amps[:, None] * shares[k]
 
 
 def _dip_indices(pl, depth=0.01):
@@ -52,6 +53,11 @@ def test_b111_one_distinct_three_degenerate():
         # two zero gaps (three coincident classes) and one real split
         assert np.sum(gaps < 1e-9) == 2
         assert np.sum(gaps > 1e-3) == 1
+    # the three equivalent classes get the same bits along a whole ramp
+    f = all_transitions([1.0, 1.0, 1.0], np.linspace(0.0, 30.0, 121))
+    for branch in (0, 1):
+        for k in (2, 3):
+            assert np.array_equal(f[:, 2 * k + branch], f[:, 2 + branch])
 
 
 def test_zero_field_two_lines():
@@ -139,6 +145,7 @@ def test_solver_calls_per_scan_and_refinement(monkeypatch):
     axial = np.abs(CLASS_AXES @ tilted_field_direction())
 
     def recorded(b, e_perp_mhz):
+        assert np.all(b[:, 1] == 0.0)   # x follows the transverse part
         share = b[-1, 2] / np.linalg.norm(b[-1])
         built.append((int(np.abs(axial - share).argmin()), b.shape[:-1]))
         return build(b, e_perp_mhz)
@@ -357,8 +364,8 @@ def test_cubic_rotations_permute_the_class_lines(rot, direction):
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_ramp_refuses_non_finite_amplitudes(bad):
-    # an infinite point once failed on a RuntimeWarning inside class_frame,
-    # a NaN one only after the frames were built
+    # an infinite point once failed on a RuntimeWarning while the class
+    # frames were built, a NaN one only after them
     for run in (all_transitions, degeneracy_lift):
         with pytest.raises(ValueError, match="field amplitudes"):
             run(None, [bad, 10.0])
