@@ -113,10 +113,14 @@ class _Profile:
         self.curve, self.weights, self.t1_ph_s = c, c.weights, t1_ph_s
         self.evaluations = 0
 
+    def log_t1_window(self, beta: float) -> tuple[float, float]:
+        """The log T1 window of a channel of stretch ``beta``."""
+        widen = np.log(_EXPONENT_SPAN) / beta
+        return self.log_t[0] - widen, self.log_t[1] + widen
+
     def log_t1_nodes(self, beta: float) -> np.ndarray:
         """The log T1 grid of a channel of stretch ``beta``."""
-        widen = np.log(_EXPONENT_SPAN) / beta
-        lo, hi = self.log_t[0] - widen, self.log_t[1] + widen
+        lo, hi = self.log_t1_window(beta)
         n = int(np.ceil((hi - lo) * beta / np.log(10.0) * _NODES_PER_DECADE))
         return np.linspace(lo, hi, n + 1)
 
@@ -166,7 +170,7 @@ def _search(p: _Profile, betas) -> FitResult:
     free = span[0] < span[1]
 
     def window(x) -> np.ndarray:    # the (2, 3) low and high ends at x
-        return np.column_stack([p.log_t1_nodes(x[1])[[0, -1]], span[:, 1:]])
+        return np.column_stack([p.log_t1_window(x[1]), span[:, 1:]])
 
     def project(x) -> np.ndarray:
         x = np.clip(x, *span)   # first: the log T1 window moves with beta
