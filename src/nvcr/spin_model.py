@@ -9,7 +9,9 @@ in the NV's own frame (z along the NV axis), with all operators written
 in the |m_s> basis ordered (|-1>, |0>, |+1>) and energies in GHz.  The
 electric term is given as the energy eps_perp = d_perp*E_perp and its
 azimuth phi_E from the local x axis.  Projecting a crystal-frame field
-onto a center's axes is left to the caller (``odmr``).
+onto a center is left to the caller: ``odmr`` puts the NV frame's x axis
+along the field's transverse part, so each class's field arrives as
+(B_perp, 0, B_z).
 
 Sign convention: the transverse electric coupling is taken as
 <+1|H|-1> = +eps_perp * exp(i phi_E), which is eq. (1) with
