@@ -172,9 +172,10 @@ def test_pair_geometry_validation():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_geometry_inputs_are_refused(bad):
+@pytest.mark.parametrize("argument", ["u_hat"])
+def test_non_finite_geometry_inputs_are_refused(argument, bad):
     # a NaN direction passed the unit check and gave NaN elements
-    with pytest.raises(ValueError, match="u_hat"):
+    with pytest.raises(ValueError, match=argument):
         PairGeometry(np.array([bad, 0.0, 0.0]), FRAME0, FRAME0)
 
 

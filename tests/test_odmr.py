@@ -311,6 +311,16 @@ def test_direction_outside_the_unit_rule_raises(direction, fault):
             run(direction=direction)
 
 
+@pytest.mark.parametrize("exponent", [-30, -1, 64, 500])
+def test_scan_depends_on_the_field_direction_only(exponent):
+    # only the unit direction reaches the class projection; a power of
+    # two scales the direction exactly, so the lines keep every bit
+    d = np.array([1.0, -2.0, 0.5])
+    amps = np.linspace(0.0, 30.0, 7)
+    assert np.array_equal(all_transitions(2.0 ** exponent * d, amps),
+                          all_transitions(d, amps))
+
+
 def test_degeneracy_small_range_limit():
     report = degeneracy_lift(cr_range_mhz=1e-6)
     assert report.all_separated_b_gauss < 0.5

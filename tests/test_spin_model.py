@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nvcr import (
+    CLASS_AXES,
     NVClassFrame,
     build_hamiltonian,
     class_frame,
@@ -244,6 +245,27 @@ def test_frame_axes_are_read_only_copies():
             axis[0] = 2.0
     x[0] = 2.0
     assert frame.x_hat[0] == 1.0
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_class_frame_is_fixed_by_the_crystal(k):
+    # z along the class axis, x the unit part of [100] transverse to it;
+    # no field enters the frame any more
+    frame = class_frame(k)
+    z = CLASS_AXES[k]
+    assert np.array_equal(frame.z_hat, z)
+    x = np.array([1.0, 0.0, 0.0]) - z[0] * z
+    np.testing.assert_allclose(frame.x_hat, x / np.linalg.norm(x),
+                               rtol=0.0, atol=1e-15)
+    assert np.array_equal(frame.y_hat, np.cross(frame.z_hat, frame.x_hat))
+    with pytest.raises(TypeError):
+        class_frame(k, [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("class_id", [-1, 4])
+def test_class_frame_refuses_an_unknown_class(class_id):
+    with pytest.raises(ValueError, match="class_id"):
+        class_frame(class_id)
 
 
 def test_eigenstate_map_limits():
