@@ -151,7 +151,7 @@ def _tie_break_degenerate(energies: np.ndarray, vecs: np.ndarray) -> None:
                 for prev in chosen:
                     w = w - (prev.conj() @ w) * prev
                 n = np.linalg.norm(w)
-                if n > 1e-6:
+                if n > 0.5:     # skips the ~gamma_e B / D leak of |0>
                     chosen.append(w / n)
                 if len(chosen) == j - i:
                     break

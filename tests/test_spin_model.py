@@ -306,6 +306,21 @@ def test_transverse_scan_splitting():
     assert np.all(matching > 0.97)
 
 
+def test_weak_transverse_field_at_zero_e_perp_keeps_the_labels():
+    # at e_perp = 0, 0-10 mG along x split |+-> by less than the
+    # tie-break tolerance, while |0> leaks into that pair with norm
+    # ~gamma_e B / D ~ 1e-6: the leak must not take the d slot and swap
+    # d and e (it once did from 1.5 to 6 mG)
+    b = np.linspace(0.0, 0.01, 21)
+    s = D * 1e3
+    exact = 0.5 * (1.0 + s / np.hypot(s, 2.0 * GAMMA_E_MHZ_PER_G * b))
+    _, o_plus = eigenstate_map(b, [np.pi / 2], 0.0)
+    np.testing.assert_allclose(o_plus[:, 0], exact, rtol=0.0, atol=1e-10)
+    es = _eigensystem(np.outer(b, [1.0, 0.0, 0.0]))
+    np.testing.assert_allclose(_weight(es.d, REF_MINUS), 1.0, atol=1e-12)
+    np.testing.assert_allclose(_weight(es.e, REF_PLUS), exact, atol=1e-10)
+
+
 def test_empty_transverse_scan_still_checks_the_electric_field():
     energies, dnu, matching = transverse_field_scan([], 4.0)
     assert energies.shape == (0, 3) and dnu.shape == matching.shape == (0,)
