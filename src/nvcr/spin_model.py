@@ -17,9 +17,10 @@ Sign convention: the transverse electric coupling is taken as
 <+1|H|-1> = +eps_perp * exp(i phi_E), which is eq. (1) with
 d_perp (E_x, E_y) = -eps_perp (cos phi_E, sin phi_E).  The zero-field
 eigenstates are then |0> and |+-> = (|+1> +- exp(-i phi_E)|-1>)/sqrt(2)
-with |+> the upper branch.  With this choice the upper eigenstate |e>
-tracks |+> as a transverse magnetic field grows, and the d/e splitting
-increases monotonically with B_perp.
+with |+> the upper branch.  With this choice a field along x leaves
+|-> an exact eigenstate (Sx annihilates it) and mixes |+> with |0>
+only, so |e> tracks |+>, the d/e splitting grows monotonically with
+B_perp, and ``transverse_field_scan`` needs no eigensolver.
 """
 
 from __future__ import annotations
@@ -232,41 +233,39 @@ def eigenstate_map(b_amplitude_gauss, theta_rad, e_perp_mhz: float):
 
 
 def transverse_field_scan(b_perp_gauss, e_perp_mhz: float):
-    """Eigenstructure versus a purely transverse magnetic field (B, 0, 0)
-    along the NV frame's x axis, the electric azimuth phi_E = 0.
+    """Eigenstructure versus transverse field amplitudes ``b_perp_gauss``
+    (Gauss) along the NV frame's x axis, the electric azimuth phi_E = 0.
 
-    Parameters
-    ----------
-    b_perp_gauss : array-like
-        Transverse field amplitudes (Gauss).
+    Closed form: the {|0>, |+>} block [[0, a], [a, s]], with
+    a = gamma_e B, s = D + eps and r = hypot(s, 2a), has the levels
+    (s + r)/2 and (s - r)/2; |-> sits at D - eps, lowest for eps > D.
 
     Returns
     -------
     energies_ghz : (n, 3) ndarray
-        (g, d, e) energies per amplitude.
+        (g, d, e) energies per amplitude, ascending.
     dnu_mhz : (n,) ndarray
         d/e splitting nu_+ - nu_- in MHz.
     matching : (n,) ndarray
-        |<e|+>|^2 per amplitude, |+> taken at phi_E = 0.  It includes
-        the second-order admixture of |0>: with the field along x and
-        the electric field of eq. (1) along -x, |-> stays an exact
-        eigenstate and |e> lies in the {|0>, |+>} block, so
-        matching = (1 + s/sqrt(s^2 + 4 (gamma_e B)^2))/2 with s = D + eps.
+        |<e|+>|^2 = (1 + s/r)/2, |+> taken at phi_E = 0: short of 1 by
+        the second-order admixture of |0>.
     """
     b_perp_gauss = np.atleast_1d(np.asarray(b_perp_gauss, dtype=float))
-    ref = zero_field_states(0.0)[2]
-    b = np.zeros((b_perp_gauss.size, 3))
-    b[:, 0] = b_perp_gauss
-    energies, matching = np.empty((len(b), 3)), np.empty(len(b))
-    for s, es in _solve_fields(b, e_perp_mhz):
-        energies[s] = es.energies_ghz
-        # a row sum, not a matrix-vector product, whose BLAS kernel
-        # rounds differently with the number of rows
-        matching[s] = np.abs((es.e.conj() * ref).sum(-1)) ** 2
+    if not np.all(np.isfinite(b_perp_gauss)):
+        raise ValueError("b_perp_gauss must be finite")
+    if not 0.0 <= e_perp_mhz < np.inf:
+        raise ValueError("e_perp_mhz must be finite and >= 0")
+    eps = e_perp_mhz * 1e-3
+    a = GAMMA_E_MHZ_PER_G * 1e-3 * b_perp_gauss     # GHz
+    s = D_GHZ + eps
+    r = np.hypot(s, 2.0 * a)
+    # (s - r)/2 as 0 - 2a a/(s + r): no cancellation, no a^2, +0 at B = 0
+    energies = np.sort(np.stack(np.broadcast_arrays(
+        0.0 - 2.0 * a * (a / (s + r)), D_GHZ - eps, 0.5 * (s + r)), -1), -1)
     with np.errstate(over="ignore"):
         dnu = (energies[:, 2] - energies[:, 1]) * 1e3
     if not np.all(np.isfinite(dnu)):
         raise ValueError(
             "the d/e splitting overflows in MHz at a transverse field of "
             f"{b_perp_gauss[~np.isfinite(dnu)].max():g} G")
-    return energies, dnu, matching
+    return energies, dnu, 0.5 * (1.0 + s / r)

@@ -306,6 +306,44 @@ def test_transverse_scan_splitting():
     assert np.all(matching > 0.97)
 
 
+_RAMPS = [pytest.param(np.linspace(0.0, 200.0, 101), id="0-200G"),
+          pytest.param(np.geomspace(1e-6, 1e6, 101), id="1e-6-1e6G"),
+          pytest.param(np.linspace(0.0, 0.01, 101), id="0-10mG")]
+
+
+@pytest.mark.parametrize("e_perp", [0.0, 1e-6, 4.0, 5000.0])
+@pytest.mark.parametrize("b", _RAMPS)
+def test_transverse_scan_closed_form_matches_the_solver(b, e_perp):
+    # the scan's closed form against a numerical solve per point; at
+    # 5000 MHz the level D - eps of |-> is the lowest
+    energies, dnu, matching = transverse_field_scan(b, e_perp)
+    for k, amp in enumerate(b):
+        es = _eigensystem([amp, 0.0, 0.0], e_perp)
+        e = es.energies_ghz
+        assert np.abs(energies[k] - e).max() <= 1e-14 * max(np.abs(e).max(),
+                                                            1.0)
+        assert abs(matching[k] - _weight(es.e, REF_PLUS)) <= 1e-10
+    assert np.array_equal(dnu, (energies[:, 2] - energies[:, 1]) * 1e3)
+
+
+def test_transverse_scan_calls_no_eigensolver(monkeypatch):
+    import nvcr.spin_model
+    calls = []
+    for name in ("diagonalize", "_solve_fields", "build_hamiltonian"):
+        solve = getattr(nvcr.spin_model, name)
+
+        def counted(*args, _name=name, _solve=solve):
+            calls.append(_name)
+            return _solve(*args)
+
+        monkeypatch.setattr(nvcr.spin_model, name, counted)
+    transverse_field_scan(np.linspace(0.0, 150.0, 2001), 4.0)
+    transverse_field_scan([], 4.0)
+    assert calls == []
+    eigenstate_map([1.0], [0.5], 4.0)    # the counting reaches the solver
+    assert calls == ["_solve_fields", "build_hamiltonian", "diagonalize"]
+
+
 def test_weak_transverse_field_at_zero_e_perp_keeps_the_labels():
     # at e_perp = 0, 0-10 mG along x split |+-> by less than the
     # tie-break tolerance, while |0> leaks into that pair with norm
