@@ -10,8 +10,9 @@ and renders simple synthetic spectra.
 The field is given in the crystal frame.  This is the one module that
 projects it onto the classes.  With the NV frame's x axis along the
 field's transverse part (and phi_E = 0), a field B along the unit
-direction d reaches class k only as B (|d x z_k|, 0, |d . z_k|), which
-``spin_model`` solves in the NV frame.
+direction d reaches class k only as B (|d x z_k|, 0, |d . z_k|).
+``spin_model`` solves that in the NV frame in closed form, with no
+eigensolver.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .analysis import LineProfile
 from .constants import DEFAULT_CR_RANGE_MHZ, DEFAULT_E_PERP_MHZ
 from .geometry import CLASS_AXES, as_unit, tilted_field_direction
-from .spin_model import _solve_fields
+from .spin_model import _class_blocks
 
 __all__ = [
     "all_transitions",
@@ -61,20 +62,19 @@ def _lines(fields: np.ndarray, amps: np.ndarray, e_perp_mhz: float,
            classes=range(len(CLASS_AXES))) -> np.ndarray:
     """(n, 8) lines (GHz) of ``classes`` at the amplitudes ``amps``.
 
-    Each class's field stack ``amps * fields[k]`` is solved by
-    ``_solve_fields``, one stacked solve per block; the columns of the
-    other classes are NaN.
+    Each class's shares ``fields[k]`` scaled by ``amps`` take one call
+    of ``spin_model._class_blocks``, which solves them in closed form,
+    block by block; the columns of the other classes are NaN.
     """
     lines = np.full((amps.size, 8), np.nan)
     for k in classes:
         with np.errstate(over="ignore"):    # refused below
-            b = amps[:, None] * fields[k]
-        if not np.all(np.isfinite(b)):
+            b_perp, b_z = amps * fields[k, 0], amps * fields[k, 2]
+        if not (np.all(np.isfinite(b_perp)) and np.all(np.isfinite(b_z))):
             # a projection can pass 1 by an ulp, as along [111]
             raise ValueError(f"a field of {amps.max():g} G overflows in "
                              "its projection onto the class axes")
-        for s, es in _solve_fields(b, e_perp_mhz):
-            e = es.energies_ghz
+        for s, e, _, _ in _class_blocks(b_perp, b_z, e_perp_mhz):
             lines[s, 2 * k:2 * k + 2] = e[:, 1:] - e[:, :1]
     return lines
 

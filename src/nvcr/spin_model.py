@@ -21,6 +21,11 @@ with |+> the upper branch.  With this choice a field along x leaves
 |-> an exact eigenstate (Sx annihilates it) and mixes |+> with |0>
 only, so |e> tracks |+>, the d/e splitting grows monotonically with
 B_perp, and ``transverse_field_scan`` needs no eigensolver.
+
+At a class field (B_perp, 0, B_z) with phi_E = 0 eq. (1) is real, and
+``_class_blocks`` solves it in closed form for ``eigenstate_map`` and
+the ``odmr`` line scans, so no scan calls LAPACK.  ``build_hamiltonian``
+and ``diagonalize`` remain the solver of eq. (1) in general.
 """
 
 from __future__ import annotations
@@ -45,8 +50,8 @@ __all__ = [
 # tolerance must not exceed diagonalize's residual bound,
 # 1e-10 * max(|H_ij|, 1).
 _DEG_TOL = 1e-10
-_BLOCK = 512      # field points per _solve_fields block, the one place that
-                  # blocks: bounds the temporaries of a large scan
+_BLOCK = 512      # field points per _class_blocks block: bounds the
+                  # temporaries of a large scan
 
 
 def spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -73,10 +78,6 @@ def zero_field_states(phi_e_rad: float = 0.0) -> tuple[np.ndarray, np.ndarray, n
     sp = np.array([ph, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
     sm = np.array([-ph, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
     return s0, sm, sp
-
-
-# eigenstate_map's bras <+1| and <+| (phi_E = 0)
-_MAP_BRAS = np.conj([[0.0, 0.0, 1.0], zero_field_states(0.0)[2]])
 
 
 @dataclass(frozen=True)
@@ -189,18 +190,84 @@ def diagonalize(h: np.ndarray) -> SpinEigensystem:
     return SpinEigensystem(e.reshape(shape + (3,)), v.reshape(shape + (3, 3)))
 
 
-def _solve_fields(b_gauss: np.ndarray, e_perp_mhz: float):
-    """Yield (slice, SpinEigensystem) for each block of ``_BLOCK`` points
-    of an (n, 3) NV-frame field stack, the electric azimuth phi_E = 0.
+def _class_blocks(b_perp_gauss: np.ndarray, b_z_gauss: np.ndarray,
+                  e_perp_mhz: float):
+    """Yield (slice, levels, w_plus, w_p1) for each block of ``_BLOCK``
+    points of the NV-frame fields (B_perp, 0, B_z), phi_E = 0.
 
-    Only one block's Hamiltonians and eigenvectors are alive at a time.
-    Each matrix is built and solved on its own, so the bits do not
-    depend on the blocking.  An empty stack still makes one (empty)
-    block, so the electric energy is checked.
+    In the basis (|0>, |+>, |->) eq. (1) is then the real arrowhead
+    [[0, a, 0], [a, c, b], [0, b, d]] with a = gamma_e B_perp,
+    b = gamma_e B_z, c = D + eps and d = D - eps.  Its levels g, m, e
+    ((n, 3), GHz, ascending) interlace its poles 0 and d:
+    g <= min(0, d) <= m <= max(0, d) <= e, and e >= c.  Each block is
+    scaled by a power of two to entries below 1, which is exact and
+    cannot overflow.  Then, with no eigensolver:
+
+    * e starts at the top root of the trigonometric cubic (Smith 1961).
+      Two steps refine u = e - p, p = max(0, d).  Each keeps the pole p
+      exact, linearizes the other pole's term and solves the quadratic
+      for u without cancellation.  This also mends a near-double root,
+      which the cubic leaves good to only sqrt(DBL_EPSILON).
+    * By the secular equation, e - c = A + B with A = a^2/e and
+      B = b^2/(e - d).  So g + m = d - A - B and g m = det/e = -A d, and
+      g, m lie hypot((d + A - B)/2, sqrt(AB)) either side of their mean.
+      The one nearer zero comes from the product.
+    * |e> is (a/e, 1, b/(e - d)), normed.  w_plus = |<+|e>|^2 and
+      w_p1 = |<+1|e>|^2, with |+1> = (|+> + |->)/sqrt(2).  Where e lies
+      within ``_DEG_TOL`` of m, |e> drops its |-> part, as
+      ``diagonalize``'s tie-break makes |e> follow |+>.
+
+    Each point is solved on its own, so the bits do not depend on the
+    blocking.  The electric energy is checked even for an empty stack.
     """
-    for k in range(0, max(len(b_gauss), 1), _BLOCK):
+    if not 0.0 <= e_perp_mhz < np.inf:
+        raise ValueError("e_perp_mhz must be finite and >= 0")
+    eps = e_perp_mhz * 1e-3
+    gam = GAMMA_E_MHZ_PER_G * 1e-3  # GHz per Gauss
+    for k in range(0, len(b_perp_gauss), _BLOCK):
         s = slice(k, k + _BLOCK)
-        yield s, diagonalize(build_hamiltonian(b_gauss[s], e_perp_mhz))
+        a = np.abs(gam * b_perp_gauss[s])
+        b = gam * b_z_gauss[s]
+        _, ex = np.frexp(np.maximum(np.maximum(a, np.abs(b)), D_GHZ + eps))
+        a, b, c, d, two_eps = (np.ldexp(v, -ex) for v in
+                               (a, b, D_GHZ + eps, D_GHZ - eps, 2.0 * eps))
+        m = (c + d) / 3.0
+        kc, kd = c - m, d - m
+        p = (m * m + kc * kc + kd * kd + 2.0 * (a * a + b * b)) / 6.0
+        q = -0.5 * (m * (kc * kd - b * b) + a * a * kd)
+        phi = np.arccos(np.clip(q / (p * np.sqrt(p)), -1.0, 1.0)) / 3.0
+        pole = np.maximum(d, 0.0)
+        u = np.maximum(m + 2.0 * np.sqrt(p) * np.cos(phi) - pole, 0.0)
+        # the pole p = max(0, d) with coupling kp, the other |d| below it
+        upper_d = d >= 0.0
+        kp = np.where(upper_d, np.abs(b), a)
+        kq = np.where(upper_d, a, np.abs(b))
+        t = np.where(upper_d, two_eps, c)          # c - p
+        for _ in range(2):
+            w = np.divide(kq, u + np.abs(d), out=np.zeros_like(u),
+                          where=kq != 0.0)
+            alpha = 1.0 + w * w
+            beta = t + w * (kq + w * u)
+            u = (beta + np.hypot(beta, 2.0 * np.sqrt(alpha) * kp)) / (
+                2.0 * alpha)
+        e = pole + u
+        r0 = a / e
+        rm = np.divide(b, u + (pole - d), out=np.zeros_like(u),
+                       where=b != 0.0)
+        big_a, big_b = a * r0, b * rm
+        mean = 0.5 * (d - big_a - big_b)
+        half = np.hypot(0.5 * (d + big_a - big_b), np.sqrt(big_a * big_b))
+        # the root nearer zero from the product
+        outer = mean + np.copysign(half, mean)
+        inner = np.divide(-big_a * d, outer, out=np.zeros_like(u),
+                          where=outer != 0.0)
+        low = mean < 0.0
+        levels = np.ldexp(np.stack([np.where(low, outer, inner),
+                                    np.minimum(np.where(low, inner, outer), e),
+                                    e], axis=-1), ex[:, None])
+        rm[levels[:, 2] - levels[:, 1] < _DEG_TOL] = 0.0
+        w_plus = 1.0 / (1.0 + r0 * r0 + rm * rm)
+        yield s, levels, w_plus, 0.5 * w_plus * (1.0 + rm) ** 2
 
 
 def eigenstate_map(b_amplitude_gauss, theta_rad, e_perp_mhz: float):
@@ -222,12 +289,13 @@ def eigenstate_map(b_amplitude_gauss, theta_rad, e_perp_mhz: float):
         raise ValueError("grids must be non-empty")
     if not np.all((0.0 <= b_amplitude_gauss) & (b_amplitude_gauss < np.inf)):
         raise ValueError("amplitudes must be finite and >= 0")
-    tilt = np.stack([np.sin(theta_rad), np.zeros_like(theta_rad),
-                     np.cos(theta_rad)], axis=-1)
-    b = (b_amplitude_gauss[:, None, None] * tilt).reshape(-1, 3)
-    o_p1, o_plus = np.empty(len(b)), np.empty(len(b))
-    for s, es in _solve_fields(b, e_perp_mhz):
-        o_p1[s], o_plus[s] = np.abs(_MAP_BRAS @ es.states)[:, :, 2].T ** 2
+    if not np.all(np.isfinite(theta_rad)):
+        raise ValueError("polar angles must be finite")
+    b_perp = np.outer(b_amplitude_gauss, np.sin(theta_rad)).ravel()
+    b_z = np.outer(b_amplitude_gauss, np.cos(theta_rad)).ravel()
+    o_p1, o_plus = np.empty(b_perp.size), np.empty(b_perp.size)
+    for s, _, w_plus, w_p1 in _class_blocks(b_perp, b_z, e_perp_mhz):
+        o_plus[s], o_p1[s] = w_plus, w_p1
     shape = (b_amplitude_gauss.size, theta_rad.size)
     return o_p1.reshape(shape), o_plus.reshape(shape)
 

@@ -6,6 +6,8 @@ independently of how the package does it:
 
 * ``paper_hamiltonian`` writes eq. (1) of the paper term by term from
   the spin operators, with the electric field as its components;
+* ``class_eigensystem_mp`` solves it to 40 digits with mpmath at a
+  class field (B_perp, 0, B_z), phi_E = 0, in the |m_s> basis;
 * ``build_two_spin_hamiltonian`` assembles the 9x9 secular pair
   operator from Kronecker products of single-spin operators, with its
   own zero-field operators and its own list of retained bilinears, so
@@ -19,6 +21,7 @@ independently of how the package does it:
 Only public names of ``nvcr`` are imported.
 """
 
+import mpmath
 import numpy as np
 
 from nvcr import (BasisChoice, NVClassFrame, PairGeometry,
@@ -37,6 +40,26 @@ def paper_hamiltonian(b_gauss, ex_mhz: float, ey_mhz: float) -> np.ndarray:
     return (D_GHZ * sz @ sz + gamma_ghz * (bx * sx + by * sy + bz * sz)
             + 1e-3 * (ex_mhz * (sy @ sy - sx @ sx)
                       + ey_mhz * (sx @ sy + sy @ sx)))
+
+
+def class_eigensystem_mp(b_perp_gauss: float, b_z_gauss: float,
+                         e_perp_mhz: float, dps: int = 40):
+    """Levels (GHz, ascending) of eq. (1) at the NV-frame field
+    (B_perp, 0, B_z) with d_perp (E_x, E_y) = (-eps, 0), and
+    |<+|e>|^2 and |<+1|e>|^2 of the top level |e>, where
+    |+> = (|+1> + |-1>)/sqrt(2); each rounded to a double.
+
+    ``paper_hamiltonian`` gives the complex m_s-basis matrix in doubles;
+    mpmath diagonalizes it at ``dps`` digits.  Where the top pair is
+    degenerate the weights are those of an arbitrary state of the pair.
+    """
+    h = paper_hamiltonian([b_perp_gauss, 0.0, b_z_gauss], -e_perp_mhz, 0.0)
+    with mpmath.workdps(dps):
+        levels, vecs = mpmath.eighe(mpmath.matrix(h.tolist()))
+        top = max(range(3), key=lambda k: levels[k])
+        m1, p1 = vecs[0, top], vecs[2, top]
+        return (np.array(sorted(levels), dtype=float),
+                float(abs(m1 + p1) ** 2 / 2), float(abs(p1) ** 2))
 
 
 def nonmagnetic_spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -863,6 +863,21 @@ def test_golden_output(name, tmp_path):
     assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("name", ["eigen_map.csv", "transitions.csv",
+                                  "degeneracy.csv", "spectrum.csv"])
+def test_scan_commands_make_no_lapack_call(name, tmp_path, monkeypatch):
+    # the class Hamiltonians are solved in closed form, so the scan
+    # commands run with numpy's eigensolvers made to raise; the first
+    # LAPACK eigensolve of a process costs it ~1.1 MB of resident memory
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK eigensolver was called")
+
+    for solver in ("eigh", "eigvalsh", "eig"):
+        monkeypatch.setattr(np.linalg, solver, refuse)
+    out = _run_golden(name, tmp_path)
+    assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
+
+
 def _fresh_python(script, *args, cwd=None, env=None):
     """Run ``script`` in a fresh interpreter that imports nvcr from src."""
     env = dict(os.environ if env is None else env)

@@ -18,7 +18,7 @@ from nvcr import (
 from nvcr.constants import (D_GHZ as D, DEFAULT_E_PERP_MHZ,
                             GAMMA_E_MHZ_PER_G as GAMMA)
 from nvcr.geometry import as_unit
-from nvcr.spin_model import build_hamiltonian, diagonalize
+from nvcr.spin_model import _class_blocks, build_hamiltonian
 
 
 def _nv_fields(k, direction, amps):
@@ -121,42 +121,42 @@ def test_crossing_does_not_depend_on_ramp_start():
 
 
 def test_solver_calls_per_scan_and_refinement(monkeypatch):
+    import nvcr.odmr
     import nvcr.spin_model
+    eigensolver = []
+    for name in ("diagonalize", "build_hamiltonian"):
+        solve = getattr(nvcr.spin_model, name)
+
+        def counted(*args, _name=name, _solve=solve):
+            eigensolver.append(_name)
+            return _solve(*args)
+
+        monkeypatch.setattr(nvcr.spin_model, name, counted)
     calls = []
-    solve = nvcr.spin_model.diagonalize
+    solve = nvcr.odmr._class_blocks
+    # the axial share of the default field tells the four classes apart
+    axial = np.abs(CLASS_AXES @ tilted_field_direction())
 
-    def counted(h):
-        calls.append(1)
-        return solve(h)
+    def recorded(b_perp, b_z, e_perp_mhz):
+        share = b_z[-1] / np.hypot(b_perp[-1], b_z[-1])
+        calls.append((int(np.abs(axial - share).argmin()), b_perp.shape))
+        return solve(b_perp, b_z, e_perp_mhz)
 
-    monkeypatch.setattr(nvcr.spin_model, "diagonalize", counted)
+    monkeypatch.setattr(nvcr.odmr, "_class_blocks", recorded)
     all_transitions(None, [0.0, 1.0, 2.0])
-    assert len(calls) == 4      # one stacked solve per class
+    assert len(calls) == 4      # one closed-form call per class
     calls.clear()
     report = degeneracy_lift()
     # 4 for the scan; each pair then takes three rounds (a 0.25 G step
     # narrowed 65-fold per round to <= 1e-5 G) solving its two classes,
     # and the envelope three rounds solving all four
     assert len(calls) == 4 + 6 * 3 * 2 + 3 * 4
-
-    built = []
-    build = nvcr.spin_model.build_hamiltonian
-    # the axial share of the default field tells the four classes apart
-    axial = np.abs(CLASS_AXES @ tilted_field_direction())
-
-    def recorded(b, e_perp_mhz):
-        assert np.all(b[:, 1] == 0.0)   # x follows the transverse part
-        share = b[-1, 2] / np.linalg.norm(b[-1])
-        built.append((int(np.abs(axial - share).argmin()), b.shape[:-1]))
-        return build(b, e_perp_mhz)
-
-    monkeypatch.setattr(nvcr.spin_model, "build_hamiltonian", recorded)
-    degeneracy_lift()
-    rounds = [cls for cls, shape in built if shape == (64,)]
+    rounds = [cls for cls, shape in calls if shape == (64,)]
     for n, label in enumerate(report.pair_labels):
         pair = {int(label[-2]) - 1, int(label[-1]) - 1}
         assert set(rounds[6 * n:6 * n + 6]) == pair, label
     assert sorted(rounds[36:]) == sorted(3 * [0, 1, 2, 3])
+    assert eigensolver == []
 
 
 @pytest.mark.parametrize("e_perp", [0.0, DEFAULT_E_PERP_MHZ])
@@ -172,9 +172,9 @@ def test_stacked_scan_equals_point_by_point_solves(direction, e_perp):
     for k in range(len(CLASS_AXES)):
         b = _nv_fields(k, u, amps)
         for i in range(amps.size):
-            h = build_hamiltonian(b[i:i + 1], e_perp)
-            e = diagonalize(h).energies_ghz[0]
-            expected[i, 2 * k:2 * k + 2] = e[1:] - e[0]
+            (_, e, _, _), = _class_blocks(b[i:i + 1, 0], b[i:i + 1, 2],
+                                          e_perp)
+            expected[i, 2 * k:2 * k + 2] = e[0, 1:] - e[0, 0]
     assert np.array_equal(lines, expected)
 
 

@@ -18,8 +18,9 @@ from nvcr import (
     zero_field_states,
 )
 from nvcr.constants import D_GHZ as D, GAMMA_E_MHZ_PER_G
+from nvcr.spin_model import _class_blocks
 
-from reference import paper_hamiltonian
+from reference import class_eigensystem_mp, paper_hamiltonian
 
 field_components = st.floats(-200.0, 200.0, allow_nan=False)
 # build_hamiltonian's arguments: an NV-frame field and the electric term
@@ -329,7 +330,7 @@ def test_transverse_scan_closed_form_matches_the_solver(b, e_perp):
 def test_transverse_scan_calls_no_eigensolver(monkeypatch):
     import nvcr.spin_model
     calls = []
-    for name in ("diagonalize", "_solve_fields", "build_hamiltonian"):
+    for name in ("diagonalize", "build_hamiltonian"):
         solve = getattr(nvcr.spin_model, name)
 
         def counted(*args, _name=name, _solve=solve):
@@ -339,9 +340,89 @@ def test_transverse_scan_calls_no_eigensolver(monkeypatch):
         monkeypatch.setattr(nvcr.spin_model, name, counted)
     transverse_field_scan(np.linspace(0.0, 150.0, 2001), 4.0)
     transverse_field_scan([], 4.0)
+    eigenstate_map([0.0, 1.0, 1e-9], [0.0, 0.5, np.pi / 2], 4.0)
     assert calls == []
-    eigenstate_map([1.0], [0.5], 4.0)    # the counting reaches the solver
-    assert calls == ["_solve_fields", "build_hamiltonian", "diagonalize"]
+    # the counting reaches the general solver
+    nvcr.spin_model.diagonalize(nvcr.spin_model.build_hamiltonian(np.ones(3)))
+    assert calls == ["build_hamiltonian", "diagonalize"]
+
+
+def _class_solve(b_perp, b_z, e_perp):
+    """(levels, w_plus, w_p1) of ``_class_blocks`` over whole arrays."""
+    blocks = list(_class_blocks(np.asarray(b_perp, dtype=float),
+                                np.asarray(b_z, dtype=float), e_perp))
+    return [np.concatenate([blk[k] for blk in blocks]) for k in (1, 2, 3)]
+
+
+def _class_grid(b, theta):
+    """(B_perp, B_z) of eigenstate_map's grid, flattened as it does."""
+    return (np.outer(b, np.sin(theta)).ravel(),
+            np.outer(b, np.cos(theta)).ravel())
+
+
+_E_PERPS = [0.0, 1e-6, 4.0, 5000.0]
+
+
+@pytest.mark.parametrize("e_perp", _E_PERPS)
+def test_class_solver_matches_the_40_digit_reference(e_perp):
+    # levels and lines to 1e-12 max(1, |E|) GHz and the eigen-map weights
+    # to 1e-10 where the top pair is split by more than 1e-6 GHz
+    # (measured: 5e-16 and 4e-16); 1025 G along z crosses |0> with the
+    # lower excited level, and at 5000 MHz D - eps lies below zero
+    b = np.array([0.0, 1e-8, 1e-3, 0.01, 1.0, 30.0, 200.0, 1025.0, 5000.0])
+    theta = np.linspace(0.0, np.pi / 2, 7)
+    o_p1, o_plus = eigenstate_map(b, theta, e_perp)
+    b_perp, b_z = _class_grid(b, theta)
+    levels, _, _ = _class_solve(b_perp, b_z, e_perp)
+    for k in range(b_perp.size):
+        exact, w_plus, w_p1 = class_eigensystem_mp(b_perp[k], b_z[k], e_perp)
+        lines = levels[k, 1:] - levels[k, 0]
+        for ours, ref in [(levels[k], exact), (lines, exact[1:] - exact[0])]:
+            assert np.all(np.abs(ours - ref)
+                          <= 1e-12 * np.maximum(np.abs(ref), 1.0)), k
+        if exact[2] - exact[1] > 1e-6:
+            assert abs(o_plus.flat[k] - w_plus) <= 1e-10, k
+            assert abs(o_p1.flat[k] - w_p1) <= 1e-10, k
+
+
+@pytest.mark.parametrize("e_perp", _E_PERPS)
+def test_class_solver_agrees_with_diagonalize(e_perp):
+    # diagonalize's levels carry ~DBL_EPSILON |H| and its eigenvectors
+    # that over the top gap, so the weights are held to
+    # 1e-14 max(1, |E|) / gap; where the top pair lies within the
+    # tie-break tolerance, |e> follows |+> as in diagonalize's tie-break
+    b = np.array([0.0, 1e-9, 1e-8, 1e-3, 0.01, 1.0, 30.0, 200.0, 1025.0,
+                  5000.0, 1e5])
+    b_perp, b_z = _class_grid(b, np.linspace(0.0, np.pi / 2, 13))
+    levels, w_plus, w_p1 = _class_solve(b_perp, b_z, e_perp)
+    es = _eigensystem(np.column_stack([b_perp, 0.0 * b_perp, b_z]), e_perp)
+    e = es.energies_ghz
+    scale = np.maximum(np.abs(e).max(axis=-1), 1.0)
+    assert np.all(np.abs(levels - e).max(axis=-1) <= 1e-14 * scale)
+    gap = e[:, 2] - e[:, 1]
+    tol = np.maximum(1e-14 * scale / np.maximum(gap, 1e-10), 1e-12)
+    tol[gap < 1e-10] = 1e-12
+    assert np.all(np.abs(w_plus - _weight(es.e, REF_PLUS)) <= tol)
+    assert np.all(np.abs(w_p1 - np.abs(es.e[:, 2]) ** 2) <= tol)
+    if e_perp == 0.0:
+        assert np.any(gap < 1e-10) and np.any(b_z[gap < 1e-10] > 0.0)
+
+
+def test_class_solver_takes_extreme_fields():
+    # 1e300 G squares past DBL_MAX, and at B = 0 and eps = 0 the top pair
+    # is an exact double root: the levels stay finite and in order
+    for e_perp in (0.0, 4.0, 1e300):
+        b = np.array([0.0, 1e-300, 1.0, 1e300, np.finfo(float).max / 1e3])
+        b_perp, b_z = _class_grid(b, np.linspace(0.0, np.pi / 2, 5))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            levels, w_plus, w_p1 = _class_solve(b_perp, b_z, e_perp)
+        assert np.all(np.isfinite(levels)) and np.all(np.diff(levels) >= 0.0)
+        assert np.all((0.0 <= w_plus) & (w_plus <= 1.0 + 1e-15))
+        assert np.all((0.0 <= w_p1) & (w_p1 <= 1.0 + 1e-15))
+    # a field of 1e300 G along x: levels -+ gamma_e B, and D - eps between
+    levels, _, _ = _class_solve([1e300], [0.0], 4.0)
+    a = GAMMA_E_MHZ_PER_G * 1e-3 * 1e300
+    np.testing.assert_allclose(levels[0], [-a, D - 0.004, a], rtol=1e-15)
 
 
 def test_weak_transverse_field_at_zero_e_perp_keeps_the_labels():
