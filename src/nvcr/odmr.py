@@ -49,12 +49,12 @@ def _ramp(b_amps_gauss) -> np.ndarray:
 
 
 def _class_fields(direction) -> np.ndarray:
-    """(4, 3): row k is the unit field d along ``direction`` (default:
-    the tilted one) in the NV frame of class k, (|d x z_k|, 0, |d . z_k|).
+    """(4, 2): row k is the unit field d along ``direction`` (default:
+    the tilted one) in the NV frame of class k, whose y share is 0:
+    (|d x z_k|, |d . z_k|).
     """
     d = tilted_field_direction() if direction is None else as_unit(direction)
     return np.column_stack([np.linalg.norm(np.cross(d, CLASS_AXES), axis=1),
-                            np.zeros(len(CLASS_AXES)),
                             np.abs(CLASS_AXES @ d)])
 
 
@@ -69,7 +69,7 @@ def _lines(fields: np.ndarray, amps: np.ndarray, e_perp_mhz: float,
     lines = np.full((amps.size, 8), np.nan)
     for k in classes:
         with np.errstate(over="ignore"):    # refused below
-            b_perp, b_z = amps * fields[k, 0], amps * fields[k, 2]
+            b_perp, b_z = amps * fields[k, 0], amps * fields[k, 1]
         if not (np.all(np.isfinite(b_perp)) and np.all(np.isfinite(b_z))):
             # a projection can pass 1 by an ulp, as along [111]
             raise ValueError(f"a field of {amps.max():g} G overflows in "

@@ -196,29 +196,11 @@ def _class_blocks(b_perp_gauss: np.ndarray, b_z_gauss: np.ndarray,
     points of the NV-frame fields (B_perp, 0, B_z), phi_E = 0.
 
     In the basis (|0>, |+>, |->) eq. (1) is then the real arrowhead
-    [[0, a, 0], [a, c, b], [0, b, d]] with a = gamma_e B_perp,
-    b = gamma_e B_z, c = D + eps and d = D - eps.  Its levels g, m, e
-    ((n, 3), GHz, ascending) interlace its poles 0 and d:
-    g <= min(0, d) <= m <= max(0, d) <= e, and e >= c.  Each block is
-    scaled by a power of two to entries below 1, which is exact and
-    cannot overflow.  Then, with no eigensolver:
-
-    * e starts at the top root of the trigonometric cubic (Smith 1961).
-      Two steps refine u = e - p, p = max(0, d).  Each keeps the pole p
-      exact, linearizes the other pole's term and solves the quadratic
-      for u without cancellation.  This also mends a near-double root,
-      which the cubic leaves good to only sqrt(DBL_EPSILON).
-    * By the secular equation, e - c = A + B with A = a^2/e and
-      B = b^2/(e - d).  So g + m = d - A - B and g m = det/e = -A d, and
-      g, m lie hypot((d + A - B)/2, sqrt(AB)) either side of their mean.
-      The one nearer zero comes from the product.
-    * |e> is (a/e, 1, b/(e - d)), normed.  w_plus = |<+|e>|^2 and
-      w_p1 = |<+1|e>|^2, with |+1> = (|+> + |->)/sqrt(2).  Where e lies
-      within ``_DEG_TOL`` of m, |e> drops its |-> part, as
-      ``diagonalize``'s tie-break makes |e> follow |+>.
-
-    Each point is solved on its own, so the bits do not depend on the
-    blocking.  The electric energy is checked even for an empty stack.
+    [[0, a, 0], [a, c, b], [0, b, d]], a = gamma_e B_perp,
+    b = gamma_e B_z, c = D + eps, d = D - eps, solved here in closed
+    form.  ``levels`` (n, 3) are g <= m <= e in GHz; w_plus = |<+|e>|^2
+    and w_p1 = |<+1|e>|^2, |+1> = (|+> + |->)/sqrt(2).  The bits of a
+    point do not depend on the blocking.
     """
     if not 0.0 <= e_perp_mhz < np.inf:
         raise ValueError("e_perp_mhz must be finite and >= 0")
@@ -228,21 +210,29 @@ def _class_blocks(b_perp_gauss: np.ndarray, b_z_gauss: np.ndarray,
         s = slice(k, k + _BLOCK)
         a = np.abs(gam * b_perp_gauss[s])
         b = gam * b_z_gauss[s]
+        # a power of two scales the entries below 1: exact, no overflow
         _, ex = np.frexp(np.maximum(np.maximum(a, np.abs(b)), D_GHZ + eps))
         a, b, c, d, two_eps = (np.ldexp(v, -ex) for v in
                                (a, b, D_GHZ + eps, D_GHZ - eps, 2.0 * eps))
-        m = (c + d) / 3.0
-        kc, kd = c - m, d - m
-        p = (m * m + kc * kc + kd * kd + 2.0 * (a * a + b * b)) / 6.0
-        q = -0.5 * (m * (kc * kd - b * b) + a * a * kd)
+        # the levels interlace the poles 0 and d:
+        # g <= min(0, d) <= m <= max(0, d) <= e, and e >= c.  e starts at
+        # the top root of the trigonometric cubic (Smith 1961), which a
+        # near-double root leaves good to only sqrt(DBL_EPSILON) ...
+        shift = (c + d) / 3.0
+        kc, kd = c - shift, d - shift
+        p = (shift * shift + kc * kc + kd * kd + 2.0 * (a * a + b * b)) / 6.0
+        q = -0.5 * (shift * (kc * kd - b * b) + a * a * kd)
         phi = np.arccos(np.clip(q / (p * np.sqrt(p)), -1.0, 1.0)) / 3.0
         pole = np.maximum(d, 0.0)
-        u = np.maximum(m + 2.0 * np.sqrt(p) * np.cos(phi) - pole, 0.0)
-        # the pole p = max(0, d) with coupling kp, the other |d| below it
-        upper_d = d >= 0.0
-        kp = np.where(upper_d, np.abs(b), a)
-        kq = np.where(upper_d, a, np.abs(b))
-        t = np.where(upper_d, two_eps, c)          # c - p
+        u = np.maximum(shift + 2.0 * np.sqrt(p) * np.cos(phi) - pole, 0.0)
+        # ... so two steps refine u = e - pole.  Each keeps the pole
+        # (coupling kp) exact, linearizes the term of the other, |d|
+        # below it (coupling kq), and solves the quadratic for u with no
+        # cancellation.  Each lands at or below e, and they rise to it.
+        upper_d, abs_b = d >= 0.0, np.abs(b)
+        kp = np.where(upper_d, abs_b, a)
+        kq = np.where(upper_d, a, abs_b)
+        t = np.where(upper_d, two_eps, c)          # c - pole
         for _ in range(2):
             w = np.divide(kq, u + np.abs(d), out=np.zeros_like(u),
                           where=kq != 0.0)
@@ -251,13 +241,16 @@ def _class_blocks(b_perp_gauss: np.ndarray, b_z_gauss: np.ndarray,
             u = (beta + np.hypot(beta, 2.0 * np.sqrt(alpha) * kp)) / (
                 2.0 * alpha)
         e = pole + u
+        # |e> ~ (a/e, 1, b/(e - d)), and e - c = A + B, A = a^2/e,
+        # B = b^2/(e - d), so g + m = d - A - B and g m = det/e = -A d;
+        # g and m lie hypot((d + A - B)/2, sqrt(AB)) about their mean,
+        # and the one nearer zero comes from the product
         r0 = a / e
         rm = np.divide(b, u + (pole - d), out=np.zeros_like(u),
                        where=b != 0.0)
         big_a, big_b = a * r0, b * rm
         mean = 0.5 * (d - big_a - big_b)
         half = np.hypot(0.5 * (d + big_a - big_b), np.sqrt(big_a * big_b))
-        # the root nearer zero from the product
         outer = mean + np.copysign(half, mean)
         inner = np.divide(-big_a * d, outer, out=np.zeros_like(u),
                           where=outer != 0.0)
@@ -265,6 +258,8 @@ def _class_blocks(b_perp_gauss: np.ndarray, b_z_gauss: np.ndarray,
         levels = np.ldexp(np.stack([np.where(low, outer, inner),
                                     np.minimum(np.where(low, inner, outer), e),
                                     e], axis=-1), ex[:, None])
+        # within _DEG_TOL of m, |e> drops its |-> part, as diagonalize's
+        # tie-break makes |e> follow |+>
         rm[levels[:, 2] - levels[:, 1] < _DEG_TOL] = 0.0
         w_plus = 1.0 / (1.0 + r0 * r0 + rm * rm)
         yield s, levels, w_plus, 0.5 * w_plus * (1.0 + rm) ** 2

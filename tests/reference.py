@@ -30,11 +30,14 @@ from nvcr.constants import D_GHZ, GAMMA_E_MHZ_PER_G
 from nvcr.geometry import as_unit
 
 
-def paper_hamiltonian(b_gauss, ex_mhz: float, ey_mhz: float) -> np.ndarray:
+def paper_hamiltonian(b_gauss, ex_mhz: float, ey_mhz: float,
+                      spin_ops=None) -> np.ndarray:
     """H/h of eq. (1) in GHz for an NV-frame field (Gauss):
     D Sz^2 + gamma_e B.S + d_perp [E_x (Sy^2 - Sx^2) + E_y (Sx Sy + Sy Sx)],
-    with ``ex_mhz``, ``ey_mhz`` the energies d_perp E_x, d_perp E_y."""
-    sx, sy, sz = spin_matrices()
+    with ``ex_mhz``, ``ey_mhz`` the energies d_perp E_x, d_perp E_y.
+    ``spin_ops`` replaces the package's (Sx, Sy, Sz), for example by
+    object arrays of mpmath numbers."""
+    sx, sy, sz = spin_matrices() if spin_ops is None else spin_ops
     bx, by, bz = np.asarray(b_gauss, dtype=float)
     gamma_ghz = GAMMA_E_MHZ_PER_G * 1e-3
     return (D_GHZ * sz @ sz + gamma_ghz * (bx * sx + by * sy + bz * sz)
@@ -49,12 +52,19 @@ def class_eigensystem_mp(b_perp_gauss: float, b_z_gauss: float,
     |<+|e>|^2 and |<+1|e>|^2 of the top level |e>, where
     |+> = (|+1> + |-1>)/sqrt(2); each rounded to a double.
 
-    ``paper_hamiltonian`` gives the complex m_s-basis matrix in doubles;
-    mpmath diagonalizes it at ``dps`` digits.  Where the top pair is
+    ``paper_hamiltonian`` builds the complex m_s-basis matrix from spin
+    operators in mpmath numbers, so no entry is rounded to a double (in
+    doubles, D +- gamma_e B_z would carry 2e-16 GHz), and mpmath
+    diagonalizes it at ``dps`` digits.  Where the top pair is
     degenerate the weights are those of an arbitrary state of the pair.
     """
-    h = paper_hamiltonian([b_perp_gauss, 0.0, b_z_gauss], -e_perp_mhz, 0.0)
     with mpmath.workdps(dps):
+        r, i = 1 / mpmath.sqrt(2), mpmath.mpc(0, 1)
+        ops = (np.array([[0, r, 0], [r, 0, r], [0, r, 0]]),
+               i * r * np.array([[0, 1, 0], [-1, 0, 1], [0, -1, 0]]),
+               np.diag([mpmath.mpf(-1), 0, 1]))
+        h = paper_hamiltonian([b_perp_gauss, 0.0, b_z_gauss], -e_perp_mhz,
+                              0.0, ops)
         levels, vecs = mpmath.eighe(mpmath.matrix(h.tolist()))
         top = max(range(3), key=lambda k: levels[k])
         m1, p1 = vecs[0, top], vecs[2, top]

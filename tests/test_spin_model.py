@@ -161,7 +161,7 @@ def test_stack_mixes_degenerate_and_generic_rows():
     rng = np.random.default_rng(7)
     degenerate = np.array([[0.0, 0.0, 0.0],     # |+-1> at e_perp = 0
                            [1e-3, 0.0, 0.0]])   # gap ~ (gamma B)^2 / D
-    # more generic rows than a _solve_fields block, solved in one call
+    # more generic rows than a 512-point scan block, solved in one call
     b = np.vstack([degenerate, [[0.0, 40.0, 0.0]],
                    rng.uniform(-150.0, 150.0, size=(1100, 3)), degenerate])
     es = _assert_stack_matches_rows(b, e_perp_mhz=0.0)
@@ -294,6 +294,9 @@ def test_eigenstate_map_validation():
     for b in ([], [-1.0], [np.inf]):
         with pytest.raises(ValueError):
             eigenstate_map(b, [0.0], e_perp_mhz=4.0)
+    for theta in ([np.nan], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="polar angles"):
+            eigenstate_map([1.0], theta, e_perp_mhz=4.0)
 
 
 def test_transverse_scan_splitting():
@@ -367,7 +370,7 @@ _E_PERPS = [0.0, 1e-6, 4.0, 5000.0]
 def test_class_solver_matches_the_40_digit_reference(e_perp):
     # levels and lines to 1e-12 max(1, |E|) GHz and the eigen-map weights
     # to 1e-10 where the top pair is split by more than 1e-6 GHz
-    # (measured: 5e-16 and 4e-16); 1025 G along z crosses |0> with the
+    # (measured: 5.6e-16 and 3.3e-16); 1025 G along z crosses |0> with the
     # lower excited level, and at 5000 MHz D - eps lies below zero
     b = np.array([0.0, 1e-8, 1e-3, 0.01, 1.0, 30.0, 200.0, 1025.0, 5000.0])
     theta = np.linspace(0.0, np.pi / 2, 7)
