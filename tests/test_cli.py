@@ -868,7 +868,7 @@ def test_golden_output(name, tmp_path):
 def test_scan_commands_make_no_lapack_call(name, tmp_path, monkeypatch):
     # the class Hamiltonians are solved in closed form, so the scan
     # commands run with numpy's eigensolvers made to raise; the first
-    # LAPACK eigensolve of a process costs it ~1.1 MB of resident memory
+    # LAPACK eigensolve of a process costs it ~1.2 MB of resident memory
     def refuse(*args, **kwargs):
         raise AssertionError("a LAPACK eigensolver was called")
 
