@@ -31,9 +31,8 @@ _SUBMODULES = {
                     "eta_bar", "eta_table", "multiplier_table"),
     "relaxation": ("FluctuatorParams", "DecayModel", "characteristic_rate",
                    "rate_density", "polarization", "decay_signal"),
-    "analysis": ("DecayCurve", "FitResult", "FitError", "LineShape",
-                 "LineProfile", "fit_decay", "fit_beta", "spectral_overlap",
-                 "sensitivity"),
+    "analysis": ("DecayCurve", "FitError", "LineShape", "LineProfile",
+                 "fit_decay", "fit_beta", "spectral_overlap", "sensitivity"),
     # spectra
     "odmr": ("all_transitions", "degeneracy_lift", "synth_spectrum"),
 }

@@ -21,7 +21,6 @@ from .relaxation import DecayModel, _decay_law
 
 __all__ = [
     "DecayCurve",
-    "FitResult",
     "FitError",
     "LineShape",
     "LineProfile",

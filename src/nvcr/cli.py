@@ -5,12 +5,14 @@ as CSV, written to ``--output`` or else to the subcommand's default file
 name in the working directory.  Bad flags exit with status 2; numeric
 and I/O failures exit with status 1 and print a JSON diagnostic.  Each
 subcommand is one row of ``_SUBCOMMANDS``: its runner, default output
-file, help line and flags.
+file, help line and flags.  Each runner imports the library functions it
+calls, so a process loads only the modules of the subcommand it runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -26,15 +28,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .analysis import (FitError, FitResult, LineProfile, LineShape, fit_beta,
-                       fit_decay, sensitivity, spectral_overlap)
 from .constants import DEFAULT_CR_RANGE_MHZ, DEFAULT_E_PERP_MHZ
-from .eta_average import eta_table, multiplier_table
-from .geometry import as_unit
-from .odmr import all_transitions, degeneracy_lift, synth_spectrum
-from .relaxation import DecayModel, decay_signal
 from .serialize import read_decay_csv, write_csv, write_json
-from .spin_model import eigenstate_map, transverse_field_scan
 from .version import TOOL_NAME, __version__
 
 __all__ = ["main"]
@@ -83,6 +78,8 @@ _count = _Number(int, low=2)
 
 def _vector3(text: str) -> np.ndarray:
     """A direction ``x,y,z`` that ``as_unit`` accepts, kept as typed."""
+    from .geometry import as_unit
+
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
@@ -117,7 +114,8 @@ def _emit(args, result: dict | _Columns) -> Path:
                      params, extra_comments=result.comments)
 
 
-def _fit_payload(res: FitResult) -> dict:
+def _fit_payload(res) -> dict:
+    """The record of an ``analysis`` fit result."""
     m = res.model
     t1ph = None if np.isinf(m.t1_ph_s) else m.t1_ph_s
     return {"A": m.amplitude, "T1_dd_s": m.t1_dd_s, "T1_ph_s": t1ph,
@@ -145,6 +143,8 @@ def _ramp_points(args, x: str, unit: str, n: int,
 
 
 def _cmd_eigen_map(args) -> _Columns:
+    from .spin_model import eigenstate_map
+
     b = _ramp_points(args, "b", "gauss", args.n_b)
     th = _ramp_points(args, "theta", "rad", args.n_theta)
     o_p1, o_plus = eigenstate_map(b, th, args.e_perp_mhz)
@@ -155,6 +155,8 @@ def _cmd_eigen_map(args) -> _Columns:
 
 
 def _cmd_transverse_scan(args) -> _Columns:
+    from .spin_model import transverse_field_scan
+
     b = _ramp_points(args, "b", "gauss", args.n_b)
     energies, dnu, matching = transverse_field_scan(b, args.e_perp_mhz)
     return _Columns(["B_gauss", "e_g_GHz", "e_d_GHz", "e_e_GHz", "dnu_MHz",
@@ -164,6 +166,8 @@ def _cmd_transverse_scan(args) -> _Columns:
 
 
 def _cmd_eta_table(args) -> _Columns:
+    from .eta_average import eta_table
+
     table = eta_table()
     families = ["magnetic", "nonmagnetic_random", "nonmagnetic_aligned"]
     cols = [np.array(families, dtype=object)]
@@ -173,6 +177,8 @@ def _cmd_eta_table(args) -> _Columns:
 
 
 def _cmd_multipliers(args) -> _Columns:
+    from .eta_average import multiplier_table
+
     table = multiplier_table()
     return _Columns(["scenario", "multiplier"],
                     [np.array(list(table), dtype=object),
@@ -180,6 +186,8 @@ def _cmd_multipliers(args) -> _Columns:
 
 
 def _cmd_transitions(args) -> _Columns:
+    from .odmr import all_transitions
+
     b = _ramp_points(args, "b", "gauss", args.n_b)
     freqs = all_transitions(args.direction, b, args.e_perp_mhz)
     return _Columns(["B_gauss"] + [f"nu{k}_GHz" for k in range(1, 9)],
@@ -187,6 +195,8 @@ def _cmd_transitions(args) -> _Columns:
 
 
 def _cmd_degeneracy(args) -> _Columns:
+    from .odmr import degeneracy_lift
+
     b = _ramp_points(args, "b", "gauss", args.n_b)
     rep = degeneracy_lift(args.direction, b, args.cr_range_mhz,
                           args.e_perp_mhz)
@@ -207,6 +217,9 @@ def _cmd_degeneracy(args) -> _Columns:
 
 
 def _cmd_spectrum(args) -> _Columns:
+    from .analysis import LineProfile, LineShape
+    from .odmr import all_transitions, synth_spectrum
+
     lines = all_transitions(args.direction, [args.b_gauss], args.e_perp_mhz)[0]
     profile = LineProfile(shape=LineShape(args.shape),
                           width_mhz=args.linewidth_mhz)
@@ -220,6 +233,8 @@ def _cmd_spectrum(args) -> _Columns:
 
 
 def _cmd_decay_sim(args) -> _Columns:
+    from .relaxation import DecayModel, decay_signal
+
     t1ph = np.inf if args.t1ph_s is None else args.t1ph_s
     model = DecayModel(t1_dd_s=args.t1dd_s, t1_ph_s=t1ph,
                        amplitude=args.amplitude, beta=args.beta)
@@ -229,16 +244,22 @@ def _cmd_decay_sim(args) -> _Columns:
 
 
 def _cmd_fit_t1(args) -> dict:
+    from .analysis import fit_decay
+
     curve = read_decay_csv(args.input)
     return _fit_payload(fit_decay(curve, fixed_t1_ph_s=args.fix_t1ph_s))
 
 
 def _cmd_fit_beta(args) -> dict:
+    from .analysis import fit_beta
+
     curve = read_decay_csv(args.input)
     return _fit_payload(fit_beta(curve))
 
 
 def _cmd_overlap(args) -> _Columns:
+    from .analysis import LineProfile, LineShape, spectral_overlap
+
     p1 = LineProfile(shape=LineShape(args.shape1), width_mhz=args.width1_mhz,
                      center_mhz=args.center1_mhz)
     p2 = LineProfile(shape=LineShape(args.shape2), width_mhz=args.width2_mhz,
@@ -249,6 +270,8 @@ def _cmd_overlap(args) -> _Columns:
 
 
 def _cmd_sensitivity(args) -> dict:
+    from .analysis import sensitivity
+
     eta = sensitivity(args.sigma_b_t, args.tau_lp_s)
     return {"sigma_b_tesla": args.sigma_b_t, "tau_lp_s": args.tau_lp_s,
             "sensitivity_t_per_sqrt_hz": eta}
@@ -276,7 +299,8 @@ _E_PERP = _flag("--e-perp-mhz", type=_nonneg, default=DEFAULT_E_PERP_MHZ,
                 help="transverse electric splitting energy (MHz)")
 _INPUT = _flag("--input", required=True,
                help="input CSV with header tau_s,signal[,sigma]")
-_SHAPES = tuple(s.value for s in LineShape)
+# the values of analysis.LineShape, typed out so parsing loads no analysis
+_SHAPES = ("gaussian", "lorentzian")
 
 
 def _ramp(b_max: float, n_b: int, n_min: int = 2) -> tuple:
@@ -455,19 +479,37 @@ def main(argv=None) -> int:
                       for flag in (low, high))
             if None not in (lo, hi) and lo >= hi:
                 parser.error(f"{low} ({lo:g}) must be below {high} ({hi:g})")
+    # argparse leaves reference cycles (the parsers, and a help formatter
+    # per flag) in the young generations: freed before the runner imports
+    # its modules, their memory serves those imports
+    del parser
+    gc.collect(1)
     try:
         out = _emit(args, args.func(args))
     except UsageError as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, FitError, OSError) as exc:
-        best = {"best": _fit_payload(exc.best)} \
-            if isinstance(exc, FitError) else {}
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc),
-                          **best}, sort_keys=True))
-        return 1
+    except (ValueError, ArithmeticError, OSError) as exc:
+        return _failed(exc)
+    except _fit_error() as exc:
+        return _failed(exc, best=_fit_payload(exc.best))
     print(out)
     return 0
+
+
+def _fit_error() -> type:
+    """``analysis.FitError``; ``main`` asks for it only for an exception
+    that the clauses before it let through, so a command that fits
+    nothing never loads ``analysis``."""
+    from .analysis import FitError
+    return FitError
+
+
+def _failed(exc: Exception, **extra) -> int:
+    """Print the JSON diagnostic of a numeric or I/O failure: exit 1."""
+    print(json.dumps({"error": type(exc).__name__, "message": str(exc),
+                      **extra}, sort_keys=True))
+    return 1
 
 
 if __name__ == "__main__":

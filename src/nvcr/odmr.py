@@ -17,12 +17,11 @@ eigensolver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
 
-from .analysis import LineProfile
 from .constants import DEFAULT_CR_RANGE_MHZ, DEFAULT_E_PERP_MHZ
 from .geometry import CLASS_AXES, as_unit, tilted_field_direction
 from .spin_model import _class_blocks
@@ -211,7 +210,7 @@ def degeneracy_lift(direction=None, b_amps_gauss=None,
         cr_range_mhz=cr_range_mhz)
 
 
-def synth_spectrum(lines_ghz, profile: LineProfile,
+def synth_spectrum(lines_ghz, profile,
                    contrast_per_line: float = 0.02, freq_ghz=None,
                    n_freq: int = 2001):
     """Synthetic continuous-wave spectrum of a set of lines.
@@ -219,10 +218,11 @@ def synth_spectrum(lines_ghz, profile: LineProfile,
     ``lines_ghz`` is a 1-D array of line frequencies (GHz), such as one
     row of :func:`all_transitions`.  Returns (freq_ghz, pl_norm):
     photoluminescence normalized to one away from any line, each line
-    digging a dip of depth ``contrast_per_line`` scaled by the profile
-    (peak-normalized, so coincident lines deepen the dip additively;
-    ``profile.center_mhz`` is not used).  Without ``freq_ghz`` the grid
-    is ``n_freq`` points spanning the lines padded by 20 widths.
+    digging a dip of depth ``contrast_per_line`` scaled by ``profile``,
+    an ``analysis.LineProfile`` (peak-normalized, so coincident lines
+    deepen the dip additively; ``profile.center_mhz`` is not used).
+    Without ``freq_ghz`` the grid is ``n_freq`` points spanning the lines
+    padded by 20 widths.
     """
     lines = np.asarray(lines_ghz, dtype=float)
     if lines.ndim != 1 or lines.size == 0 or not np.all(np.isfinite(lines)):
@@ -236,7 +236,7 @@ def synth_spectrum(lines_ghz, profile: LineProfile,
     freq_ghz = np.asarray(freq_ghz, dtype=float)
     if not np.all(np.isfinite(freq_ghz)):
         raise ValueError("freq_ghz must be finite")
-    line = LineProfile(profile.shape, profile.width_mhz)
+    line = replace(profile, center_mhz=0.0)
     pl = np.ones_like(freq_ghz)
     with np.errstate(over="ignore"):    # a far line digs no dip
         for nu in np.sort(lines):

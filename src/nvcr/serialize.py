@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import DecayCurve
 from .version import TOOL_NAME, __version__
 
 __all__ = [
@@ -128,8 +127,11 @@ def write_json(path, payload: dict, subcommand: str, params: dict) -> Path:
     return path
 
 
-def read_decay_csv(path) -> DecayCurve:
-    """Read a `tau_s,signal[,sigma]` CSV, ignoring `#` comment lines."""
+def read_decay_csv(path):
+    """Read a `tau_s,signal[,sigma]` CSV, ignoring `#` comment lines, as
+    an ``analysis.DecayCurve``."""
+    from .analysis import DecayCurve
+
     rows = []
     header = None
     with open(path, "r", encoding="utf-8") as fh:

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from nvcr.cli import _COMMON, _SUBCOMMANDS, _Number, build_parser, main
+from nvcr import LineShape
+from nvcr.cli import (_COMMON, _SHAPES, _SUBCOMMANDS, _Number, build_parser,
+                      main)
 
 SUBCOMMANDS = (
     "eigen-map", "transverse-scan", "eta-table", "multipliers",
@@ -879,14 +881,15 @@ def test_scan_commands_make_no_lapack_call(name, tmp_path, monkeypatch):
 
 
 def _fresh_python(script, *args, cwd=None, env=None):
-    """Run ``script`` in a fresh interpreter that imports nvcr from src."""
+    """Run ``script`` in a fresh interpreter that imports nvcr from src;
+    a ``script`` of ``-m`` runs the module named by the first of ``args``."""
     env = dict(os.environ if env is None else env)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(script), *args], cwd=cwd,
-        env=env, capture_output=True, text=True)
+    code = ["-m"] if script == "-m" else ["-c", textwrap.dedent(script)]
+    return subprocess.run([sys.executable, *code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
 
 
 def test_import_nvcr_is_lazy():
@@ -910,6 +913,81 @@ def test_import_nvcr_is_lazy():
         assert callable(nvcr.serialize.write_csv)
     """)
     assert done.returncode == 0, done.stderr
+
+
+# the nvcr modules that ``import nvcr.cli`` loads, and those loaded once
+# each subcommand has run: a runner imports only the functions it calls
+CLI_MODULES = {"cli", "constants", "serialize", "version"}
+SUBCOMMAND_MODULES = {
+    ("eta-table", "multipliers"):
+        CLI_MODULES | {"dipolar", "eta_average", "geometry"},
+    ("eigen-map", "transverse-scan"): CLI_MODULES | {"spin_model"},
+    ("transitions", "degeneracy"):
+        CLI_MODULES | {"spin_model", "geometry", "odmr"},
+    ("fit-t1", "fit-beta", "overlap", "sensitivity"):
+        CLI_MODULES | {"analysis", "relaxation"},
+    ("decay-sim",): CLI_MODULES | {"relaxation"},
+    ("spectrum",):
+        CLI_MODULES | {"spin_model", "geometry", "odmr", "analysis",
+                       "relaxation"},
+}
+
+
+def test_import_cli_loads_only_what_parsing_needs():
+    assert sorted(c for row in SUBCOMMAND_MODULES for c in row) == \
+        sorted(SUBCOMMANDS)
+    done = _fresh_python("""
+        import sys
+        import nvcr.cli
+
+        print(*sorted(m.removeprefix("nvcr.") for m in sys.modules
+                     if m.startswith("nvcr.")))
+    """)
+    assert done.returncode == 0, done.stderr
+    assert set(done.stdout.split()) == CLI_MODULES
+
+
+@pytest.mark.parametrize("command, modules", [
+    pytest.param(command, modules, id=command)
+    for row, modules in SUBCOMMAND_MODULES.items() for command in row])
+def test_each_subcommand_loads_only_the_modules_it_runs(command, modules,
+                                                        tmp_path):
+    # a fresh interpreter per subcommand: this session has them all loaded
+    shutil.copy(GOLDEN_DIR / "decay_curve.csv", tmp_path)
+    argv = [command]
+    if command.startswith("fit-"):
+        argv += ["--input", "decay_curve.csv"]
+    done = _fresh_python("""
+        import sys
+        from nvcr.cli import main
+
+        assert main(sys.argv[1:]) == 0
+        print(*sorted(m.removeprefix("nvcr.") for m in sys.modules
+                     if m.startswith("nvcr.")))
+    """, *argv, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert set(done.stdout.splitlines()[-1].split()) == modules
+
+
+def test_shape_choices_are_the_line_shapes():
+    # typed out in cli, so that parsing loads no analysis
+    assert _SHAPES == tuple(shape.value for shape in LineShape)
+
+
+def test_fit_error_exits_1_in_a_fresh_process(tmp_path):
+    # the in-process test has analysis loaded by this session; here main
+    # meets the FitError with only the modules of fit-t1 loaded
+    curve = tmp_path / "curve.csv"
+    assert main(["decay-sim", "--t1dd-s", "1e4", "--t1ph-s", "3.62e-3",
+                 "--log-spacing", "--output", str(curve)]) == 0
+    done = _fresh_python("-m", "nvcr.cli", "fit-t1", "--input", "curve.csv",
+                         "--fix-t1ph", "3.62e-3", cwd=tmp_path)
+    assert done.returncode == 1, done.stderr
+    diag = json.loads(done.stdout)
+    assert diag["error"] == "FitError" and "edge" in diag["message"], diag
+    assert diag["best"]["converged"] is False
+    assert diag["best"]["T1_dd_s"] == pytest.approx(50.0, rel=1e-12)
+    assert not (tmp_path / "fit_t1.json").exists()
 
 
 def test_dipolar_loads_no_spin_model():
