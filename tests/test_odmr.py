@@ -5,6 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from nvcr import (
     CLASS_AXES,
@@ -19,6 +20,8 @@ from nvcr.constants import (D_GHZ as D, DEFAULT_E_PERP_MHZ,
                             GAMMA_E_MHZ_PER_G as GAMMA)
 from nvcr.geometry import as_unit
 from nvcr.spin_model import _class_blocks, build_hamiltonian
+
+from reference import class_eigensystem_mp
 
 
 def _nv_fields(k, direction, amps):
@@ -201,6 +204,13 @@ def _distinct_columns(lines):
             and np.max(np.abs(lines[:, a] - lines[:, b])) * 1e3 >= 1e-9]
 
 
+def _label_columns(label):
+    """The two scan columns of a pair label such as ``lower_13``."""
+    branch = 0 if label.startswith("lower") else 1
+    return (2 * (int(label[-2]) - 1) + branch,
+            2 * (int(label[-1]) - 1) + branch)
+
+
 def _reference_crossing(direction, amps, e_perp, columns, cr_range):
     """First field where the smallest gap of the column pairs reaches
     ``cr_range``, bisected to 1e-9 G with single-point scans."""
@@ -231,14 +241,44 @@ def test_crossings_match_a_fine_bisection(direction, e_perp):
     for label, found in zip(rep.pair_labels, rep.pair_crossings_b_gauss):
         if label in rep.degenerate_pairs:
             continue
-        branch = 0 if label.startswith("lower") else 1
-        cols = (2 * (int(label[-2]) - 1) + branch,
-                2 * (int(label[-1]) - 1) + branch)
         assert found == pytest.approx(_reference_crossing(
-            direction, amps, e_perp, [cols], rep.cr_range_mhz), abs=1e-5)
+            direction, amps, e_perp, [_label_columns(label)],
+            rep.cr_range_mhz), abs=1e-5)
     kept = _distinct_columns(all_transitions(direction, amps, e_perp))
     assert rep.all_separated_b_gauss == pytest.approx(_reference_crossing(
         direction, amps, e_perp, kept, rep.cr_range_mhz), abs=1e-5)
+
+
+def _reference_gap(direction, b_gauss, columns):
+    """Smallest gap (MHz) of the column pairs at the amplitude
+    ``b_gauss``, from the 40-digit levels of ``class_eigensystem_mp``."""
+    lines = {}
+    for k in {c // 2 for pair in columns for c in pair}:
+        b_perp, _, b_z = _nv_fields(k, direction, np.array([b_gauss]))[0]
+        levels = class_eigensystem_mp(b_perp, b_z, DEFAULT_E_PERP_MHZ)[0]
+        lines[2 * k], lines[2 * k + 1] = levels[1:] - levels[0]
+    return min(abs(lines[a] - lines[b]) for a, b in columns) * 1e3
+
+
+def test_default_crossings_are_roots_of_the_reference_gap():
+    # a root of the gap of the 40-digit levels, in the scan interval
+    # that holds the crossing, checks the solver and the refinement
+    # together; the crossing is the midpoint of a 1e-5 G bracket
+    rep = degeneracy_lift()
+    direction, amps = tilted_field_direction(), rep.b_gauss
+    checks = [([_label_columns(label)], found) for label, found in
+              zip(rep.pair_labels, rep.pair_crossings_b_gauss)]
+    checks.append((_distinct_columns(all_transitions()),
+                   rep.all_separated_b_gauss))
+    for columns, found in checks:
+        def excess(b):
+            return _reference_gap(direction, b, columns) - rep.cr_range_mhz
+
+        k = int(np.searchsorted(amps, found))
+        lo, hi = amps[k - 1], amps[k]
+        assert excess(lo) < 0.0 <= excess(hi), (columns, lo, hi)
+        root = optimize.brentq(excess, lo, hi, xtol=1e-10)
+        assert found == pytest.approx(root, abs=1e-5), columns
 
 
 @pytest.mark.parametrize("b_max, n_b", [(300.0, 1201), (2000.0, 401)])
