@@ -45,8 +45,8 @@ integrates a corner or endpoint singularity of a panel to rounding.
   two panels at the equatorial conical zeros of the element, phi =
   (gamma +- arccos((czz - 2)/3))/2 mod pi; 48 x 48 graded nodes per
   panel sum ``dipolar.flip_flop_amplitude`` over the node stack.  The
-  same axis is half the kernel at c = 1, in closed form.  Error below
-  1e-14 against doubled node counts.
+  same axis is half the kernel at c = 1, the constant 2/(3 sqrt 3).
+  Error below 1e-14 against doubled node counts.
 * ALIGNED (zero-field basis, in-plane axes projected from a shared
   field direction F uniform over the sphere), with |czz| since z2 ->
   -z2 leaves both transverse planes as they are: the pole sits at the
@@ -59,7 +59,8 @@ integrates a corner or endpoint singularity of a panel to rounding.
   and chi where Q > 1 at the cusp sin(chi) = Q^(-1/2), which meets the
   equator exactly at those two points; 64 x 64 graded nodes per panel.
   Error below 1e-14 against doubled node counts and an independent rule
-  with its pole at z1.
+  with its pole at z1.  The same axis has c = 1 for every F: the
+  constant K(1) = 4/(3 sqrt 3).
 
 Gauss-Legendre nodes come from Newton's method on the Legendre
 recurrence, with no eigenvalue solve.
@@ -67,6 +68,7 @@ recurrence, with no eigenvalue solve.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from functools import cache
 
@@ -111,6 +113,7 @@ _PSI_NODES = 64       # RANDOM: trapezoid nodes in psi1
 _PHI_NODES = 32       # RANDOM: Gauss-Legendre nodes of M(R)
 _MAGNETIC_NODES = 48  # MAGNETIC: graded nodes per panel and direction
 _ALIGNED_NODES = 64   # ALIGNED: graded nodes per panel and direction
+_K_SAME = 4.0 / (3.0 * math.sqrt(3.0))   # the pair kernel K(+-1)
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +209,7 @@ def _magnetic_average(czz: float) -> float:
     """Sphere average of the magnetic-basis flip-flop magnitude."""
     if abs(abs(czz) - 1.0) < 1e-12:
         # axial symmetry: |M| = |3 (u.z)^2 - 1| / 2, half the kernel at c = 1
-        return 0.5 * float(_pair_kernel_batch(1.0)[0])
+        return 0.5 * _K_SAME
     # the equatorial zeros of the element, one per azimuth panel edge
     gamma, spread = np.arccos(czz), np.arccos((czz - 2.0) / 3.0)
     lo, hi = np.sort(np.mod(0.5 * (gamma + np.array([-spread, spread])),
@@ -253,11 +256,11 @@ def _aligned_average(czz: float) -> float:
     """ALIGNED mode: K at the cosine of the in-plane axes that a shared
     field direction F, uniform over the sphere, projects onto both
     transverse planes; hemisphere chi <= pi/2 and alpha in [0, pi)."""
+    if abs(czz - 1.0) < 1e-12:
+        return _K_SAME      # the same axis: the two x axes coincide
     gamma = np.arccos(czz)
     total = 0.0
     for a_lo, a_hi in ((0.0, gamma), (gamma, np.pi)):
-        if a_hi == a_lo:    # the same axis: no panel between z1 and z2
-            continue
         alpha, w_alpha = _graded(_ALIGNED_NODES, a_lo, a_hi)
         q_alpha = 1.0 + 0.5 * czz * (np.cos(2.0 * alpha - gamma) - czz)
         # Q >= 1 between z1 and z2, where chi splits at the cusp c = 0,

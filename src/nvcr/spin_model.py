@@ -19,13 +19,14 @@ d_perp (E_x, E_y) = -eps_perp (cos phi_E, sin phi_E).  The zero-field
 eigenstates are then |0> and |+-> = (|+1> +- exp(-i phi_E)|-1>)/sqrt(2)
 with |+> the upper branch.  With this choice a field along x leaves
 |-> an exact eigenstate (Sx annihilates it) and mixes |+> with |0>
-only, so |e> tracks |+>, the d/e splitting grows monotonically with
-B_perp, and ``transverse_field_scan`` needs no eigensolver.
+only, so |e> tracks |+> and the d/e splitting grows monotonically with
+B_perp.
 
 At a class field (B_perp, 0, B_z) with phi_E = 0 eq. (1) is real, and
-``_class_blocks`` solves it in closed form for ``eigenstate_map`` and
-the ``odmr`` line scans, so no scan calls LAPACK.  ``build_hamiltonian``
-and ``diagonalize`` remain the solver of eq. (1) in general.
+``_class_blocks`` solves it in closed form for ``eigenstate_map``,
+``transverse_field_scan`` and the ``odmr`` line scans, so no scan calls
+LAPACK.  ``build_hamiltonian`` and ``diagonalize`` remain the solver of
+eq. (1) in general.
 """
 
 from __future__ import annotations
@@ -252,8 +253,9 @@ def _class_blocks(b_perp_gauss: np.ndarray, b_z_gauss: np.ndarray,
         mean = 0.5 * (d - big_a - big_b)
         half = np.hypot(0.5 * (d + big_a - big_b), np.sqrt(big_a * big_b))
         outer = mean + np.copysign(half, mean)
-        inner = np.divide(-big_a * d, outer, out=np.zeros_like(u),
-                          where=outer != 0.0)
+        # 0 - x, not (-x)/outer: the same bits for x != 0, and +0 at A = 0
+        inner = 0.0 - np.divide(big_a * d, outer, out=np.zeros_like(u),
+                                where=outer != 0.0)
         low = mean < 0.0
         levels = np.ldexp(np.stack([np.where(low, outer, inner),
                                     np.minimum(np.where(low, inner, outer), e),
@@ -297,11 +299,8 @@ def eigenstate_map(b_amplitude_gauss, theta_rad, e_perp_mhz: float):
 
 def transverse_field_scan(b_perp_gauss, e_perp_mhz: float):
     """Eigenstructure versus transverse field amplitudes ``b_perp_gauss``
-    (Gauss) along the NV frame's x axis, the electric azimuth phi_E = 0.
-
-    Closed form: the {|0>, |+>} block [[0, a], [a, s]], with
-    a = gamma_e B, s = D + eps and r = hypot(s, 2a), has the levels
-    (s + r)/2 and (s - r)/2; |-> sits at D - eps, lowest for eps > D.
+    (Gauss) along the NV frame's x axis, the electric azimuth phi_E = 0:
+    ``_class_blocks`` at the class field (B, 0, 0).
 
     Returns
     -------
@@ -310,25 +309,21 @@ def transverse_field_scan(b_perp_gauss, e_perp_mhz: float):
     dnu_mhz : (n,) ndarray
         d/e splitting nu_+ - nu_- in MHz.
     matching : (n,) ndarray
-        |<e|+>|^2 = (1 + s/r)/2, |+> taken at phi_E = 0: short of 1 by
-        the second-order admixture of |0>.
+        |<e|+>|^2, |+> taken at phi_E = 0: short of 1 by the
+        second-order admixture of |0>.
     """
     b_perp_gauss = np.atleast_1d(np.asarray(b_perp_gauss, dtype=float))
     if not np.all(np.isfinite(b_perp_gauss)):
         raise ValueError("b_perp_gauss must be finite")
-    if not 0.0 <= e_perp_mhz < np.inf:
-        raise ValueError("e_perp_mhz must be finite and >= 0")
-    eps = e_perp_mhz * 1e-3
-    a = GAMMA_E_MHZ_PER_G * 1e-3 * b_perp_gauss     # GHz
-    s = D_GHZ + eps
-    r = np.hypot(s, 2.0 * a)
-    # (s - r)/2 as 0 - 2a a/(s + r): no cancellation, no a^2, +0 at B = 0
-    energies = np.sort(np.stack(np.broadcast_arrays(
-        0.0 - 2.0 * a * (a / (s + r)), D_GHZ - eps, 0.5 * (s + r)), -1), -1)
+    energies = np.empty((len(b_perp_gauss), 3))
+    matching = np.empty(len(b_perp_gauss))
+    for s, levels, w_plus, _ in _class_blocks(
+            b_perp_gauss, np.zeros_like(b_perp_gauss), e_perp_mhz):
+        energies[s], matching[s] = levels, w_plus
     with np.errstate(over="ignore"):
         dnu = (energies[:, 2] - energies[:, 1]) * 1e3
     if not np.all(np.isfinite(dnu)):
         raise ValueError(
             "the d/e splitting overflows in MHz at a transverse field of "
             f"{b_perp_gauss[~np.isfinite(dnu)].max():g} G")
-    return energies, dnu, 0.5 * (1.0 + s / r)
+    return energies, dnu, matching

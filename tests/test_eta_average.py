@@ -1,5 +1,7 @@
 """Solid-angle averages and scenario rate multipliers."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -56,6 +58,16 @@ def test_same_class_closed_form():
     value = pair_average(*scenario_frames(ZAngle.SAME), BasisChoice.MAGNETIC,
                          XMode.RANDOM)
     assert value == pytest.approx(2.0 / (3.0 * np.sqrt(3.0)), abs=1e-12)
+
+
+def test_same_axis_entries_are_their_constants():
+    # K(1)/2 and K(1) to the bit, as Python floats: neither is integrated
+    table = eta_table()
+    magnetic = table[("magnetic", "same")]
+    aligned = table[("nonmagnetic_aligned", "same")]
+    assert type(magnetic) is float and type(aligned) is float
+    assert magnetic == 2.0 / (3.0 * math.sqrt(3.0))
+    assert aligned == 4.0 / (3.0 * math.sqrt(3.0))
 
 
 def test_eta_bar_same_is_one_eighteenth():

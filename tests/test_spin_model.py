@@ -386,6 +386,16 @@ def test_class_solver_matches_the_40_digit_reference(e_perp):
         if exact[2] - exact[1] > 1e-6:
             assert abs(o_plus.flat[k] - w_plus) <= 1e-10, k
             assert abs(o_p1.flat[k] - w_p1) <= 1e-10, k
+    # the transverse scan at exactly B_z = 0, where the grid's pi/2 leaves
+    # cos(pi/2) ~ 6e-17: the same bounds, and no zero level reads -0
+    energies, _, matching = transverse_field_scan(b, e_perp)
+    assert not np.any(np.signbit(energies[energies == 0.0]))
+    for k, amp in enumerate(b):
+        exact, w_plus, _ = class_eigensystem_mp(amp, 0.0, e_perp)
+        assert np.all(np.abs(energies[k] - exact)
+                      <= 1e-12 * np.maximum(np.abs(exact), 1.0)), k
+        if exact[2] - exact[1] > 1e-6:
+            assert abs(matching[k] - w_plus) <= 1e-10, k
 
 
 @pytest.mark.parametrize("e_perp", _E_PERPS)
