@@ -73,7 +73,7 @@ def _lines(fields: np.ndarray, amps: np.ndarray, e_perp_mhz: float,
             # a projection can pass 1 by an ulp, as along [111]
             raise ValueError(f"a field of {amps.max():g} G overflows in "
                              "its projection onto the class axes")
-        for s, e, _, _ in _class_blocks(b_perp, b_z, e_perp_mhz):
+        for s, e, _, _, _ in _class_blocks(b_perp, b_z, e_perp_mhz):
             lines[s, 2 * k:2 * k + 2] = e[:, 1:] - e[:, :1]
     return lines
 

@@ -193,15 +193,19 @@ def diagonalize(h: np.ndarray) -> SpinEigensystem:
 
 def _class_blocks(b_perp_gauss: np.ndarray, b_z_gauss: np.ndarray,
                   e_perp_mhz: float):
-    """Yield (slice, levels, w_plus, w_p1) for each block of ``_BLOCK``
-    points of the NV-frame fields (B_perp, 0, B_z), phi_E = 0.
+    """Yield (slice, levels, w_plus, w_p1, gap) for each block of
+    ``_BLOCK`` points of the NV-frame fields (B_perp, 0, B_z), phi_E = 0.
 
     In the basis (|0>, |+>, |->) eq. (1) is then the real arrowhead
     [[0, a, 0], [a, c, b], [0, b, d]], a = gamma_e B_perp,
     b = gamma_e B_z, c = D + eps, d = D - eps, solved here in closed
     form.  ``levels`` (n, 3) are g <= m <= e in GHz; w_plus = |<+|e>|^2
-    and w_p1 = |<+1|e>|^2, |+1> = (|+> + |->)/sqrt(2).  The bits of a
-    point do not depend on the blocking.
+    and w_p1 = |<+1|e>|^2, |+1> = (|+> + |->)/sqrt(2).  ``gap`` is
+    e - m formed as u - (m - max(0, d)): at B_z = 0 the level of |->
+    is d, so it carries no cancellation there; at B_z != 0, m - d
+    cancels and the gap can be off by its own size, so only the
+    transverse scan reads it.  The bits of a point do not depend on the
+    blocking.
     """
     if not 0.0 <= e_perp_mhz < np.inf:
         raise ValueError("e_perp_mhz must be finite and >= 0")
@@ -257,14 +261,15 @@ def _class_blocks(b_perp_gauss: np.ndarray, b_z_gauss: np.ndarray,
         inner = 0.0 - np.divide(big_a * d, outer, out=np.zeros_like(u),
                                 where=outer != 0.0)
         low = mean < 0.0
-        levels = np.ldexp(np.stack([np.where(low, outer, inner),
-                                    np.minimum(np.where(low, inner, outer), e),
-                                    e], axis=-1), ex[:, None])
+        m = np.minimum(np.where(low, inner, outer), e)
+        levels = np.ldexp(np.stack([np.where(low, outer, inner), m, e],
+                                   axis=-1), ex[:, None])
         # within _DEG_TOL of m, |e> drops its |-> part, as diagonalize's
         # tie-break makes |e> follow |+>
         rm[levels[:, 2] - levels[:, 1] < _DEG_TOL] = 0.0
         w_plus = 1.0 / (1.0 + r0 * r0 + rm * rm)
-        yield s, levels, w_plus, 0.5 * w_plus * (1.0 + rm) ** 2
+        yield (s, levels, w_plus, 0.5 * w_plus * (1.0 + rm) ** 2,
+               np.ldexp(u - (m - pole), ex))
 
 
 def eigenstate_map(b_amplitude_gauss, theta_rad, e_perp_mhz: float):
@@ -291,7 +296,7 @@ def eigenstate_map(b_amplitude_gauss, theta_rad, e_perp_mhz: float):
     b_perp = np.outer(b_amplitude_gauss, np.sin(theta_rad)).ravel()
     b_z = np.outer(b_amplitude_gauss, np.cos(theta_rad)).ravel()
     o_p1, o_plus = np.empty(b_perp.size), np.empty(b_perp.size)
-    for s, _, w_plus, w_p1 in _class_blocks(b_perp, b_z, e_perp_mhz):
+    for s, _, w_plus, w_p1, _ in _class_blocks(b_perp, b_z, e_perp_mhz):
         o_plus[s], o_p1[s] = w_plus, w_p1
     shape = (b_amplitude_gauss.size, theta_rad.size)
     return o_p1.reshape(shape), o_plus.reshape(shape)
@@ -307,7 +312,9 @@ def transverse_field_scan(b_perp_gauss, e_perp_mhz: float):
     energies_ghz : (n, 3) ndarray
         (g, d, e) energies per amplitude, ascending.
     dnu_mhz : (n,) ndarray
-        d/e splitting nu_+ - nu_- in MHz.
+        d/e splitting nu_+ - nu_- in MHz, taken from the solver rather
+        than as the difference of two ~D levels, so it keeps its
+        relative precision however small it is.
     matching : (n,) ndarray
         |<e|+>|^2, |+> taken at phi_E = 0: short of 1 by the
         second-order admixture of |0>.
@@ -316,12 +323,12 @@ def transverse_field_scan(b_perp_gauss, e_perp_mhz: float):
     if not np.all(np.isfinite(b_perp_gauss)):
         raise ValueError("b_perp_gauss must be finite")
     energies = np.empty((len(b_perp_gauss), 3))
-    matching = np.empty(len(b_perp_gauss))
-    for s, levels, w_plus, _ in _class_blocks(
+    dnu, matching = np.empty_like(b_perp_gauss), np.empty_like(b_perp_gauss)
+    for s, levels, w_plus, _, gap in _class_blocks(
             b_perp_gauss, np.zeros_like(b_perp_gauss), e_perp_mhz):
         energies[s], matching[s] = levels, w_plus
-    with np.errstate(over="ignore"):
-        dnu = (energies[:, 2] - energies[:, 1]) * 1e3
+        with np.errstate(over="ignore"):
+            dnu[s] = gap * 1e3
     if not np.all(np.isfinite(dnu)):
         raise ValueError(
             "the d/e splitting overflows in MHz at a transverse field of "

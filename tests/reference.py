@@ -48,9 +48,10 @@ def paper_hamiltonian(b_gauss, ex_mhz: float, ey_mhz: float,
 def class_eigensystem_mp(b_perp_gauss: float, b_z_gauss: float,
                          e_perp_mhz: float, dps: int = 40):
     """Levels (GHz, ascending) of eq. (1) at the NV-frame field
-    (B_perp, 0, B_z) with d_perp (E_x, E_y) = (-eps, 0), and
+    (B_perp, 0, B_z) with d_perp (E_x, E_y) = (-eps, 0),
     |<+|e>|^2 and |<+1|e>|^2 of the top level |e>, where
-    |+> = (|+1> + |-1>)/sqrt(2); each rounded to a double.
+    |+> = (|+1> + |-1>)/sqrt(2), and the gap e - m of the top two
+    levels (GHz), taken before rounding; each rounded to a double.
 
     ``paper_hamiltonian`` builds the complex m_s-basis matrix from spin
     operators in mpmath numbers, so no entry is rounded to a double (in
@@ -68,8 +69,10 @@ def class_eigensystem_mp(b_perp_gauss: float, b_z_gauss: float,
         levels, vecs = mpmath.eighe(mpmath.matrix(h.tolist()))
         top = max(range(3), key=lambda k: levels[k])
         m1, p1 = vecs[0, top], vecs[2, top]
-        return (np.array(sorted(levels), dtype=float),
-                float(abs(m1 + p1) ** 2 / 2), float(abs(p1) ** 2))
+        ordered = sorted(levels)
+        return (np.array(ordered, dtype=float),
+                float(abs(m1 + p1) ** 2 / 2), float(abs(p1) ** 2),
+                float(ordered[2] - ordered[1]))
 
 
 def nonmagnetic_spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:

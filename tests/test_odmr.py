@@ -175,8 +175,8 @@ def test_stacked_scan_equals_point_by_point_solves(direction, e_perp):
     for k in range(len(CLASS_AXES)):
         b = _nv_fields(k, u, amps)
         for i in range(amps.size):
-            (_, e, _, _), = _class_blocks(b[i:i + 1, 0], b[i:i + 1, 2],
-                                          e_perp)
+            (_, e, _, _, _), = _class_blocks(b[i:i + 1, 0],
+                                             b[i:i + 1, 2], e_perp)
             expected[i, 2 * k:2 * k + 2] = e[0, 1:] - e[0, 0]
     assert np.array_equal(lines, expected)
 
