@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -240,23 +241,29 @@ def test_fit_refuses_non_finite_or_negative_curve_cells(command, row, column,
     assert not out.exists()
 
 
-def test_fit_on_a_window_edge_exits_1_with_that_fit(tmp_path, capsys):
+@pytest.mark.parametrize("curve_flags, fit_flags", [
+    (["--t1ph-s", "3.62e-3", "--log-spacing"], ["--fix-t1ph", "3.62e-3"]),
+    ([], []),
+], ids=["fixed", "free"])
+def test_fit_on_a_window_edge_exits_1_with_that_fit(curve_flags, fit_flags,
+                                                    tmp_path, capsys):
     # a 1e4 s dipolar timescale lies beyond the window, whose top is the
     # last wait time widened 1e4-fold: 50 s
     curve, out = tmp_path / "curve.csv", tmp_path / "fit.json"
-    assert main(["decay-sim", "--t1dd-s", "1e4", "--t1ph-s", "3.62e-3",
-                 "--log-spacing", "--output", str(curve)]) == 0
+    assert main(["decay-sim", "--t1dd-s", "1e4", *curve_flags,
+                 "--output", str(curve)]) == 0
     capsys.readouterr()
-    assert main(["fit-t1", "--input", str(curve), "--fix-t1ph", "3.62e-3",
+    assert main(["fit-t1", "--input", str(curve), *fit_flags,
                  "--output", str(out)]) == 1
     diag = json.loads(capsys.readouterr().out)
     assert diag["error"] == "FitError" and "edge" in diag["message"], diag
     best = diag["best"]
     assert best["converged"] is False
-    assert best["T1_dd_s"] == pytest.approx(50.0, rel=1e-12)
-    assert best["T1_ph_s"] == 3.62e-3 and best["beta"] == 0.5
     assert best["A"] > 0.0 and best["iterations"] > 0
     assert not out.exists()
+    if fit_flags:
+        assert best["T1_dd_s"] == pytest.approx(50.0, rel=1e-12)
+        assert best["T1_ph_s"] == 3.62e-3 and best["beta"] == 0.5
 
 
 def test_numeric_failure_exit_1_with_json(tmp_path, capsys):
@@ -677,7 +684,8 @@ def test_sensitivity_record(tmp_path, capsys):
     assert rc == 0
     assert str(out) in capsys.readouterr().out
     doc = json.loads(out.read_text())
-    assert doc["sensitivity_t_per_sqrt_hz"] == pytest.approx(82e-9, abs=1e-9)
+    assert doc["sensitivity_t_per_sqrt_hz"] == pytest.approx(
+        1.5e-6 * np.sqrt(3e-3), rel=1e-12)
     assert doc["meta"]["subcommand"] == "sensitivity"
     assert doc["meta"]["tool"] == "nvcr"
 
@@ -701,7 +709,7 @@ def test_multipliers_table(tmp_path):
     values = {name: float(v) for name, v in rows}
     assert list(values) == ["RANDOM", "PLANE_100", "PLANE_110",
                             "AXIS_111", "AXIS_100", "ZERO_FIELD"]
-    assert values["RANDOM"] == pytest.approx(1.0, abs=1e-12)
+    assert values["RANDOM"] == 1.0
     assert values["PLANE_100"] == pytest.approx(7.24, abs=0.1)
     assert values["PLANE_110"] == pytest.approx(10.0, abs=0.1)
     assert values["AXIS_111"] == pytest.approx(28.4, abs=0.2)
@@ -716,8 +724,11 @@ def test_eta_table_csv(tmp_path):
     assert comments[0].startswith("# nvcr ")
     assert header == ["family", "same", "close", "far"]
     table = {r[0]: [float(x) for x in r[1:]] for r in rows}
-    assert table["magnetic"][0] == pytest.approx(0.3849, abs=2e-4)
-    assert table["nonmagnetic_aligned"][0] == pytest.approx(0.7698, abs=2e-4)
+    # the same-axis entries are 2/(3 sqrt 3) and 4/(3 sqrt 3)
+    exact = 2.0 / (3.0 * np.sqrt(3.0))
+    assert table["magnetic"][0] == pytest.approx(exact, abs=1e-10)
+    assert table["nonmagnetic_aligned"][0] == pytest.approx(2.0 * exact,
+                                                            abs=1e-10)
     assert len(rows) == 3
 
 
@@ -737,6 +748,55 @@ def test_transverse_scan_json(tmp_path):
     assert dnu == sorted(dnu)
 
 
+def test_transverse_scan_against_the_two_level_closed_form(tmp_path):
+    # with B along x, |-> stays at D - eps and |e> is the top level of
+    # the {|0>, |+>} block [[0, a], [a, s]]; no zero cell reads -0
+    out = tmp_path / "scan.csv"
+    assert main(["transverse-scan", "--output", str(out)]) == 0
+    _, header, rows = _read_csv(out)
+    assert len(rows) == 201
+    assert not [c for r in rows for c in r
+                if c.startswith("-") and float(c) == 0.0]
+    row = dict(zip(header, map(float, rows[150])))
+    assert row["B_gauss"] == 150.0, row
+    eps, s = 4.0, 2870.0 + 4.0          # MHz
+    a = 2.8 * row["B_gauss"]
+    r = np.sqrt(s * s + 4.0 * a * a)
+    assert row["dnu_MHz"] == pytest.approx(2.0 * eps + 2.0 * a * a / (r + s),
+                                           rel=1e-9)
+    assert row["overlap_e_plus"] == pytest.approx(0.5 * (1.0 + s / r),
+                                                  rel=1e-9)
+
+
+# at e_perp = 0 a field of 0-10 mG along x splits |+-> by less than the
+# tie-break tolerance, and at B = 0 the excited pair is an exact double
+# root, where a closed form can divide 0 by 0: every cell is finite and
+# |e> follows |+>.  On the weak map that holds from theta = pi/2, printed
+# as 1.570796327: at theta = 1.5, B_z splits |+-1> and |e> follows |+1>
+_WEAK = ["--e-perp-mhz", "0", "--b-max-gauss", "0.01", "--n-b", "21"]
+_ZERO = ["--e-perp-mhz", "0", "--b-max-gauss", "1e-9", "--n-b", "3"]
+
+
+@pytest.mark.parametrize("argv, n_rows, theta_from", [
+    (["eigen-map", *_WEAK, "--theta-min-rad", "1.5",
+      "--theta-max-rad=1.5707963267948966", "--n-theta", "2"], 42, 1.570796),
+    (["transverse-scan", *_WEAK], 21, 0.0),
+    (["eigen-map", *_ZERO, "--n-theta", "3"], 9, 0.0),
+    (["transitions", *_ZERO], 3, 0.0),
+], ids=["weak-map", "weak-scan", "zero-map", "zero-lines"])
+def test_zero_e_perp_keeps_e_on_plus_with_finite_cells(argv, n_rows,
+                                                      theta_from, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--output", str(out)]) == 0
+    _, header, rows = _read_csv(out)
+    table = dict(zip(header, np.array(rows, dtype=float).T))
+    assert len(rows) == n_rows
+    assert all(np.all(np.isfinite(column)) for column in table.values())
+    if "overlap_e_plus" in table:
+        edge = table.get("theta_rad", np.zeros(n_rows)) >= theta_from
+        assert np.all(table["overlap_e_plus"][edge] >= 0.99)
+
+
 def test_decay_sim_then_fit(tmp_path):
     curve = tmp_path / "curve.csv"
     fit = tmp_path / "fit.json"
@@ -748,6 +808,14 @@ def test_decay_sim_then_fit(tmp_path):
     assert doc["converged"] is True
     assert 0.588e-3 <= doc["T1_dd_s"] <= 0.612e-3
     assert doc["T1_ph_s"] == pytest.approx(3.62e-3, rel=1e-12)
+    # the free fit recovers both timescales of the noiseless curve
+    assert main(["fit-t1", "--input", str(curve), "--output", str(fit)]) == 0
+    doc = json.loads(fit.read_text())
+    assert doc["converged"] is True
+    assert doc["T1_dd_s"] == pytest.approx(0.6e-3, rel=1e-6)
+    assert doc["T1_ph_s"] == pytest.approx(3.62e-3, rel=1e-6)
+    assert main(["fit-beta", "--input", str(curve), "--output", str(fit)]) == 0
+    assert json.loads(fit.read_text())["converged"] is True
 
 
 def test_fit_beta_cli(tmp_path):
@@ -824,15 +892,34 @@ def test_degeneracy_comments(tmp_path):
     assert 10.0 <= value <= 18.0
 
 
-def test_spectrum_csv(tmp_path):
-    out = tmp_path / "spec.csv"
-    assert main(["spectrum", "--b-gauss", "0", "--direction", "1,0,0",
+def test_degeneracy_along_111_reads_three_classes_degenerate(tmp_path):
+    # along [111] classes 2-4 share their field shares, so their lines
+    # agree to the bit and every gap between them is 0
+    out = tmp_path / "deg.csv"
+    assert main(["degeneracy", "--direction", "1,1,1",
                  "--output", str(out)]) == 0
+    comments, header, rows = _read_csv(out)
+    pairs = {m[2]: (m[1], m[3]) for m in (
+        re.fullmatch(r"# (pair\d): (\w+) crossing_B_gauss=(\S+)", c)
+        for c in comments) if m}
+    equal = ["lower_23", "lower_34", "upper_23", "upper_34"]
+    assert [pairs[p][1] for p in equal] == 4 * ["degenerate"], pairs
+    cols = [header.index(f"dnu_{pairs[p][0]}_MHz") for p in equal]
+    assert rows and all(float(r[c]) == 0.0 for r in rows for c in cols)
+
+
+@pytest.mark.parametrize("argv, dip", [
+    (["--b-gauss", "0", "--direction", "1,0,0"], 0.95),
+    (["--b-gauss", "20"], 0.99),
+], ids=["0G", "20G"])
+def test_spectrum_csv(argv, dip, tmp_path):
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", *argv, "--output", str(out)]) == 0
     _, header, rows = _read_csv(out)
-    assert header == ["freq_GHz", "pl_norm"]
+    assert header == ["freq_GHz", "pl_norm"] and len(rows) == 2001
     pl = np.array([float(r[1]) for r in rows])
-    assert pl.max() <= 1.0 + 1e-9
-    assert pl.min() < 0.95
+    assert np.all((0.0 < pl) & (pl <= 1.0))
+    assert pl.min() < dip
 
 
 def test_spectrum_n_freq_without_range(tmp_path):
@@ -841,6 +928,18 @@ def test_spectrum_n_freq_without_range(tmp_path):
     comments, _, rows = _read_csv(out)
     assert len(rows) == 11
     assert any("n_freq=11" in c for c in comments)
+
+
+def test_mixed_overlap_peaks_at_zero_detuning(tmp_path):
+    # the Voigt pair, the one overlap that loads SciPy
+    out = tmp_path / "mixed.csv"
+    assert main(["overlap", "--shape1", "gaussian", "--shape2", "lorentzian",
+                 "--output", str(out)]) == 0
+    _, header, rows = _read_csv(out)
+    assert header == ["dnu_MHz", "overlap_per_MHz"] and len(rows) == 201
+    dnu, values = np.array(rows, dtype=float).T
+    assert np.all(np.isfinite(values) & (values > 0.0))
+    assert values.max() == values[100] and dnu[100] == 0.0
 
 
 def test_eigen_map_grid(tmp_path):
