@@ -378,7 +378,8 @@ def test_overlap_refuses_a_non_finite_shift(delta):
 
 
 def test_sensitivity_values():
-    assert sensitivity(1.5e-6, 3e-3) == pytest.approx(82e-9, abs=1e-9)
+    assert sensitivity(1.5e-6, 3e-3) == pytest.approx(1.5e-6 * np.sqrt(3e-3),
+                                                      rel=1e-12)
     assert sensitivity(3.0e-6, 3e-3) == \
         pytest.approx(2.0 * sensitivity(1.5e-6, 3e-3), rel=1e-12)
     assert sensitivity(2.2e-6, 1.0) == pytest.approx(2.2e-6, rel=1e-12)
