@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from nvcr import LineShape
 from nvcr.cli import (_COMMON, _SHAPES, _SUBCOMMANDS, _Number, build_parser,
                       main)
+from nvcr.odmr import _class_fields
+from reference import class_eigensystem_mp
 
 SUBCOMMANDS = (
     "eigen-map", "transverse-scan", "eta-table", "multipliers",
@@ -962,6 +964,69 @@ def test_golden_flags():
 def test_golden_output(name, tmp_path):
     out = _run_golden(name, tmp_path)
     assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
+
+
+def _half_unit(text):
+    """Half a unit in the last digit of a cell printed at %.10g."""
+    value = abs(float(text))
+    return 0.0 if value == 0.0 else 0.5 * 10.0 ** (np.floor(np.log10(value))
+                                                   - 9)
+
+
+def _solver_golden_rows(name):
+    """Per row of solver golden ``name``: its input cells, then each
+    computed cell's 40-digit value and stated bound.  The inputs are
+    rebuilt from the golden's command line and the CLI defaults, not
+    read from its header."""
+    args = build_parser().parse_args(GOLDEN[name])
+    b = np.linspace(args.b_min_gauss, args.b_max_gauss, args.n_b)
+    eps = args.e_perp_mhz
+
+    def level(v, k=1):      # GHz: a level (k = 1) or a difference (k = 2)
+        return v, k * 1e-12 * max(1.0, abs(v))
+
+    if name == "transverse_scan.csv":
+        for amp in b:
+            levels, w_plus, _, gap = class_eigensystem_mp(amp, 0.0, eps)
+            dnu = [1e3 * x for x in level(gap, 2)]          # MHz
+            yield [amp], [*map(level, levels), dnu, (w_plus, 1e-10)]
+    elif name == "eigen_map.csv":
+        theta = np.linspace(args.theta_min_rad, args.theta_max_rad,
+                            args.n_theta)
+        for amp in b:
+            for th in theta:
+                _, w_plus, w_p1, _ = class_eigensystem_mp(
+                    amp * np.sin(th), amp * np.cos(th), eps)
+                yield [amp, th], [(w_p1, 1e-10), (w_plus, 1e-10)]
+    else:
+        fields = _class_fields(args.direction)
+        for amp in b:
+            cells = []
+            for b_perp, b_z in amp * fields:
+                levels = class_eigensystem_mp(b_perp, b_z, eps)[0]
+                cells += [level(levels[1] - levels[0], 2),
+                          level(levels[2] - levels[0], 2)]
+            yield [amp], cells
+
+
+@pytest.mark.parametrize("name", ["transverse_scan.csv", "eigen_map.csv",
+                                  "transitions.csv"])
+def test_solver_goldens_match_the_40_digit_reference(name):
+    # each input cell prints its input, and each computed cell lies
+    # within half a unit of its last printed digit plus its stated
+    # bound: 1e-12 max(1, |E|) GHz per level, twice that per line or
+    # splitting, 1e-10 per weight.  degeneracy.csv is left out: its 8 G
+    # upper_14 cell lies 2.1e-13 MHz past a rounding boundary, closer
+    # than two rounded lines can settle
+    _, _, rows = _read_csv(GOLDEN_DIR / name)
+    expected = list(_solver_golden_rows(name))
+    assert len(rows) == len(expected)
+    for row, (inputs, cells) in zip(rows, expected):
+        assert row[:len(inputs)] == [f"{x:.10g}" for x in inputs], row
+        for text, (value, bound) in zip(row[len(inputs):], cells,
+                                        strict=True):
+            assert abs(float(text) - value) <= _half_unit(text) + bound, \
+                (row, text, value)
 
 
 @pytest.mark.parametrize("name", ["eigen_map.csv", "transitions.csv",
