@@ -201,11 +201,11 @@ def _class_blocks(b_perp_gauss: np.ndarray, b_z_gauss: np.ndarray,
     b = gamma_e B_z, c = D + eps, d = D - eps, solved here in closed
     form.  ``levels`` (n, 3) are g <= m <= e in GHz; w_plus = |<+|e>|^2
     and w_p1 = |<+1|e>|^2, |+1> = (|+> + |->)/sqrt(2).  ``gap`` is
-    e - m formed as u - (m - max(0, d)): at B_z = 0 the level of |->
-    is d, so it carries no cancellation there; at B_z != 0, m - d
-    cancels and the gap can be off by its own size, so only the
-    transverse scan reads it.  The bits of a point do not depend on the
-    blocking.
+    e - m in GHz, formed as u - (m - max(0, d)).  Only at B_z = 0 is it
+    free of cancellation, m being the level d of |-> or at most 0
+    there; elsewhere m - d cancels and the gap can be off by its own
+    size, so only the transverse scan reads it.  The bits of a point do
+    not depend on the blocking.
     """
     if not 0.0 <= e_perp_mhz < np.inf:
         raise ValueError("e_perp_mhz must be finite and >= 0")
