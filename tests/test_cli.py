@@ -773,8 +773,9 @@ def test_transverse_scan_against_the_two_level_closed_form(tmp_path):
 # at e_perp = 0 a field of 0-10 mG along x splits |+-> by less than the
 # tie-break tolerance, and at B = 0 the excited pair is an exact double
 # root, where a closed form can divide 0 by 0: every cell is finite and
-# |e> follows |+>.  On the weak map that holds from theta = pi/2, printed
-# as 1.570796327: at theta = 1.5, B_z splits |+-1> and |e> follows |+1>
+# |e> follows |+>.  On the weak map that is required only at theta =
+# pi/2, printed as 1.570796327: at 1.5, B_z splits |+-1> and |e> follows
+# |+1>
 _WEAK = ["--e-perp-mhz", "0", "--b-max-gauss", "0.01", "--n-b", "21"]
 _ZERO = ["--e-perp-mhz", "0", "--b-max-gauss", "1e-9", "--n-b", "3"]
 
