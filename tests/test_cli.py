@@ -1030,21 +1030,6 @@ def test_solver_goldens_match_the_40_digit_reference(name):
                 (row, text, value)
 
 
-@pytest.mark.parametrize("name", ["eigen_map.csv", "transitions.csv",
-                                  "degeneracy.csv", "spectrum.csv"])
-def test_scan_commands_make_no_lapack_call(name, tmp_path, monkeypatch):
-    # the class Hamiltonians are solved in closed form, so the scan
-    # commands run with numpy's eigensolvers made to raise; the first
-    # LAPACK eigensolve of a process costs it ~1.2 MB of resident memory
-    def refuse(*args, **kwargs):
-        raise AssertionError("a LAPACK eigensolver was called")
-
-    for solver in ("eigh", "eigvalsh", "eig"):
-        monkeypatch.setattr(np.linalg, solver, refuse)
-    out = _run_golden(name, tmp_path)
-    assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
-
-
 def _fresh_python(script, *args, cwd=None, env=None):
     """Run ``script`` in a fresh interpreter that imports nvcr from src;
     a ``script`` of ``-m`` runs the module named by the first of ``args``."""
@@ -1096,42 +1081,71 @@ SUBCOMMAND_MODULES = {
         CLI_MODULES | {"spin_model", "geometry", "odmr", "analysis",
                        "relaxation"},
 }
+# the nvcr modules a library import loads: the Hamiltonian takes its
+# field in the NV frame, so spin_model needs no geometry, and the pair
+# amplitudes need no single-center model
+IMPORT_MODULES = {
+    "nvcr.cli": CLI_MODULES,
+    "nvcr.dipolar": {"dipolar", "geometry", "version"},
+    "nvcr.spin_model": {"constants", "spin_model", "version"},
+}
 
+# numpy's eigensolvers raise before nvcr loads; then the script imports
+# the module of its argument, or runs its argv through main, and prints
+# every loaded module
+_AUDIT = """
+    import importlib
+    import sys
 
-def test_import_cli_loads_only_what_parsing_needs():
-    assert sorted(c for row in SUBCOMMAND_MODULES for c in row) == \
-        sorted(SUBCOMMANDS)
-    done = _fresh_python("""
-        import sys
-        import nvcr.cli
+    import numpy as np
 
-        print(*sorted(m.removeprefix("nvcr.") for m in sys.modules
-                     if m.startswith("nvcr.")))
-    """)
-    assert done.returncode == 0, done.stderr
-    assert set(done.stdout.split()) == CLI_MODULES
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK eigensolver was called")
 
-
-@pytest.mark.parametrize("command, modules", [
-    pytest.param(command, modules, id=command)
-    for row, modules in SUBCOMMAND_MODULES.items() for command in row])
-def test_each_subcommand_loads_only_the_modules_it_runs(command, modules,
-                                                        tmp_path):
-    # a fresh interpreter per subcommand: this session has them all loaded
-    shutil.copy(GOLDEN_DIR / "decay_curve.csv", tmp_path)
-    argv = [command]
-    if command.startswith("fit-"):
-        argv += ["--input", "decay_curve.csv"]
-    done = _fresh_python("""
-        import sys
+    for solver in ("eigh", "eigvalsh", "eig", "eigvals"):
+        setattr(np.linalg, solver, refuse)
+    if sys.argv[1].startswith("nvcr."):
+        importlib.import_module(sys.argv[1])
+    else:
         from nvcr.cli import main
 
         assert main(sys.argv[1:]) == 0
-        print(*sorted(m.removeprefix("nvcr.") for m in sys.modules
-                     if m.startswith("nvcr.")))
-    """, *argv, cwd=tmp_path)
+    print(*sorted(sys.modules))
+"""
+
+
+@pytest.mark.parametrize("name", [*GOLDEN, *IMPORT_MODULES])
+def test_fresh_process_loads_only_its_modules_and_no_eigensolver(name,
+                                                                tmp_path):
+    # a fresh interpreter per golden command and per library import,
+    # because this session has every module loaded.  A command writes
+    # its golden's bytes with no LAPACK eigensolve (the class
+    # Hamiltonians are solved in closed form; the first eigensolve costs
+    # a process ~1.2 MB of resident memory) and loads exactly its row of
+    # modules.  No row loads SciPy, numpy.random or numpy.polynomial
+    # (Gauss-Legendre nodes come from a Newton iteration, not from
+    # companion-matrix eigenvalues), except that the mixed overlap loads
+    # scipy.special, which itself loads the other two
+    assert sorted(c for row in SUBCOMMAND_MODULES for c in row) == \
+        sorted(SUBCOMMANDS) == sorted({argv[0] for argv in GOLDEN.values()})
+    shutil.copy(GOLDEN_DIR / "decay_curve.csv", tmp_path)
+    done = _fresh_python(_AUDIT, *GOLDEN.get(name, [name]), cwd=tmp_path)
     assert done.returncode == 0, done.stderr
-    assert set(done.stdout.splitlines()[-1].split()) == modules
+    loaded = done.stdout.splitlines()[-1].split()
+    if name in GOLDEN:
+        assert (tmp_path / name).read_bytes() == \
+            (GOLDEN_DIR / name).read_bytes(), name
+        modules = next(modules for row, modules in SUBCOMMAND_MODULES.items()
+                       if GOLDEN[name][0] in row)
+    else:
+        modules = IMPORT_MODULES[name]
+    assert {m.removeprefix("nvcr.") for m in loaded
+            if m.startswith("nvcr.")} == modules
+    if name == "overlap_mixed.csv":
+        assert "scipy.special" in loaded
+    else:
+        assert [m for m in loaded if m.split(".")[0] == "scipy"
+                or m.startswith(("numpy.random", "numpy.polynomial"))] == []
 
 
 def test_shape_choices_are_the_line_shapes():
@@ -1153,28 +1167,6 @@ def test_fit_error_exits_1_in_a_fresh_process(tmp_path):
     assert diag["best"]["converged"] is False
     assert diag["best"]["T1_dd_s"] == pytest.approx(50.0, rel=1e-12)
     assert not (tmp_path / "fit_t1.json").exists()
-
-
-def test_dipolar_loads_no_spin_model():
-    done = _fresh_python("""
-        import sys
-        import nvcr.dipolar
-
-        assert "nvcr.spin_model" not in sys.modules, sorted(sys.modules)
-    """)
-    assert done.returncode == 0, done.stderr
-
-
-def test_spin_model_loads_no_geometry():
-    # the Hamiltonian takes its field in the NV frame: projecting a
-    # crystal-frame field is odmr's
-    done = _fresh_python("""
-        import sys
-        import nvcr.spin_model
-
-        assert "nvcr.geometry" not in sys.modules, sorted(sys.modules)
-    """)
-    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("name", [
@@ -1209,57 +1201,6 @@ def test_cli_runs_blas_on_one_thread_unless_set(preset, expected):
     assert value == expected
     if expected == "1":
         assert threads == "1"      # numpy loaded, no BLAS worker started
-
-
-def test_tables_load_no_numpy_polynomial(tmp_path):
-    # Gauss-Legendre nodes come from a Newton iteration, not from
-    # numpy.polynomial's companion-matrix eigenvalues
-    done = _fresh_python("""
-        import sys
-        from nvcr.cli import main
-
-        for argv in (["eta-table"], ["multipliers"]):
-            assert main(argv) == 0, argv
-            assert "numpy.polynomial" not in sys.modules, argv
-    """, cwd=tmp_path)
-    assert done.returncode == 0, done.stderr
-
-
-def test_only_a_mixed_overlap_loads_scipy(tmp_path):
-    # a fresh interpreter, because this test session has SciPy and
-    # numpy.random loaded; no command path may load numpy.random
-    shutil.copy(GOLDEN_DIR / "decay_curve.csv", tmp_path)
-    commands = [GOLDEN[name] for name in (
-        "fit_t1.json", "decay_curve.csv", "overlap.csv", "degeneracy.csv",
-        "spectrum.csv", "sensitivity.json")]
-    commands += [["fit-beta", "--input", "decay_curve.csv"],
-                 GOLDEN["overlap_mixed.csv"]]
-    script = """
-        import json
-        import sys
-        from nvcr.analysis import fit_beta, fit_decay
-        from nvcr.cli import main
-        from nvcr.serialize import read_decay_csv
-
-        def unwanted():
-            return [m for m in sys.modules if m.split(".")[0] == "scipy"
-                    or m.startswith("numpy.random")]
-
-        curve = read_decay_csv("decay_curve.csv")
-        fit_decay(curve, fixed_t1_ph_s=3.62e-3)
-        fit_beta(curve)
-        assert not unwanted(), unwanted()
-        *commands, mixed = json.loads(sys.argv[1])
-        for argv in commands:
-            assert main(argv) == 0, argv
-            assert not unwanted(), (argv, unwanted())
-        assert main(mixed) == 0
-        assert "scipy.special" in sys.modules
-    """
-    done = _fresh_python(script, json.dumps(commands), cwd=tmp_path)
-    assert done.returncode == 0, done.stderr
-    assert (tmp_path / "overlap_mixed.csv").read_bytes() == \
-        (GOLDEN_DIR / "overlap_mixed.csv").read_bytes()
 
 
 if __name__ == "__main__":
