@@ -135,20 +135,24 @@ def read_decay_csv(path):
     rows = []
     header = None
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if header is None:
                 header = [h.strip() for h in line.split(",")]
                 continue
-            rows.append([float(x) for x in line.split(",")])
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise ValueError(f"line {number} has {len(cells)} cells, "
+                                 f"but the header has {len(header)}")
+            rows.append([float(x) for x in cells])
     if header is None or header[:2] != ["tau_s", "signal"]:
         raise ValueError("expected header 'tau_s,signal[,sigma]'")
     if header not in (["tau_s", "signal"], ["tau_s", "signal", "sigma"]):
         raise ValueError(f"unexpected columns {header!r}")
+    if not rows:
+        raise ValueError("the decay table has no rows")
     data = np.asarray(rows, dtype=float)
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise ValueError("ragged or empty decay table")
     sigma = data[:, 2] if len(header) == 3 else None
     return DecayCurve(tau_s=data[:, 0], signal=data[:, 1], sigma=sigma)

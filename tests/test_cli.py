@@ -243,6 +243,23 @@ def test_fit_refuses_non_finite_or_negative_curve_cells(command, row, column,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# no rows\ntau_s,signal,sigma\n", "the decay table has no rows"),
+    ("tau_s,signal,sigma\n1e-05,0.9,0.01\n2e-05,0.8\n",
+     "line 3 has 2 cells, but the header has 3"),
+    ("# a comment\n\ntau_s,signal\n1e-05,0.9\n2e-05,0.8,0.01\n",
+     "line 5 has 3 cells, but the header has 2"),
+], ids=["empty", "short_row", "long_row"])
+def test_fit_refuses_an_empty_or_ragged_curve(text, message, tmp_path,
+                                              capsys):
+    curve, out = tmp_path / "curve.csv", tmp_path / "fit.json"
+    curve.write_text(text)
+    assert main(["fit-t1", "--input", str(curve), "--output", str(out)]) == 1
+    diag = json.loads(capsys.readouterr().out)
+    assert diag == {"error": "ValueError", "message": message}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("curve_flags, fit_flags", [
     (["--t1ph-s", "3.62e-3", "--log-spacing"], ["--fix-t1ph", "3.62e-3"]),
     ([], []),
