@@ -21,8 +21,8 @@ _SUBMODULES = {
     "geometry": ("CLASS_AXES", "NVClassFrame", "PairGeometry", "class_frame",
                  "tilted_field_direction"),
     # single-center model
-    "spin_model": ("spin_matrices", "zero_field_states", "build_hamiltonian",
-                   "diagonalize", "eigenstate_map", "transverse_field_scan"),
+    "spin_model": ("zero_field_states", "build_hamiltonian", "diagonalize",
+                   "eigenstate_map", "transverse_field_scan"),
     # pair coupling
     "dipolar": ("BasisChoice", "dipolar_coefficients", "flip_flop_amplitude",
                 "double_flip_amplitude"),

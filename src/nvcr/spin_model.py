@@ -38,7 +38,6 @@ import numpy as np
 from .constants import D_GHZ, GAMMA_E_MHZ_PER_G
 
 __all__ = [
-    "spin_matrices",
     "zero_field_states",
     "build_hamiltonian",
     "diagonalize",
@@ -55,15 +54,10 @@ _BLOCK = 512      # field points per _class_blocks block: bounds the
                   # temporaries of a large scan
 
 
-def spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spin-1 operators (Sx, Sy, Sz) in the (|-1>, |0>, |+1>) basis."""
-    sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2.0)
-    sy = np.array([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], dtype=complex) * (1j / np.sqrt(2.0))
-    sz = np.diag([-1.0, 0.0, 1.0]).astype(complex)
-    return sx, sy, sz
-
-
-_SX, _SY, _SZ = spin_matrices()
+# spin-1 operators Sx, Sy, Sz in the (|-1>, |0>, |+1>) basis
+_SX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2.0)
+_SY = np.array([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], dtype=complex) * (1j / np.sqrt(2.0))
+_SZ = np.diag([-1.0, 0.0, 1.0]).astype(complex)
 _SZ2 = _SZ @ _SZ
 
 

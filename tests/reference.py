@@ -4,13 +4,15 @@ The package computes the pair matrix elements and the ensemble
 polarization in closed form.  This module derives each a second way,
 independently of how the package does it:
 
-* ``paper_hamiltonian`` writes eq. (1) of the paper term by term from
-  the spin operators, with the electric field as its components;
+* ``spin_matrices`` writes out the spin-1 operators in the |m_s>
+  basis, and ``paper_hamiltonian`` writes eq. (1) of the paper term by
+  term from them, with the electric field as its components;
 * ``class_eigensystem_mp`` solves it to 40 digits with mpmath at a
   class field (B_perp, 0, B_z), phi_E = 0, in the |m_s> basis;
 * ``build_two_spin_hamiltonian`` assembles the 9x9 secular pair
   operator from Kronecker products of single-spin operators, with its
-  own zero-field operators and its own list of retained bilinears, so
+  own operators in both bases, its own list of retained bilinears and
+  its own weights a_ab = 3(u.a1)(u.b2) - a1.b2 from the frame axes, so
   that the closed-form amplitudes of ``nvcr.dipolar`` can be read off
   as its elements;
 * ``polarization_from_density`` takes the Laplace transform of the rate
@@ -18,16 +20,25 @@ independently of how the package does it:
 * ``rotation_matrix``, ``rotate`` and ``swap`` move frames and pairs
   for the invariance checks.
 
-Only public names of ``nvcr`` are imported.
+Only public names of ``nvcr`` are imported: constants, the geometry
+types and ``as_unit``, none of the computations checked here.
 """
 
 import mpmath
 import numpy as np
 
-from nvcr import (BasisChoice, NVClassFrame, PairGeometry,
-                  dipolar_coefficients, spin_matrices)
+from nvcr import BasisChoice, NVClassFrame, PairGeometry
 from nvcr.constants import D_GHZ, GAMMA_E_MHZ_PER_G
 from nvcr.geometry import as_unit
+
+
+def spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spin-1 operators (Sx, Sy, Sz) in the basis (|-1>, |0>, |+1>):
+    S+ |m> = sqrt(2) |m + 1>, Sx = (S+ + S-)/2, Sy = (S+ - S-)/(2i)."""
+    raise_ = np.diag([np.sqrt(2.0)] * 2, k=-1).astype(complex)   # S+
+    lower = raise_.T                                            # S-
+    return ((raise_ + lower) / 2.0, (raise_ - lower) / 2.0j,
+            np.diag([-1.0, 0.0, 1.0]).astype(complex))
 
 
 def paper_hamiltonian(b_gauss, ex_mhz: float, ey_mhz: float,
@@ -35,8 +46,8 @@ def paper_hamiltonian(b_gauss, ex_mhz: float, ey_mhz: float,
     """H/h of eq. (1) in GHz for an NV-frame field (Gauss):
     D Sz^2 + gamma_e B.S + d_perp [E_x (Sy^2 - Sx^2) + E_y (Sx Sy + Sy Sx)],
     with ``ex_mhz``, ``ey_mhz`` the energies d_perp E_x, d_perp E_y.
-    ``spin_ops`` replaces the package's (Sx, Sy, Sz), for example by
-    object arrays of mpmath numbers."""
+    ``spin_ops`` replaces ``spin_matrices()``, for example by object
+    arrays of mpmath numbers."""
     sx, sy, sz = spin_matrices() if spin_ops is None else spin_ops
     bx, by, bz = np.asarray(b_gauss, dtype=float)
     gamma_ghz = GAMMA_E_MHZ_PER_G * 1e-3
@@ -118,10 +129,13 @@ def build_two_spin_hamiltonian(g: PairGeometry,
     if g.u_hat.ndim != 1:
         raise ValueError("the pair Hamiltonian takes a single direction")
     op = dict(zip(_AXES, _single_spin_ops(basis)))
-    c = dipolar_coefficients(g)
+    axes1, axes2 = ({"x": f.x_hat, "y": f.y_hat, "z": f.z_hat}
+                    for f in (g.frame1, g.frame2))
+    u = g.u_hat
     h = np.zeros((9, 9), dtype=complex)
     for a, b in _RETAINED:
-        h -= getattr(c, f"a_{a}{b}") * np.kron(op[a], op[b])
+        weight = 3.0 * (u @ axes1[a]) * (u @ axes2[b]) - axes1[a] @ axes2[b]
+        h -= weight * np.kron(op[a], op[b])
     return h
 
 
