@@ -18,7 +18,9 @@ independently of how the package does it:
 * ``polarization_from_density`` takes the Laplace transform of the rate
   density by quadrature, for the closed form exp(-sqrt(t/T));
 * ``rotation_matrix``, ``rotate`` and ``swap`` move frames and pairs
-  for the invariance checks.
+  for the invariance checks;
+* ``ETA_REFERENCE`` holds the table of normalized averages from
+  quadrature rules independent of the package's.
 
 Only public names of ``nvcr`` are imported: constants, the geometry
 types and ``as_unit``, none of the computations checked here.
@@ -30,6 +32,23 @@ import numpy as np
 from nvcr import BasisChoice, NVClassFrame, PairGeometry
 from nvcr.constants import D_GHZ, GAMMA_E_MHZ_PER_G
 from nvcr.geometry import as_unit
+
+_SAME_MAGNETIC = 2.0 / (3.0 * np.sqrt(3.0))
+# each entry of the table from rules independent of the library's:
+# magnetic against a 2048 x 4096 product rule, random against nested
+# adaptive quadrature, aligned against a rule with its pole at z1 that
+# splits each polar row at the cusp; the same-axis entries are exact
+ETA_REFERENCE = {
+    ("magnetic", "same"): _SAME_MAGNETIC,
+    ("magnetic", "close"): 0.650711414684589,
+    ("magnetic", "far"): 0.832777508057429,
+    ("nonmagnetic_random", "same"): 0.710994107653050,
+    ("nonmagnetic_random", "close"): 0.682750756138088,
+    ("nonmagnetic_random", "far"): 0.682750756138088,
+    ("nonmagnetic_aligned", "same"): 2.0 * _SAME_MAGNETIC,
+    ("nonmagnetic_aligned", "close"): 0.695187487723620,
+    ("nonmagnetic_aligned", "far"): 0.695187487723620,
+}
 
 
 def spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,9 +17,11 @@ from nvcr import (
     sensitivity,
     spectral_overlap,
 )
+from nvcr import analysis
 from nvcr.serialize import read_decay_csv
 
 T1PH = 3.62e-3
+GOLDEN_CURVE = Path(__file__).parent / "golden" / "decay_curve.csv"
 
 
 def _synthetic(t1_dd, t1_ph=T1PH, n=48):
@@ -165,6 +167,18 @@ def test_timescale_outside_the_window_raises_with_the_best_fit(t1_dd):
         1e-9 if t1_dd < 1e-5 else 50.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("fit", [
+    lambda c: fit_decay(c, fixed_t1_ph_s=T1PH), fit_decay, fit_beta,
+], ids=["fixed", "free", "beta"])
+def test_search_that_does_not_settle_raises_with_the_best_fit(fit,
+                                                              monkeypatch):
+    monkeypatch.setattr(analysis, "_MAX_STEPS", 1)
+    with pytest.raises(FitError, match="^the search did not settle in 1 "
+                       "steps$") as exc:
+        fit(read_decay_csv(GOLDEN_CURVE))
+    assert not exc.value.best.converged
+
+
 def test_signal_without_a_positive_decay_is_refused():
     tau = np.geomspace(1e-5, 5e-3, 16)
     curve = DecayCurve(tau, -decay_signal(tau, DecayModel(t1_dd_s=1e-3)))
@@ -223,8 +237,6 @@ def test_beta_of_two_channel_curve_near_half():
     assert res.converged
     assert abs(res.model.beta - 0.5) < abs(res.model.beta - 1.0)
 
-
-GOLDEN_CURVE = Path(__file__).parent / "golden" / "decay_curve.csv"
 
 # (T1_dd, beta, T1_ph, A, rss) on the golden curve from the nested
 # golden-section searches that the Levenberg-Marquardt search replaced

@@ -11,6 +11,7 @@ import tempfile
 import textwrap
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -20,7 +21,7 @@ from nvcr import LineShape
 from nvcr.cli import (_COMMON, _SHAPES, _SUBCOMMANDS, _Number, build_parser,
                       main)
 from nvcr.odmr import _class_fields
-from reference import class_eigensystem_mp
+from reference import ETA_REFERENCE, class_eigensystem_mp
 
 SUBCOMMANDS = (
     "eigen-map", "transverse-scan", "eta-table", "multipliers",
@@ -217,6 +218,20 @@ def test_bad_flags_exit_2(tmp_path, monkeypatch):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eigen-map", "--n-b", "abc"], "not an integer: 'abc'"),
+    (["overlap", "--width1-mhz", "wide"], "not a number: 'wide'"),
+], ids=["integer", "number"])
+def test_text_that_is_not_a_number_exits_2(argv, message, tmp_path,
+                                           monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err.splitlines()[-1]
     assert not any(tmp_path.iterdir())
 
 
@@ -991,60 +1006,166 @@ def _half_unit(text):
                                                    - 9)
 
 
-def _solver_golden_rows(name):
-    """Per row of solver golden ``name``: its input cells, then each
-    computed cell's 40-digit value and stated bound.  The inputs are
+# scenario -> the eta-table row it draws on and its counts of same,
+# close and far resonant pairs (tests/test_eta_average.py derives them
+# from the class geometry)
+_SCENARIO_COUNTS = {
+    "RANDOM": ("magnetic", (1, 0, 0)),
+    "PLANE_100": ("magnetic", (1, 1, 0)),
+    "PLANE_110": ("magnetic", (1, 0, 1)),
+    "AXIS_111": ("magnetic", (1, 0, 2)),
+    "AXIS_100": ("magnetic", (1, 2, 1)),
+    "ZERO_FIELD": ("nonmagnetic_random", (1, 3, 0)),
+}
+_AXIS_CLASSES = ("same", "close", "far")
+
+
+def _overlap_mp(args, dnu):
+    """The overlap of the two lines of ``args`` at detuning ``dnu`` (MHz)
+    in closed form at 40 digits: a Gaussian of sigma = hypot(sigma1,
+    sigma2), a Lorentzian of gamma = gamma1 + gamma2, or for a mixed
+    pair the Voigt profile Re w(z) / (sigma sqrt(2 pi)), z = (x + i
+    gamma) / (sigma sqrt 2), w(z) = exp(-z^2) erfc(-iz)."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(dnu) + args.center2_mhz - args.center1_mhz
+        widths = {args.shape1: mpmath.mpf(args.width1_mhz),
+                  args.shape2: mpmath.mpf(args.width2_mhz)}
+        if args.shape1 != args.shape2:
+            sigma, gamma = widths["gaussian"], widths["lorentzian"]
+            z = (x + 1j * gamma) / (sigma * mpmath.sqrt(2))
+            value = mpmath.re(mpmath.exp(-z * z) * mpmath.erfc(-1j * z)) \
+                / (sigma * mpmath.sqrt(2 * mpmath.pi))
+        elif args.shape1 == "gaussian":
+            sigma = mpmath.hypot(args.width1_mhz, args.width2_mhz)
+            value = mpmath.exp(-x * x / (2 * sigma * sigma)) \
+                / (sigma * mpmath.sqrt(2 * mpmath.pi))
+        else:
+            gamma = mpmath.mpf(args.width1_mhz) + args.width2_mhz
+            value = gamma / (mpmath.pi * (x * x + gamma * gamma))
+        return float(value)
+
+
+def _golden_reference_rows(name):
+    """Per row of golden table ``name``: its input cells, then each
+    computed cell's reference value and stated bound.  The inputs are
     rebuilt from the golden's command line and the CLI defaults, not
     read from its header."""
     args = build_parser().parse_args(GOLDEN[name])
-    b = np.linspace(args.b_min_gauss, args.b_max_gauss, args.n_b)
-    eps = args.e_perp_mhz
 
     def level(v, k=1):      # GHz: a level (k = 1) or a difference (k = 2)
         return v, k * 1e-12 * max(1.0, abs(v))
 
     if name == "transverse_scan.csv":
-        for amp in b:
-            levels, w_plus, _, gap = class_eigensystem_mp(amp, 0.0, eps)
+        for amp in np.linspace(args.b_min_gauss, args.b_max_gauss, args.n_b):
+            levels, w_plus, _, gap = class_eigensystem_mp(amp, 0.0,
+                                                          args.e_perp_mhz)
             dnu = [1e3 * x for x in level(gap, 2)]          # MHz
             yield [amp], [*map(level, levels), dnu, (w_plus, 1e-10)]
     elif name == "eigen_map.csv":
         theta = np.linspace(args.theta_min_rad, args.theta_max_rad,
                             args.n_theta)
-        for amp in b:
+        for amp in np.linspace(args.b_min_gauss, args.b_max_gauss, args.n_b):
             for th in theta:
                 _, w_plus, w_p1, _ = class_eigensystem_mp(
-                    amp * np.sin(th), amp * np.cos(th), eps)
+                    amp * np.sin(th), amp * np.cos(th), args.e_perp_mhz)
                 yield [amp, th], [(w_p1, 1e-10), (w_plus, 1e-10)]
-    else:
+    elif name == "transitions.csv":
         fields = _class_fields(args.direction)
-        for amp in b:
+        for amp in np.linspace(args.b_min_gauss, args.b_max_gauss, args.n_b):
             cells = []
             for b_perp, b_z in amp * fields:
-                levels = class_eigensystem_mp(b_perp, b_z, eps)[0]
+                levels = class_eigensystem_mp(b_perp, b_z,
+                                              args.e_perp_mhz)[0]
                 cells += [level(levels[1] - levels[0], 2),
                           level(levels[2] - levels[0], 2)]
             yield [amp], cells
+    elif name == "eta_table.csv":
+        for family in ("magnetic", "nonmagnetic_random",
+                       "nonmagnetic_aligned"):
+            yield [family], [(ETA_REFERENCE[family, z], 1e-10)
+                             for z in _AXIS_CLASSES]
+    elif name == "multipliers.csv":
+        # (S / A0)^2 with S = sum n_k A_k, to first order in the 1e-10
+        # of each A: S moves by sum(n) 1e-10 and A0 by 1e-10
+        base = ETA_REFERENCE["magnetic", "same"]
+        for scenario, (family, counts) in _SCENARIO_COUNTS.items():
+            ratio = sum(n * ETA_REFERENCE[family, z] for n, z in
+                        zip(counts, _AXIS_CLASSES)) / base
+            yield [scenario], [(ratio ** 2, 2.0 * ratio / base
+                                * (sum(counts) + ratio) * 1e-10)]
+    elif name == "decay_curve.csv":
+        # 1e-14 relative: a few roundings of doubles
+        with mpmath.workdps(40):
+            lo, hi, n = mpmath.mpf(args.tau_min_s), args.tau_max_s, args.n_tau
+            for k in range(n):
+                tau = lo * (hi / lo) ** (mpmath.mpf(k) / (n - 1)) \
+                    if args.log_spacing else lo + (hi - lo) * k / (n - 1)
+                signal = args.amplitude * mpmath.exp(
+                    -(tau / args.t1dd_s) ** mpmath.mpf(args.beta)
+                    - (0 if args.t1ph_s is None else tau / args.t1ph_s))
+                yield [], [(float(x), 1e-14 * float(x))
+                           for x in (tau, signal)]
+    else:
+        # 1e-13 relative: a Gaussian's exponent of up to ~100 carries
+        # that much of its argument's rounding
+        for dnu in np.linspace(args.dnu_min_mhz, args.dnu_max_mhz,
+                               args.n_dnu):
+            value = _overlap_mp(args, dnu)
+            yield [dnu], [(value, 1e-13 * value)]
 
 
-@pytest.mark.parametrize("name", ["transverse_scan.csv", "eigen_map.csv",
-                                  "transitions.csv"])
-def test_solver_goldens_match_the_40_digit_reference(name):
+@pytest.mark.parametrize("name", [
+    "transverse_scan.csv", "eigen_map.csv", "transitions.csv",
+    "eta_table.csv", "multipliers.csv", "decay_curve.csv", "overlap.csv",
+    "overlap_lorentzian.csv", "overlap_mixed.csv"])
+def test_goldens_match_independent_references(name):
     # each input cell prints its input, and each computed cell lies
     # within half a unit of its last printed digit plus its stated
-    # bound: 1e-12 max(1, |E|) GHz per level, twice that per line or
+    # bound: for a solver golden against the 40-digit class solve,
+    # 1e-12 max(1, |E|) GHz per level, twice that per line or
     # splitting, 1e-10 per weight.  degeneracy.csv is left out: its 8 G
     # upper_14 cell lies 2.1e-13 MHz past a rounding boundary, closer
     # than two rounded lines can settle
     _, _, rows = _read_csv(GOLDEN_DIR / name)
-    expected = list(_solver_golden_rows(name))
+    expected = list(_golden_reference_rows(name))
     assert len(rows) == len(expected)
     for row, (inputs, cells) in zip(rows, expected):
-        assert row[:len(inputs)] == [f"{x:.10g}" for x in inputs], row
+        assert row[:len(inputs)] == [
+            x if isinstance(x, str) else f"{x:.10g}" for x in inputs], row
         for text, (value, bound) in zip(row[len(inputs):], cells,
                                         strict=True):
             assert abs(float(text) - value) <= _half_unit(text) + bound, \
                 (row, text, value)
+
+
+def _golden_record(name):
+    """Each checked key of golden record ``name``: its reference value
+    and stated bound, from the golden's command line and the CLI
+    defaults.  The fit of the noiseless golden curve recovers the
+    parameters that made it, to the 1e-8 relative that the nested
+    search held them to (tests/test_analysis.py); its cells carry 10
+    digits."""
+    args = build_parser().parse_args(GOLDEN[name])
+    if name == "sensitivity.json":
+        with mpmath.workdps(40):
+            eta = float(args.sigma_b_t * mpmath.sqrt(args.tau_lp_s))
+        return {"sigma_b_tesla": (args.sigma_b_t, 0.0),
+                "tau_lp_s": (args.tau_lp_s, 0.0),
+                "sensitivity_t_per_sqrt_hz": (eta, 1e-12 * eta)}
+    curve = build_parser().parse_args(GOLDEN["decay_curve.csv"])
+    return {"A": (curve.amplitude, 1e-8 * curve.amplitude),
+            "T1_dd_s": (curve.t1dd_s, 1e-8 * curve.t1dd_s),
+            "T1_ph_s": (args.fix_t1ph_s, 0.0),
+            "beta": (curve.beta, 0.0)}
+
+
+# fit_beta.json is left out: a single stretch fitted to the two-channel
+# golden curve has no true parameters to recover
+@pytest.mark.parametrize("name", ["sensitivity.json", "fit_t1.json"])
+def test_golden_records_match_independent_references(name):
+    doc = json.loads((GOLDEN_DIR / name).read_text())
+    for key, (value, bound) in _golden_record(name).items():
+        assert abs(doc[key] - value) <= bound, (key, doc[key], value)
 
 
 def _fresh_python(script, *args, cwd=None, env=None):

@@ -169,6 +169,9 @@ def test_retained_terms_only():
 def test_pair_geometry_validation():
     with pytest.raises(ValueError):
         PairGeometry(np.array([1.0, 1.0, 0.0]), FRAME0, FRAME0)
+    with pytest.raises(ValueError, match="unknown channel 'z'"):
+        flip_flop_amplitude(_pair(FRAME0.x_hat), BasisChoice.NONMAGNETIC,
+                            "z")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -22,24 +22,7 @@ from nvcr.eta_average import (ETA_PREFACTOR, _SCENARIOS, _gl_nodes, _graded,
                               _pair_kernel_batch, eta_table, multiplier_table)
 from nvcr.geometry import as_unit
 
-from reference import rotate, rotation_matrix
-
-_SAME_MAGNETIC = 2.0 / (3.0 * np.sqrt(3.0))
-# each entry of the table from rules independent of the library's:
-# magnetic against a 2048 x 4096 product rule, random against nested
-# adaptive quadrature, aligned against a rule with its pole at z1 that
-# splits each polar row at the cusp
-_REFERENCE = {
-    ("magnetic", "same"): _SAME_MAGNETIC,
-    ("magnetic", "close"): 0.650711414684589,
-    ("magnetic", "far"): 0.832777508057429,
-    ("nonmagnetic_random", "same"): 0.710994107653050,
-    ("nonmagnetic_random", "close"): 0.682750756138088,
-    ("nonmagnetic_random", "far"): 0.682750756138088,
-    ("nonmagnetic_aligned", "same"): 2.0 * _SAME_MAGNETIC,
-    ("nonmagnetic_aligned", "close"): 0.695187487723620,
-    ("nonmagnetic_aligned", "far"): 0.695187487723620,
-}
+from reference import ETA_REFERENCE, rotate, rotation_matrix
 
 
 def test_prefactor():
@@ -212,8 +195,8 @@ def test_kernel_matches_adaptive_reference(c):
 
 def test_every_entry_matches_its_reference():
     table = eta_table()
-    assert table.keys() == _REFERENCE.keys()
-    for key, ref in _REFERENCE.items():
+    assert table.keys() == ETA_REFERENCE.keys()
+    for key, ref in ETA_REFERENCE.items():
         assert abs(table[key] - ref) <= 1e-10, key
 
 

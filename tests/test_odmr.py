@@ -344,6 +344,7 @@ def test_degeneracy_b111_excludes_coincident_classes():
     ([1e-200, 0.0, 0.0], "length 0"),
     ([1e-10, 0.0, 0.0], "length 1e-10"),
     ([np.nan, 0.0, 0.0], "length nan"),
+    ([1.0, 0.0], r"3-vector, got shape \(2,\)"),
 ])
 def test_direction_outside_the_unit_rule_raises(direction, fault):
     for run in (all_transitions, degeneracy_lift):
@@ -366,6 +367,8 @@ def test_degeneracy_small_range_limit():
     assert report.all_separated_b_gauss < 0.5
     with pytest.raises(ValueError):
         degeneracy_lift(cr_range_mhz=0.0)
+    with pytest.raises(ValueError, match="at least 8 scan points"):
+        degeneracy_lift(None, np.linspace(0.0, 10.0, 7))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -212,6 +212,19 @@ def test_diagonalize_rejects_non_hermitian():
         diagonalize(h)
 
 
+def test_diagonalize_refuses_eigenvectors_that_do_not_solve(monkeypatch):
+    # eigh's columns out of order leave each one a residual of order D
+    eigh = np.linalg.eigh
+
+    def permuted(h):
+        e, v = eigh(h)
+        return e, v[..., ::-1]
+
+    monkeypatch.setattr(np.linalg, "eigh", permuted)
+    with pytest.raises(ArithmeticError, match="eigen-residual too large"):
+        diagonalize(build_hamiltonian([10.0, 0.0, 30.0], 4.0))
+
+
 @pytest.mark.parametrize("scale", [1e100, 1e200])
 def test_diagonalize_rejects_non_hermitian_at_large_scale(scale):
     # at 1e200 the Frobenius norm overflows; the checks must not
@@ -234,6 +247,9 @@ def test_frame_rejects_non_orthonormal():
     with pytest.raises(ValueError):
         NVClassFrame(np.array([1.0, 0.1, 0.0]), np.array([0.0, 1.0, 0.0]),
                      np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="not right-handed"):
+        NVClassFrame(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
+                     np.array([0.0, 0.0, -1.0]))
 
 
 def test_frame_axes_are_read_only_copies():
@@ -297,6 +313,9 @@ def test_eigenstate_map_validation():
     for theta in ([np.nan], [0.0, np.inf]):
         with pytest.raises(ValueError, match="polar angles"):
             eigenstate_map([1.0], theta, e_perp_mhz=4.0)
+    for b in ([np.nan], [1.0, -np.inf]):
+        with pytest.raises(ValueError, match="b_perp_gauss must be finite"):
+            transverse_field_scan(b, e_perp_mhz=4.0)
 
 
 def test_transverse_scan_splitting():
