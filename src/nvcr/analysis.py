@@ -84,8 +84,10 @@ class FitResult:
     iterations: int
 
 
-class FitError(RuntimeError):
-    """Fit ended on an edge of its search window; carries that fit."""
+class FitError(ValueError):
+    """Fit ended on an edge of its search window, or did not settle;
+    carries that fit as ``best``.  A ``ValueError``, as are the fits'
+    refusals of bad data, so every fit refusal is one exception type."""
 
     def __init__(self, message: str, best: FitResult):
         super().__init__(message)

@@ -34,10 +34,6 @@ from .version import TOOL_NAME, __version__
 
 __all__ = ["main"]
 
-class UsageError(Exception):
-    """Bad argument combination; exits with status 2."""
-
-
 @dataclass(frozen=True)
 class _Number:
     """argparse type for a finite number, at least ``low`` if given
@@ -223,8 +219,6 @@ def _cmd_spectrum(args) -> _Columns:
     lines = all_transitions(args.direction, [args.b_gauss], args.e_perp_mhz)[0]
     profile = LineProfile(shape=LineShape(args.shape),
                           width_mhz=args.linewidth_mhz)
-    if (args.f_min_ghz is None) != (args.f_max_ghz is None):
-        raise UsageError("--f-min-ghz and --f-max-ghz go together")
     freq = None if args.f_min_ghz is None else \
         _ramp_points(args, "f", "ghz", args.n_freq)
     freq, pl = synth_spectrum(lines, profile, args.contrast, freq,
@@ -477,7 +471,9 @@ def main(argv=None) -> int:
             high = low.replace("-min-", "-max-")
             lo, hi = (getattr(args, flag[2:].replace("-", "_"))
                       for flag in (low, high))
-            if None not in (lo, hi) and lo >= hi:
+            if (lo is None) != (hi is None):
+                parser.error(f"{low} and {high} go together")
+            if lo is not None and lo >= hi:
                 parser.error(f"{low} ({lo:g}) must be below {high} ({hi:g})")
     # argparse leaves reference cycles (the parsers, and a help formatter
     # per flag) in the young generations: freed before the runner imports
@@ -486,30 +482,15 @@ def main(argv=None) -> int:
     gc.collect(1)
     try:
         out = _emit(args, args.func(args))
-    except UsageError as exc:
-        print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ArithmeticError, OSError) as exc:
-        return _failed(exc)
-    except _fit_error() as exc:
-        return _failed(exc, best=_fit_payload(exc.best))
+        # the JSON diagnostic; an analysis.FitError adds the fit it ended on
+        diag = {"error": type(exc).__name__, "message": str(exc)}
+        if hasattr(exc, "best"):
+            diag["best"] = _fit_payload(exc.best)
+        print(json.dumps(diag, sort_keys=True))
+        return 1
     print(out)
     return 0
-
-
-def _fit_error() -> type:
-    """``analysis.FitError``; ``main`` asks for it only for an exception
-    that the clauses before it let through, so a command that fits
-    nothing never loads ``analysis``."""
-    from .analysis import FitError
-    return FitError
-
-
-def _failed(exc: Exception, **extra) -> int:
-    """Print the JSON diagnostic of a numeric or I/O failure: exit 1."""
-    print(json.dumps({"error": type(exc).__name__, "message": str(exc),
-                      **extra}, sort_keys=True))
-    return 1
 
 
 if __name__ == "__main__":

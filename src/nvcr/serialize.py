@@ -129,7 +129,9 @@ def write_json(path, payload: dict, subcommand: str, params: dict) -> Path:
 
 def read_decay_csv(path):
     """Read a `tau_s,signal[,sigma]` CSV, ignoring `#` comment lines, as
-    an ``analysis.DecayCurve``."""
+    an ``analysis.DecayCurve``.  A bad header, a row whose cell count
+    differs from the header's, or a cell that is not a number is refused
+    with its line number."""
     from .analysis import DecayCurve
 
     rows = []
@@ -139,18 +141,25 @@ def read_decay_csv(path):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            cells = [c.strip() for c in line.split(",")]
             if header is None:
-                header = [h.strip() for h in line.split(",")]
+                if cells not in (["tau_s", "signal"],
+                                 ["tau_s", "signal", "sigma"]):
+                    raise ValueError(f"line {number}: expected the header "
+                                     f"'tau_s,signal[,sigma]', got {line!r}")
+                header = cells
                 continue
-            cells = line.split(",")
             if len(cells) != len(header):
                 raise ValueError(f"line {number} has {len(cells)} cells, "
                                  f"but the header has {len(header)}")
-            rows.append([float(x) for x in cells])
-    if header is None or header[:2] != ["tau_s", "signal"]:
-        raise ValueError("expected header 'tau_s,signal[,sigma]'")
-    if header not in (["tau_s", "signal"], ["tau_s", "signal", "sigma"]):
-        raise ValueError(f"unexpected columns {header!r}")
+            row = []
+            for name, cell in zip(header, cells):
+                try:
+                    row.append(float(cell))
+                except ValueError:
+                    raise ValueError(f"line {number}: {name} {cell!r} is "
+                                     "not a number") from None
+            rows.append(row)
     if not rows:
         raise ValueError("the decay table has no rows")
     data = np.asarray(rows, dtype=float)

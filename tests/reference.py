@@ -20,10 +20,15 @@ independently of how the package does it:
 * ``rotation_matrix``, ``rotate`` and ``swap`` move frames and pairs
   for the invariance checks;
 * ``ETA_REFERENCE`` holds the table of normalized averages from
-  quadrature rules independent of the package's.
+  quadrature rules independent of the package's;
+* ``scenario_counts`` counts the same, close and far resonant pairs of
+  a field direction from the class axes alone, and
+  ``SCENARIO_DIRECTIONS`` holds a direction of each scenario of the
+  multiplier table.
 
 Only public names of ``nvcr`` are imported: constants, the geometry
-types and ``as_unit``, none of the computations checked here.
+types, ``CLASS_AXES`` and ``as_unit``, none of the computations checked
+here.
 """
 
 import mpmath
@@ -31,7 +36,7 @@ import numpy as np
 
 from nvcr import BasisChoice, NVClassFrame, PairGeometry
 from nvcr.constants import D_GHZ, GAMMA_E_MHZ_PER_G
-from nvcr.geometry import as_unit
+from nvcr.geometry import CLASS_AXES, as_unit
 
 _SAME_MAGNETIC = 2.0 / (3.0 * np.sqrt(3.0))
 # each entry of the table from rules independent of the library's:
@@ -49,6 +54,49 @@ ETA_REFERENCE = {
     ("nonmagnetic_aligned", "close"): 0.695187487723620,
     ("nonmagnetic_aligned", "far"): 0.695187487723620,
 }
+
+
+# a representative field direction of each scenario, in the row order of
+# the multiplier table; None is zero field
+SCENARIO_DIRECTIONS = {
+    "RANDOM": [1.0, 2.0, 5.0],        # four distinct shares
+    "PLANE_100": [0.0, 1.0, 3.0],     # in the (100) plane
+    "PLANE_110": [1.0, -1.0, 4.0],    # in the (110) plane
+    "AXIS_111": [1.0, 1.0, 1.0],
+    "AXIS_100": [1.0, 0.0, 0.0],
+    "ZERO_FIELD": None,
+}
+
+
+def resonant_partners(direction) -> list[set[int]]:
+    """Per class, the other classes that a field along ``direction``
+    reaches with equal shares (|d x z|, |d . z|): its resonant
+    partners."""
+    d = as_unit(direction)
+    shares = np.column_stack([np.linalg.norm(np.cross(d, CLASS_AXES), axis=1),
+                              np.abs(CLASS_AXES @ d)])
+    n = len(CLASS_AXES)
+    return [{m for m in range(n) if m != k
+             and np.allclose(shares[k], shares[m], rtol=0.0, atol=1e-12)}
+            for k in range(n)]
+
+
+def scenario_counts(direction) -> tuple[int, int, int]:
+    """Counts of same, close and far resonant pairs for a field along
+    ``direction``, read from the class with the most partners.  In the
+    magnetic basis the relative axis sign(d.z_k) z_k . sign(d.z_l) z_l
+    = +-1/3 of a pair makes it close or far.  ``None`` is zero field:
+    every class is resonant with every other, and the zero-field basis
+    sees only |z_k . z_l| = 1/3, so all of them count as close."""
+    if direction is None:
+        return (1, len(CLASS_AXES) - 1, 0)
+    proj = CLASS_AXES @ as_unit(direction)
+    assert np.all(proj != 0.0), "a class axis perpendicular to the field"
+    signed = np.sign(proj)[:, None] * CLASS_AXES
+    partners = resonant_partners(direction)
+    k = max(range(len(CLASS_AXES)), key=lambda m: len(partners[m]))
+    close = sum(int(signed[k] @ signed[m] > 0.0) for m in partners[k])
+    return (1, close, len(partners[k]) - close)
 
 
 def spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -159,10 +159,12 @@ def test_timescale_outside_the_window_raises_with_the_best_fit(t1_dd):
     tau = np.concatenate([[0.0], np.geomspace(1e-5, 5e-3, 63)])
     curve = DecayCurve(tau, decay_signal(
         tau, DecayModel(t1_dd_s=t1_dd, t1_ph_s=T1PH)))
-    with pytest.raises(FitError) as exc:
+    # a ValueError like every other refusal of a fit, carrying its fit
+    with pytest.raises(ValueError) as exc:
         fit_decay(curve, fixed_t1_ph_s=T1PH)
+    assert type(exc.value) is FitError
     best = exc.value.best
-    assert not best.converged
+    assert isinstance(best, analysis.FitResult) and not best.converged
     assert best.model.t1_dd_s == pytest.approx(
         1e-9 if t1_dd < 1e-5 else 50.0, rel=1e-12)
 

@@ -20,9 +20,9 @@ from nvcr import (
 from nvcr import eta_average
 from nvcr.eta_average import (ETA_PREFACTOR, _SCENARIOS, _gl_nodes, _graded,
                               _pair_kernel_batch, eta_table, multiplier_table)
-from nvcr.geometry import as_unit
 
-from reference import ETA_REFERENCE, rotate, rotation_matrix
+from reference import (ETA_REFERENCE, SCENARIO_DIRECTIONS, resonant_partners,
+                       rotate, rotation_matrix, scenario_counts)
 
 
 def test_prefactor():
@@ -227,35 +227,14 @@ def test_tables_evaluate_each_average_once(monkeypatch):
     assert len(calls) == 7   # zero-field-basis far reuses close
 
 
-# a representative field direction of each magnetic scenario
-_SCENARIO_DIRECTIONS = {
-    "RANDOM": [1.0, 2.0, 5.0],        # four distinct shares
-    "PLANE_100": [0.0, 1.0, 3.0],     # in the (100) plane
-    "PLANE_110": [1.0, -1.0, 4.0],    # in the (110) plane
-    "AXIS_111": [1.0, 1.0, 1.0],
-    "AXIS_100": [1.0, 0.0, 0.0],
-}
-
-
-@pytest.mark.parametrize("name", sorted(_SCENARIO_DIRECTIONS))
+@pytest.mark.parametrize("name", sorted(
+    name for name, d in SCENARIO_DIRECTIONS.items() if d is not None))
 def test_scenario_counts_follow_from_the_class_geometry(name):
     # classes k and l are resonant when the field reaches them with equal
-    # shares (|d x z|, |d . z|); in the magnetic basis the pair's relative
-    # axis sign(d.z_k) z_k . sign(d.z_l) z_l = +-1/3 makes it close or
-    # far; the counts are read from the class with the most partners
-    d = as_unit(_SCENARIO_DIRECTIONS[name])
-    proj = CLASS_AXES @ d
-    assert np.all(proj != 0.0)
-    shares = np.column_stack([np.linalg.norm(np.cross(d, CLASS_AXES), axis=1),
-                              np.abs(proj)])
-    signed = np.sign(proj)[:, None] * CLASS_AXES
-    partners = [{m for m in range(4) if m != k
-                 and np.allclose(shares[k], shares[m], rtol=0.0, atol=1e-12)}
-                for k in range(4)]
-    k = max(range(4), key=lambda m: len(partners[m]))
-    close = sum(signed[k] @ signed[m] > 0.0 for m in partners[k])
-    counts = (1, close, len(partners[k]) - close)
-    assert _SCENARIOS[name] == (BasisChoice.MAGNETIC, counts)
+    # shares; tests/reference.py counts the pairs from the class axes
+    d = SCENARIO_DIRECTIONS[name]
+    assert _SCENARIOS[name] == (BasisChoice.MAGNETIC, scenario_counts(d))
+    partners = resonant_partners(d)
     # the line scan finds the same resonant classes: the identically
     # degenerate neighbor pairs of each branch join exactly those groups
     report = degeneracy_lift(d)
@@ -279,4 +258,4 @@ def test_zero_field_scenario_counts_follow_from_the_class_geometry():
     np.testing.assert_allclose(np.abs(czz[~np.eye(4, dtype=bool)]), 1.0 / 3.0,
                                rtol=0.0, atol=1e-15)
     assert _SCENARIOS["ZERO_FIELD"] == (BasisChoice.NONMAGNETIC,
-                                        (1, len(CLASS_AXES) - 1, 0))
+                                        scenario_counts(None))

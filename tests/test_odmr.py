@@ -183,8 +183,9 @@ def test_stacked_scan_equals_point_by_point_solves(direction, e_perp):
 
 def test_scan_memory_grows_only_by_fields_and_lines():
     # past one solver block, a 4x ramp may add to the peak only its
-    # amplitudes (8 B), field stack (24 B) and line rows (64 B) per
-    # point; the Hamiltonians and eigenvectors stay one block in size
+    # amplitudes (8 B), one class's B_perp and B_z (16 B, of the 24 B
+    # allowed) and line rows (64 B) per point; _class_blocks' per-block
+    # temporaries stay one block in size
     def peak(n):
         tracemalloc.start()
         try:

@@ -525,8 +525,9 @@ _SCANS = {
 @pytest.mark.parametrize("scan", sorted(_SCANS))
 def test_grid_scan_memory_grows_only_by_fields_and_results(scan):
     # past one solver block, a 4x grid may add to the peak only its
-    # (n, 3) field stack and the returned arrays; the Hamiltonians and
-    # eigenvectors stay one block in size
+    # field inputs (24 B a point covers eigen-map's B_perp and B_z and
+    # the transverse scan's zero B_z) and the returned arrays;
+    # _class_blocks' per-block temporaries stay one block in size
     run = _SCANS[scan]
     run(1024)                             # warm up lazy imports and caches
     small, _ = _traced_peak(run, 1024)
