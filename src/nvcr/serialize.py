@@ -130,8 +130,8 @@ def write_json(path, payload: dict, subcommand: str, params: dict) -> Path:
 def read_decay_csv(path):
     """Read a `tau_s,signal[,sigma]` CSV, ignoring `#` comment lines, as
     an ``analysis.DecayCurve``.  A bad header, a row whose cell count
-    differs from the header's, or a cell that is not a number is refused
-    with its line number."""
+    differs from the header's, or a cell that is not a finite number is
+    refused with its line number."""
     from .analysis import DecayCurve
 
     rows = []
@@ -159,6 +159,9 @@ def read_decay_csv(path):
                 except ValueError:
                     raise ValueError(f"line {number}: {name} {cell!r} is "
                                      "not a number") from None
+                if not math.isfinite(row[-1]):
+                    raise ValueError(f"line {number}: {name} {cell!r} is "
+                                     "not a finite number")
             rows.append(row)
     if not rows:
         raise ValueError("the decay table has no rows")

@@ -244,11 +244,14 @@ def test_text_that_is_not_a_number_exits_2(argv, message, tmp_path,
     assert not any(tmp_path.iterdir())
 
 
-# a 16-row weighted curve, each with one bad cell: (row, column, value)
+# a 16-row weighted curve, each with one bad cell: (row, column, value);
+# row k is on line k + 2, below the header
 @pytest.mark.parametrize("row, column, value", [
     (5, "tau_s", "nan"), (15, "tau_s", "inf"), (0, "tau_s", "-1e-06"),
+    (5, "signal", "nan"), (11, "signal", "inf"),
     (5, "sigma", "nan"), (7, "sigma", "inf"),
-], ids=["tau_nan", "tau_inf", "tau_negative", "sigma_nan", "sigma_inf"])
+], ids=["tau_nan", "tau_inf", "tau_negative", "signal_nan", "signal_inf",
+        "sigma_nan", "sigma_inf"])
 @pytest.mark.parametrize("command", ["fit-t1", "fit-beta"])
 def test_fit_refuses_non_finite_or_negative_curve_cells(command, row, column,
                                                        value, tmp_path,
@@ -264,6 +267,9 @@ def test_fit_refuses_non_finite_or_negative_curve_cells(command, row, column,
     assert main([command, "--input", str(curve), "--output", str(out)]) == 1
     diag = json.loads(capsys.readouterr().out)
     assert diag["error"] == "ValueError" and column in diag["message"], diag
+    if value in ("nan", "inf"):
+        assert diag["message"] == (f"line {row + 2}: {column} {value!r} "
+                                   "is not a finite number")
     assert not out.exists()
 
 
