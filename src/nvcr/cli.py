@@ -279,13 +279,10 @@ def _flag(*names: str, **kwargs) -> tuple:
     return names, kwargs
 
 
-_COMMON = (
-    _flag("--output", help="output file path (default: the subcommand's "
-          "file name in the working directory)"),
-    _flag("--seed", type=_Number(int, low=0),
-          help="accepted for compatibility and ignored: every result is "
-          "deterministic"),
-)
+_COMMON = (_flag("--output", help="output file path (default: the "
+                 "subcommand's file name in the working directory)"),)
+_SEED = _flag("--seed", type=_Number(int, low=0), help="accepted for "
+              "compatibility and ignored: every fit is deterministic")
 _DIRECTION = _flag("--direction", type=_vector3,
                    help="crystal-frame field direction x,y,z "
                    "(default: 24 deg off [100])")
@@ -404,13 +401,13 @@ _SUBCOMMANDS = {
     "fit-t1": _Subcommand(
         _cmd_fit_t1, "fit_t1.json",
         "fit the two-channel decay law to a curve CSV",
-        (_INPUT,
+        (_SEED, _INPUT,
          _flag("--fix-t1ph-s", "--fix-t1ph", type=_positive,
                dest="fix_t1ph_s",
                help="hold the phonon timescale fixed (seconds)"))),
     "fit-beta": _Subcommand(
         _cmd_fit_beta, "fit_beta.json",
-        "fit a stretched exponential with free exponent", (_INPUT,)),
+        "fit a stretched exponential with free exponent", (_SEED, _INPUT)),
     "overlap": _Subcommand(
         _cmd_overlap, "overlap.csv",
         "overlap of two line profiles vs detuning",
