@@ -89,10 +89,9 @@ def _vector3(text: str) -> np.ndarray:
 
 
 class _Columns(NamedTuple):
-    """A table result: named columns plus extra header comment lines."""
+    """A table result: cells by column name, plus header comment lines."""
 
-    names: list[str]
-    columns: list
+    columns: dict
     comments: list[str] | None = None
 
 
@@ -106,8 +105,8 @@ def _emit(args, result: dict | _Columns) -> Path:
                 else args.output)
     if isinstance(result, dict):
         return write_json(path, result, args.command, params)
-    return write_csv(path, result.names, result.columns, args.command,
-                     params, extra_comments=result.comments)
+    return write_csv(path, result.columns, args.command, params,
+                     extra_comments=result.comments)
 
 
 def _fit_payload(res) -> dict:
@@ -144,10 +143,10 @@ def _cmd_eigen_map(args) -> _Columns:
     b = _ramp_points(args, "b", "gauss", args.n_b)
     th = _ramp_points(args, "theta", "rad", args.n_theta)
     o_p1, o_plus = eigenstate_map(b, th, args.e_perp_mhz)
-    return _Columns(["B_gauss", "theta_rad", "overlap_e_p1",
-                     "overlap_e_plus"],
-                    [np.repeat(b, th.size), np.tile(th, b.size),
-                     o_p1.ravel(), o_plus.ravel()])
+    return _Columns({"B_gauss": np.repeat(b, th.size),
+                     "theta_rad": np.tile(th, b.size),
+                     "overlap_e_p1": o_p1.ravel(),
+                     "overlap_e_plus": o_plus.ravel()})
 
 
 def _cmd_transverse_scan(args) -> _Columns:
@@ -155,10 +154,9 @@ def _cmd_transverse_scan(args) -> _Columns:
 
     b = _ramp_points(args, "b", "gauss", args.n_b)
     energies, dnu, matching = transverse_field_scan(b, args.e_perp_mhz)
-    return _Columns(["B_gauss", "e_g_GHz", "e_d_GHz", "e_e_GHz", "dnu_MHz",
-                     "overlap_e_plus"],
-                    [b, energies[:, 0], energies[:, 1], energies[:, 2], dnu,
-                     matching])
+    return _Columns({"B_gauss": b, "e_g_GHz": energies[:, 0],
+                     "e_d_GHz": energies[:, 1], "e_e_GHz": energies[:, 2],
+                     "dnu_MHz": dnu, "overlap_e_plus": matching})
 
 
 def _cmd_eta_table(args) -> _Columns:
@@ -166,19 +164,18 @@ def _cmd_eta_table(args) -> _Columns:
 
     table = eta_table()
     families = ["magnetic", "nonmagnetic_random", "nonmagnetic_aligned"]
-    cols = [np.array(families, dtype=object)]
+    cols = {"family": families}
     for axis in ("same", "close", "far"):
-        cols.append(np.array([table[(fam, axis)] for fam in families]))
-    return _Columns(["family", "same", "close", "far"], cols)
+        cols[axis] = [table[(fam, axis)] for fam in families]
+    return _Columns(cols)
 
 
 def _cmd_multipliers(args) -> _Columns:
     from .eta_average import multiplier_table
 
     table = multiplier_table()
-    return _Columns(["scenario", "multiplier"],
-                    [np.array(list(table), dtype=object),
-                     np.array(list(table.values()))])
+    return _Columns({"scenario": list(table),
+                     "multiplier": list(table.values())})
 
 
 def _cmd_transitions(args) -> _Columns:
@@ -186,8 +183,8 @@ def _cmd_transitions(args) -> _Columns:
 
     b = _ramp_points(args, "b", "gauss", args.n_b)
     freqs = all_transitions(args.direction, b, args.e_perp_mhz)
-    return _Columns(["B_gauss"] + [f"nu{k}_GHz" for k in range(1, 9)],
-                    [b] + [freqs[:, k] for k in range(8)])
+    return _Columns({"B_gauss": b, **{f"nu{k + 1}_GHz": freqs[:, k]
+                                      for k in range(8)}})
 
 
 def _cmd_degeneracy(args) -> _Columns:
@@ -196,20 +193,18 @@ def _cmd_degeneracy(args) -> _Columns:
     b = _ramp_points(args, "b", "gauss", args.n_b)
     rep = degeneracy_lift(args.direction, b, args.cr_range_mhz,
                           args.e_perp_mhz)
-    names = ["B_gauss"] + [f"dnu_pair{k + 1}_MHz"
-                           for k in range(len(rep.pair_labels))]
-    cols = [rep.b_gauss] + [rep.dnu_mhz[:, k]
-                            for k in range(len(rep.pair_labels))]
+    cols = {"B_gauss": rep.b_gauss}
     comments = []
     for k, (label, crossing) in enumerate(zip(rep.pair_labels,
                                               rep.pair_crossings_b_gauss)):
+        cols[f"dnu_pair{k + 1}_MHz"] = rep.dnu_mhz[:, k]
         state = "degenerate" if label in rep.degenerate_pairs else \
             ("absent" if crossing is None else f"{crossing:.4f}")
         comments.append(f"pair{k + 1}: {label} crossing_B_gauss={state}")
     sep = "absent" if rep.all_separated_b_gauss is None \
         else f"{rep.all_separated_b_gauss:.4f}"
     comments.append(f"all_separated_B_gauss: {sep}")
-    return _Columns(names, cols, comments)
+    return _Columns(cols, comments)
 
 
 def _cmd_spectrum(args) -> _Columns:
@@ -223,7 +218,7 @@ def _cmd_spectrum(args) -> _Columns:
         _ramp_points(args, "f", "ghz", args.n_freq)
     freq, pl = synth_spectrum(lines, profile, args.contrast, freq,
                               n_freq=args.n_freq)
-    return _Columns(["freq_GHz", "pl_norm"], [freq, pl])
+    return _Columns({"freq_GHz": freq, "pl_norm": pl})
 
 
 def _cmd_decay_sim(args) -> _Columns:
@@ -234,7 +229,7 @@ def _cmd_decay_sim(args) -> _Columns:
                        amplitude=args.amplitude, beta=args.beta)
     tau = _ramp_points(args, "tau", "s", args.n_tau, args.log_spacing)
     sig = decay_signal(tau, model)
-    return _Columns(["tau_s", "signal"], [tau, sig])
+    return _Columns({"tau_s": tau, "signal": sig})
 
 
 def _cmd_fit_t1(args) -> dict:
@@ -259,8 +254,8 @@ def _cmd_overlap(args) -> _Columns:
     p2 = LineProfile(shape=LineShape(args.shape2), width_mhz=args.width2_mhz,
                      center_mhz=args.center2_mhz)
     dnu = _ramp_points(args, "dnu", "mhz", args.n_dnu)
-    return _Columns(["dnu_MHz", "overlap_per_MHz"],
-                    [dnu, spectral_overlap(p1, p2, dnu)])
+    return _Columns({"dnu_MHz": dnu,
+                     "overlap_per_MHz": spectral_overlap(p1, p2, dnu)})
 
 
 def _cmd_sensitivity(args) -> dict:

@@ -16,13 +16,7 @@ import numpy as np
 
 from .version import TOOL_NAME, __version__
 
-__all__ = [
-    "format_value",
-    "header_lines",
-    "write_csv",
-    "write_json",
-    "read_decay_csv",
-]
+__all__ = ["write_csv", "write_json", "read_decay_csv"]
 
 FLOAT_FMT = "%.10g"
 # rows formatted per write in write_csv; bounds the Python objects alive
@@ -30,78 +24,59 @@ FLOAT_FMT = "%.10g"
 _CSV_CHUNK = 128
 
 
-def format_value(v) -> str:
+def _format_param(v) -> str:
     if isinstance(v, float):
         return FLOAT_FMT % v
     if isinstance(v, (list, tuple, np.ndarray)):
-        return "[" + ",".join(format_value(float(x)) for x in v) + "]"
+        return "[" + ",".join(_format_param(float(x)) for x in v) + "]"
     return str(v)
 
 
-def header_lines(subcommand: str, params: dict) -> list[str]:
-    items = " ".join(f"{k}={format_value(v)}" for k, v in sorted(params.items()))
-    return [
-        f"# {TOOL_NAME} {__version__}",
-        f"# subcommand: {subcommand}",
-        f"# params: {items}" if items else "# params:",
-    ]
-
-
-def _all_finite(value) -> bool:
-    """True unless ``value`` holds a NaN or infinite number anywhere."""
-    if isinstance(value, dict):
-        return all(_all_finite(v) for v in value.values())
-    if isinstance(value, (list, tuple)):
-        return all(_all_finite(v) for v in value)
-    if isinstance(value, np.ndarray):
-        if value.dtype.kind == "O":
-            return _all_finite(value.tolist())
-        return value.dtype.kind not in "fc" or bool(np.isfinite(value).all())
-    if isinstance(value, (float, np.floating)):
-        return math.isfinite(value)
-    return True
-
-
-def write_csv(path, names: list[str], columns, subcommand: str,
-              params: dict, extra_comments: list[str] | None = None) -> Path:
+def write_csv(path, columns: dict, subcommand: str, params: dict,
+              extra_comments: list[str] | None = None) -> Path:
     """Write named columns with provenance comments, LF endings.
 
-    Columns may be numeric or strings; ``extra_comments`` lines are
-    appended to the provenance block (without the leading ``#``).
-    A non-finite number, or a float column whose largest magnitude
-    prints at ``FLOAT_FMT`` as text that reads back as inf (DBL_MAX
-    prints as 1.797693135e+308), raises ``ValueError`` before the file
-    is opened.
+    ``columns`` maps each column name to its cells, in column order:
+    floats, integers or strings.  ``extra_comments`` lines are appended
+    to the provenance block (without the leading ``#``).  A column of
+    any other kind (object, complex, bool), a non-finite float, or a
+    float column whose largest magnitude prints at ``FLOAT_FMT`` as
+    text that reads back as inf (DBL_MAX prints as 1.797693135e+308)
+    raises ``ValueError`` before the file is opened.
     """
-    cols = [np.atleast_1d(np.asarray(c)) for c in columns]
-    if len(cols) != len(names):
-        raise ValueError("one name per column required")
-    n = cols[0].size
-    if any(c.size != n for c in cols):
+    cols = {name: np.atleast_1d(np.asarray(c)) for name, c in columns.items()}
+    if len({c.size for c in cols.values()}) != 1:
         raise ValueError("columns must share a length")
-    for name, c in zip(names, cols):
-        if not _all_finite(c):
-            raise ValueError(f"column {name!r} holds a non-finite value")
+    n = next(iter(cols.values())).size
+    for name, c in cols.items():
+        if c.dtype.kind not in "fiuU":
+            raise ValueError(f"column {name!r} holds {c.dtype} cells, "
+                             "not numbers or strings")
         if c.dtype.kind == "f" and n:
+            if not np.isfinite(c).all():
+                raise ValueError(f"column {name!r} holds a non-finite value")
             top = max(c.max(), -c.min())
             text = FLOAT_FMT % top
             if math.isinf(float(text)):
                 raise ValueError(f"column {name!r} holds {top:g}, which "
                                  f"prints as {text} and reads back as inf")
 
-    row = ",".join("%s" if c.dtype.kind in "USO" else FLOAT_FMT
-                   for c in cols) + "\n"
+    row = ",".join("%s" if c.dtype.kind == "U" else FLOAT_FMT
+                   for c in cols.values()) + "\n"
+    params_line = " ".join(["# params:", *(
+        f"{k}={_format_param(v)}" for k, v in sorted(params.items()))])
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in header_lines(subcommand, params):
-            fh.write(line + "\n")
+        fh.write(f"# {TOOL_NAME} {__version__}\n"
+                 f"# subcommand: {subcommand}\n{params_line}\n")
         for line in extra_comments or ():
             fh.write(f"# {line}\n")
-        fh.write(",".join(names) + "\n")
+        fh.write(",".join(cols) + "\n")
         # a bounded chunk of rows at a time: the text of the whole table
         # is never held in memory
         for k in range(0, n, _CSV_CHUNK):
-            chunk = zip(*(c[k:k + _CSV_CHUNK].tolist() for c in cols))
+            chunk = zip(*(c[k:k + _CSV_CHUNK].tolist()
+                          for c in cols.values()))
             fh.write("".join(row % cells for cells in chunk))
     return path
 
@@ -109,34 +84,36 @@ def write_csv(path, names: list[str], columns, subcommand: str,
 def write_json(path, payload: dict, subcommand: str, params: dict) -> Path:
     """Write a result object with an embedded provenance block.
 
-    A non-finite number raises ``ValueError`` before the file is opened.
+    The encoder refuses a NaN or infinite number (``ValueError``) and a
+    value JSON cannot hold (``TypeError``) before the file is opened.
     """
-    if not _all_finite(payload):
-        raise ValueError("result holds a non-finite value")
-    doc = dict(payload)
-    doc["meta"] = {
+    doc = {**payload, "meta": {
         "tool": TOOL_NAME,
         "version": __version__,
         "subcommand": subcommand,
-        "params": {k: format_value(v) for k, v in sorted(params.items())},
-    }
+        "params": {k: _format_param(v) for k, v in sorted(params.items())},
+    }}
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ValueError("result holds a non-finite value") from None
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 
 def read_decay_csv(path):
-    """Read a `tau_s,signal[,sigma]` CSV, ignoring `#` comment lines, as
-    an ``analysis.DecayCurve``.  A bad header, a row whose cell count
-    differs from the header's, or a cell that is not a finite number is
-    refused with its line number."""
+    """Read a `tau_s,signal[,sigma]` CSV, ignoring `#` comment lines and
+    a leading UTF-8 byte-order mark, as an ``analysis.DecayCurve``.  A
+    bad header, a row whose cell count differs from the header's, a cell
+    that is not a finite number, or a time that does not exceed the
+    previous row's is refused with its line number."""
     from .analysis import DecayCurve
 
     rows = []
     header = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for number, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -162,6 +139,9 @@ def read_decay_csv(path):
                 if not math.isfinite(row[-1]):
                     raise ValueError(f"line {number}: {name} {cell!r} is "
                                      "not a finite number")
+            if rows and row[0] <= rows[-1][0]:
+                raise ValueError(f"line {number}: tau_s {row[0]!r} does not "
+                                 f"exceed the previous row's {rows[-1][0]!r}")
             rows.append(row)
     if not rows:
         raise ValueError("the decay table has no rows")

@@ -21,6 +21,7 @@ from nvcr import LineShape
 from nvcr.cli import (_COMMON, _SHAPES, _SUBCOMMANDS, _Number, build_parser,
                       main)
 from nvcr.odmr import _class_fields
+from nvcr.serialize import read_decay_csv
 from reference import (ETA_REFERENCE, SCENARIO_DIRECTIONS, class_eigensystem_mp,
                        scenario_counts)
 
@@ -286,8 +287,14 @@ def test_fit_refuses_non_finite_or_negative_curve_cells(command, row, column,
      "line 2: expected the header 'tau_s,signal[,sigma]', got 'time,signal'"),
     ("tau_s,signal\n" + "".join(f"{k}e-05,0.{9 - k}\n" for k in range(1, 8))
      + "8e-05,0.2x\n", "line 9: signal '0.2x' is not a number"),
+    # the times must increase row by row
+    ("tau_s,signal\n1e-05,0.9\n3e-05,0.7\n2e-05,0.8\n",
+     "line 4: tau_s 2e-05 does not exceed the previous row's 3e-05"),
+    ("# a comment\ntau_s,signal,sigma\n1e-05,0.9,0.01\n2e-05,0.8,0.01\n"
+     "2e-05,0.7,0.01\n",
+     "line 5: tau_s 2e-05 does not exceed the previous row's 2e-05"),
 ], ids=["empty", "short_row", "long_row", "bad_header", "bad_header_long_row",
-        "bad_cell"])
+        "bad_cell", "swapped_rows", "repeated_time"])
 def test_fit_refuses_an_empty_or_ragged_curve(text, message, tmp_path,
                                               capsys):
     curve, out = tmp_path / "curve.csv", tmp_path / "fit.json"
@@ -296,6 +303,27 @@ def test_fit_refuses_an_empty_or_ragged_curve(text, message, tmp_path,
     diag = json.loads(capsys.readouterr().out)
     assert diag == {"error": "ValueError", "message": message}
     assert not out.exists()
+
+
+def test_fit_reads_a_curve_that_starts_with_a_byte_order_mark(tmp_path):
+    # as Excel's "CSV UTF-8" export and PowerShell 5's utf8 Out-File write
+    text = (GOLDEN_DIR / "decay_curve.csv").read_text()
+    rows = [line for line in text.splitlines(keepends=True)
+            if not line.startswith("#")]
+    curves, records = [], []
+    for mark in ("", "\ufeff"):
+        curve = tmp_path / f"curve{len(mark)}.csv"
+        curve.write_text(mark + "".join(rows), encoding="utf-8")
+        out = tmp_path / f"fit{len(mark)}.json"
+        assert main(["fit-t1", "--input", str(curve), "--output",
+                     str(out)]) == 0
+        curves.append(read_decay_csv(curve))
+        records.append({k: v for k, v in json.loads(out.read_text()).items()
+                        if k != "meta"})
+    assert curves[1].tau_s.tobytes() == curves[0].tau_s.tobytes()
+    assert curves[1].signal.tobytes() == curves[0].signal.tobytes()
+    assert curves[0].sigma is None and curves[1].sigma is None
+    assert records[1] == records[0]
 
 
 @pytest.mark.parametrize("curve_flags, fit_flags", [
@@ -1086,6 +1114,27 @@ def _golden_reference_rows(name):
                         zip(counts, _AXIS_CLASSES)) / base
             yield [scenario], [(ratio ** 2, 2.0 * ratio / base
                                 * (sum(counts) + ratio) * 1e-10)]
+    elif name == "spectrum.csv":
+        # pl = 1 - c sum exp(-u^2 / 2), u = (f - nu) / w, over the eight
+        # lines of the class solve: a line off by its 2e-12 max(1, |nu|)
+        # GHz moves pl by that much times the slope c |u| exp(-u^2 / 2) / w
+        assert args.shape == "gaussian"
+        lines = []
+        for b_perp, b_z in args.b_gauss * _class_fields(args.direction):
+            levels = class_eigensystem_mp(b_perp, b_z, args.e_perp_mhz)[0]
+            lines += [levels[1] - levels[0], levels[2] - levels[0]]
+        with mpmath.workdps(40):
+            lo, hi, n = mpmath.mpf(args.f_min_ghz), args.f_max_ghz, args.n_freq
+            width = mpmath.mpf(args.linewidth_mhz) / 1000          # GHz
+            for k in range(n):
+                freq = lo + (hi - lo) * k / (n - 1)
+                pl, bound = mpmath.mpf(1), 0.0
+                for nu in lines:
+                    u = (freq - nu) / width
+                    dip = args.contrast * mpmath.exp(-u * u / 2)
+                    pl -= dip
+                    bound += float(dip * abs(u) / width) * level(nu, 2)[1]
+                yield [float(freq)], [(float(pl), bound)]
     elif name == "decay_curve.csv":
         # 1e-14 relative: a few roundings of doubles
         with mpmath.workdps(40):
@@ -1109,8 +1158,8 @@ def _golden_reference_rows(name):
 
 @pytest.mark.parametrize("name", [
     "transverse_scan.csv", "eigen_map.csv", "transitions.csv",
-    "eta_table.csv", "multipliers.csv", "decay_curve.csv", "overlap.csv",
-    "overlap_lorentzian.csv", "overlap_mixed.csv"])
+    "spectrum.csv", "eta_table.csv", "multipliers.csv", "decay_curve.csv",
+    "overlap.csv", "overlap_lorentzian.csv", "overlap_mixed.csv"])
 def test_goldens_match_independent_references(name):
     # each input cell prints its input, and each computed cell lies
     # within half a unit of its last printed digit plus its stated
